@@ -1,29 +1,26 @@
-// perf_smoke — the repo's perf trajectory, as one machine-readable artifact.
+// perf_smoke — per-layer micro-measurements, as one machine-readable artifact.
 //
-// Measures (1) single-threaded event-queue throughput of the optimized
-// simulator against an in-binary replica of the pre-optimization hot path
-// (std::function callback storage + per-event make_shared<bool> cancellation
-// token — the exact layout simulator.cc shipped before the SmallFn/token-slab
-// rework), (2) fleet-scale PHY frame delivery through the medium's
-// partition+grid index against the original world scan (both paths live in
-// the shipped Medium behind MediumConfig::indexed_delivery, so the
-// comparison is same-binary and the digests must agree), (3) the fleet hot
-// path — 200 mobile clients under 20 beaconing APs moved through batched
-// Medium::move_radios ticks with interned beacon payloads, against the
-// pre-rework scalar set_position loop with per-frame payload minting — and
-// (4) wall-clock time of an 8-replication vehicular sweep run serially vs.
-// on all hardware threads, verifying per-run digests match.
+// Measures (1) single-threaded event-queue throughput of the timing-wheel
+// simulator on mixed and cancel-heavy churn, with tracing and a live stream
+// attached, (2) fleet-scale PHY frame delivery through the medium's
+// partition+grid index at 10k and 100k radios, (3) the fleet hot path — 200
+// mobile clients under 20 beaconing APs moved through batched
+// Medium::move_radios ticks with interned beacon payloads — and (4)
+// wall-clock time of an 8-replication vehicular sweep run serially vs. on
+// all hardware threads, verifying per-run digests match. Every gated number
+// is an absolute throughput floored far below a quiet box; the end-to-end
+// numbers live in perfbench/ (BENCHMARK.json).
 //
 // Emits BENCH_perf.json (schema "spider-bench-perf-v1"; see README) so CI can
 // upload the numbers and successive PRs have a comparable perf record.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <chrono>
-#include <functional>
+#include <limits>
 #include <memory>
-#include <queue>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,13 +40,11 @@
 
 #include "core/alloc_guard.h"
 #endif
-#include "core/shard_scenarios.h"
 #include "core/sweep.h"
 #include "mac/access_point.h"
 #include "net/frame.h"
 #include "phy/medium.h"
 #include "phy/radio.h"
-#include "phy/shard_world.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/thread_pool.h"
@@ -65,123 +60,17 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// ---------------------------------------------------------------------------
-// Baseline replica: the event queue exactly as it was before the hot-path
-// rework — a std::function per event (heap-allocated once captures exceed
-// its ~16-byte inline buffer) and a make_shared<bool> cancellation token per
-// event. Digest folding matches the real simulator so the comparison
-// isolates the allocation strategy, nothing else.
-class LegacySimulator {
- public:
-  class Handle {
-   public:
-    Handle() = default;
-    explicit Handle(std::shared_ptr<bool> cancelled)
-        : cancelled_(std::move(cancelled)) {}
-    void cancel() {
-      if (cancelled_) *cancelled_ = true;
-    }
-
-   private:
-    std::shared_ptr<bool> cancelled_;
-  };
-
-  sim::Time now() const { return now_; }
-
-  Handle schedule_at(sim::Time at, std::function<void()> fn) {
-    auto cancelled = std::make_shared<bool>(false);
-    queue_.push(Event{at, next_seq_++, std::move(fn), cancelled});
-    return Handle{std::move(cancelled)};
-  }
-
-  // The pre-rework API had no fire-and-forget path: every beacon tick and
-  // frame delivery paid for a token it would never use.
-  void post_at(sim::Time at, std::function<void()> fn) {
-    schedule_at(at, std::move(fn));
-  }
-
-  void run_all() {
-    while (!queue_.empty()) {
-      const Event& top = queue_.top();
-      Event ev{top.at, top.seq, std::move(const_cast<Event&>(top).fn),
-               top.cancelled};
-      queue_.pop();
-      if (*ev.cancelled) continue;
-      // Digest folding identical to the shipped simulator (pre- and
-      // post-rework), so the measured delta is the event layout alone.
-      if (instant_count_ > 0 && ev.at.us() != instant_us_) fold_instant();
-      instant_us_ = ev.at.us();
-      instant_acc_ += event_hash(ev.at.us(), ev.seq);
-      ++instant_count_;
-      now_ = ev.at;
-      ++executed_;
-      ev.fn();
-    }
-  }
-
-  std::uint64_t events_executed() const { return executed_; }
-  std::uint64_t digest() const { return digest_; }
-
- private:
-  struct Event {
-    sim::Time at;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<bool> cancelled;
-    friend bool operator>(const Event& a, const Event& b) {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  static constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-  static std::uint64_t fnv1a_u64(std::uint64_t hash, std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (i * 8)) & 0xFFu;
-      hash *= kFnvPrime;
-    }
-    return hash;
-  }
-
-  static std::uint64_t event_hash(std::int64_t at_us, std::uint64_t seq) {
-    return fnv1a_u64(fnv1a_u64(0xcbf29ce484222325ull,
-                               static_cast<std::uint64_t>(at_us)),
-                     seq);
-  }
-
-  void fold_instant() {
-    digest_ = fnv1a_u64(digest_, static_cast<std::uint64_t>(instant_us_));
-    digest_ = fnv1a_u64(digest_, instant_acc_);
-    digest_ = fnv1a_u64(digest_, instant_count_);
-    instant_acc_ = 0;
-    instant_count_ = 0;
-  }
-
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  sim::Time now_ = sim::Time::zero();
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::uint64_t digest_ = 0xcbf29ce484222325ull;
-  std::int64_t instant_us_ = 0;
-  std::uint64_t instant_acc_ = 0;
-  std::uint64_t instant_count_ = 0;
-};
-
-// Identical churn for both engines, mixed the way a vehicular run mixes it:
-// three quarters of the events are fire-and-forget (frame deliveries, beacon
-// ticks — post_at), one quarter are cancellable timers, and half of those
-// get cancelled before firing. Captures (a reference plus two 64-bit values,
-// 24 bytes) overflow std::function's inline buffer but fit SmallFn's.
-// Returns scheduled events per second.
+// Event churn mixed the way a vehicular run mixes it: three quarters of the
+// events are fire-and-forget (frame deliveries, beacon ticks — post_at), one
+// quarter are cancellable timers, and half of those get cancelled before
+// firing. Captures (a reference plus two 64-bit values, 24 bytes) fit
+// SmallFn's inline buffer. Returns scheduled events per second.
 template <typename Sim>
 double churn_events_per_sec(int waves, int per_wave,
                             std::uint64_t* sink_out) {
   Sim sim;
   std::uint64_t sink = 0;
-  std::vector<decltype(sim.schedule_at(sim::Time::zero(),
-                                       std::function<void()>()))>
-      handles;
+  std::vector<sim::TimerHandle> handles;
   handles.reserve(static_cast<std::size_t>(per_wave));
   const auto start = std::chrono::steady_clock::now();
   for (int wave = 0; wave < waves; ++wave) {
@@ -208,33 +97,18 @@ double churn_events_per_sec(int waves, int per_wave,
   return scheduled / elapsed;
 }
 
-// The reference heap path in the shipped binary: the identical Simulator
-// with only SimulatorConfig::wheel_scheduler off (the pre-wheel
-// std::priority_queue on (at, seq)). Wheel-vs-heap ratios measured against
-// this arm are same-binary and hardware-normalized, and the two paths'
-// digests are asserted equal in tests/timer_wheel_test.cc.
-class HeapSimulator : public sim::Simulator {
- public:
-  HeapSimulator()
-      : sim::Simulator(sim::SimulatorConfig{.wheel_scheduler = false}) {}
-};
-
 // Cancellation churn — the dominant pattern of the measurement-derived join
 // replays, where a scan dwell schedules a retry timeout and the response
 // almost always arrives first: every timer in a wave is cancelled before
 // its instant, and one uncancellable "response arrived" event per wave
 // executes (it is what caused the cancellations, and it advances the clock
 // the way real responses do). The loop therefore measures schedule + cancel
-// + fire-time discard; the wheel turns both ends into O(1) where the heap
-// paid O(log n) to insert AND to sift the corpse back out. Returns
-// scheduled events per second.
-template <typename Sim>
+// + fire-time discard, both O(1) on the wheel. Returns scheduled events per
+// second.
 double cancel_churn_per_sec(int waves, int per_wave, std::uint64_t* sink_out) {
-  Sim sim;
+  sim::Simulator sim;
   std::uint64_t sink = 0;
-  std::vector<decltype(sim.schedule_at(sim::Time::zero(),
-                                       std::function<void()>()))>
-      handles;
+  std::vector<sim::TimerHandle> handles;
   handles.reserve(static_cast<std::size_t>(per_wave));
   const auto start = std::chrono::steady_clock::now();
   for (int wave = 0; wave < waves; ++wave) {
@@ -317,82 +191,14 @@ core::ExperimentConfig sweep_config(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet-scale PHY delivery: n radios dense on one channel, each broadcasting
-// in round-robin waves while drifting a few meters per wave (so the spatial
-// grid pays its lazy re-bucketing cost honestly). The same scenario runs
-// through the indexed path and through the reference world scan; layouts,
-// drifts and loss draws are seed-identical, so the digests must agree —
-// the measured delta is candidate lookup, nothing else.
-
-struct PhyMeasurement {
-  double frames_per_sec = 0.0;
-  double events_per_sec = 0.0;
-  std::uint64_t digest = 0;
-  std::uint64_t deliveries_grid = 0;
-};
-
-PhyMeasurement phy_delivery_run(bool indexed, int n_radios, int frames) {
-  sim::Simulator sim;
-  phy::MediumConfig cfg;
-  cfg.base_loss = 0.1;
-  cfg.indexed_delivery = indexed;
-  phy::Medium medium(sim, sim::Rng(99), cfg);
-  // Constant density (~500 radios/km^2, a downtown fleet) so the expected
-  // neighborhood of any sender is scale-invariant and the scan path's O(n)
-  // per-frame cost is the only thing that grows with the fleet.
-  const double side =
-      std::sqrt(static_cast<double>(n_radios) / 500.0) * 1000.0;
-  sim::Rng layout(7);
-  std::vector<std::unique_ptr<phy::Radio>> radios;
-  radios.reserve(static_cast<std::size_t>(n_radios));
-  for (int i = 0; i < n_radios; ++i) {
-    radios.push_back(std::make_unique<phy::Radio>(
-        medium, net::MacAddress::from_index(static_cast<std::uint32_t>(i + 1)),
-        phy::RadioConfig{.initial_channel = 1}));
-    radios.back()->set_position(
-        {layout.uniform(0.0, side), layout.uniform(0.0, side)});
-  }
-  const int waves = std::max(1, frames / n_radios);
-  const auto start = std::chrono::steady_clock::now();
-  for (int wave = 0; wave < waves; ++wave) {
-    // Moves first, sends second. The split leaves the event stream (and so
-    // the digest) identical — set_position posts nothing — but fences the
-    // cell re-buckets, which legitimately allocate, out of the guarded half.
-    for (auto& r : radios) {
-      r->set_position(r->position() + phy::Vec2{layout.uniform(-3.0, 3.0),
-                                                layout.uniform(-3.0, 3.0)});
-    }
-#ifdef SPIDER_BENCH_ALLOC_TEETH
-    // Wave 0 warms the PendingTx pool and the event queue; from then on a
-    // send+deliver wave owns a zero allocation budget (the SPIDER_HOT
-    // contract), and a reintroduced per-frame allocation fails loudly here
-    // instead of just flattening the speedup curve.
-    std::optional<core::ScopedAllocGuard> teeth;
-    if (wave > 0) teeth.emplace("perf_smoke phy delivery wave");
-#endif
-    for (auto& r : radios) {
-      r->send(net::make_probe_request(r->address()));
-    }
-    sim.run_all();
-  }
-  const double elapsed = seconds_since(start);
-  const double sent =
-      static_cast<double>(waves) * static_cast<double>(n_radios);
-  SPIDER_CHECK(medium.frames_sent() == static_cast<std::uint64_t>(sent));
-  return {sent / elapsed,
-          static_cast<double>(sim.events_executed()) / elapsed, sim.digest(),
-          medium.deliveries_grid()};
-}
-
-// ---------------------------------------------------------------------------
-// Scale section: the memory-layout rework's headline numbers. Same constant-
-// density co-channel workload as phy_delivery_run, but driven through the
-// SoA hot path end to end — batched Medium::move_radios drift (RadioMove
-// batches and grid-move staging on the drain arena) followed by an
-// all-radios probe volley per wave — at fleet sizes (10k / 100k radios)
-// where the AoS layout's cache misses used to dominate. Measurement waves
-// run against a wall-clock budget so the 100k scale stays affordable;
-// fixed-wave runs feed the digest cross-checks.
+// Scale section: PHY delivery at fleet sizes (10k / 100k radios). n radios
+// dense on one channel at constant density (~500 radios/km^2, a downtown
+// fleet), so the expected neighborhood of any sender is scale-invariant.
+// Each wave drifts every radio a few meters through one batched
+// Medium::move_radios call (RadioMove batches and grid-move staging on the
+// drain arena), then sends an all-radios probe volley. Measurement waves run
+// against a wall-clock budget so the 100k scale stays affordable; fixed-wave
+// runs feed the digest cross-checks.
 
 struct ScaleMeasurement {
   double frames_per_sec = 0.0;
@@ -404,12 +210,16 @@ struct ScaleMeasurement {
 
 // fixed_waves > 0: run exactly that many waves (digest comparisons).
 // fixed_waves == 0: run whole waves until `budget_seconds` of wall clock.
+// scan_threshold: MediumConfig::indexed_scan_threshold (the default lets
+// the grid serve; SIZE_MAX forces partition scans for the cross-check).
 ScaleMeasurement scale_run(int n_radios, int fixed_waves,
-                           double budget_seconds, bool indexed) {
+                           double budget_seconds,
+                           std::size_t scan_threshold =
+                               phy::MediumConfig{}.indexed_scan_threshold) {
   sim::Simulator sim;
   phy::MediumConfig cfg;
   cfg.base_loss = 0.1;
-  cfg.indexed_delivery = indexed;
+  cfg.indexed_scan_threshold = scan_threshold;
   phy::Medium medium(sim, sim::Rng(0x5CA7E), cfg);
   const double side =
       std::sqrt(static_cast<double>(n_radios) / 500.0) * 1000.0;
@@ -464,19 +274,10 @@ ScaleMeasurement scale_run(int n_radios, int fixed_waves,
 }
 
 // ---------------------------------------------------------------------------
-// Fleet hot path: 200 clients random-walking through a 20-AP downtown block,
-// the ensemble the fleet-scale rework targets. The fast arm is the shipped
-// hot path end to end: partition+grid frame delivery, the whole fleet moved
-// through one Medium::move_radios call per position tick, and every AP
-// handing out its interned beacon payload on beacon ticks and probe
-// responses. The slow arm is the fully scalar pipeline those pieces
-// replaced: the world-scan delivery path, one set_position call per client
-// per tick, and a freshly minted BeaconInfo (SSID string included) per
-// management frame. All three toggles are digest-neutral by contract —
-// both arms see the same seeds, positions, probe schedule and loss draws,
-// and delivery re-sorts candidates by attach order before consuming RNG —
-// so the digests must agree bit for bit and the measured delta is index
-// lookups, re-bucketing hash traffic and payload allocation, nothing else.
+// Fleet hot path: 200 clients random-walking through a 20-AP downtown block:
+// partition+grid frame delivery, the whole fleet moved through one
+// Medium::move_radios call per position tick, and every AP handing out its
+// interned beacon payload on beacon ticks and probe responses.
 
 struct FleetMeasurement {
   double events_per_sec = 0.0;
@@ -495,28 +296,22 @@ struct FleetTicker {
   double side;
   sim::Time tick;
   sim::Time horizon;
-  bool batched;
   int probe_cursor = 0;
   std::vector<phy::RadioMove> moves;
 
   void step() {
     moves.clear();
     for (auto& c : clients) {
-      // Draw the step before choosing a path so both arms consume the walk
-      // stream identically; reflect at the block edges to hold density.
+      // Reflect at the block edges to hold density.
       phy::Vec2 p = c->position() + phy::Vec2{walk.uniform(-60.0, 60.0),
                                               walk.uniform(-60.0, 60.0)};
       p.x = p.x < 0.0 ? -p.x : (p.x > side ? 2.0 * side - p.x : p.x);
       p.y = p.y < 0.0 ? -p.y : (p.y > side ? 2.0 * side - p.y : p.y);
       moves.push_back(phy::RadioMove{c.get(), p});
     }
-    if (batched) {
-      medium.move_radios(moves);
-    } else {
-      for (const phy::RadioMove& m : moves) m.radio->set_position(m.position);
-    }
+    medium.move_radios(moves);
     // A tenth of the fleet scans each tick; every AP that hears a probe
-    // mints (or hands out) a probe response.
+    // answers with its interned probe response.
     for (std::size_t i = 0; i < clients.size(); i += 10) {
       phy::Radio& tx =
           *clients[(static_cast<std::size_t>(probe_cursor) + i) %
@@ -530,35 +325,32 @@ struct FleetTicker {
   }
 };
 
-FleetMeasurement fleet_hotpath_run(bool fast, int n_clients, int n_aps,
+FleetMeasurement fleet_hotpath_run(int n_clients, int n_aps,
                                    sim::Time duration) {
   sim::Simulator sim;
   phy::MediumConfig cfg;
-  // Dense co-channel block: high loss keeps delivery fan-out (identical in
-  // both arms) from drowning the per-send costs under test.
+  // Dense co-channel block: high loss keeps delivery fan-out from drowning
+  // the per-send costs under test.
   cfg.base_loss = 0.8;
-  cfg.indexed_delivery = fast;
   phy::Medium medium(sim, sim::Rng(1234), cfg);
 
   // ~14x14 cells of the spatial grid: wide enough that a delivery disc
-  // covers a small neighborhood (so indexed gather beats the world scan),
-  // dense enough that cell crossings still cluster for the batch re-bucket.
+  // covers a small neighborhood, dense enough that cell crossings still
+  // cluster for the batch re-bucket.
   const double kSide = 2000.0;
   // Two-channel reuse plan (1/11), the aggressive end of dense downtown
   // deployments. Two channels keep each channel's offered beacon load under
   // its serialized airtime capacity (~3.5k frames/s at 11 Mb/s with the long
   // preamble) — a single-channel deployment this dense would saturate, and
-  // deliveries would slide past the horizon unmeasured — while co-channel
-  // membership stays high enough that the scalar arm's world scan has real
-  // work per frame.
+  // deliveries would slide past the horizon unmeasured — while each channel
+  // partition (~110 radios) sits past the small-partition scan threshold,
+  // so deliveries gather from the grid.
   constexpr net::ChannelId kPlan[2] = {1, 11};
   mac::AccessPointConfig ap_cfg;
-  ap_cfg.ssid = "spider-fleet-downtown-macro-cell";  // > SSO: heap per mint
+  ap_cfg.ssid = "spider-fleet-downtown-macro-cell";
   // Compressed cadence (real APs beacon at ~100 ms): the bench squeezes a
   // long steady state into a short run, the per-beacon costs are unchanged.
   ap_cfg.beacon_interval = sim::Time::millis(4);
-  ap_cfg.intern_beacons = fast;
-  ap_cfg.intern_mgmt_responses = fast;
   std::vector<std::unique_ptr<mac::AccessPoint>> aps;
   aps.reserve(static_cast<std::size_t>(n_aps));
   for (int i = 0; i < n_aps; ++i) {
@@ -590,7 +382,6 @@ FleetMeasurement fleet_hotpath_run(bool fast, int n_clients, int n_aps,
                      kSide,
                      sim::Time::millis(5),
                      duration,
-                     fast,
                      /*probe_cursor=*/0,
                      /*moves=*/{}};
   ticker.moves.reserve(clients.size());
@@ -603,44 +394,17 @@ FleetMeasurement fleet_hotpath_run(bool fast, int n_clients, int n_aps,
                                  elapsed,
                              sim.events_executed(), sim.digest()};
 #ifdef SPIDER_BENCH_ALLOC_TEETH
-  if (fast) {
-    // Runtime teeth past the measured horizon (digest and event count were
-    // captured above): with mobility and probe ticks stopped, let in-flight
-    // management responses drain — warm responses ride pooled nodes and
-    // interned payloads, but the final probe volley may still grow the
-    // response pool cold — then assert the remaining steady state, interned
-    // beacon ticks plus their deliveries, allocates nothing. The scalar arm
-    // mints a payload per beacon and is exempt: it exists precisely as the
-    // allocating contrast.
-    sim.run_until(duration + sim::Time::millis(50));
-    core::ScopedAllocGuard teeth("perf_smoke fleet beacon steady state");
-    sim.run_until(duration + sim::Time::millis(150));
-  }
+  // Runtime teeth past the measured horizon (digest and event count were
+  // captured above): with mobility and probe ticks stopped, let in-flight
+  // management responses drain — warm responses ride pooled nodes and
+  // interned payloads, but the final probe volley may still grow the
+  // response pool cold — then assert the remaining steady state, interned
+  // beacon ticks plus their deliveries, allocates nothing.
+  sim.run_until(duration + sim::Time::millis(50));
+  core::ScopedAllocGuard teeth("perf_smoke fleet beacon steady state");
+  sim.run_until(duration + sim::Time::millis(150));
 #endif
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Sharded single world: one 100k-radio world advanced on K strips. Both arms
-// run the SAME engine (phy::ShardedWorld); only the strip count and the pool
-// differ, so the digest comparison is exact, not statistical. Construction
-// is excluded from the timing — the section measures the advance.
-struct ShardMeasurement {
-  double seconds = 0.0;
-  std::uint64_t digest = 0;
-  phy::ShardWorldStats stats;
-};
-
-ShardMeasurement sharded_world_run(const phy::ShardScenario& scenario,
-                                   unsigned shards, sim::ThreadPool* pool) {
-  phy::ShardedWorld world(scenario, shards, pool);
-  const auto start = std::chrono::steady_clock::now();
-  world.run();
-  ShardMeasurement m;
-  m.seconds = seconds_since(start);
-  m.digest = world.digest();
-  m.stats = world.stats();
-  return m;
 }
 
 }  // namespace
@@ -654,9 +418,6 @@ int main(int argc, char** argv) {
   // the wall-clock budget per measured scale.
   int scale_radios_override = 0;
   double scale_budget_seconds = 1.5;
-  // --shards N sets the sharded-world section's strip count (0 = one strip
-  // per available hardware thread, capped at 8).
-  int shards_override = 0;
   // --section NAME[,NAME...] runs only the named sections and emits only
   // their JSON objects (empty = the full suite). The CI perf gate needs the
   // full suite — the baseline keys every section — but local iteration and
@@ -678,10 +439,6 @@ int main(int argc, char** argv) {
       scale_budget_seconds = std::atof(v);
       SPIDER_CHECK(scale_budget_seconds > 0.0)
           << "--seconds wants a positive budget, got " << v;
-    } else if (const char* v = value_of("--shards")) {
-      shards_override = std::atoi(v);
-      SPIDER_CHECK(shards_override > 0)
-          << "--shards wants a positive strip count, got " << v;
     } else if (const char* v = value_of("--section")) {
       for (const char* p = v; *p != '\0';) {
         const char* comma = std::strchr(p, ',');
@@ -705,14 +462,14 @@ int main(int argc, char** argv) {
       out_path = argv[i];  // positional output path, flags may precede it
     }
   }
-  static constexpr const char* kSectionNames[] = {
-      "event_queue", "stream", "phy", "scale", "fleet", "shard", "sweep"};
+  static constexpr const char* kSectionNames[] = {"event_queue", "stream",
+                                                  "scale", "fleet", "sweep"};
   for (const std::string& s : section_filter) {
     bool known = false;
     for (const char* name : kSectionNames) known = known || s == name;
     SPIDER_CHECK(known) << "--section: unknown section '" << s
-                        << "' (sections: event_queue, stream, phy, scale, "
-                           "fleet, shard, sweep)";
+                        << "' (sections: event_queue, stream, scale, fleet, "
+                           "sweep)";
   }
   const auto section_on = [&section_filter](const char* name) {
     if (section_filter.empty()) return true;
@@ -722,7 +479,8 @@ int main(int argc, char** argv) {
     return false;
   };
   bench::print_header("perf_smoke",
-                      "perf trajectory: event-queue hot path + parallel sweep");
+                      "per-layer micro-measurements: event queue, PHY "
+                      "delivery, fleet hot path, parallel sweep");
 
   // ---- event-queue microbenchmark -----------------------------------------
   // Wave size mirrors the depth the vehicular experiments actually keep the
@@ -732,66 +490,39 @@ int main(int argc, char** argv) {
   constexpr int kWaves = 8'000;
   constexpr int kPerWave = 256;
   std::uint64_t sink = 0;
-  // Wheel-scheduler churn throughput, shared by the event_queue section (its
-  // headline) and the stream section (the overhead ratio's denominator);
-  // measured once, by whichever enabled section asks first.
-  double optimized = 0.0;
-  const auto measure_optimized = [&] {
-    if (optimized == 0.0) {
+  // Plain churn throughput, shared by the event_queue section (its headline)
+  // and the stream section (the overhead ratio's denominator); measured
+  // once, by whichever enabled section asks first.
+  double plain = 0.0;
+  const auto measure_plain = [&] {
+    if (plain == 0.0) {
       churn_events_per_sec<sim::Simulator>(10, kPerWave, &sink);  // warm
-      optimized =
-          churn_events_per_sec<sim::Simulator>(kWaves, kPerWave, &sink);
+      plain = churn_events_per_sec<sim::Simulator>(kWaves, kPerWave, &sink);
     }
   };
 
   bench::JsonWriter event_queue;
   if (section_on("event_queue")) {
-    churn_events_per_sec<HeapSimulator>(10, kPerWave, &sink);    // warm
-    churn_events_per_sec<LegacySimulator>(10, kPerWave, &sink);  // warm
-    measure_optimized();
-    const double heap =
-        churn_events_per_sec<HeapSimulator>(kWaves, kPerWave, &sink);
-    const double baseline =
-        churn_events_per_sec<LegacySimulator>(kWaves, kPerWave, &sink);
+    measure_plain();
     const double traced =
         churn_events_per_sec<TracedSimulator>(kWaves, kPerWave, &sink);
-    const double event_speedup = optimized / baseline;
-    const double wheel_vs_heap = optimized / heap;
-    std::printf(
-        "event queue:  %.3g events/s wheel scheduler, %.3g events/s heap\n"
-        "              reference (%.2fx), %.3g events/s pre-rework layout\n"
-        "              (speedup %.2fx)\n",
-        optimized, heap, wheel_vs_heap, baseline, event_speedup);
+    std::printf("event queue:  %.3g events/s\n", plain);
     std::printf("telemetry:    compiled %s; %.3g events/s with the trace\n"
                 "              recorder armed (%.2fx of tracing-off)\n",
-                SPIDER_TELEMETRY ? "in" : "out", traced, traced / optimized);
+                SPIDER_TELEMETRY ? "in" : "out", traced, traced / plain);
 
     // Cancellation churn: schedule-then-cancel, the join replays' dominant
-    // pattern. The wheel's O(1) insert + fire-time discard vs. the heap
-    // paying O(log n) both ways.
-    cancel_churn_per_sec<sim::Simulator>(10, kPerWave, &sink);  // warm
-    cancel_churn_per_sec<HeapSimulator>(10, kPerWave, &sink);   // warm
-    const double cancel_wheel =
-        cancel_churn_per_sec<sim::Simulator>(kWaves, kPerWave, &sink);
-    const double cancel_heap =
-        cancel_churn_per_sec<HeapSimulator>(kWaves, kPerWave, &sink);
-    const double cancel_speedup = cancel_wheel / cancel_heap;
-    std::printf("cancel churn: %.3g cancelled events/s wheel, %.3g events/s\n"
-                "              heap reference  (speedup %.2fx)\n",
-                cancel_wheel, cancel_heap, cancel_speedup);
+    // pattern.
+    cancel_churn_per_sec(10, kPerWave, &sink);  // warm
+    const double cancel = cancel_churn_per_sec(kWaves, kPerWave, &sink);
+    std::printf("cancel churn: %.3g cancelled events/s\n", cancel);
 
     event_queue.add("events", static_cast<std::uint64_t>(kWaves) * kPerWave)
-        .add("events_per_sec", optimized)
-        .add("heap_events_per_sec", heap)
-        .add("wheel_vs_heap_speedup", wheel_vs_heap)
-        .add("baseline_events_per_sec", baseline)
-        .add("speedup_vs_baseline", event_speedup)
-        .add("cancel_churn_per_sec", cancel_wheel)
-        .add("cancel_churn_heap_per_sec", cancel_heap)
-        .add("cancel_churn_speedup", cancel_speedup)
+        .add("events_per_sec", plain)
+        .add("cancel_churn_per_sec", cancel)
         .add("telemetry_compiled", SPIDER_TELEMETRY != 0)
         .add("tracing_on_events_per_sec", traced)
-        .add("tracing_on_ratio", traced / optimized);
+        .add("tracing_on_ratio", traced / plain);
   }
 
   // ---- live stream exporter overhead --------------------------------------
@@ -801,8 +532,8 @@ int main(int argc, char** argv) {
   // it at 0.95.
   bench::JsonWriter stream_json;
   if (section_on("stream")) {
-    measure_optimized();
-    double streaming = optimized;
+    measure_plain();
+    double streaming = plain;
     std::uint64_t stream_lines = 0;
     std::uint64_t stream_dropped = 0;
 #if SPIDER_TELEMETRY
@@ -812,7 +543,7 @@ int main(int argc, char** argv) {
     stream_lines = smoke_stream_exporter().lines_written();
     stream_dropped = smoke_stream_exporter().ring_dropped();
 #endif
-    const double stream_ratio = streaming / optimized;
+    const double stream_ratio = streaming / plain;
     std::printf(
         "stream:       %.3g events/s with a live 100us-cadence stream\n"
         "              session (%.2fx of stream-off; %llu lines, %llu\n"
@@ -820,65 +551,11 @@ int main(int argc, char** argv) {
         streaming, stream_ratio, static_cast<unsigned long long>(stream_lines),
         static_cast<unsigned long long>(stream_dropped));
     stream_json.add("events_per_sec_streaming", streaming)
-        .add("events_per_sec_plain", optimized)
+        .add("events_per_sec_plain", plain)
         .add("overhead_ratio", stream_ratio)
         .add("cadence_us", 100)
         .add("lines_written", stream_lines)
         .add("ring_dropped", stream_dropped);
-  }
-
-  // ---- PHY delivery: partition+grid index vs. world scan ------------------
-  bench::JsonWriter phy_json;
-  if (section_on("phy")) {
-  constexpr int kPhyScales[] = {50, 500, 2000};
-  constexpr int kPhyFrames = 20'000;
-  phy_delivery_run(true, 50, 2'000);  // warm allocators/caches
-  double phy_speedup_2000 = 0.0;
-  double phy_speedup_50 = 0.0;
-  for (const int n : kPhyScales) {
-    const PhyMeasurement fast = phy_delivery_run(true, n, kPhyFrames);
-    const PhyMeasurement scan = phy_delivery_run(false, n, kPhyFrames);
-    SPIDER_CHECK(fast.digest == scan.digest)
-        << "indexed delivery diverged from the reference scan at " << n
-        << " radios";
-    // Below the auto-select threshold the indexed path deliberately scans
-    // the (single, co-channel) partition — that is the radios_50 fix: a grid
-    // walk over ~50 candidates cost more than copying them. Past the
-    // threshold the grid must actually serve.
-    if (n > static_cast<int>(phy::MediumConfig{}.indexed_scan_threshold)) {
-      SPIDER_CHECK(fast.deliveries_grid > 0)
-          << "indexed run never used the grid at " << n << " radios";
-    } else {
-      SPIDER_CHECK(fast.deliveries_grid == 0)
-          << "auto-select should scan small partitions, not walk the grid";
-    }
-    const double speedup = fast.frames_per_sec / scan.frames_per_sec;
-    std::printf("phy delivery: %5d radios co-channel: %.3g frames/s indexed,\n"
-                "              %.3g frames/s world scan  (speedup %.2fx,\n"
-                "              %.3g events/s, digests identical)\n",
-                n, fast.frames_per_sec, scan.frames_per_sec, speedup,
-                fast.events_per_sec);
-    bench::JsonWriter scale_json;
-    scale_json.add("radios", n)
-        .add("frames_per_sec_indexed", fast.frames_per_sec)
-        .add("frames_per_sec_scan", scan.frames_per_sec)
-        .add("events_per_sec_indexed", fast.events_per_sec)
-        .add("events_per_sec_scan", scan.events_per_sec)
-        .add("speedup", speedup)
-        .add("digests_match", true);
-    char key[32];
-    std::snprintf(key, sizeof(key), "radios_%d", n);
-    phy_json.add_object(key, scale_json);
-    if (n == 2000) phy_speedup_2000 = speedup;
-    if (n == 50) phy_speedup_50 = speedup;
-  }
-  phy_json.add("speedup_at_2000", phy_speedup_2000);
-  // The radios_50 regression gate: with indexed_delivery on, auto-select
-  // must scan the small co-channel partition rather than walk the grid
-  // (asserted above via deliveries_grid == 0), so the shipped path can no
-  // longer lose to the reference scan the way the always-grid path did
-  // (0.83x). Gated at ~parity in bench/BENCH_perf_baseline.json.
-  phy_json.add("auto_speedup_at_50", phy_speedup_50);
   }
 
   // ---- scale: SoA + arena delivery at fleet sizes -------------------------
@@ -888,23 +565,25 @@ int main(int argc, char** argv) {
   if (scale_radios_override > 0) scale_sizes = {scale_radios_override};
   for (const int n : scale_sizes) {
     // Digest gates first. Run-to-run determinism holds at every scale; the
-    // indexed-vs-reference-scan equivalence is only affordable where the
-    // scan arm's O(n) per frame stays sane (the scan is the same filter over
-    // a superset, so equivalence at 10k covers the shared delivery code).
-    const ScaleMeasurement a = scale_run(n, /*fixed_waves=*/2, 0.0, true);
-    const ScaleMeasurement b = scale_run(n, /*fixed_waves=*/2, 0.0, true);
+    // grid-vs-partition-scan equivalence is only affordable where the scan
+    // arm's O(n) per frame stays sane (the scan is the same filter over a
+    // superset, so equivalence at 10k covers the shared delivery code).
+    const ScaleMeasurement a = scale_run(n, /*fixed_waves=*/2, 0.0);
+    const ScaleMeasurement b = scale_run(n, /*fixed_waves=*/2, 0.0);
     SPIDER_CHECK(a.digest == b.digest)
         << "scale run is not deterministic at " << n << " radios";
     bool cross_checked = false;
     if (n <= 20'000) {
-      const ScaleMeasurement scan = scale_run(n, /*fixed_waves=*/2, 0.0, false);
+      const ScaleMeasurement scan =
+          scale_run(n, /*fixed_waves=*/2, 0.0,
+                    std::numeric_limits<std::size_t>::max());
       SPIDER_CHECK(a.digest == scan.digest)
-          << "SoA indexed delivery diverged from the reference scan at " << n
+          << "grid delivery diverged from the partition scan at " << n
           << " radios";
       cross_checked = true;
     }
     const ScaleMeasurement m =
-        scale_run(n, /*fixed_waves=*/0, scale_budget_seconds, true);
+        scale_run(n, /*fixed_waves=*/0, scale_budget_seconds);
     std::printf(
         "scale:        %6d radios: %.3g frames/s, %.3g events/s,\n"
         "              %.0f hot-state bytes/radio  (%llu frames, digests %s)\n",
@@ -924,106 +603,29 @@ int main(int argc, char** argv) {
   }
   }
 
-  // ---- fleet hot path: batch+interned vs. scalar+minted -------------------
-  // Sized so each channel partition (~110 radios) sits comfortably past the
-  // indexed_scan_threshold: the legacy contrast must exercise the grid, not
-  // the small-partition scan both arms would share.
+  // ---- fleet hot path: batched mobility + interned payloads ---------------
   bench::JsonWriter fleet_json;
   if (section_on("fleet")) {
   constexpr int kFleetClients = 200;
   constexpr int kFleetAps = 20;
   const sim::Time kFleetDuration = sim::Time::seconds(30);
-  fleet_hotpath_run(true, kFleetClients, kFleetAps,
+  fleet_hotpath_run(kFleetClients, kFleetAps,
                     sim::Time::seconds(3));  // warm allocators/caches
-  const FleetMeasurement fleet_fast =
-      fleet_hotpath_run(true, kFleetClients, kFleetAps, kFleetDuration);
-  const FleetMeasurement fleet_slow =
-      fleet_hotpath_run(false, kFleetClients, kFleetAps, kFleetDuration);
-  SPIDER_CHECK(fleet_fast.digest == fleet_slow.digest)
-      << "batched/interned fleet run diverged from the scalar reference";
-  SPIDER_CHECK(fleet_fast.events == fleet_slow.events)
-      << "fleet arms executed different event counts";
-  const double fleet_speedup =
-      fleet_fast.events_per_sec / fleet_slow.events_per_sec;
+  const FleetMeasurement a =
+      fleet_hotpath_run(kFleetClients, kFleetAps, kFleetDuration);
+  const FleetMeasurement b =
+      fleet_hotpath_run(kFleetClients, kFleetAps, kFleetDuration);
+  SPIDER_CHECK(a.digest == b.digest && a.events == b.events)
+      << "fleet hot-path run is not deterministic";
+  const double events_per_sec = std::max(a.events_per_sec, b.events_per_sec);
   std::printf("fleet:        %d clients x %d APs, %llu events: %.3g events/s\n"
-              "              batched+interned, %.3g events/s scalar+minted\n"
-              "              (speedup %.2fx, digests identical)\n",
+              "              (digests identical across two runs)\n",
               kFleetClients, kFleetAps,
-              static_cast<unsigned long long>(fleet_fast.events),
-              fleet_fast.events_per_sec, fleet_slow.events_per_sec,
-              fleet_speedup);
+              static_cast<unsigned long long>(a.events), events_per_sec);
   fleet_json.add("clients", kFleetClients)
       .add("aps", kFleetAps)
-      .add("events", fleet_fast.events)
-      .add("events_per_sec_batched", fleet_fast.events_per_sec)
-      .add("events_per_sec_scalar", fleet_slow.events_per_sec)
-      .add("speedup", fleet_speedup)
-      .add("digests_match", true);
-  }
-
-  // ---- sharded single world: 1 strip vs. K strips, digest-gated -----------
-  // Speedup is measured on frames/s, not events/s: frames_sent is
-  // shard-invariant (and checked), while event counts grow with K by the
-  // halo copies. The N-vs-1 digest equality is the determinism headline —
-  // same world, bit for bit, at every strip count.
-  bench::JsonWriter shard_json;
-  if (section_on("shard")) {
-  const unsigned shard_count =
-      shards_override > 0
-          ? static_cast<unsigned>(shards_override)
-          : std::max(1u, std::min(8u, sim::ThreadPool::default_thread_count()));
-  constexpr int kShardRadios = 100'000;
-  const sim::Time kShardDuration = sim::Time::millis(30);
-  const phy::ShardScenario shard_scenario =
-      core::make_scale_shard_scenario(kShardRadios, 97, kShardDuration);
-  {
-    // Warm allocators on a small world before timing the real arms.
-    const phy::ShardScenario warm =
-        core::make_scale_shard_scenario(2'000, 97, sim::Time::millis(5));
-    sharded_world_run(warm, 1, nullptr);
-  }
-  sim::ThreadPool shard_pool(shard_count);
-  const ShardMeasurement unsharded =
-      sharded_world_run(shard_scenario, 1, nullptr);
-  const ShardMeasurement sharded =
-      sharded_world_run(shard_scenario, shard_count, &shard_pool);
-  SPIDER_CHECK(sharded.digest == unsharded.digest)
-      << shard_count << "-shard world diverged from the 1-shard reference";
-  SPIDER_CHECK(sharded.stats.frames_sent == unsharded.stats.frames_sent)
-      << "shard arms sent different frame counts";
-  SPIDER_CHECK(sharded.stats.message_drops == 0)
-      << "cross-shard mailboxes dropped messages";
-  const double shard_fps_1 =
-      static_cast<double>(unsharded.stats.frames_sent) / unsharded.seconds;
-  const double shard_fps_n =
-      static_cast<double>(sharded.stats.frames_sent) / sharded.seconds;
-  const double shard_speedup = shard_fps_n / shard_fps_1;
-  std::printf(
-      "shard:        %d radios, %llu windows: %.3g frames/s on 1 shard,\n"
-      "              %.3g frames/s on %u shards (%u workers)  (speedup "
-      "%.2fx,\n"
-      "              %llu halo msgs, %llu migrations, 0 drops, digests "
-      "identical)\n",
-      kShardRadios, static_cast<unsigned long long>(sharded.stats.windows),
-      shard_fps_1, shard_fps_n, sharded.stats.shards, sharded.stats.workers,
-      shard_speedup,
-      static_cast<unsigned long long>(sharded.stats.halo_messages),
-      static_cast<unsigned long long>(sharded.stats.migrations));
-  shard_json.add("radios", kShardRadios)
-      .add("sim_millis", kShardDuration.us() / 1000)
-      .add("windows", sharded.stats.windows)
-      .add("frames", sharded.stats.frames_sent)
-      .add("frames_per_sec_1shard", shard_fps_1)
-      .add("frames_per_sec_sharded", shard_fps_n)
-      .add("shards", sharded.stats.shards)
-      .add("workers", sharded.stats.workers)
-      .add("speedup", shard_speedup)
-      .add("halo_messages", sharded.stats.halo_messages)
-      .add("migrations", sharded.stats.migrations)
-      .add("retunes_started", sharded.stats.retunes_started)
-      .add("message_drops", sharded.stats.message_drops)
-      .add("mailbox_high_water",
-           static_cast<std::uint64_t>(sharded.stats.mailbox_high_water))
+      .add("events", a.events)
+      .add("events_per_sec", events_per_sec)
       .add("digests_match", true);
   }
 
@@ -1062,10 +664,10 @@ int main(int argc, char** argv) {
   // ---- artifact -----------------------------------------------------------
   bench::JsonWriter doc;
   // hardware_threads is what the OS reports, default_pool_threads what a
-  // ThreadPool(0) actually spawns; sections that fan out record the worker
-  // count they really used (sweep.parallel_threads, shard.workers) so the
-  // artifact says how parallel each number was, not just how parallel the
-  // machine could have been. A --section run emits only the sections it
+  // ThreadPool(0) actually spawns; the sweep section records the worker
+  // count it really used (sweep.parallel_threads) so the artifact says how
+  // parallel the number was, not just how parallel the machine could have
+  // been. A --section run emits only the sections it
   // measured, so a partial artifact can never satisfy the full-baseline gate
   // by accident.
   doc.add("schema", "spider-bench-perf-v1")
@@ -1074,10 +676,8 @@ int main(int argc, char** argv) {
       .add("default_pool_threads", sim::ThreadPool::default_thread_count());
   if (section_on("event_queue")) doc.add_object("event_queue", event_queue);
   if (section_on("stream")) doc.add_object("stream", stream_json);
-  if (section_on("phy")) doc.add_object("phy", phy_json);
   if (section_on("scale")) doc.add_object("scale", scale_json);
   if (section_on("fleet")) doc.add_object("fleet", fleet_json);
-  if (section_on("shard")) doc.add_object("shard", shard_json);
   if (section_on("sweep")) doc.add_object("sweep", sweep);
   if (!doc.write_file(out_path)) {
     std::fprintf(stderr, "failed to write %s\n", out_path);

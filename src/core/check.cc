@@ -12,9 +12,8 @@ namespace {
 
 // Failure counts live in the telemetry process registry (the single export
 // path for health metrics: run reports snapshot them in their sweep summary
-// line). The query/reset functions below are shims over that registry, kept
-// so existing call sites and tests never notice the move. Counter names, for
-// dashboards and the JSONL "process" section:
+// line); the query/reset functions below read and clear them there. Counter
+// names, for dashboards and the JSONL "process" section:
 constexpr const char* kCheckCounter = "check.failures.check";
 constexpr const char* kDcheckCounter = "check.failures.dcheck";
 constexpr const char* kUnreachableCounter = "check.failures.unreachable";

@@ -8,7 +8,7 @@
 namespace spider::core {
 
 Experiment::Experiment(ExperimentConfig config)
-    : config_(std::move(config)), sim_(config_.scheduler), rng_(config_.seed) {
+    : config_(std::move(config)), rng_(config_.seed) {
   if (config_.trace_enabled) {
     sim_.telemetry().trace().set_capacity(config_.trace_capacity);
     sim_.telemetry().trace().set_enabled(true);

@@ -38,9 +38,6 @@ enum class DriverKind : std::uint8_t { kSpider, kStock };
 
 struct ExperimentConfig {
   std::uint64_t seed = 1;
-  // Event scheduler for the world's simulator (wheel by default; heap kept
-  // as the digest-equivalent reference — see sim::SimulatorConfig).
-  sim::SimulatorConfig scheduler;
   sim::Time duration = sim::Time::seconds(1800);  // paper: 30-60 min drives
   phy::MediumConfig medium;
   std::vector<mobility::ApDescriptor> aps;

@@ -7,7 +7,6 @@
 
 #include "core/arena.h"
 #include "core/check.h"
-#include "core/shard_scenarios.h"
 #include "telemetry/stream_exporter.h"
 
 namespace spider::core {
@@ -39,7 +38,7 @@ double FleetResults::fairness() const {
 }
 
 FleetExperiment::FleetExperiment(FleetConfig config)
-    : config_(std::move(config)), sim_(config_.scheduler), rng_(config_.seed) {
+    : config_(std::move(config)), rng_(config_.seed) {
   if (config_.clients < 1)
     throw std::invalid_argument("FleetConfig: clients < 1");
 
@@ -103,31 +102,20 @@ FleetExperiment::FleetExperiment(FleetConfig config)
 
 FleetExperiment::~FleetExperiment() = default;
 
-std::vector<unsigned> FleetExperiment::shard_assignment(unsigned shards) const {
-  return fleet_shard_assignment(config_, shards);
-}
-
 // Hot per mobility tick: the move batch is carved from the drain arena
-// (bump-pointer once the first tick warmed the block), and the batched path
-// re-buckets crossers per cell group inside the medium.
+// (bump-pointer once the first tick warmed the block), and the medium
+// re-buckets crossers per cell group.
 SPIDER_HOT void FleetExperiment::update_positions() {
   const sim::Time now = sim_.now();
-  if (config_.batch_mobility) {
-    core::Arena::Scope scope(sim_.arena());
-    phy::RadioMove* moves =
-        sim_.arena().alloc_array<phy::RadioMove>(clients_.size());
-    std::size_t n = 0;
-    for (auto& client : clients_) {
-      moves[n++] = phy::RadioMove{&client->device->radio(),
-                                  config_.vehicle.position(now + client->phase)};
-    }
-    medium_->move_radios(std::span<const phy::RadioMove>(moves, n));
-  } else {
-    for (auto& client : clients_) {
-      client->device->set_position(
-          config_.vehicle.position(now + client->phase));
-    }
+  core::Arena::Scope scope(sim_.arena());
+  phy::RadioMove* moves =
+      sim_.arena().alloc_array<phy::RadioMove>(clients_.size());
+  std::size_t n = 0;
+  for (auto& client : clients_) {
+    moves[n++] = phy::RadioMove{&client->device->radio(),
+                                config_.vehicle.position(now + client->phase)};
   }
+  medium_->move_radios(std::span<const phy::RadioMove>(moves, n));
   // Stop the recurring tick at the horizon: a position applied at or past
   // config_.duration can never influence results, so rescheduling there
   // would only park a dead event chain in the queue.

@@ -33,8 +33,6 @@ namespace spider::core {
 
 struct FleetConfig {
   std::uint64_t seed = 1;
-  // Event scheduler for the fleet's simulator (see sim::SimulatorConfig).
-  sim::SimulatorConfig scheduler;
   sim::Time duration = sim::Time::seconds(600);
   int clients = 4;
   // Clients are spread along the route with this headway (distance the
@@ -42,12 +40,8 @@ struct FleetConfig {
   sim::Time headway = sim::Time::seconds(20);
   phy::MediumConfig medium;
   // MAC-layer knobs applied to every AP (ssid/channel still come from each
-  // ApDescriptor) — lets benches toggle e.g. beacon interning fleet-wide.
+  // ApDescriptor) — e.g. the beacon interval or auto-rate, fleet-wide.
   mac::AccessPointConfig ap_mac;
-  // Move the whole fleet through one Medium::move_radios call per position
-  // tick instead of N scalar set_position calls. Same positions, same
-  // digests; false keeps the scalar path for cross-checks and benches.
-  bool batch_mobility = true;
   std::vector<mobility::ApDescriptor> aps;
   mobility::Vehicle vehicle{mobility::Route::rectangle(600, 400), 10.0};
   sim::Time position_update = sim::Time::millis(100);
@@ -90,11 +84,6 @@ class FleetExperiment {
   // Test access to the fleet's devices (e.g. position assertions).
   std::size_t client_count() const { return clients_.size(); }
   ClientDevice& client_device(std::size_t i) { return *clients_[i]->device; }
-
-  // Which of `shards` equal-width vertical strips each configured AP falls
-  // into (see core::fleet_shard_assignment) — the load map used to judge
-  // whether a deployment shards evenly before a phy::ShardedWorld-style run.
-  std::vector<unsigned> shard_assignment(unsigned shards) const;
 
  private:
   struct Client {

@@ -83,10 +83,9 @@ class SweepRunner {
   SweepReport run(std::size_t replications,
                   const ConfigFactory& make_config) const;
 
-  // Same sweep, but on a caller-owned pool: replications and intra-world
-  // shard phases (phy::ShardedWorld) can share one set of workers instead of
-  // each spinning up their own. Results are identical to run() — tasks are
-  // the same, only the pool's provenance differs. Uses at most
+  // Same sweep, but on a caller-owned pool, so a caller running several
+  // sweeps can share one set of workers. Results are identical to run() —
+  // tasks are the same, only the pool's provenance differs. Uses at most
   // pool.thread_count() workers (reported in SweepReport::threads).
   SweepReport run_on(sim::ThreadPool& pool, std::size_t replications,
                      const ConfigFactory& make_config) const;

@@ -13,7 +13,9 @@ AccessPoint::AccessPoint(phy::Medium& medium, net::MacAddress address,
       radio_(medium, address,
              phy::RadioConfig{.initial_channel = config.channel}),
       rng_(std::move(rng)),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      beacon_payload_(
+          net::BeaconInfo{config_.ssid, config_.channel, config_.open}) {
   SPIDER_CHECK(config_.beacon_interval > sim::Time::zero())
       << "AP " << address.to_string() << " beacon interval "
       << config_.beacon_interval.to_string();
@@ -24,12 +26,6 @@ AccessPoint::AccessPoint(phy::Medium& medium, net::MacAddress address,
   SPIDER_CHECK(config_.max_buffered_frames > 0)
       << "AP power-save buffer capacity must be positive";
   radio_.set_position(position);
-  // Built here, not in start(): probe responses and management grants reuse
-  // the interned payload and the receive handler below is live before
-  // start() is called.
-  if (config_.intern_beacons || config_.intern_mgmt_responses) {
-    beacon_payload_ = beacon_info();
-  }
   radio_.set_receive_handler(
       [this](const net::Frame& f, const phy::RxInfo& i) { on_receive(f, i); });
   // Link-layer retry failure: an associated client that went absent (e.g.
@@ -129,17 +125,10 @@ void AccessPoint::start() {
       });
 }
 
-net::BeaconInfo AccessPoint::beacon_info() const {
-  return net::BeaconInfo{config_.ssid, config_.channel, config_.open};
-}
-
-// Hot at fleet scale (every AP, 10 Hz): the interned path bumps a refcount
-// on beacon_payload_; only the legacy non-interned path builds a payload
-// per tick, and it exists as the benchmark's "old path".
+// Hot at fleet scale (every AP, 10 Hz): a tick bumps a refcount on
+// beacon_payload_ and builds no payload.
 SPIDER_HOT void AccessPoint::beacon_tick() {
-  radio_.send(config_.intern_beacons
-                  ? net::make_beacon(address(), beacon_payload_)
-                  : net::make_beacon(address(), beacon_info()));
+  radio_.send(net::make_beacon(address(), beacon_payload_));
   medium_.simulator().post_after(
       config_.beacon_interval, [this, alive = std::weak_ptr<char>(alive_)] {
         if (!alive.expired()) beacon_tick();
@@ -193,9 +182,7 @@ void AccessPoint::on_receive(const net::Frame& frame, const phy::RxInfo&) {
   switch (frame.kind) {
     case net::FrameKind::kProbeRequest:
       respond_after_delay(
-          config_.intern_beacons
-              ? net::make_probe_response(address(), frame.src, beacon_payload_)
-              : net::make_probe_response(address(), frame.src, beacon_info()));
+          net::make_probe_response(address(), frame.src, beacon_payload_));
       break;
 
     case net::FrameKind::kAuthRequest: {
@@ -203,9 +190,7 @@ void AccessPoint::on_receive(const net::Frame& frame, const phy::RxInfo&) {
       if (!state.authenticated) ++auth_grants_;
       state.authenticated = true;
       respond_after_delay(
-          config_.intern_mgmt_responses
-              ? net::make_auth_response(address(), frame.src, beacon_payload_)
-              : net::make_auth_response(address(), frame.src));
+          net::make_auth_response(address(), frame.src, beacon_payload_));
       break;
     }
 
@@ -224,9 +209,7 @@ void AccessPoint::on_receive(const net::Frame& frame, const phy::RxInfo&) {
       if (!it->second.associated) ++assoc_grants_;
       it->second.associated = true;
       respond_after_delay(
-          config_.intern_mgmt_responses
-              ? net::make_assoc_response(address(), frame.src, beacon_payload_)
-              : net::make_assoc_response(address(), frame.src));
+          net::make_assoc_response(address(), frame.src, beacon_payload_));
       break;
     }
 

@@ -40,18 +40,6 @@ struct AccessPointConfig {
   // Power-save buffering.
   std::size_t max_buffered_frames = 1024;
   bool open = true;
-  // Build the beacon payload once and hand the refcounted storage out on
-  // every beacon tick and probe response, instead of minting a fresh
-  // BeaconInfo (SSID string included) per frame. The frames on the air are
-  // identical either way; false keeps the per-frame path for benches and
-  // cross-checks.
-  bool intern_beacons = true;
-  // Same treatment for the immutable management responses: auth and assoc
-  // grants carry the AP's capability payload, and with interning on the
-  // payload is the one refcounted BeaconInfo built at construction — a warm
-  // auth/assoc exchange then allocates nothing. False reverts to
-  // payload-less responses (identical sizes, identical digests).
-  bool intern_mgmt_responses = true;
   // Minstrel-lite per-client rate adaptation on downlink data (opt-in):
   // failures step the client's rate down, sustained success steps it up;
   // low rates trade airtime for reach at the cell edge.
@@ -126,7 +114,6 @@ class AccessPoint {
   PendingResponse* acquire_pending_response();
   void release_pending_response(PendingResponse* node);
   void flush_buffer(net::MacAddress client, ClientState& state);
-  net::BeaconInfo beacon_info() const;
   void note_buffered();
   // Samples buffered_now_ onto the per-AP mac.ap.psm_buffered counter track
   // (keyed by the radio's attach order) whenever occupancy changes; no-op
@@ -141,8 +128,9 @@ class AccessPoint {
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
   sim::Rng rng_;
   AccessPointConfig config_;
-  // Interned beacon payload (see AccessPointConfig::intern_beacons); empty
-  // (monostate) when interning is off.
+  // The AP's capability payload (SSID, channel, open), built once at
+  // construction and handed out as refcounted storage on every beacon, probe
+  // response and auth/assoc grant, so none of them allocates a payload.
   net::SharedPayload beacon_payload_;
   DataSink data_sink_;
   phy::AutoRate rate_;

@@ -37,42 +37,28 @@ const char* to_string(DhcpMessage::Kind kind) {
   return "?";
 }
 
-Frame make_beacon(MacAddress ap, BeaconInfo info) {
-  return Frame{FrameKind::kBeacon, ap, MacAddress::broadcast(), ap, false,
-               kBeaconBytes, 0.0, std::move(info)};
-}
-
 Frame make_probe_request(MacAddress client) {
   return Frame{FrameKind::kProbeRequest, client, MacAddress::broadcast(),
                Bssid{}, false, kProbeRequestBytes, 0.0, {}};
 }
 
-Frame make_probe_response(MacAddress ap, MacAddress client, BeaconInfo info) {
+Frame make_beacon(MacAddress ap, SharedPayload info) {
+  SPIDER_DCHECK(info.holds<BeaconInfo>())
+      << "beacon payload does not hold a BeaconInfo";
+  return Frame{FrameKind::kBeacon, ap, MacAddress::broadcast(), ap, false,
+               kBeaconBytes, 0.0, std::move(info)};
+}
+
+Frame make_probe_response(MacAddress ap, MacAddress client,
+                          SharedPayload info) {
+  SPIDER_DCHECK(info.holds<BeaconInfo>())
+      << "probe-response payload does not hold a BeaconInfo";
   return Frame{FrameKind::kProbeResponse, ap, client, ap, false,
                kProbeResponseBytes, 0.0, std::move(info)};
 }
 
-Frame make_beacon(MacAddress ap, SharedPayload beacon) {
-  SPIDER_DCHECK(beacon.holds<BeaconInfo>())
-      << "interned beacon payload does not hold a BeaconInfo";
-  return Frame{FrameKind::kBeacon, ap, MacAddress::broadcast(), ap, false,
-               kBeaconBytes, 0.0, std::move(beacon)};
-}
-
-Frame make_probe_response(MacAddress ap, MacAddress client,
-                          SharedPayload beacon) {
-  SPIDER_DCHECK(beacon.holds<BeaconInfo>())
-      << "interned beacon payload does not hold a BeaconInfo";
-  return Frame{FrameKind::kProbeResponse, ap, client, ap, false,
-               kProbeResponseBytes, 0.0, std::move(beacon)};
-}
-
 Frame make_auth_request(MacAddress client, Bssid ap) {
   return Frame{FrameKind::kAuthRequest, client, ap, ap, false, kAuthBytes, 0.0, {}};
-}
-
-Frame make_auth_response(Bssid ap, MacAddress client) {
-  return Frame{FrameKind::kAuthResponse, ap, client, ap, false, kAuthBytes, 0.0, {}};
 }
 
 Frame make_assoc_request(MacAddress client, Bssid ap) {
@@ -80,21 +66,16 @@ Frame make_assoc_request(MacAddress client, Bssid ap) {
                kAssocRequestBytes, 0.0, {}};
 }
 
-Frame make_assoc_response(Bssid ap, MacAddress client) {
-  return Frame{FrameKind::kAssocResponse, ap, client, ap, false,
-               kAssocResponseBytes, 0.0, {}};
-}
-
 Frame make_auth_response(Bssid ap, MacAddress client, SharedPayload info) {
   SPIDER_DCHECK(info.holds<BeaconInfo>())
-      << "interned auth-response payload does not hold a BeaconInfo";
+      << "auth-response payload does not hold a BeaconInfo";
   return Frame{FrameKind::kAuthResponse, ap, client, ap, false, kAuthBytes,
                0.0, std::move(info)};
 }
 
 Frame make_assoc_response(Bssid ap, MacAddress client, SharedPayload info) {
   SPIDER_DCHECK(info.holds<BeaconInfo>())
-      << "interned assoc-response payload does not hold a BeaconInfo";
+      << "assoc-response payload does not hold a BeaconInfo";
   return Frame{FrameKind::kAssocResponse, ap, client, ap, false,
                kAssocResponseBytes, 0.0, std::move(info)};
 }

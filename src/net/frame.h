@@ -152,29 +152,18 @@ struct Frame {
 };
 
 // Convenience constructors keep size accounting in one place.
-Frame make_beacon(MacAddress ap, BeaconInfo info);
+//
+// Beacons, probe responses and auth/assoc grants carry the AP's capability
+// payload (SSID, channel, open), which `info` must hold as a BeaconInfo. APs
+// build it once and pass the same refcounted storage to every frame, so the
+// steady state allocates no payload (a BeaconInfo argument converts to a
+// fresh SharedPayload, which is what tests use).
+Frame make_beacon(MacAddress ap, SharedPayload info);
 Frame make_probe_request(MacAddress client);
-Frame make_probe_response(MacAddress ap, MacAddress client, BeaconInfo info);
-// Interned variants: APs beacon every ~100 ms forever, so the steady-state
-// fast path builds the BeaconInfo payload once and hands the refcounted
-// storage back out on every tick / probe response (the frames produced are
-// indistinguishable from the BeaconInfo overloads above). `beacon` must hold
-// a BeaconInfo.
-Frame make_beacon(MacAddress ap, SharedPayload beacon);
-Frame make_probe_response(MacAddress ap, MacAddress client,
-                          SharedPayload beacon);
+Frame make_probe_response(MacAddress ap, MacAddress client, SharedPayload info);
 Frame make_auth_request(MacAddress client, Bssid ap);
-Frame make_auth_response(Bssid ap, MacAddress client);
-Frame make_assoc_request(MacAddress client, Bssid ap);
-Frame make_assoc_response(Bssid ap, MacAddress client);
-// Interned variants of the two immutable management responses: an AP's auth
-// and assoc responses carry the same capability payload (SSID, channel,
-// open) for every client forever, so the steady-state path hands out the
-// AP's refcounted BeaconInfo storage instead of a payload-less frame — one
-// allocation per AP lifetime, not per exchange. Sizes are unchanged, so
-// airtime and digests are identical to the overloads above. `info` must
-// hold a BeaconInfo.
 Frame make_auth_response(Bssid ap, MacAddress client, SharedPayload info);
+Frame make_assoc_request(MacAddress client, Bssid ap);
 Frame make_assoc_response(Bssid ap, MacAddress client, SharedPayload info);
 Frame make_disassoc(MacAddress src, MacAddress dst, Bssid ap);
 Frame make_null_data(MacAddress client, Bssid ap, bool power_mgmt);

@@ -38,32 +38,6 @@ constexpr std::array<SlotName, N> make_slot_names(const char* stem) {
   return names;
 }
 
-// splitmix64 finalizer: the avalanche mix behind tx keys, stateless loss
-// draws and the commutative delivery digest. Stability across revisions is
-// NOT part of the contract (only within-binary equality is compared).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-// World-unique transmission id: (sender uid, per-sender sequence) avalanched
-// into one word. Keys loss draws and digest folds, so it must be stable
-// across shard counts — both inputs are.
-std::uint64_t make_tx_key(std::uint64_t uid, std::uint32_t seq) {
-  return mix64(mix64(uid) ^ seq);
-}
-
-// One receiver outcome folded for the delivery digest. Commutative
-// accumulation (wrapping +) over these identifies the *set* of outcomes,
-// independent of delivery order and of which shard folded each term.
-std::uint64_t fold_outcome(std::int64_t t_us, std::uint64_t tx_key,
-                           std::uint64_t rx_uid, bool delivered) {
-  return mix64(mix64(static_cast<std::uint64_t>(t_us) ^ tx_key) ^
-               (rx_uid * 2 + (delivered ? 1 : 0)));
-}
-
 }  // namespace
 
 Medium::Medium(sim::Simulator& simulator, sim::Rng rng, MediumConfig config)
@@ -133,25 +107,13 @@ void Medium::attach(Radio& radio, net::ChannelId initial_channel) {
   hot_.channel[id] = initial_channel;
   hot_.switching[id] = 0;
   hot_.position[id] = Vec2{};
-  // Identity defaults: uid = attach id (unique within this medium), fresh
-  // transmit sequence. Sharded worlds overwrite via set_identity.
-  hot_.uid[id] = id;
-  hot_.tx_seq[id] = 0;
-  all_.push_back(id);
   insert_into_partition(id);
-}
-
-void Medium::set_identity(Radio& radio, std::uint64_t uid,
-                          std::uint32_t tx_seq) {
-  hot_.uid[radio.id_] = uid;
-  hot_.tx_seq[radio.id_] = tx_seq;
 }
 
 void Medium::detach(Radio& radio) {
   const RadioId id = radio.id_;
   remove_from_partition(id, channel_of(id));
   hot_.radio[id] = nullptr;
-  std::erase(all_, id);
 }
 
 void Medium::set_switching(Radio& radio, bool switching) {
@@ -292,13 +254,9 @@ SPIDER_HOT sim::Time Medium::transmit(Radio& sender, net::Frame frame) {
       config_.preamble + sim::transmission_time(frame.size_bytes, rate);
   const Vec2 pos = hot_.position[sender.id_];
 
-  // Carrier-sense domain: the whole channel by default, or just the sender's
-  // grid cell in cell_contention mode (same-cell senders always share a
-  // shard, so the horizon needs no cross-shard coordination).
-  sim::Time& busy =
-      config_.cell_contention
-          ? cell_busy_[slot][partitions_[slot].grid.cell_key_of(pos)]
-          : busy_until_[slot];
+  // Carrier sense is channel-global: every sender on the channel defers to
+  // one busy horizon, wherever it is.
+  sim::Time& busy = busy_until_[slot];
   const sim::Time start = std::max(sim_.now(), busy);
   const sim::Time done = start + airtime;
   // Channel-occupancy monotonicity: serialization can only extend the busy
@@ -309,13 +267,6 @@ SPIDER_HOT sim::Time Medium::transmit(Radio& sender, net::Frame frame) {
       << airtime.to_string() << ")";
   busy = done;
 
-  const std::uint64_t sender_uid = hot_.uid[sender.id_];
-  const std::uint64_t tx_key = make_tx_key(sender_uid, ++hot_.tx_seq[sender.id_]);
-  if (config_.stateless_loss) {
-    delivery_digest_ += mix64(static_cast<std::uint64_t>(sim_.now().us()) ^
-                              mix64(tx_key));
-  }
-
   // Snapshot the sender's position at transmit time; at vehicular speeds the
   // sub-millisecond drift during airtime is irrelevant. The sender itself is
   // carried as its attach id, not a pointer: it may detach (or even be
@@ -323,8 +274,6 @@ SPIDER_HOT sim::Time Medium::transmit(Radio& sender, net::Frame frame) {
   // lives in a pooled PendingTx node so the closure stays SmallFn-inline.
   PendingTx* tx = acquire_pending_tx();
   tx->sender_id = sender.id_;
-  tx->sender_uid = sender_uid;
-  tx->tx_key = tx_key;
   tx->pos = pos;
   tx->channel = channel;
   tx->frame = std::move(frame);
@@ -332,45 +281,7 @@ SPIDER_HOT sim::Time Medium::transmit(Radio& sender, net::Frame frame) {
     deliver(*tx);
     release_pending_tx(tx);
   });
-  if (tx_tap_) {
-    tx_tap_(TxInfo{sender_uid, tx_key, pos, channel, done, &tx->frame});
-  }
   return done;
-}
-
-void Medium::deliver_remote(sim::Time at, std::uint64_t sender_uid,
-                            std::uint64_t tx_key, Vec2 pos,
-                            net::ChannelId channel, net::Frame frame) {
-  // Order-independent draws are what make a halo copy consume no local RNG;
-  // without them the copy would shift every subsequent draw in this shard.
-  SPIDER_CHECK(config_.stateless_loss)
-      << "deliver_remote requires stateless loss draws";
-  ++remote_frames_in_;
-  // No frames_sent_ bump and no send-side digest fold: the origin shard
-  // counted this transmission; this shard only owns its local receivers.
-  PendingTx* tx = acquire_pending_tx();
-  tx->sender_id = 0;
-  tx->sender_uid = sender_uid;
-  tx->tx_key = tx_key;
-  tx->pos = pos;
-  tx->channel = channel;
-  tx->frame = std::move(frame);
-  sim_.post_at(at, [this, tx] {
-    deliver(*tx);
-    release_pending_tx(tx);
-  });
-}
-
-SPIDER_HOT bool Medium::stateless_bernoulli(double p, std::uint64_t tx_key,
-                                            std::uint64_t rx_uid,
-                                            int attempt) const {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  std::uint64_t x = mix64(config_.loss_seed ^ tx_key);
-  x = mix64(x ^ (rx_uid * 0x9e3779b97f4a7c15ull +
-                 static_cast<std::uint64_t>(attempt)));
-  // Top 53 bits as a double in [0, 1), compared against p.
-  return (static_cast<double>(x >> 11) * 0x1.0p-53) < p;
 }
 
 Medium::PendingTx* Medium::acquire_pending_tx() {
@@ -396,7 +307,7 @@ SPIDER_HOT void Medium::release_pending_tx(PendingTx* node) {
 }
 
 SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
-  const RadioId sender_id = tx.sender_id;  // 0 for cross-shard transmissions
+  const RadioId sender_id = tx.sender_id;
   const Vec2 sender_pos = tx.pos;
   const net::ChannelId channel = tx.channel;
   const net::Frame& frame = tx.frame;
@@ -418,56 +329,45 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
       << range_scale;
 
   // Candidate set: a span of ids whose RNG draws below must be consumed in
-  // ascending (= attach) order, so the stream is exactly what the reference
-  // scan draws — grid and bucket internals must never influence it.
-  // Fast-path scratch is carved from the drain arena (rewound on return);
-  // the reference path reads all_ in place, which is already attach-ordered.
+  // ascending (= attach) order, so grid and bucket internals never influence
+  // the stream. Grid scratch is carved from the drain arena (rewound on
+  // return).
   core::Arena::Scope scope(sim_.arena());
-  const RadioId* candidates = all_.data();
-  std::size_t count = all_.size();
-  // all_ is sorted by construction; grid/partition candidates are not.
-  bool candidates_sorted = true;
-  if (config_.indexed_delivery) {
-    ChannelPartition& partition = partitions_[channel_slot(channel)];
-    const std::size_t members = partition.members.size();
-    bool used_grid = false;
-    // Tiny partitions scan in place: the grid's hash probes cost more than
-    // touching every co-channel radio (the radios_50 regression), and the
-    // scan is a strict superset of the gather, so after the shared
-    // channel/range filters both arms draw identical RNG. The member vector
-    // is stable while the filter loop below runs (callbacks only fire from
-    // the post-sort delivery loop), so no copy is needed.
-    if (members > config_.indexed_scan_threshold) {
-      RadioId* buf = sim_.arena().alloc_array<RadioId>(members);
-      std::size_t gathered = 0;
-      const double effective_range = config_.range_m * range_scale;
-      used_grid =
-          partition.grid.gather(sender_pos, effective_range, buf, gathered);
-      if (used_grid) {
-        candidates = buf;
-        count = gathered;
-      }
-    }
+  ChannelPartition& partition = partitions_[channel_slot(channel)];
+  const std::size_t members = partition.members.size();
+  const RadioId* candidates = partition.members.data();
+  std::size_t count = members;
+  // A partition that only ever saw monotone appends is already in attach
+  // order, so its survivors below come out sorted and the re-sort can be
+  // skipped — the RNG stream is identical either way. Grid gathers are not.
+  bool candidates_sorted = partition.members_sorted;
+  // Tiny partitions scan in place: the grid's hash probes cost more than
+  // touching every co-channel radio, and the scan is a strict superset of
+  // the gather, so after the shared channel/range filters both arms draw
+  // identical RNG. The member vector is stable while the filter loop below
+  // runs (callbacks only fire from the post-sort delivery loop), so no copy
+  // is needed.
+  bool used_grid = false;
+  if (members > config_.indexed_scan_threshold) {
+    RadioId* buf = sim_.arena().alloc_array<RadioId>(members);
+    std::size_t gathered = 0;
+    used_grid = partition.grid.gather(sender_pos, config_.range_m * range_scale,
+                                      buf, gathered);
     if (used_grid) {
-      ++deliveries_grid_;
+      candidates = buf;
+      count = gathered;
       candidates_sorted = false;
-    } else {
-      candidates = partition.members.data();
-      count = members;
-      ++deliveries_scan_;
-      // A partition that only ever saw monotone appends is already in attach
-      // order, so the survivors below come out sorted and the re-sort can be
-      // skipped — the RNG stream is identical either way.
-      candidates_sorted = partition.members_sorted;
     }
+  }
+  if (used_grid) {
+    ++deliveries_grid_;
   } else {
     ++deliveries_scan_;
   }
 
   // Sender liveness, resolved once through the store (the attach-id hash
   // this replaced only existed to find this pointer).
-  Radio* const sender =
-      sender_id < hot_.radio.size() ? hot_.radio[sender_id] : nullptr;
+  Radio* const sender = hot_.radio[sender_id];
 
   // Filter before sorting: the cheap rejections (sender, channel, mid-reset,
   // out of range) consume no RNG, so applying them on the unsorted gather
@@ -486,11 +386,7 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
   const double inv_range_scale = 1.0 / range_scale;
   for (std::size_t i = 0; i < count; ++i) {
     const RadioId id = candidates[i];
-    // Self-reception is excluded by world-stable uid, not attach id: a
-    // sender that migrated to another shard mid-flight must still skip
-    // itself when its own frame arrives as a halo copy. With default
-    // identities (uid == attach id) this is the same test as before.
-    if (hot_.uid[id] == tx.sender_uid) continue;
+    if (id == sender_id) continue;
     if (hot_.channel[id] != channel || hot_.switching[id] != 0) continue;
     const Vec2 rx_pos = hot_.position[id];
     const double dx = rx_pos.x - sender_pos.x;
@@ -504,8 +400,6 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
               [](const Hit& a, const Hit& b) { return a.id < b.id; });
   }
 
-  const bool stateless = config_.stateless_loss;
-  const std::int64_t now_us = sim_.now().us();
   for (std::size_t i = 0; i < n_hits; ++i) {
     const RadioId id = hits[i].id;
     const double d = hits[i].distance_m;
@@ -513,16 +407,8 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
     const double p = loss_probability(d);
     bool lost = true;
     const int attempts = is_addressee ? config_.data_retry_limit + 1 : 1;
-    if (stateless) {
-      const std::uint64_t rx_uid = hot_.uid[id];
-      for (int a = 0; a < attempts && lost; ++a) {
-        lost = stateless_bernoulli(p, tx.tx_key, rx_uid, a);
-      }
-      delivery_digest_ += fold_outcome(now_us, tx.tx_key, rx_uid, !lost);
-    } else {
-      for (int a = 0; a < attempts && lost; ++a) {
-        lost = rng_.bernoulli(p);
-      }
+    for (int a = 0; a < attempts && lost; ++a) {
+      lost = rng_.bernoulli(p);
     }
     if (lost) {
       ++frames_lost_;
@@ -546,19 +432,13 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
 
 std::size_t Medium::hot_state_bytes() const {
   std::size_t total =
-      hot_.capacity_bytes() + all_.capacity() * sizeof(RadioId) +
+      hot_.capacity_bytes() +
       tx_pool_.capacity() * sizeof(std::unique_ptr<PendingTx>) +
       tx_pool_.size() * sizeof(PendingTx) +
       tx_free_.capacity() * sizeof(PendingTx*);
   for (const ChannelPartition& partition : partitions_) {
     total += partition.members.capacity() * sizeof(RadioId) +
              partition.grid.memory_bytes();
-  }
-  for (const auto& horizon : cell_busy_) {
-    // Node-based map: ~one allocation per occupied cell plus bucket array.
-    total += horizon.size() *
-                 (sizeof(std::uint64_t) + sizeof(sim::Time) + 2 * sizeof(void*)) +
-             horizon.bucket_count() * sizeof(void*);
   }
   return total;
 }

@@ -15,16 +15,15 @@
 // candidate loops stream contiguous arrays instead of chasing pointers; see
 // DESIGN.md "Memory layout".
 //
-// Delivery fast path: radios are partitioned by current channel (kept in
-// sync through attach/detach/retune notifications from the Radio) and each
-// partition is bucketed by a uniform spatial grid whose cell is the maximum
-// effective frame range, so one delivery touches only the O(candidates)
-// radios in the 3x3 cell neighborhood of the sender instead of every radio
-// in the world. Candidates are re-sorted by attach id before the per-receiver
-// loss draws, so the RNG stream — and therefore the run digest — is
-// provably independent of grid/bucket internals (the reference scan path,
-// MediumConfig::indexed_delivery = false, exists to cross-check exactly
-// that, and to serve as the benchmark's "old path").
+// Delivery: radios are partitioned by current channel (kept in sync through
+// attach/detach/retune notifications from the Radio) and each partition is
+// bucketed by a uniform spatial grid whose cell is the maximum effective
+// frame range, so one delivery touches only the O(candidates) radios in the
+// 3x3 cell neighborhood of the sender instead of every radio in the world.
+// Candidates are re-sorted by attach id before the per-receiver loss draws,
+// so the RNG stream — and therefore the run digest — is independent of
+// grid/bucket internals (tests check receive sets against an O(n) scan of
+// raw positions, and grid against partition-scan digests).
 #pragma once
 
 #include <array>
@@ -32,7 +31,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "net/frame.h"
@@ -62,34 +60,11 @@ struct MediumConfig {
   // single-shot loss. Retry airtime is not charged (a deliberate
   // simplification; retries are rare at h=10%).
   int data_retry_limit = 4;
-  // Delivery-path selection. true (default): per-channel partition + spatial
-  // grid, O(candidates) per frame. false: the original attach-order scan
-  // over every attached radio — kept as the benchmark's "old path" and as
-  // the reference for the determinism cross-check (both paths consume
-  // identical RNG draws, so digests must match bit for bit).
-  bool indexed_delivery = true;
   // Partitions at or below this population skip the grid and scan the
   // partition directly (still sorted by attach id, so the RNG stream is
   // unchanged): at tiny worlds the 3x3 hash probes cost more than touching
-  // every co-channel radio (the 0.93x regression perf_smoke's radios_50
-  // section measured). Tests that assert grid usage set this to 0.
+  // every co-channel radio. Tests that assert grid usage set this to 0.
   std::size_t indexed_scan_threshold = 56;
-  // Sharded-engine loss mode: each per-receiver Bernoulli draw comes from a
-  // counter-based hash of (loss_seed, tx_key, receiver uid, attempt) instead
-  // of the medium's sequential RNG stream, so every outcome is a pure
-  // function of physical identities — independent of delivery order, attach
-  // order, and shard count. Also arms the commutative delivery digest
-  // (delivery_digest()) that the N-vs-1-shard gate compares. Default off:
-  // the sequential stream is the contract all existing digests are built on.
-  bool stateless_loss = false;
-  std::uint64_t loss_seed = 0;
-  // Localized carrier sense: serialize transmissions per (channel, grid
-  // cell) instead of per channel world-wide. Required by the sharded engine
-  // — a world-global busy horizon is inherently unshardable — and
-  // shard-invariant because shard strips are unions of whole grid-cell
-  // columns, so same-cell senders always live in the same shard. While set,
-  // channel_idle_at() keeps reporting the (now untouched) global horizon.
-  bool cell_contention = false;
 };
 
 // One radio's new position in a batched mobility tick (Medium::move_radios).
@@ -142,7 +117,7 @@ class Medium {
   // update is free.
   void set_position(Radio& radio, Vec2 position);
 
-  // Batched mobility tick: applies every move (position write + lazy grid
+  // Mobility tick: applies every move (position write + lazy grid
   // re-bucket) in one call. Crossers are grouped per channel partition and
   // re-bucketed en masse (RadioGrid::rebucket_batch), so a fleet tick pays
   // hash-map traffic per *cell group*, not per radio. Equivalent to calling
@@ -153,62 +128,6 @@ class Medium {
   void move_radios(std::span<const RadioMove> moves);
 
   void set_sniffer(SnifferFn sniffer) { sniffer_ = std::move(sniffer); }
-
-  // --- Sharded-engine surface (see phy::ShardedWorld) -----------------------
-  //
-  // World-stable identity: attach ids are per-Medium, so a radio that
-  // migrates between shards carries a uid (and its transmit sequence) that
-  // survives the detach/re-attach. Defaults at attach: uid = attach id,
-  // tx_seq = 0 — unique within one Medium, so single-world behaviour is
-  // unchanged. Sharded callers must keep uids world-unique.
-  void set_identity(Radio& radio, std::uint64_t uid, std::uint32_t tx_seq);
-  std::uint64_t uid_of(RadioId id) const { return hot_.uid[id]; }
-  std::uint32_t tx_seq_of(RadioId id) const { return hot_.tx_seq[id]; }
-
-  // Cross-shard transmission descriptor handed to the tap below for every
-  // local transmit, and accepted back via deliver_remote() on the
-  // neighboring shard. `tx_key` is the world-unique transmission id
-  // hash(uid, tx_seq) that keys stateless loss draws and the delivery
-  // digest.
-  struct TxInfo {
-    std::uint64_t sender_uid = 0;
-    std::uint64_t tx_key = 0;
-    Vec2 pos{};
-    net::ChannelId channel = 0;
-    sim::Time deliver_at;
-    const net::Frame* frame = nullptr;
-  };
-  using TxTapFn = std::function<void(const TxInfo&)>;
-  // Invoked synchronously inside transmit() after the delivery event is
-  // scheduled — the coordinator's hook for mirroring boundary frames into a
-  // neighbor shard's mailbox.
-  void set_tx_tap(TxTapFn tap) { tx_tap_ = std::move(tap); }
-
-  // Schedules delivery of a frame transmitted in another shard. Receivers
-  // with hot uid == sender_uid are skipped (the sender may have migrated
-  // here mid-flight), so together with the local delivery in the origin
-  // shard every radio in the world sees the frame exactly once. Requires
-  // stateless_loss (order-independent draws are what make the halo copy
-  // consume no local RNG).
-  void deliver_remote(sim::Time at, std::uint64_t sender_uid,
-                      std::uint64_t tx_key, Vec2 pos, net::ChannelId channel,
-                      net::Frame frame);
-
-  // Commutative digest over physical delivery outcomes, armed by
-  // stateless_loss: per transmit, mix(time, tx_key) is added; per receiver
-  // outcome, mix(time, tx_key, rx uid, delivered?) is added in the shard
-  // that OWNS the receiver. Wrapping addition makes the per-shard values
-  // summable: the world digest is the sum over shards, identical for any
-  // shard count. (Per-shard values alone are NOT comparable across shard
-  // counts.)
-  std::uint64_t delivery_digest() const { return delivery_digest_; }
-  std::uint64_t remote_frames_in() const { return remote_frames_in_; }
-
-  // Cell size of the spatial grid (same for every partition) — the halo
-  // width the sharded coordinator uses, since it upper-bounds the effective
-  // range of any standard-rate frame.
-  double grid_cell_m() const { return partitions_[0].grid.cell_m(); }
-  // -------------------------------------------------------------------------
 
   // Called by Radio::send(): schedules serialization and delivery. Returns
   // the time at which the transmission will complete.
@@ -227,10 +146,9 @@ class Medium {
   std::uint64_t frames_sent() const { return frames_sent_; }
   std::uint64_t frames_delivered() const { return frames_delivered_; }
   std::uint64_t frames_lost() const { return frames_lost_; }
-  // Fast-path observability: deliveries served from the 3x3 grid
-  // neighborhood vs. a partition/world scan (reference path, a frame whose
-  // effective range outgrew the grid cell, or a partition at or below the
-  // scan threshold).
+  // Delivery observability: deliveries served from the 3x3 grid
+  // neighborhood vs. a partition scan (a frame whose effective range
+  // outgrew the grid cell, or a partition at or below the scan threshold).
   std::uint64_t deliveries_grid() const { return deliveries_grid_; }
   std::uint64_t deliveries_scan() const { return deliveries_scan_; }
   // Radios currently attached on `channel` (tests; O(1)).
@@ -239,7 +157,7 @@ class Medium {
   }
 
   // Resident bytes of the hot per-radio state: the SoA store, the id lists
-  // (attach order + partitions + grid buckets) and the in-flight tx pool.
+  // (partitions + grid buckets) and the in-flight tx pool.
   // The scale bench divides this by the world size to gate bytes/radio.
   std::size_t hot_state_bytes() const;
 
@@ -279,9 +197,8 @@ class Medium {
     // True while `members` happens to be ascending by attach id — the common
     // steady state (appends are monotone; only a swap-and-pop removal from
     // the middle breaks it). Lets the small-partition scan path skip the
-    // per-delivery re-sort of survivors (the last cost keeping the shipped
-    // auto-selected path behind the world scan at radios_50), while leaving
-    // the RNG stream byte-identical: sorted input sorts to itself.
+    // per-delivery re-sort of survivors, while leaving the RNG stream
+    // byte-identical: sorted input sorts to itself.
     bool members_sorted = true;
   };
 
@@ -292,9 +209,7 @@ class Medium {
   // every single transmit onto the heap. The pool's high-water mark is the
   // max number of concurrently in-flight frames, a handful per channel.
   struct PendingTx {
-    RadioId sender_id = 0;  // 0 for remote (cross-shard) transmissions
-    std::uint64_t sender_uid = 0;
-    std::uint64_t tx_key = 0;
+    RadioId sender_id = 0;
     Vec2 pos{};
     net::ChannelId channel = 0;
     net::Frame frame{};
@@ -306,10 +221,6 @@ class Medium {
   void remove_from_partition(RadioId id, net::ChannelId channel);
   void deliver(const PendingTx& tx);
   void publish_metrics(telemetry::Registry& registry) const;
-  // Counter-based per-receiver loss draw (stateless_loss mode): a pure
-  // function of (loss_seed, tx_key, rx_uid, attempt).
-  bool stateless_bernoulli(double p, std::uint64_t tx_key, std::uint64_t rx_uid,
-                           int attempt) const;
 
   sim::Simulator& sim_;
   sim::Rng rng_;
@@ -319,19 +230,11 @@ class Medium {
   // hot_.radio is the liveness map: a detached id maps to nullptr, so a
   // recycled heap address can never impersonate a detached sender.
   RadioHotStore hot_;
-  // All attached ids in attach order — the reference delivery path's scan
-  // list (and, because ids are monotone, always sorted ascending).
-  std::vector<RadioId> all_;
   std::array<ChannelPartition, kChannelSlots> partitions_;
   RadioId next_attach_id_ = 1;  // 0 = never attached
   // Busy horizon per channel slot: flat array indexed by channel_slot — the
   // per-transmit hash lookup this replaced showed up in delivery profiles.
   std::array<sim::Time, kChannelSlots> busy_until_{};
-  // Per-(channel, grid-cell) busy horizons, used instead of busy_until_ when
-  // config_.cell_contention is set. Lookup-only (never iterated), so the
-  // unordered map's ordering can't leak into behaviour.
-  std::array<std::unordered_map<std::uint64_t, sim::Time>, kChannelSlots>
-      cell_busy_;
   // PendingTx free-list pool: tx_pool_ owns the nodes, tx_free_ holds the
   // idle ones (capacity always >= pool size so release never allocates).
   std::vector<std::unique_ptr<PendingTx>> tx_pool_;
@@ -343,9 +246,6 @@ class Medium {
   std::uint64_t deliveries_scan_ = 0;
   std::array<ChannelCounters, kChannelSlots> per_channel_{};
   telemetry::Hub::CollectorId collector_id_ = 0;
-  TxTapFn tx_tap_;
-  std::uint64_t delivery_digest_ = 0;
-  std::uint64_t remote_frames_in_ = 0;
 };
 
 }  // namespace spider::phy

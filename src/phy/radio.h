@@ -27,8 +27,8 @@ namespace spider::phy {
 
 // The measured hardware-reset (retune) time: Table 1's ~4.94 ms for the
 // Atheros part with no associated interfaces. THE canonical constant — the
-// default RadioConfig::hardware_reset, the sharded engine's lookahead bound,
-// and the Table 1 reproduction all read this one name.
+// default RadioConfig::hardware_reset and the Table 1 reproduction both read
+// this one name.
 inline constexpr sim::Time kHardwareResetTime = sim::Time::micros(4940);
 
 struct RadioConfig {

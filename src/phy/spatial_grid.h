@@ -54,13 +54,6 @@ struct RadioHotStore {
   std::vector<std::int32_t> cell_y;
   std::vector<std::uint32_t> cell_index;    // index within the grid bucket
   std::vector<std::uint32_t> member_index;  // index within channel partition
-  // World-stable identity and per-sender transmit sequence, for the sharded
-  // engine: attach ids are per-Medium (a migrating radio gets a fresh one in
-  // its destination shard), so cross-shard-stable loss draws and digests key
-  // on (uid, tx_seq) instead. Defaults to uid == attach id, tx_seq == 0, so
-  // the single-world paths never notice them.
-  std::vector<std::uint64_t> uid;
-  std::vector<std::uint32_t> tx_seq;
   std::vector<Radio*> radio;
 
   // Grows every array to cover `id` (amortized O(1) per attach).
@@ -75,8 +68,6 @@ struct RadioHotStore {
     cell_y.resize(n);
     cell_index.resize(n);
     member_index.resize(n);
-    uid.resize(n);
-    tx_seq.resize(n);
     radio.resize(n);
   }
 
@@ -89,8 +80,6 @@ struct RadioHotStore {
            cell_y.capacity() * sizeof(std::int32_t) +
            cell_index.capacity() * sizeof(std::uint32_t) +
            member_index.capacity() * sizeof(std::uint32_t) +
-           uid.capacity() * sizeof(std::uint64_t) +
-           tx_seq.capacity() * sizeof(std::uint32_t) +
            radio.capacity() * sizeof(Radio*);
   }
 };
@@ -114,17 +103,8 @@ class RadioGrid {
 
   RadioGrid() = default;
 
-  double cell_m() const { return cell_m_; }
   std::size_t size() const { return size_; }
   std::size_t occupied_cells() const { return cells_.size(); }
-
-  // Packed key of the cell containing `pos` (stable across inserts/removals;
-  // positions in the same cell always map to the same key). Used by the
-  // medium's per-cell contention horizons.
-  std::uint64_t cell_key_of(Vec2 pos) const {
-    const Cell c = cell_of(pos);
-    return key(c.x, c.y);
-  }
 
   // Must be called before the first insert; the store outlives the grid.
   void bind(RadioHotStore* store) { store_ = store; }

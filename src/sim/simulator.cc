@@ -76,10 +76,7 @@ bool TimerHandle::pending() const {
          !slab_->cancelled(slot_);
 }
 
-Simulator::Simulator() : Simulator(SimulatorConfig{}) {}
-
-Simulator::Simulator(SimulatorConfig config)
-    : config_(config), tokens_(std::make_shared<detail::TokenSlab>()) {
+Simulator::Simulator() : tokens_(std::make_shared<detail::TokenSlab>()) {
   telemetry_.add_collector([this](telemetry::Registry& registry) {
     registry.counter("sim.events_posted").inc(
         posted_ - registry.counter("sim.events_posted").value());
@@ -104,11 +101,7 @@ SPIDER_HOT TimerHandle Simulator::schedule_at(Time at, SmallFn fn) {
   if (at < now_) at = now_;
   const std::uint32_t slot = tokens_->acquire();
   const std::uint32_t generation = tokens_->slots[slot].generation;
-  if (config_.wheel_scheduler) {
-    wheel_.schedule(at.us(), next_seq_++, slot, std::move(fn));
-  } else {
-    queue_.push(Event{at, next_seq_++, slot, std::move(fn)});
-  }
+  wheel_.schedule(at.us(), next_seq_++, slot, std::move(fn));
   note_push();
   return TimerHandle{tokens_, slot, generation};
 }
@@ -124,11 +117,7 @@ SPIDER_HOT void Simulator::post_at(Time at, SmallFn fn) {
   SPIDER_CHECK(at >= now_) << "post_at(" << at.to_string()
                            << ") behind clock " << now_.to_string();
   if (at < now_) at = now_;
-  if (config_.wheel_scheduler) {
-    wheel_.schedule(at.us(), next_seq_++, kNoToken, std::move(fn));
-  } else {
-    queue_.push(Event{at, next_seq_++, kNoToken, std::move(fn)});
-  }
+  wheel_.schedule(at.us(), next_seq_++, kNoToken, std::move(fn));
   note_push();
 }
 
@@ -163,18 +152,6 @@ std::uint64_t Simulator::digest() const {
 // state run must come from an event's fn, never the dispatch machinery.
 SPIDER_HOT void Simulator::drain(Time limit) {
   stopped_ = false;
-  if (config_.wheel_scheduler) {
-    drain_wheel(limit);
-  } else {
-    drain_heap(limit);
-  }
-  // Drain boundary: everything bumped off the arena during this drain is
-  // dead now (the lifetime contract its users sign). Pure cursor rewind —
-  // capacity is retained, so a warm drain's reset never allocates.
-  arena_.reset();
-}
-
-SPIDER_HOT void Simulator::drain_wheel(Time limit) {
   TimerWheel::Fired ev;
   while (!stopped_ && wheel_.pop_due(limit.us(), &ev)) {
     if (ev.token != kNoToken) {
@@ -197,6 +174,11 @@ SPIDER_HOT void Simulator::drain_wheel(Time limit) {
     if (instant_count_ > 0 && ev.at_us != instant_us_) {
       fold_instant();
       trace_queue_depth(ev.at_us);
+      // Live-stream cadence hook, at instant boundaries only so a publish
+      // can never observe (or interleave with) a half-executed instant. One
+      // branch when no stream is attached; publishing reads metrics and
+      // pushes into the lock-free ring — it schedules nothing, consumes no
+      // randomness, and never touches the digest.
       telemetry_.maybe_publish_stream(ev.at_us);
     }
     instant_us_ = ev.at_us;
@@ -206,50 +188,10 @@ SPIDER_HOT void Simulator::drain_wheel(Time limit) {
     ++executed_;
     ev.fn();
   }
-}
-
-SPIDER_HOT void Simulator::drain_heap(Time limit) {
-  while (!queue_.empty() && !stopped_) {
-    const Event& top = queue_.top();
-    if (top.at > limit) break;
-    // Move the event out before popping; fn may schedule more events.
-    Event ev{top.at, top.seq, top.token,
-             std::move(const_cast<Event&>(top).fn)};
-    queue_.pop();
-    if (ev.token != kNoToken) {
-      const bool cancelled = tokens_->cancelled(ev.token);
-      // Release before running fn: pending() is false for a firing event,
-      // and fn is free to schedule new events that recycle the slot (the
-      // bumped generation keeps old handles inert).
-      tokens_->release(ev.token);
-      if (cancelled) {
-        ++cancelled_;
-        continue;
-      }
-    }
-    // Event-queue monotonicity: the heap must never surface an event behind
-    // the clock — schedule_at() rejects past times, so a violation here means
-    // heap corruption or clock tampering, and every digest after it is junk.
-    SPIDER_CHECK(ev.at >= now_)
-        << "event seq " << ev.seq << " at " << ev.at.to_string()
-        << " behind clock " << now_.to_string();
-    if (instant_count_ > 0 && ev.at.us() != instant_us_) {
-      fold_instant();
-      trace_queue_depth(ev.at.us());
-      // Live-stream cadence hook, at instant boundaries only so a publish
-      // can never observe (or interleave with) a half-executed instant. One
-      // branch when no stream is attached; publishing reads metrics and
-      // pushes into the lock-free ring — it schedules nothing, consumes no
-      // randomness, and never touches the digest.
-      telemetry_.maybe_publish_stream(ev.at.us());
-    }
-    instant_us_ = ev.at.us();
-    instant_acc_ += event_hash(ev.at.us(), ev.seq);
-    ++instant_count_;
-    now_ = ev.at;
-    ++executed_;
-    ev.fn();
-  }
+  // Drain boundary: everything bumped off the arena during this drain is
+  // dead now (the lifetime contract its users sign). Pure cursor rewind —
+  // capacity is retained, so a warm drain's reset never allocates.
+  arena_.reset();
 }
 
 void Simulator::run_until(Time limit) {
@@ -263,26 +205,6 @@ void Simulator::run_until(Time limit) {
 void Simulator::run_all() {
   // Clock ends at the last executed event; it does not jump to infinity.
   drain(Time::max());
-}
-
-void Simulator::advance_to(Time t) {
-  SPIDER_CHECK(t >= now_) << "advance_to(" << t.to_string()
-                          << ") would rewind clock at " << now_.to_string();
-  if (config_.wheel_scheduler) {
-    // next_due() cascades only across verified-empty space and never moves
-    // the wheel clock past the probe limit, so the probe itself cannot skip
-    // anything — it just proves (deterministically) that nothing is due
-    // strictly before t.
-    const std::int64_t due = wheel_.next_due(t.us() - 1);
-    SPIDER_CHECK(due == TimerWheel::kNone)
-        << "advance_to(" << t.to_string() << ") would skip event at " << due
-        << "us";
-  } else {
-    SPIDER_CHECK(queue_.empty() || queue_.top().at >= t)
-        << "advance_to(" << t.to_string() << ") would skip event at "
-        << queue_.top().at.to_string();
-  }
-  now_ = t;
 }
 
 }  // namespace spider::sim

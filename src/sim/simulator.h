@@ -1,9 +1,7 @@
 // Deterministic discrete-event simulator.
 //
-// A Simulator owns an ordered queue of (time, sequence, callback) events —
-// a hierarchical timing wheel by default (sim/timer_wheel.h; O(1) schedule
-// and cancel), with the original (at, seq) min-heap retained behind
-// SimulatorConfig::wheel_scheduler=false as the digest-equivalent reference.
+// A Simulator owns an ordered queue of (time, sequence, callback) events — a
+// hierarchical timing wheel (sim/timer_wheel.h; O(1) schedule and cancel).
 // Events scheduled for the same instant fire in scheduling order, which makes
 // runs bit-for-bit reproducible for a fixed seed. Timers are cancellable via
 // the handle returned from schedule_at()/schedule_after().
@@ -25,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "core/arena.h"
@@ -37,16 +34,6 @@
 namespace spider::sim {
 
 class Simulator;
-
-// Scheduler selection. The hierarchical timing wheel (sim/timer_wheel.h) is
-// the production event queue: O(1) schedule and O(1) lazy cancel. The
-// (at, seq) min-heap it replaced stays available as the reference path —
-// both produce bit-identical digests (gated in tests/timer_wheel_test.cc
-// full-stack: drive, fleet, sharded K ∈ {1,2,4,8}), so any divergence is a
-// scheduler bug, not a scenario change.
-struct SimulatorConfig {
-  bool wheel_scheduler = true;
-};
 
 namespace detail {
 
@@ -106,7 +93,6 @@ class TimerHandle {
 class Simulator {
  public:
   Simulator();
-  explicit Simulator(SimulatorConfig config);
   ~Simulator();
 
   // Non-copyable: handles and callbacks capture `this`.
@@ -138,28 +124,17 @@ class Simulator {
   // Runs until the queue is completely empty; now() ends at the last event.
   void run_all();
 
-  // Jumps now() forward to `t` WITHOUT executing anything. Only legal when no
-  // queued event is due before `t` — the sharded coordinator uses this to
-  // land every shard clock exactly on a window barrier after running the
-  // window strictly-before it (see phy::ShardedWorld), so events scheduled
-  // exactly at a barrier execute after the barrier's phases for every shard
-  // count. An earlier pending event is an invariant violation (SPIDER_CHECK).
-  void advance_to(Time t);
-
   // Makes run_* return after the current event completes; now() is left at
   // the interrupting event's timestamp.
   void stop() { stopped_ = true; }
 
-  std::size_t pending_events() const {
-    return config_.wheel_scheduler ? wheel_.size() : queue_.size();
-  }
+  std::size_t pending_events() const { return wheel_.size(); }
   std::uint64_t events_executed() const { return executed_; }
   std::uint64_t events_posted() const { return posted_; }
   std::uint64_t events_cancelled() const { return cancelled_; }
   std::size_t queue_depth_high_water() const { return depth_high_water_; }
 
-  const SimulatorConfig& config() const { return config_; }
-  // Lifetime cascade count of the wheel scheduler (0 on the heap path).
+  // Lifetime cascade count of the wheel scheduler.
   std::uint64_t scheduler_cascades() const { return wheel_.cascades(); }
 
   // Per-world telemetry (metrics registry + trace recorder). The event-queue
@@ -187,8 +162,6 @@ class Simulator {
 
  private:
   void drain(Time limit);
-  void drain_heap(Time limit);
-  void drain_wheel(Time limit);
   void fold_instant();
   // Samples pending_events() onto the sim.queue_depth counter track when
   // tracing is on and the depth changed since the last sample (one sample
@@ -197,18 +170,6 @@ class Simulator {
 
   // Sentinel token for fire-and-forget events (post_at/post_after).
   static constexpr std::uint32_t kNoToken = 0xFFFFFFFFu;
-
-  struct Event {
-    Time at;
-    std::uint64_t seq;
-    std::uint32_t token;  // slot in the simulator's TokenSlab, or kNoToken
-    SmallFn fn;
-    // min-heap on (at, seq)
-    friend bool operator>(const Event& a, const Event& b) {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
 
   // Event-queue accounting: hot members, kept adjacent to the queue state
   // they travel with; published as sim.* metrics by the collector the
@@ -219,13 +180,7 @@ class Simulator {
     if (depth > depth_high_water_) depth_high_water_ = depth;
   }
 
-  SimulatorConfig config_;
-  // Production scheduler (config_.wheel_scheduler, the default) …
   TimerWheel wheel_;
-  // … and the reference (at, seq) min-heap, kept for digest cross-checks and
-  // as the baseline the perf floors are measured against. Exactly one of the
-  // two ever holds events.
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   std::shared_ptr<detail::TokenSlab> tokens_;
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 0;

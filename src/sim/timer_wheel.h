@@ -11,8 +11,8 @@
 // heap sift per pending timer.
 //
 // Determinism contract (the property Simulator's digest gates): events fire
-// in exactly (at, seq) order — the same total order the reference min-heap
-// produces — without any per-pop comparison. The argument: within any slot,
+// in exactly (at, seq) order — the total order an (at, seq) min-heap would
+// produce — without any per-pop comparison. The argument: within any slot,
 // list order is seq order. Direct inserts append in schedule order (seq is
 // monotone). A slot cascades exactly when the clock reaches its window base,
 // and a direct insert into the lower level is only possible at or after that
@@ -39,12 +39,6 @@
 // below every wheel-resident one, so the global fire order is still exactly
 // (at, seq). Real runs rarely touch it (cancellations come from responses,
 // which execute and drag now() along); all-cancelled churn is its stress.
-//
-// Bounded-horizon interplay: phy::ShardedWorld advances each shard in
-// conservative-lookahead windows of ~229 us, entirely inside one level-1
-// window — a whole shard window costs at most one cascade, and the
-// run_until(end-1)/advance_to(end) barrier dance maps onto next_due()'s
-// bitmap walk with no drain-to-empty scans.
 #pragma once
 
 #include <cstdint>

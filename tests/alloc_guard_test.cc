@@ -164,7 +164,6 @@ TEST(AllocGuardHotPaths, InternedBeaconTicksAreAllocationFree) {
   sim::Simulator sim;
   phy::Medium medium(sim, sim::Rng(9), lossless());
   mac::AccessPointConfig cfg;
-  cfg.intern_beacons = true;
   mac::AccessPoint ap(medium, net::MacAddress::from_index(0xA40),
                       {0.0, 0.0}, sim::Rng(10), cfg);
   // A silent station in range: each beacon exercises delivery end to end.
@@ -194,7 +193,6 @@ TEST(AllocGuardHotPaths, InternedMgmtExchangeIsAllocationFreeOnceWarm) {
   sim::Simulator sim;
   phy::Medium medium(sim, sim::Rng(11), lossless());
   mac::AccessPointConfig cfg;
-  cfg.intern_mgmt_responses = true;
   mac::AccessPoint ap(medium, net::MacAddress::from_index(0xA41),
                       {0.0, 0.0}, sim::Rng(12), cfg);
   phy::Radio client(medium, net::MacAddress::from_index(0x52A),

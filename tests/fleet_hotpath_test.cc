@@ -1,11 +1,11 @@
 // Fleet-scale hot path: batched mobility + interned beacon payloads.
 //
-// The contract mirrors the PHY fast-path one: the batch APIs change *work*,
+// The contract mirrors the PHY delivery one: the batch APIs change *work*,
 // never *outcomes*. Medium::move_radios must leave the world in exactly the
 // state N scalar set_position calls leave it in (same receive sets, same RNG
-// streams, bit-identical digests), beacon interning must put bytes on the
-// air indistinguishable from per-tick payload construction, and the
-// position-update timer chain must stop at the experiment horizon.
+// streams, bit-identical digests), every beacon, probe response and
+// auth/assoc grant must carry the AP's one interned capability payload, and
+// the position-update timer chain must stop at the experiment horizon.
 #include "core/fleet.h"
 
 #include <gtest/gtest.h>
@@ -163,50 +163,16 @@ TEST(FleetHotPath, BatchAndScalarMobilityConsumeIdenticalRngStreams) {
   EXPECT_EQ(batch.lost, scalar.lost);
 }
 
-// --- full-stack fleet: batch_mobility flag is digest-neutral -----------------
-
-FleetConfig small_fleet(bool batch_mobility, bool intern_beacons) {
-  FleetConfig cfg;
-  cfg.seed = 7;
-  cfg.clients = 4;
-  cfg.duration = sim::Time::seconds(30);
-  cfg.batch_mobility = batch_mobility;
-  cfg.ap_mac.intern_beacons = intern_beacons;
-  sim::Rng rng(cfg.seed);
-  auto deploy_rng = rng.fork("deploy");
-  cfg.aps = mobility::area_deployment(700, 500, 10, deploy_rng);
-  return cfg;
-}
-
-TEST(FleetHotPath, FleetBatchAndScalarRunsAreBitIdentical) {
-  std::uint64_t digests[2] = {0, 0};
-  double throughput[2] = {0.0, 0.0};
-  for (int batched = 0; batched < 2; ++batched) {
-    FleetExperiment fleet(small_fleet(batched == 1, /*intern_beacons=*/true));
-    const FleetResults r = fleet.run();
-    digests[batched] = fleet.simulator().digest();
-    throughput[batched] = r.aggregate_throughput_kBps();
-  }
-  EXPECT_EQ(digests[0], digests[1]);
-  EXPECT_EQ(throughput[0], throughput[1]);
-}
-
-TEST(FleetHotPath, BeaconInterningIsDigestNeutralFullStack) {
-  std::uint64_t digests[2] = {0, 0};
-  for (int interned = 0; interned < 2; ++interned) {
-    FleetExperiment fleet(small_fleet(/*batch_mobility=*/true, interned == 1));
-    fleet.run();
-    digests[interned] = fleet.simulator().digest();
-  }
-  EXPECT_EQ(digests[0], digests[1])
-      << "interned beacons changed what went on the air";
-}
-
 // --- horizon: the position-update chain must not outlive the run -------------
 
 TEST(FleetHotPath, PositionUpdatesStopAtTheHorizon) {
-  FleetConfig cfg = small_fleet(/*batch_mobility=*/true, true);
+  FleetConfig cfg;
+  cfg.seed = 7;
+  cfg.clients = 4;
   cfg.duration = sim::Time::seconds(2);
+  sim::Rng rng(cfg.seed);
+  auto deploy_rng = rng.fork("deploy");
+  cfg.aps = mobility::area_deployment(700, 500, 10, deploy_rng);
   FleetExperiment fleet(std::move(cfg));
   fleet.run();
 
@@ -226,15 +192,15 @@ TEST(FleetHotPath, PositionUpdatesStopAtTheHorizon) {
 // --- beacon interning: payload pointer reuse ---------------------------------
 
 // Collects the payload storage pointers of every beacon/probe-response an AP
-// emits over a second of simulated time. Each observed payload is kept alive
-// for the whole run — otherwise the allocator may hand the non-interned arm
-// the same freed address for every mint and the pointer set would collapse
-// to one entry spuriously (TSan's allocator does exactly that).
-std::set<const net::FramePayload*> observed_payloads(bool intern) {
+// emits over a second of simulated time, checking each payload's contents
+// against the AP's config. Each observed payload is kept alive for the whole
+// run, so a payload minted per frame could never reuse a freed address and
+// pass for an interned one.
+std::set<const net::FramePayload*> observed_payloads() {
   sim::Simulator sim;
   phy::Medium medium(sim, sim::Rng(1), lossless());
   mac::AccessPointConfig ap_cfg;
-  ap_cfg.intern_beacons = intern;
+  ap_cfg.ssid = "interned-ap";
   ap_cfg.response_delay_min = sim::Time::millis(1);
   ap_cfg.response_delay_max = sim::Time::millis(2);
   mac::AccessPoint ap(medium, net::MacAddress::from_index(0xA0),
@@ -246,10 +212,17 @@ std::set<const net::FramePayload*> observed_payloads(bool intern) {
   std::set<const net::FramePayload*> payloads;
   std::vector<net::SharedPayload> keepalive;
   client.set_receive_handler(
-      [&payloads, &keepalive](const net::Frame& f, const phy::RxInfo&) {
+      [&payloads, &keepalive, &ap_cfg](const net::Frame& f,
+                                       const phy::RxInfo&) {
         if (f.kind == net::FrameKind::kBeacon ||
             f.kind == net::FrameKind::kProbeResponse) {
-          EXPECT_TRUE(f.payload.holds<net::BeaconInfo>());
+          const auto* info = f.payload.get_if<net::BeaconInfo>();
+          EXPECT_NE(info, nullptr);
+          if (info != nullptr) {
+            EXPECT_EQ(info->ssid, ap_cfg.ssid);
+            EXPECT_EQ(info->channel, ap_cfg.channel);
+            EXPECT_EQ(info->open, ap_cfg.open);
+          }
           payloads.insert(f.payload.storage());
           keepalive.push_back(f.payload);
         }
@@ -261,14 +234,10 @@ std::set<const net::FramePayload*> observed_payloads(bool intern) {
 }
 
 TEST(FleetHotPath, InternedApReusesOnePayloadAcrossBeaconsAndProbes) {
-  const auto interned = observed_payloads(true);
+  const auto interned = observed_payloads();
   // ~10 beacons + 1 probe response, all aliasing one allocation.
   ASSERT_EQ(interned.size(), 1u);
   EXPECT_NE(*interned.begin(), nullptr);
-
-  const auto fresh = observed_payloads(false);
-  EXPECT_GT(fresh.size(), 1u)
-      << "non-interned AP should mint a payload per frame";
 }
 
 // --- management-response interning: auth/assoc alias the beacon payload ------
@@ -284,11 +253,10 @@ struct MgmtPayloads {
   std::vector<net::SharedPayload> keepalive;
 };
 
-MgmtPayloads observed_mgmt_payloads(bool intern) {
+MgmtPayloads observed_mgmt_payloads() {
   sim::Simulator sim;
   phy::Medium medium(sim, sim::Rng(1), lossless());
   mac::AccessPointConfig ap_cfg;
-  ap_cfg.intern_mgmt_responses = intern;
   ap_cfg.response_delay_min = sim::Time::millis(1);
   ap_cfg.response_delay_max = sim::Time::millis(2);
   mac::AccessPoint ap(medium, net::MacAddress::from_index(0xA1),
@@ -337,7 +305,7 @@ MgmtPayloads observed_mgmt_payloads(bool intern) {
 }
 
 TEST(FleetHotPath, InternedMgmtResponsesAliasTheBeaconPayload) {
-  const MgmtPayloads interned = observed_mgmt_payloads(true);
+  const MgmtPayloads interned = observed_mgmt_payloads();
   ASSERT_EQ(interned.response_count, 8);  // 4 clients × (auth + assoc)
   ASSERT_EQ(interned.responses.size(), 1u)
       << "every grant should hand out the same interned allocation";
@@ -347,12 +315,6 @@ TEST(FleetHotPath, InternedMgmtResponsesAliasTheBeaconPayload) {
   for (const net::SharedPayload& p : interned.keepalive) {
     EXPECT_TRUE(p.holds<net::BeaconInfo>());
   }
-
-  const MgmtPayloads fresh = observed_mgmt_payloads(false);
-  ASSERT_EQ(fresh.response_count, 8);
-  // Non-interned responses are payload-less: monostate, null storage.
-  ASSERT_EQ(fresh.responses.size(), 1u);
-  EXPECT_EQ(*fresh.responses.begin(), nullptr);
 }
 
 TEST(FleetHotPath, InternedMgmtPayloadOutlivesItsAccessPoint) {
@@ -384,19 +346,6 @@ TEST(FleetHotPath, InternedMgmtPayloadOutlivesItsAccessPoint) {
   // keeps the storage alive.
   ASSERT_TRUE(captured.holds<net::BeaconInfo>());
   EXPECT_EQ(captured.get_if<net::BeaconInfo>()->ssid, "teardown-ap");
-}
-
-TEST(FleetHotPath, MgmtInterningIsDigestNeutralFullStack) {
-  std::uint64_t digests[2] = {0, 0};
-  for (int interned = 0; interned < 2; ++interned) {
-    FleetConfig cfg = small_fleet(/*batch_mobility=*/true, true);
-    cfg.ap_mac.intern_mgmt_responses = interned == 1;
-    FleetExperiment fleet(std::move(cfg));
-    fleet.run();
-    digests[interned] = fleet.simulator().digest();
-  }
-  EXPECT_EQ(digests[0], digests[1])
-      << "interned management responses changed what went on the air";
 }
 
 }  // namespace

@@ -67,7 +67,8 @@ TEST(Frame, ManagementClassification) {
   const auto a = MacAddress::from_index(1);
   const auto b = MacAddress::from_index(2);
   EXPECT_TRUE(make_auth_request(a, b).is_management());
-  EXPECT_TRUE(make_assoc_response(b, a).is_management());
+  EXPECT_TRUE(
+      make_assoc_response(b, a, BeaconInfo{"coffee", 6, true}).is_management());
   EXPECT_TRUE(make_probe_request(a).is_management());
   EXPECT_FALSE(make_null_data(a, b, true).is_management());
   EXPECT_FALSE(make_ps_poll(a, b).is_management());

@@ -1,9 +1,9 @@
-// PHY delivery fast path: per-channel partitions + spatial grid.
+// PHY delivery: per-channel partitions + spatial grid.
 //
-// The contract under test is twofold: (1) the grid/partition index changes
-// *work*, never *outcomes* — the indexed path must deliver to exactly the
-// radios the brute-force world scan delivers to, and must consume the loss
-// RNG stream in exactly the same order (digests bit-identical); (2) the
+// The contract under test is twofold: (1) the grid changes *work*, never
+// *outcomes* — a delivery must reach exactly the radios an O(n) scan of raw
+// positions picks, and grid gathers must consume the loss RNG stream in
+// exactly the order a partition scan does (digests bit-identical); (2) the
 // lifecycle notifications (attach/detach/retune/move) keep the index in sync
 // even when radios churn while frames are in flight.
 #include "phy/auto_rate.h"
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -97,7 +98,10 @@ TEST(FastPath, GridMatchesBruteForceAcrossMobileTrajectories) {
   EXPECT_EQ(medium.deliveries_scan(), 0u);
 }
 
-// --- indexed path vs. reference scan: identical RNG streams ------------------
+// --- grid gathers vs. partition scans: identical RNG streams -----------------
+
+// Scan threshold that sends every delivery down the partition scan.
+constexpr std::size_t kAlwaysScan = std::numeric_limits<std::size_t>::max();
 
 struct PathOutcome {
   std::uint64_t digest = 0;
@@ -107,11 +111,10 @@ struct PathOutcome {
   std::uint64_t scan = 0;
 };
 
-PathOutcome run_lossy_scenario(bool indexed, std::size_t scan_threshold = 0) {
+PathOutcome run_lossy_scenario(std::size_t scan_threshold) {
   sim::Simulator sim;
   MediumConfig cfg;
   cfg.base_loss = 0.3;  // every in-range receiver consumes Bernoulli draws
-  cfg.indexed_delivery = indexed;
   cfg.indexed_scan_threshold = scan_threshold;  // 0: grid counters asserted
   Medium medium(sim, sim::Rng(42), cfg);
   sim::Rng layout(9);
@@ -137,7 +140,7 @@ PathOutcome run_lossy_scenario(bool indexed, std::size_t scan_threshold = 0) {
         net::Bssid{}, seg));
   }
   // Retune a handful mid-run so deliveries race partition moves identically
-  // on both paths.
+  // on every path.
   for (int i = 0; i < kRadios; i += 7) {
     sim.schedule_at(sim::Time::micros(300 + i), [&radios, i] {
       radios[static_cast<std::size_t>(i)]->tune(6);
@@ -149,58 +152,50 @@ PathOutcome run_lossy_scenario(bool indexed, std::size_t scan_threshold = 0) {
 }
 
 TEST(FastPath, IndexedAndScanPathsConsumeIdenticalRngStreams) {
-  const PathOutcome fast = run_lossy_scenario(true);
-  const PathOutcome reference = run_lossy_scenario(false);
-  EXPECT_EQ(fast.digest, reference.digest)
+  // The partition scan is a strict superset of the grid gather, and both
+  // pass through the identical channel/switching/range filters before any
+  // randomness is consumed, so the draws line up.
+  const PathOutcome grid = run_lossy_scenario(0);
+  const PathOutcome scan = run_lossy_scenario(kAlwaysScan);
+  EXPECT_EQ(grid.digest, scan.digest)
       << "grid internals leaked into the executed-event record";
-  EXPECT_EQ(fast.delivered, reference.delivered);
-  EXPECT_EQ(fast.lost, reference.lost);
-  // And the paths really were different: the fast run served deliveries from
-  // the grid, the reference run scanned every time.
-  EXPECT_GT(fast.grid, 0u);
-  EXPECT_EQ(reference.grid, 0u);
-  EXPECT_GT(reference.scan, 0u);
+  EXPECT_EQ(grid.delivered, scan.delivered);
+  EXPECT_EQ(grid.lost, scan.lost);
+  // And the paths really were different: one run served every delivery from
+  // the grid, the other scanned every time.
+  EXPECT_GT(grid.grid, 0u);
+  EXPECT_EQ(grid.scan, 0u);
+  EXPECT_EQ(scan.grid, 0u);
+  EXPECT_GT(scan.scan, 0u);
 }
 
 TEST(FastPath, AutoSelectScanThresholdIsDigestNeutral) {
   // The small-partition auto-select (scan a partition instead of walking the
-  // grid when it has few members) is a pure work optimization: whatever the
-  // threshold, the same frames must be delivered off the same RNG stream.
-  // The scan superset passes through the identical channel/switching/range
-  // filters before any randomness is consumed, so the draws line up.
-  const PathOutcome pinned = run_lossy_scenario(true, 0);
-  const PathOutcome mixed = run_lossy_scenario(true, 25);
-  const PathOutcome scan_all = run_lossy_scenario(true, 1000);
-
+  // grid when it has few members) is a pure work optimization: a threshold
+  // that mixes both arms in one run must deliver the same frames off the
+  // same RNG stream as the pure-grid run.
+  const PathOutcome pinned = run_lossy_scenario(0);
+  const PathOutcome mixed = run_lossy_scenario(25);
   EXPECT_EQ(pinned.digest, mixed.digest)
       << "auto-select threshold leaked into the executed-event record";
-  EXPECT_EQ(pinned.digest, scan_all.digest);
   EXPECT_EQ(pinned.delivered, mixed.delivered);
-  EXPECT_EQ(pinned.delivered, scan_all.delivered);
   EXPECT_EQ(pinned.lost, mixed.lost);
-  EXPECT_EQ(pinned.lost, scan_all.lost);
-
-  // And the arms really differed: pinned never scanned, the mid threshold
-  // exercised both arms in one run (the retunes push one partition past 25
-  // members), and the high threshold never touched the grid.
-  EXPECT_EQ(pinned.scan, 0u);
-  EXPECT_GT(pinned.grid, 0u);
+  // The retunes push one partition past 25 members, so the mid threshold
+  // exercised both arms.
   EXPECT_GT(mixed.grid, 0u);
   EXPECT_GT(mixed.scan, 0u);
-  EXPECT_EQ(scan_all.grid, 0u);
-  EXPECT_GT(scan_all.scan, 0u);
 }
 
 TEST(FastPath, FullStackDigestIndependentOfDeliveryPath) {
   // Same cross-check through the whole stack: a vehicular drive past two APs
   // (association, DHCP, TCP, mobility ticks) must execute the identical
-  // event sequence whichever delivery path the medium uses.
-  auto digest_with = [](bool indexed) {
+  // event sequence whether the medium gathers from the grid or scans.
+  auto digest_with = [](std::size_t scan_threshold) {
     core::ExperimentConfig cfg;
     cfg.seed = 7;
     cfg.duration = sim::Time::seconds(20);
     cfg.medium.base_loss = 0.1;
-    cfg.medium.indexed_delivery = indexed;
+    cfg.medium.indexed_scan_threshold = scan_threshold;
     cfg.vehicle = mobility::Vehicle(mobility::Route::straight(400.0), 10.0);
     cfg.spider = core::single_channel_multi_ap(1);
     mobility::ApDescriptor ap;
@@ -220,7 +215,7 @@ TEST(FastPath, FullStackDigestIndependentOfDeliveryPath) {
     exp.run();
     return exp.simulator().digest();
   };
-  EXPECT_EQ(digest_with(true), digest_with(false));
+  EXPECT_EQ(digest_with(0), digest_with(kAlwaysScan));
 }
 
 // --- churn while frames are in flight ----------------------------------------

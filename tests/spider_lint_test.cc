@@ -119,18 +119,6 @@ TEST(SpiderLint, HotPathAllocFlagsOnlyHotBodies) {
   EXPECT_EQ(findings_of(r), expected) << r.out;
 }
 
-TEST(SpiderLint, UnsortedMailboxRequiresAStableSortBeforeApply) {
-  const RunResult r = run_lint("--json " + fixture("mailbox.cc"));
-  EXPECT_EQ(r.exit_code, 1);
-  const std::vector<LineRule> expected = {
-      {17, "det-unsorted-mailbox"},  // plain inbox, never sorted
-      {23, "det-unsorted-mailbox"},  // "mailbox" substring counts too
-  };
-  // The sorted-before-apply loop, the non-mailbox vector, and the
-  // allow()-shielded loop must contribute nothing.
-  EXPECT_EQ(findings_of(r), expected) << r.out;
-}
-
 TEST(SpiderLint, PointerOrderFlagsValueComparatorsNotDereferencingOnes) {
   const RunResult r = run_lint("--json " + fixture("pointer_order.cc"));
   EXPECT_EQ(r.exit_code, 1);
@@ -173,10 +161,10 @@ TEST(SpiderLint, DirectoryScanAggregatesAndSortsFindings) {
   EXPECT_EQ(r.exit_code, 1);
   spider::telemetry::JsonValue doc;
   ASSERT_TRUE(spider::telemetry::parse_json(r.out, doc)) << r.out;
-  // 3 unordered + 2 unsorted-mailbox + 6 banned + 6 hot-alloc +
-  // 3 pointer-order + 2 check-policy + 2 bad suppressions; the
-  // clean/suppressed fixtures contribute zero.
-  EXPECT_EQ(doc.number_or("count", -1), 24) << r.out;
+  // 3 unordered + 6 banned + 6 hot-alloc + 3 pointer-order +
+  // 2 check-policy + 2 bad suppressions; the clean/suppressed fixtures
+  // contribute zero.
+  EXPECT_EQ(doc.number_or("count", -1), 22) << r.out;
   const auto* findings = doc.find("findings");
   ASSERT_NE(findings, nullptr);
   ASSERT_TRUE(findings->is_array());
@@ -212,8 +200,7 @@ TEST(SpiderLint, ListRulesNamesEveryRule) {
   EXPECT_EQ(r.exit_code, 0);
   for (const char* rule :
        {"det-unordered-iteration", "det-banned-sources", "det-pointer-order",
-        "det-unsorted-mailbox", "hot-path-alloc", "check-policy",
-        "lint-suppression"}) {
+        "hot-path-alloc", "check-policy", "lint-suppression"}) {
     EXPECT_NE(r.out.find(rule), std::string::npos)
         << "--list-rules missing " << rule;
   }

@@ -152,9 +152,8 @@ TEST(Sweep, ThreadsNeverExceedReplications) {
 }
 
 TEST(Sweep, RunOnSharedPoolMatchesOwnedPool) {
-  // A sweep on a caller-owned pool (the perf_smoke/ShardedWorld sharing
-  // shape) must be the same sweep: identical per-run digests and combined
-  // digest, with the worker count taken from the pool.
+  // A sweep on a caller-owned pool must be the same sweep: identical per-run
+  // digests and combined digest, with the worker count taken from the pool.
   const std::vector<std::uint64_t> seeds = {7, 21, 35, 49};
   const SweepReport owned = run_seed_sweep(seeds, sweep_scenario, 4);
   sim::ThreadPool pool(4);

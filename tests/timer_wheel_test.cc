@@ -1,17 +1,13 @@
 // Timing-wheel scheduler gates (DESIGN.md "Scheduler").
 //
-// Two layers of coverage:
-//   * sim::TimerWheel in isolation — the determinism contract (fire order is
-//     exactly (at, seq), matching the reference min-heap) across the cases
-//     where a wheel could plausibly diverge: same-instant FIFO straddling
-//     cascade boundaries, far-future events beyond the top level, cancels
-//     discovered after a cascade moved the node, inserts behind the wheel
-//     cursor (the late heap), and randomized wheel-vs-heap equivalence.
-//   * full stack — SimulatorConfig::wheel_scheduler toggled under the drive
-//     sweep (1 and 8 threads), the fleet harness, and the sharded world at
-//     K in {1, 2, 4, 8}: every digest must be bit-identical between heap and
-//     wheel, which is what lets the wheel be the default scheduler without
-//     re-baselining a single gate.
+// The determinism contract is that events fire in exactly (at, seq) order,
+// the order an (at, seq) min-heap produces. It is checked on sim::TimerWheel
+// in isolation across the cases where a wheel could plausibly diverge:
+// same-instant FIFO straddling cascade boundaries, far-future events beyond
+// the top level, cancels discovered after a cascade moved the node, inserts
+// behind the wheel cursor (the late heap). A randomized schedule/cancel/run
+// script then drives the Simulator against an in-test min-heap oracle and
+// compares the fire order event by event.
 //
 // The warm-path allocation guarantee (schedule/fire/cancel touch no heap once
 // the node pool has grown) is proven under core::ScopedAllocGuard.
@@ -19,32 +15,22 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <random>
-#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/alloc_guard.h"
-#include "core/configs.h"
-#include "core/experiment.h"
-#include "core/fleet.h"
-#include "core/shard_scenarios.h"
-#include "core/sweep.h"
-#include "mobility/deployment.h"
-#include "mobility/route.h"
-#include "net/addr.h"
-#include "sim/random.h"
-#include "phy/shard_world.h"
 #include "sim/simulator.h"
-#include "sim/thread_pool.h"
 #include "sim/timer_wheel.h"
 
 namespace spider {
 namespace {
 
 using sim::Simulator;
-using sim::SimulatorConfig;
 using sim::Time;
 using sim::TimerWheel;
 
@@ -123,7 +109,7 @@ TEST(TimerWheel, NextDueRespectsLimitWithoutPopping) {
   EXPECT_TRUE(w.empty());
 }
 
-// ---- Simulator-level behavior (cancel, late inserts, equivalence) -----------
+// ---- Simulator-level behavior (cancel, late inserts, heap oracle) ----------
 
 TEST(TimerWheelSim, CancelAfterCascadeIsHonored) {
   // The timer sits two levels up at schedule time; running the clock close
@@ -171,66 +157,90 @@ TEST(TimerWheelSim, ScheduleBehindWheelCursorAfterCancelledRun) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(TimerWheelSim, RandomizedChurnMatchesHeapReference) {
-  // The same seeded schedule/cancel/advance script executed on a wheel
-  // simulator and a heap simulator must fold the identical event sequence
-  // into the digest and execute the same count.
-  auto run_script = [](bool wheel) {
-    Simulator sim(SimulatorConfig{.wheel_scheduler = wheel});
-    std::mt19937_64 rng(0xC0FFEEu);
-    std::vector<sim::TimerHandle> handles;
-    handles.reserve(4096);
-    std::uint64_t work = 0;
-    for (int step = 0; step < 2000; ++step) {
-      const auto roll = rng() % 100;
-      if (roll < 55) {
-        // Mixed horizons: mostly near, some mid, a few far enough to climb
-        // several levels, a trickle beyond the top-level span.
-        const auto bucket = rng() % 100;
-        std::int64_t delay;
-        if (bucket < 70) {
-          delay = static_cast<std::int64_t>(rng() % 512);
-        } else if (bucket < 90) {
-          delay = static_cast<std::int64_t>(rng() % (1 << 20));
-        } else if (bucket < 99) {
-          delay = static_cast<std::int64_t>(rng() % (1ll << 34));
-        } else {
-          delay = (1ll << 48) + static_cast<std::int64_t>(rng() % 1024);
-        }
-        handles.push_back(sim.schedule_after(Time::micros(delay),
-                                             [&work] { ++work; }));
-      } else if (roll < 75 && !handles.empty()) {
-        handles[rng() % handles.size()].cancel();
+// Brute-force reference scheduler for the randomized script below: a
+// std::priority_queue on (at, seq) with a cancelled flag per event, drained
+// with the Simulator's run_until semantics (cancelled events are discarded
+// when they come due; the clock ends at the limit).
+class HeapOracle {
+ public:
+  std::size_t schedule(std::int64_t at_us) {
+    queue_.emplace(at_us, next_seq_++, cancelled_.size());
+    cancelled_.push_back(false);
+    return cancelled_.size() - 1;
+  }
+  void cancel(std::size_t id) { cancelled_[id] = true; }
+  void run_until(std::int64_t limit_us, std::vector<std::size_t>& fired) {
+    while (!queue_.empty() && std::get<0>(queue_.top()) <= limit_us) {
+      const std::size_t id = std::get<2>(queue_.top());
+      queue_.pop();
+      if (cancelled_[id]) {
+        ++discarded_;
       } else {
-        sim.run_for(Time::micros(static_cast<std::int64_t>(rng() % 4096)));
+        fired.push_back(id);
       }
     }
-    handles.clear();
-    sim.run_until(sim.now() + Time::micros(1ll << 36));
-    return std::pair<std::uint64_t, std::uint64_t>{sim.digest(),
-                                                   sim.events_executed()};
-  };
-  const auto wheel = run_script(true);
-  const auto heap = run_script(false);
-  EXPECT_EQ(wheel.first, heap.first) << "wheel and heap digests diverged";
-  EXPECT_EQ(wheel.second, heap.second);
-}
-
-TEST(TimerWheelSim, AdvanceToSkipsEmptyWindowsWithFarEventsPending) {
-  // The sharded-world barrier pattern: advance_to across windows that hold
-  // no work while later events are still pending. The wheel's next_due probe
-  // must agree there is nothing due without disturbing the pending set.
-  Simulator sim;
-  int fired = 0;
-  sim.post_at(Time::micros(1000000), [&] { ++fired; });
-  for (int window = 1; window <= 1000; ++window) {
-    sim.run_until(Time::micros(window * 229 - 1));
-    sim.advance_to(Time::micros(window * 229));
+    now_us_ = limit_us;
   }
-  EXPECT_EQ(fired, 0);
-  sim.run_all();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.now(), Time::micros(1000000));
+  std::int64_t now_us() const { return now_us_; }
+  std::uint64_t discarded() const { return discarded_; }
+
+ private:
+  using Entry = std::tuple<std::int64_t, std::uint64_t, std::size_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
+  std::vector<bool> cancelled_;
+  std::uint64_t next_seq_ = 0;
+  std::int64_t now_us_ = 0;
+  std::uint64_t discarded_ = 0;
+};
+
+TEST(TimerWheelSim, RandomizedChurnMatchesHeapReference) {
+  // The same seeded schedule/cancel/advance script executed on the wheel
+  // simulator and on the heap oracle must fire the identical event sequence
+  // and discard the same cancelled events.
+  Simulator sim;
+  HeapOracle oracle;
+  std::vector<std::size_t> fired;
+  std::vector<std::size_t> expected;
+  std::mt19937_64 rng(0xC0FFEEu);
+  std::vector<sim::TimerHandle> handles;
+  handles.reserve(4096);
+  for (int step = 0; step < 2000; ++step) {
+    const auto roll = rng() % 100;
+    if (roll < 55) {
+      // Mixed horizons: mostly near, some mid, a few far enough to climb
+      // several levels, a trickle beyond the top-level span.
+      const auto bucket = rng() % 100;
+      std::int64_t delay;
+      if (bucket < 70) {
+        delay = static_cast<std::int64_t>(rng() % 512);
+      } else if (bucket < 90) {
+        delay = static_cast<std::int64_t>(rng() % (1 << 20));
+      } else if (bucket < 99) {
+        delay = static_cast<std::int64_t>(rng() % (1ll << 34));
+      } else {
+        delay = (1ll << 48) + static_cast<std::int64_t>(rng() % 1024);
+      }
+      const std::size_t id = oracle.schedule(oracle.now_us() + delay);
+      ASSERT_EQ(id, handles.size());
+      handles.push_back(sim.schedule_after(
+          Time::micros(delay), [&fired, id] { fired.push_back(id); }));
+    } else if (roll < 75 && !handles.empty()) {
+      const std::size_t id = rng() % handles.size();
+      handles[id].cancel();
+      oracle.cancel(id);
+    } else {
+      const auto advance = static_cast<std::int64_t>(rng() % 4096);
+      sim.run_for(Time::micros(advance));
+      oracle.run_until(oracle.now_us() + advance, expected);
+    }
+  }
+  sim.run_until(sim.now() + Time::micros(1ll << 36));
+  oracle.run_until(oracle.now_us() + (1ll << 36), expected);
+  EXPECT_EQ(sim.now(), Time::micros(oracle.now_us()));
+  EXPECT_EQ(fired, expected) << "wheel fire order diverged from (at, seq)";
+  EXPECT_EQ(sim.events_executed(), expected.size());
+  EXPECT_EQ(sim.events_cancelled(), oracle.discarded());
+  EXPECT_GT(oracle.discarded(), 0u);
 }
 
 TEST(TimerWheelSim, WarmScheduleFireCancelIsAllocationFree) {
@@ -260,116 +270,6 @@ TEST(TimerWheelSim, WarmScheduleFireCancelIsAllocationFree) {
     }
   }
   EXPECT_EQ(sink, 128u + 16u * 128u);
-}
-
-// ---- Full-stack digest gates: heap vs wheel ---------------------------------
-
-// Compact drive scenario (same shape as tests/sweep_test.cc) with the
-// scheduler choice threaded through.
-core::ExperimentConfig drive_scenario(std::uint64_t seed, bool wheel) {
-  core::ExperimentConfig cfg;
-  cfg.seed = seed;
-  cfg.scheduler.wheel_scheduler = wheel;
-  cfg.duration = Time::seconds(20);
-  cfg.medium.base_loss = 0.1;
-  cfg.vehicle = mobility::Vehicle(mobility::Route::straight(300.0), 12.0);
-  cfg.spider = core::single_channel_multi_ap(1);
-
-  mobility::ApDescriptor ap;
-  ap.ssid = "wheel-ap";
-  ap.mac = net::MacAddress::from_index(0xB0);
-  ap.subnet = net::Ipv4Address{(10u << 24) | (0xB0u << 8)};
-  ap.position = {90, 12};
-  ap.channel = 1;
-  ap.backhaul_bps = 2e6;
-  mobility::ApDescriptor ap2 = ap;
-  ap2.ssid = "wheel-ap2";
-  ap2.mac = net::MacAddress::from_index(0xB1);
-  ap2.subnet = net::Ipv4Address{(10u << 24) | (0xB1u << 8)};
-  ap2.position = {210, -8};
-  cfg.aps = {ap, ap2};
-  return cfg;
-}
-
-TEST(TimerWheelFullStack, DriveSweepDigestsMatchHeapAtOneAndEightThreads) {
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(6);
-  for (std::uint64_t s = 1; s <= 6; ++s) seeds.push_back(s * 53 + 11);
-
-  const auto heap_cfg = [](std::uint64_t seed) {
-    return drive_scenario(seed, /*wheel=*/false);
-  };
-  const auto wheel_cfg = [](std::uint64_t seed) {
-    return drive_scenario(seed, /*wheel=*/true);
-  };
-  const core::SweepReport heap = core::run_seed_sweep(seeds, heap_cfg, 1);
-  for (const unsigned threads : {1u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const core::SweepReport wheel =
-        core::run_seed_sweep(seeds, wheel_cfg, threads);
-    ASSERT_EQ(wheel.runs.size(), seeds.size());
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      SCOPED_TRACE("replication " + std::to_string(i));
-      EXPECT_EQ(wheel.runs[i].digest, heap.runs[i].digest)
-          << "wheel scheduler changed what the drive did";
-      EXPECT_EQ(wheel.runs[i].events_executed, heap.runs[i].events_executed);
-    }
-    EXPECT_EQ(wheel.combined_digest(), heap.combined_digest());
-  }
-}
-
-TEST(TimerWheelFullStack, FleetDigestMatchesHeap) {
-  std::uint64_t digests[2] = {0, 0};
-  double throughput[2] = {0.0, 0.0};
-  for (int wheel = 0; wheel < 2; ++wheel) {
-    core::FleetConfig cfg;
-    cfg.seed = 17;
-    cfg.scheduler.wheel_scheduler = wheel == 1;
-    cfg.clients = 4;
-    cfg.duration = Time::seconds(30);
-    sim::Rng rng(cfg.seed);
-    auto deploy_rng = rng.fork("deploy");
-    cfg.aps = mobility::area_deployment(700, 500, 10, deploy_rng);
-    core::FleetExperiment fleet(std::move(cfg));
-    const core::FleetResults r = fleet.run();
-    digests[wheel] = fleet.simulator().digest();
-    throughput[wheel] = r.aggregate_throughput_kBps();
-  }
-  EXPECT_EQ(digests[1], digests[0])
-      << "wheel scheduler changed what the fleet did";
-  EXPECT_EQ(throughput[1], throughput[0]);
-}
-
-TEST(TimerWheelFullStack, ShardedWorldDigestsMatchHeapAcrossShardCounts) {
-  // Both canonical sharded scenarios, heap vs wheel, K in {1, 2, 4, 8}. The
-  // wheel runs inside every shard simulator, under the bounded-horizon
-  // window barriers — the regime the class comment calls out.
-  struct Case {
-    const char* name;
-    phy::ShardScenario scenario;
-  };
-  std::vector<Case> cases;
-  cases.reserve(2);
-  cases.push_back({"scale", core::make_scale_shard_scenario(
-                                600, 19, Time::millis(80))});
-  cases.push_back({"fleet", core::make_fleet_shard_scenario(
-                                40, 8, 23, Time::millis(100))});
-  for (Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    c.scenario.wheel_scheduler = false;
-    phy::ShardedWorld heap_world(c.scenario, 1, nullptr);
-    heap_world.run();
-    const std::uint64_t heap_digest = heap_world.digest();
-
-    c.scenario.wheel_scheduler = true;
-    for (const unsigned shards : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
-      phy::ShardedWorld wheel_world(c.scenario, shards, nullptr);
-      wheel_world.run();
-      EXPECT_EQ(wheel_world.digest(), heap_digest)
-          << "wheel scheduler changed what the sharded world did";
-    }
-  }
 }
 
 }  // namespace

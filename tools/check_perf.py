@@ -9,11 +9,10 @@ measurements must reach floor minus a 5% tolerance. A leaf whose name starts
 with "max_" is a ceiling instead: it gates the measurement key without the
 prefix (e.g. baseline "max_bytes_per_radio" gates measured "bytes_per_radio")
 and the measurements must stay at or under it plus the same tolerance. Most
-gated metrics are ratios of two throughputs measured in the same binary on
-the same machine (event-queue speedup, PHY indexed-vs-scan speedup), so they
-are hardware-normalized; several measurement files may be passed and the
-gate takes the best value per metric (highest for floors, lowest for
-ceilings), since CI runners are noisy.
+gated metrics are absolute throughputs, floored far below a quiet box so
+they catch collapses rather than jitter; several measurement files may be
+passed and the gate takes the best value per metric (highest for floors,
+lowest for ceilings), since CI runners are noisy.
 
 Exits 0 when every metric clears its bar, 1 otherwise.
 """

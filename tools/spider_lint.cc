@@ -1,14 +1,13 @@
 // spider-lint — determinism & hot-path allocation linter for the spider tree.
 //
 // The simulator's headline guarantee is a run digest that depends only on
-// (seed, config): independent of container internals, pointer values, wall
-// clocks, and — once the memory-layout work lands — of shard count. Generic
-// clang-tidy cannot express the project-specific rules that protect that
-// guarantee, so this tool does, lexically: comments, string literals, and
-// preprocessor lines are stripped, then a small registry of rules scans the
-// remaining code. It is deliberately not a compiler; a rule that cannot be
-// decided lexically errs on the side of flagging, and the suppression
-// grammar (reason mandatory) is the escape hatch.
+// (seed, config): independent of container internals, pointer values and
+// wall clocks. Generic clang-tidy cannot express the project-specific rules
+// that protect that guarantee, so this tool does, lexically: comments, string
+// literals, and preprocessor lines are stripped, then a small registry of
+// rules scans the remaining code. It is deliberately not a compiler; a rule
+// that cannot be decided lexically errs on the side of flagging, and the
+// suppression grammar (reason mandatory) is the escape hatch.
 //
 // Usage:
 //   spider-lint [--json] [--list-rules] <path>...   # dirs recurse over .h/.cc
@@ -27,12 +26,6 @@
 //   det-pointer-order        std::hash<T*>, std::less<T*>, address
 //                            comparisons, comparators ordering raw pointer
 //                            values — addresses differ run to run.
-//   det-unsorted-mailbox     range-for over a cross-shard message container
-//                            (an identifier containing "inbox"/"mailbox")
-//                            in a file that never sorts it — arrival order
-//                            is producer-dependent even in a plain vector,
-//                            so the coordinator must sort by a stable key
-//                            (time, tx key) before applying.
 //   hot-path-alloc           inside a function marked SPIDER_HOT: `new`,
 //                            make_shared/make_unique, std::function,
 //                            container growth (push_back/emplace_back/
@@ -95,12 +88,6 @@ constexpr RuleInfo kRules[] = {
     {"det-pointer-order",
      "ordering derived from pointer values (addresses differ run to run)",
      "order by a stable id (attach id, bssid, name) instead of the pointer"},
-    {"det-unsorted-mailbox",
-     "cross-shard mailbox applied without a stable sort (arrival order is "
-     "producer-dependent)",
-     "sort the mailbox by a stable key — (time, tx key) in the sharded-world "
-     "coordinator — before the apply loop, or suppress with a reason proving "
-     "the order cannot escape"},
     {"hot-path-alloc",
      "allocation idiom inside a SPIDER_HOT function",
      "hot paths allocate nothing in steady state: reserve() the container "
@@ -519,100 +506,6 @@ void check_unordered_iteration(const SourceFile& f,
 }
 
 // ---------------------------------------------------------------------------
-// Rule: det-unsorted-mailbox.
-//
-// The sharded-world coordinator collects cross-shard messages from
-// concurrently-filled per-shard outboxes, so a mailbox's arrival order is
-// producer-dependent even though the container is an ordinary vector —
-// invisible to det-unordered-iteration. Applying without first sorting by a
-// stable key is a determinism bug. Lexical contract: any file that
-// range-fors an identifier containing "inbox" or "mailbox" must also pass
-// that identifier to a sort call somewhere in the same file.
-
-bool mailbox_name(const std::string& name) {
-  std::string lower;
-  lower.reserve(name.size());
-  for (const char c : name) {
-    lower.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  return lower.find("inbox") != std::string::npos ||
-         lower.find("mailbox") != std::string::npos;
-}
-
-void check_unsorted_mailbox(const SourceFile& f,
-                            std::vector<Finding>& findings) {
-  const std::string& text = f.flat;
-  // Every identifier appearing inside a sort(...) / stable_sort(...)
-  // argument list counts as sorted-in-this-file.
-  std::set<std::string> sorted_names;
-  for (const std::string_view sorter : {"sort", "stable_sort"}) {
-    for (std::size_t pos : token_positions(text, sorter)) {
-      const std::size_t open = skip_ws(text, pos + sorter.size());
-      if (open >= text.size() || text[open] != '(') continue;
-      const std::size_t close = match_parens(text, open);
-      if (close == std::string::npos) continue;
-      const std::string inside = text.substr(open + 1, close - open - 2);
-      for (std::size_t i = 0; i < inside.size();) {
-        if (!ident_char(inside[i])) {
-          ++i;
-          continue;
-        }
-        std::size_t b = i;
-        while (i < inside.size() && ident_char(inside[i])) ++i;
-        sorted_names.insert(inside.substr(b, i - b));
-      }
-    }
-  }
-  // Range-for whose range expression names an unsorted mailbox identifier.
-  for (std::size_t pos : token_positions(text, "for")) {
-    const std::size_t open = skip_ws(text, pos + 3);
-    if (open >= text.size() || text[open] != '(') continue;
-    const std::size_t close = match_parens(text, open);
-    if (close == std::string::npos) continue;
-    const std::string inside = text.substr(open + 1, close - open - 2);
-    std::size_t colon = std::string::npos;
-    int depth = 0;
-    for (std::size_t i = 0; i < inside.size(); ++i) {
-      const char c = inside[i];
-      if (c == '(' || c == '[' || c == '<' || c == '{') ++depth;
-      if (c == ')' || c == ']' || c == '>' || c == '}') --depth;
-      if (c == ';') {
-        colon = std::string::npos;
-        break;  // classic for loop
-      }
-      if (c == ':' && depth == 0) {
-        if ((i > 0 && inside[i - 1] == ':') ||
-            (i + 1 < inside.size() && inside[i + 1] == ':')) {
-          continue;
-        }
-        colon = i;
-        break;
-      }
-    }
-    if (colon == std::string::npos) continue;
-    const std::string range = inside.substr(colon + 1);
-    for (std::size_t i = 0; i < range.size();) {
-      if (!ident_char(range[i])) {
-        ++i;
-        continue;
-      }
-      std::size_t b = i;
-      while (i < range.size() && ident_char(range[i])) ++i;
-      const std::string name = range.substr(b, i - b);
-      if (mailbox_name(name) && sorted_names.count(name) == 0) {
-        findings.push_back(
-            {f.path, line_of(f, pos), "det-unsorted-mailbox",
-             "mailbox '" + name +
-                 "' applied without a stable sort in this file — cross-shard "
-                 "arrival order is producer-dependent"});
-        break;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Rule: det-banned-sources.
 
 void check_banned_sources(const SourceFile& f,
@@ -983,7 +876,6 @@ int main(int argc, char** argv) {
   // Pass 2: rules.
   for (const SourceFile& f : files) {
     check_unordered_iteration(f, table, findings);
-    check_unsorted_mailbox(f, findings);
     check_banned_sources(f, findings);
     check_pointer_order(f, findings);
     check_hot_path_alloc(f, findings);
