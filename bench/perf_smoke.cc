@@ -135,7 +135,6 @@ class TracedSimulator : public sim::Simulator {
   TracedSimulator() { telemetry().trace().set_enabled(true); }
 };
 
-#if SPIDER_TELEMETRY
 // Same engine with a live StreamSession attached (DESIGN.md "Live telemetry
 // plane"): the cadence hook in Simulator::drain fires a metrics publish at
 // every 100 us sim-time boundary, records cross the SPSC ring, and the
@@ -182,7 +181,6 @@ class StreamingSimulator : public sim::Simulator {
   // lifetime contract.
   telemetry::StreamSession session_;
 };
-#endif  // SPIDER_TELEMETRY
 
 core::ExperimentConfig sweep_config(std::uint64_t seed) {
   auto cfg = bench::amherst_drive(seed, sim::Time::seconds(120));
@@ -507,9 +505,9 @@ int main(int argc, char** argv) {
     const double traced =
         churn_events_per_sec<TracedSimulator>(kWaves, kPerWave, &sink);
     std::printf("event queue:  %.3g events/s\n", plain);
-    std::printf("telemetry:    compiled %s; %.3g events/s with the trace\n"
-                "              recorder armed (%.2fx of tracing-off)\n",
-                SPIDER_TELEMETRY ? "in" : "out", traced, traced / plain);
+    std::printf("telemetry:    %.3g events/s with the trace recorder armed\n"
+                "              (%.2fx of tracing-off)\n",
+                traced, traced / plain);
 
     // Cancellation churn: schedule-then-cancel, the join replays' dominant
     // pattern.
@@ -520,7 +518,6 @@ int main(int argc, char** argv) {
     event_queue.add("events", static_cast<std::uint64_t>(kWaves) * kPerWave)
         .add("events_per_sec", plain)
         .add("cancel_churn_per_sec", cancel)
-        .add("telemetry_compiled", SPIDER_TELEMETRY != 0)
         .add("tracing_on_events_per_sec", traced)
         .add("tracing_on_ratio", traced / plain);
   }
@@ -533,16 +530,11 @@ int main(int argc, char** argv) {
   bench::JsonWriter stream_json;
   if (section_on("stream")) {
     measure_plain();
-    double streaming = plain;
-    std::uint64_t stream_lines = 0;
-    std::uint64_t stream_dropped = 0;
-#if SPIDER_TELEMETRY
     churn_events_per_sec<StreamingSimulator>(10, kPerWave, &sink);  // warm
-    streaming =
+    const double streaming =
         churn_events_per_sec<StreamingSimulator>(kWaves, kPerWave, &sink);
-    stream_lines = smoke_stream_exporter().lines_written();
-    stream_dropped = smoke_stream_exporter().ring_dropped();
-#endif
+    const std::uint64_t stream_lines = smoke_stream_exporter().lines_written();
+    const std::uint64_t stream_dropped = smoke_stream_exporter().ring_dropped();
     const double stream_ratio = streaming / plain;
     std::printf(
         "stream:       %.3g events/s with a live 100us-cadence stream\n"

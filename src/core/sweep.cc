@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
-#include <memory>
 #include <utility>
 
 #include "core/check.h"
@@ -82,28 +81,11 @@ SweepRunner::SweepRunner(unsigned threads)
 
 SweepReport SweepRunner::run(std::size_t replications,
                              const ConfigFactory& make_config) const {
-  // Never spin up more workers than there are replications.
-  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-      threads_, std::max<std::size_t>(replications, 1)));
-  return run_impl(replications, make_config, nullptr, workers);
-}
-
-SweepReport SweepRunner::run_on(sim::ThreadPool& pool,
-                                std::size_t replications,
-                                const ConfigFactory& make_config) const {
-  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-      std::max(pool.thread_count(), 1u),
-      std::max<std::size_t>(replications, 1)));
-  return run_impl(replications, make_config, &pool, workers);
-}
-
-SweepReport SweepRunner::run_impl(std::size_t replications,
-                                  const ConfigFactory& make_config,
-                                  sim::ThreadPool* pool,
-                                  unsigned workers) const {
   SPIDER_CHECK(static_cast<bool>(make_config)) << "sweep without a factory";
   SweepReport report;
-  report.threads = workers;
+  // Never spin up more workers than there are replications.
+  report.threads = static_cast<unsigned>(std::min<std::size_t>(
+      threads_, std::max<std::size_t>(replications, 1)));
   report.runs.resize(replications);
 
   // Configs are materialized serially so a stateful factory behaves exactly
@@ -125,17 +107,13 @@ SweepReport SweepRunner::run_impl(std::size_t replications,
       report.runs[i] = run_one(i, std::move(configs[i]));
     }
   } else {
-    // A private pool unless the caller lent one (run_on); either way each
-    // task owns its whole world, so pool provenance cannot affect results.
-    std::unique_ptr<sim::ThreadPool> owned;
-    if (pool == nullptr) {
-      owned = std::make_unique<sim::ThreadPool>(report.threads);
-      pool = owned.get();
-    }
+    // Each task owns its whole world, so worker scheduling cannot affect
+    // results.
+    sim::ThreadPool pool(report.threads);
     std::vector<std::future<void>> done;
     done.reserve(replications);
     for (std::size_t i = 0; i < replications; ++i) {
-      done.push_back(pool->submit(
+      done.push_back(pool.submit(
           [i, config = std::move(configs[i]), &report]() mutable {
             report.runs[i] = run_one(i, std::move(config));
           }));

@@ -24,10 +24,6 @@
 #include "core/experiment.h"
 #include "telemetry/metrics.h"
 
-namespace spider::sim {
-class ThreadPool;
-}  // namespace spider::sim
-
 namespace spider::core {
 
 // One replication's outcome plus the evidence that it is the same run a
@@ -38,8 +34,7 @@ struct SweepRunResult {
   ExperimentResults results;
   std::uint64_t digest = 0;    // Simulator::digest() after the run
   std::uint64_t events_executed = 0;
-  // Collected telemetry of this replication's world (empty when
-  // SPIDER_TELEMETRY is compiled out).
+  // Collected telemetry of this replication's world.
   telemetry::MetricsSnapshot telemetry;
   // Chrome trace JSON, filled only when the run's config enabled tracing.
   std::string trace_json;
@@ -83,18 +78,7 @@ class SweepRunner {
   SweepReport run(std::size_t replications,
                   const ConfigFactory& make_config) const;
 
-  // Same sweep, but on a caller-owned pool, so a caller running several
-  // sweeps can share one set of workers. Results are identical to run() —
-  // tasks are the same, only the pool's provenance differs. Uses at most
-  // pool.thread_count() workers (reported in SweepReport::threads).
-  SweepReport run_on(sim::ThreadPool& pool, std::size_t replications,
-                     const ConfigFactory& make_config) const;
-
  private:
-  SweepReport run_impl(std::size_t replications,
-                       const ConfigFactory& make_config,
-                       sim::ThreadPool* pool, unsigned workers) const;
-
   unsigned threads_;
 };
 

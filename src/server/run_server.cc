@@ -8,8 +8,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "core/check.h"
@@ -83,6 +84,39 @@ bool send_all(int fd, std::string_view text) {
     n -= static_cast<std::size_t>(w);
   }
   return true;
+}
+
+// Converts a submitted number to T. Fails, leaving `out` alone, when the
+// number is not finite or T cannot hold it: casting such a double is
+// undefined behaviour.
+template <typename T>
+bool to_integral(double v, T& out) {
+  if (!std::isfinite(v) ||
+      v < static_cast<double>(std::numeric_limits<T>::min()) ||
+      v >= static_cast<double>(std::numeric_limits<T>::max()) + 1.0) {
+    return false;
+  }
+  out = static_cast<T>(v);
+  return true;
+}
+
+// Reads the numeric fields of a "submit" request. Fails on any value the
+// run cannot take: out of range for its type, or not positive.
+bool read_submission(const telemetry::JsonValue& request, RunSubmission& out) {
+  std::int64_t duration_ms = 0;
+  if (!to_integral(request.number_or("seed", 1), out.seed) ||
+      !to_integral(request.number_or("duration_s", 30.0) * 1e3, duration_ms) ||
+      !to_integral(request.number_or("aps", 12), out.aps) ||
+      !to_integral(request.number_or("clients", 4), out.clients)) {
+    return false;
+  }
+  // sim::Time::millis multiplies by 1000; keep that in range too.
+  if (duration_ms <= 0 ||
+      duration_ms > std::numeric_limits<std::int64_t>::max() / 1000) {
+    return false;
+  }
+  out.duration = sim::Time::millis(duration_ms);
+  return out.aps >= 1 && out.clients >= 1;
 }
 
 std::string error_line(std::string_view message) {
@@ -234,33 +268,28 @@ void RunServer::runner_loop() {
 
 void RunServer::execute(const RunSubmission& submission,
                         std::uint32_t run_tag) {
+  // Both scenarios share the world's trace and stream fields.
+  const auto attach = [&](core::WorldConfig& cfg) {
+    cfg.trace_enabled = config_.trace_runs;
+    cfg.stream = &exporter_;
+    cfg.stream_run_tag = run_tag;
+    cfg.stream_cadence = config_.stream_cadence;
+  };
   try {
     if (submission.scenario == "fleet") {
       core::FleetConfig cfg = fleet_scenario(submission.seed,
                                              submission.duration,
                                              submission.clients,
                                              submission.aps);
-      cfg.stream = &exporter_;
-      cfg.stream_run_tag = run_tag;
-      cfg.stream_cadence = config_.stream_cadence;
-      cfg.stream_ring_capacity = config_.ring_capacity;
-      core::FleetExperiment experiment(std::move(cfg));
-      if (config_.trace_runs) {
-        experiment.simulator().telemetry().trace().set_enabled(true);
-      }
-      experiment.run();
+      attach(cfg);
+      core::FleetExperiment(std::move(cfg)).run();
       return;
     }
     core::ExperimentConfig cfg = drive_scenario(submission.seed,
                                                 submission.duration,
                                                 submission.aps);
-    cfg.trace_enabled = config_.trace_runs;
-    cfg.stream = &exporter_;
-    cfg.stream_run_tag = run_tag;
-    cfg.stream_cadence = config_.stream_cadence;
-    cfg.stream_ring_capacity = config_.ring_capacity;
-    core::Experiment experiment(std::move(cfg));
-    experiment.run();
+    attach(cfg);
+    core::Experiment(std::move(cfg)).run();
   } catch (const std::exception&) {
     // A failed run must not take the server down; the aborted state stays
     // visible in the snapshot (run attached but never finished).
@@ -361,18 +390,11 @@ void RunServer::handle_client(int fd) {
     if (cmd == "submit") {
       RunSubmission submission;
       submission.scenario = request.string_or("scenario", "drive");
-      submission.seed =
-          static_cast<std::uint64_t>(request.number_or("seed", 1));
-      submission.duration = sim::Time::millis(static_cast<std::int64_t>(
-          request.number_or("duration_s", 30.0) * 1e3));
-      submission.aps = static_cast<int>(request.number_or("aps", 12));
-      submission.clients = static_cast<int>(request.number_or("clients", 4));
       if (submission.scenario != "drive" && submission.scenario != "fleet") {
         if (!send_all(fd, error_line("unknown scenario"))) break;
         continue;
       }
-      if (submission.duration <= sim::Time::zero() || submission.aps < 1 ||
-          submission.clients < 1) {
+      if (!read_submission(request, submission)) {
         if (!send_all(fd, error_line("bad submission parameters"))) break;
         continue;
       }

@@ -49,7 +49,6 @@ struct RunServerConfig {
   std::string socket_path;  // AF_UNIX path; bound on start(), unlinked first
   std::string stream_file;  // optional JSONL mirror of every streamed line
   sim::Time stream_cadence = sim::Time::millis(100);
-  std::size_t ring_capacity = 1 << 15;
   bool trace_runs = true;  // enable the trace recorder on hosted runs
 };
 

@@ -5,27 +5,18 @@
 namespace spider::telemetry {
 
 void Hub::set_stream(StreamPublisher* stream, std::int64_t cadence_us) {
-#if SPIDER_TELEMETRY
   stream_ = stream;
   stream_cadence_us_ = cadence_us > 0 ? cadence_us : 1;
   stream_next_us_ = 0;
   trace_.set_stream(stream);
-#else
-  (void)stream;
-  (void)cadence_us;
-#endif
 }
 
 void Hub::publish_stream(std::int64_t ts_us) {
-#if SPIDER_TELEMETRY
   run_collectors();
   stream_->publish_metrics(ts_us, metrics_);
   // Next boundary strictly after ts_us, aligned to the cadence grid so the
   // publish times are a deterministic function of simulated time alone.
   stream_next_us_ = ts_us - ts_us % stream_cadence_us_ + stream_cadence_us_;
-#else
-  (void)ts_us;
-#endif
 }
 
 }  // namespace spider::telemetry

@@ -50,21 +50,15 @@ class Hub {
   // Runs every collector, then snapshots the registry. The standard export
   // path (SweepRunner calls this once per finished replication).
   MetricsSnapshot collect() {
-#if SPIDER_TELEMETRY
     run_collectors();
     return metrics_.snapshot();
-#else
-    return MetricsSnapshot{};
-#endif
   }
 
   // Folds every collector's plain members into the registry without
   // snapshotting (collectors are idempotent "copy current totals" writers,
   // so running them early never perturbs a later collect()).
   void run_collectors() {
-#if SPIDER_TELEMETRY
     for (auto& [id, fn] : collectors_) fn(metrics_);
-#endif
   }
 
   // Arms (or, with nullptr, disarms) the live-stream cadence hook: while
@@ -78,12 +72,8 @@ class Hub {
   // Hot-path hook, called from Simulator::drain at instant boundaries. One
   // compare when no stream is attached or the next boundary is ahead.
   SPIDER_HOT void maybe_publish_stream(std::int64_t ts_us) {
-#if SPIDER_TELEMETRY
     if (stream_ == nullptr || ts_us < stream_next_us_) return;
     publish_stream(ts_us);
-#else
-    (void)ts_us;
-#endif
   }
 
  private:

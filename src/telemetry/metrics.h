@@ -19,21 +19,14 @@
 //               power-of-two boundaries from 1e-6 up, so bucketing is
 //               bit-deterministic across platforms), plus count/sum/min/max.
 //
-// Compile-time switch: SPIDER_TELEMETRY (default 1). When 0, gauge and
-// histogram mutation, trace recording, and Hub::collect() compile to no-ops
-// — the types and export paths stay well-formed, exports are simply empty.
-// Counters stay live in both modes: they back the check-failure shim
-// (core/check.cc) and every genuinely hot path publishes plain members
-// through a collector instead of touching Counter at event rate. The runtime
-// knob for the expensive pillar (tracing) lives on TraceRecorder, not here.
+// Counters back the check-failure shim (core/check.cc); every genuinely hot
+// path publishes plain members through a collector instead of touching
+// Counter at event rate. The runtime knob for the expensive pillar (tracing)
+// lives on TraceRecorder, not here.
 //
 // This header is a dependency leaf (it may not use SPIDER_CHECK: check.cc
 // itself reports its failure counters through the process registry below).
 #pragma once
-
-#if !defined(SPIDER_TELEMETRY)
-#define SPIDER_TELEMETRY 1
-#endif
 
 #include <algorithm>
 #include <array>
@@ -61,22 +54,14 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) {
-#if SPIDER_TELEMETRY
     value_ = v;
     high_water_ = std::max(high_water_, v);
-#else
-    (void)v;
-#endif
   }
   void add(std::int64_t delta) { set(value_ + delta); }
   // Raises the high-water mark without touching the level — for collectors
   // that track peaks at event granularity but only publish at snapshot time.
   void record_peak(std::int64_t v) {
-#if SPIDER_TELEMETRY
     high_water_ = std::max(high_water_, v);
-#else
-    (void)v;
-#endif
   }
   void reset() { value_ = 0; high_water_ = 0; }
   std::int64_t value() const { return value_; }
@@ -105,15 +90,11 @@ class Histogram {
   static std::size_t bucket_index(double v);
 
   void add(double v) {
-#if SPIDER_TELEMETRY
     ++count_;
     sum_ += v;
     min_ = std::min(min_, v);
     max_ = std::max(max_, v);
     ++buckets_[bucket_index(v)];
-#else
-    (void)v;
-#endif
   }
 
   std::uint64_t count() const { return count_; }

@@ -631,11 +631,9 @@ std::string StreamExporter::snapshot_json() const {
 // StreamSession.
 
 StreamSession::StreamSession(StreamExporter& exporter, Hub& hub,
-                             std::uint32_t run_tag, std::int64_t cadence_us,
-                             std::size_t ring_capacity)
+                             std::uint32_t run_tag, std::int64_t cadence_us)
     : exporter_(exporter),
       hub_(hub),
-      ring_(ring_capacity),
       publisher_(ring_),
       cadence_us_(cadence_us) {
   exporter_.attach(&ring_, run_tag);

@@ -263,8 +263,7 @@ class StreamExporter {
 class StreamSession {
  public:
   StreamSession(StreamExporter& exporter, Hub& hub, std::uint32_t run_tag,
-                std::int64_t cadence_us,
-                std::size_t ring_capacity = SpscRing::kDefaultCapacity);
+                std::int64_t cadence_us);
   ~StreamSession();
 
   StreamSession(const StreamSession&) = delete;

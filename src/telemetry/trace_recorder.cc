@@ -86,7 +86,6 @@ void TraceRecorder::push(const TraceEvent& ev) {
 }
 
 void TraceRecorder::name_track(std::uint32_t track, const char* name) {
-#if SPIDER_TELEMETRY
   for (auto& [id, existing] : track_names_) {
     if (id == track) {
       existing = name;
@@ -94,10 +93,6 @@ void TraceRecorder::name_track(std::uint32_t track, const char* name) {
     }
   }
   track_names_.emplace_back(track, name);
-#else
-  (void)track;
-  (void)name;
-#endif
 }
 
 std::vector<TraceEvent> TraceRecorder::events_in_order() const {

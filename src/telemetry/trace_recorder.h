@@ -12,13 +12,10 @@
 //
 // Cost model: recording is OFF by default — every record call starts with an
 // inlined enabled() check, so the tracing-disabled hot path pays one
-// predictable branch (and nothing at all when SPIDER_TELEMETRY is compiled
-// out). Name/category/arg-name strings are required to be string literals
-// (they are stored as const char*, never copied); every call site in the
-// tree complies.
+// predictable branch. Name/category/arg-name strings are required to be
+// string literals (they are stored as const char*, never copied); every call
+// site in the tree complies.
 #pragma once
-
-#include "telemetry/metrics.h"  // for the SPIDER_TELEMETRY default
 
 #include <cstdint>
 #include <string>
@@ -45,11 +42,7 @@ class TraceRecorder {
 
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) {
-#if SPIDER_TELEMETRY
     enabled_ = on;
-#else
-    (void)on;
-#endif
   }
 
   // Ring budget in events. Shrinking drops the oldest entries.

@@ -2,6 +2,8 @@
 // selection, multi-client fleets, and striped uploads.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "core/configs.h"
 #include "core/experiment.h"
 #include "core/fleet.h"
@@ -235,6 +237,20 @@ TEST(Fleet, AggregateDoesNotScaleBeyondTheBottleneck) {
             1.3 * one.aggregate_throughput_kBps());
   EXPECT_LT(four.mean_client_throughput_kBps(),
             0.6 * one.mean_client_throughput_kBps());
+}
+
+TEST(Fleet, TraceEnabledRecordsJoinSpans) {
+  auto cfg = small_fleet(2);
+  cfg.trace_enabled = true;
+  FleetExperiment fleet(std::move(cfg));
+  fleet.run();
+  const auto& trace = fleet.simulator().telemetry().trace();
+  std::size_t joins = 0;
+  for (const telemetry::TraceEvent& ev : trace.events_in_order()) {
+    if (ev.phase == 'X' && std::string_view(ev.name) == "join") ++joins;
+  }
+  // Both clients join the shared AP at least once, so at least two spans.
+  EXPECT_GE(joins, 2u);
 }
 
 // --- uploads --------------------------------------------------------------------

@@ -14,7 +14,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
 
 #include "telemetry/json.h"
 #include "telemetry/run_report.h"
@@ -89,32 +93,72 @@ class Client {
   std::string buffer_;
 };
 
-TEST(RunServer, DirectSubmitRunsToCompletion) {
-  RunServerConfig config;
-  config.socket_path = test_socket_path("direct");
-  config.stream_cadence = sim::Time::millis(10);
-  RunServer server(config);
-  ASSERT_TRUE(server.start());
-
-  const std::uint32_t tag = server.submit(short_drive(7));
-  server.submit(short_drive(9));
-  server.wait_idle();
-  EXPECT_EQ(server.runs_submitted(), 2u);
-  EXPECT_EQ(server.runs_completed(), 2u);
-  EXPECT_EQ(server.runs_failed(), 0u);
-
-  telemetry::JsonValue snap;
-  ASSERT_TRUE(telemetry::parse_json(server.exporter().snapshot_json(), snap));
-  const telemetry::JsonValue* runs = snap.find("runs");
-  ASSERT_NE(runs, nullptr);
-  ASSERT_EQ(runs->array.size(), 2u);
-  EXPECT_EQ(static_cast<std::uint32_t>(runs->array[0].number_or("run", 99)),
-            tag);
-  for (const telemetry::JsonValue& run : runs->array) {
-    EXPECT_EQ(run.string_or("state", ""), "finished");
-    EXPECT_GT(run.number_or("events", 0), 0.0);
+// Counts streamed trace lines (spans, instants, counter samples) per run.
+class TraceLineCounter : public telemetry::StreamSink {
+ public:
+  bool write_line(std::string_view line) override {
+    telemetry::JsonValue v;
+    if (!telemetry::parse_json(line, v)) return true;
+    const std::string kind = v.string_or("kind", "");
+    if (kind == "span" || kind == "instant" || kind == "counter_sample") {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++lines_[static_cast<std::uint32_t>(v.number_or("run", 0))];
+    }
+    return true;
   }
-  server.stop();
+  std::size_t lines(std::uint32_t run) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return lines_[run];
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::uint32_t, std::size_t> lines_;
+};
+
+TEST(RunServer, DirectSubmitRunsToCompletion) {
+  // trace_runs switches the trace recorder of drive and fleet runs alike.
+  for (const bool trace_runs : {true, false}) {
+    RunServerConfig config;
+    config.socket_path = test_socket_path("direct");
+    config.stream_cadence = sim::Time::millis(10);
+    config.trace_runs = trace_runs;
+    RunServer server(config);
+    auto trace_lines = std::make_shared<TraceLineCounter>();
+    server.exporter().add_sink(trace_lines);
+    ASSERT_TRUE(server.start());
+
+    const std::uint32_t tag = server.submit(short_drive(7));
+    RunSubmission fleet = short_drive(9);
+    fleet.scenario = "fleet";
+    fleet.clients = 2;
+    const std::uint32_t fleet_tag = server.submit(fleet);
+    server.wait_idle();
+    EXPECT_EQ(server.runs_submitted(), 2u);
+    EXPECT_EQ(server.runs_completed(), 2u);
+    EXPECT_EQ(server.runs_failed(), 0u);
+
+    telemetry::JsonValue snap;
+    ASSERT_TRUE(
+        telemetry::parse_json(server.exporter().snapshot_json(), snap));
+    const telemetry::JsonValue* runs = snap.find("runs");
+    ASSERT_NE(runs, nullptr);
+    ASSERT_EQ(runs->array.size(), 2u);
+    EXPECT_EQ(static_cast<std::uint32_t>(runs->array[0].number_or("run", 99)),
+              tag);
+    for (const telemetry::JsonValue& run : runs->array) {
+      EXPECT_EQ(run.string_or("state", ""), "finished");
+      EXPECT_GT(run.number_or("events", 0), 0.0);
+    }
+    server.stop();
+    for (const std::uint32_t run : {tag, fleet_tag}) {
+      if (trace_runs) {
+        EXPECT_GT(trace_lines->lines(run), 0u) << "run " << run;
+      } else {
+        EXPECT_EQ(trace_lines->lines(run), 0u) << "run " << run;
+      }
+    }
+  }
 }
 
 TEST(RunServer, HostedScenariosAreDeterministic) {
@@ -206,6 +250,43 @@ TEST(RunServer, SocketProtocolPingSubmitFollowShutdown) {
   server.stop();
   EXPECT_EQ(server.runs_completed(), 1u);
   EXPECT_EQ(server.runs_failed(), 0u);
+}
+
+TEST(RunServer, HostileSubmitValuesAreRejectedAndServerStaysUp) {
+  RunServerConfig config;
+  config.socket_path = test_socket_path("hostile");
+  RunServer server(config);
+  ASSERT_TRUE(server.start());
+  // Each field takes values its integer type cannot hold (casting them is
+  // undefined behaviour), non-finite ones (1e400 reads as infinity) and
+  // durations whose microsecond count would overflow.
+  const char* const hostile[] = {
+      "\"seed\":1e300",        "\"seed\":-1",
+      "\"seed\":1.9e19",       "\"seed\":1e400",
+      "\"duration_s\":1e300",  "\"duration_s\":-1e400",
+      "\"duration_s\":1e17",   "\"duration_s\":-1",
+      "\"aps\":1e300",         "\"aps\":3e9",
+      "\"aps\":-1e10",         "\"aps\":1e400",
+      "\"clients\":1e300",     "\"clients\":-3e9",
+      "\"clients\":1e400",
+  };
+  Client client(config.socket_path);
+  ASSERT_TRUE(client.ok());
+  for (const char* field : hostile) {
+    ASSERT_TRUE(client.send_line(
+        std::string("{\"cmd\":\"submit\",\"scenario\":\"fleet\",") + field +
+        "}"));
+    telemetry::JsonValue reply;
+    ASSERT_TRUE(telemetry::parse_json(client.read_line(), reply)) << field;
+    EXPECT_EQ(reply.string_or("error", ""), "bad submission parameters")
+        << field;
+    ASSERT_TRUE(client.send_line("{\"cmd\":\"ping\"}"));
+    telemetry::JsonValue pong;
+    ASSERT_TRUE(telemetry::parse_json(client.read_line(), pong)) << field;
+    EXPECT_EQ(pong.string_or("kind", ""), "pong") << field;
+  }
+  EXPECT_EQ(server.runs_submitted(), 0u);
+  server.stop();
 }
 
 TEST(RunServer, StalledFollowerDoesNotWedgeServer) {

@@ -136,8 +136,6 @@ void expect_finals_match_snapshot(const StreamedFinals& finals,
   }
 }
 
-#if SPIDER_TELEMETRY
-
 TEST(StreamPlane, WarmPublishIsAllocationFree) {
   ASSERT_TRUE(core::alloc_guard_linked());
   sim::Simulator sim;
@@ -280,8 +278,6 @@ TEST(StreamPlane, SweepStreamsEveryReplicationAndLeavesDigestsUnchanged) {
               streamed.runs[i].events_executed);
   }
 }
-
-#endif  // SPIDER_TELEMETRY
 
 }  // namespace
 }  // namespace spider

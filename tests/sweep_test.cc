@@ -13,7 +13,6 @@
 #include "core/sweep.h"
 #include "mobility/route.h"
 #include "net/addr.h"
-#include "sim/thread_pool.h"
 
 namespace spider::core {
 namespace {
@@ -149,26 +148,6 @@ TEST(Sweep, ThreadsNeverExceedReplications) {
   const SweepReport report = run_seed_sweep(seeds, sweep_scenario, 8);
   EXPECT_LE(report.threads, 2u)
       << "a 2-replication sweep must not claim more than 2 workers";
-}
-
-TEST(Sweep, RunOnSharedPoolMatchesOwnedPool) {
-  // A sweep on a caller-owned pool must be the same sweep: identical per-run
-  // digests and combined digest, with the worker count taken from the pool.
-  const std::vector<std::uint64_t> seeds = {7, 21, 35, 49};
-  const SweepReport owned = run_seed_sweep(seeds, sweep_scenario, 4);
-  sim::ThreadPool pool(4);
-  const SweepReport shared =
-      SweepRunner(4).run_on(pool, seeds.size(), [&](std::size_t i) {
-        return sweep_scenario(seeds[i]);
-      });
-  EXPECT_EQ(shared.threads, 4u);
-  ASSERT_EQ(shared.runs.size(), owned.runs.size());
-  for (std::size_t i = 0; i < owned.runs.size(); ++i) {
-    EXPECT_EQ(shared.runs[i].seed, owned.runs[i].seed);
-    EXPECT_EQ(shared.runs[i].digest, owned.runs[i].digest)
-        << "replication " << i << " diverged on the shared pool";
-  }
-  EXPECT_EQ(shared.combined_digest(), owned.combined_digest());
 }
 
 TEST(Sweep, FactoryExceptionPropagates) {

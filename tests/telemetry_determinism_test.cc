@@ -92,8 +92,6 @@ TEST(TelemetryDeterminism, WorkerCountCannotChangeTheExport) {
       << "merged telemetry must be a function of the runs, not the workers";
 }
 
-#if SPIDER_TELEMETRY
-
 TEST(TelemetryDeterminism, TelemetryAgreesWithTheResultsItDescribes) {
   const auto report = run_seed_sweep(
       {41, 42}, [](std::uint64_t s) { return scenario(s); }, 1);
@@ -164,8 +162,6 @@ TEST(TelemetryDeterminism, UntracedRunsRecordNoTraceEvents) {
   experiment.run();
   EXPECT_EQ(experiment.simulator().telemetry().trace().recorded(), 0u);
 }
-
-#endif  // SPIDER_TELEMETRY
 
 }  // namespace
 }  // namespace spider::core

@@ -65,7 +65,6 @@ TEST(Histogram, EveryValueSatisfiesItsBucketBounds) {
 TEST(Histogram, StatsAndQuantiles) {
   Histogram h;
   for (int i = 1; i <= 100; ++i) h.add(static_cast<double>(i) * 0.01);
-#if SPIDER_TELEMETRY
   EXPECT_EQ(h.count(), 100u);
   EXPECT_DOUBLE_EQ(h.min(), 0.01);
   EXPECT_DOUBLE_EQ(h.max(), 1.0);
@@ -75,9 +74,6 @@ TEST(Histogram, StatsAndQuantiles) {
   EXPECT_GE(h.quantile(0.5), 0.5);
   EXPECT_LE(h.quantile(0.5), 1.1);
   EXPECT_LE(h.quantile(0.0), h.quantile(1.0));
-#else
-  EXPECT_EQ(h.count(), 0u);
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -93,7 +89,6 @@ TEST(Metrics, CounterAndGaugeBasics) {
   g.set(3);
   g.add(2);
   g.add(-4);
-#if SPIDER_TELEMETRY
   EXPECT_EQ(g.value(), 1);
   EXPECT_EQ(g.high_water(), 5);
   g.record_peak(40);
@@ -101,7 +96,6 @@ TEST(Metrics, CounterAndGaugeBasics) {
   EXPECT_EQ(g.high_water(), 40);
   g.record_peak(10);  // lower peaks never regress the mark
   EXPECT_EQ(g.high_water(), 40);
-#endif
 }
 
 TEST(Metrics, SnapshotMergeSumsCountersAndMaxesHighWater) {
@@ -124,7 +118,6 @@ TEST(Metrics, SnapshotMergeSumsCountersAndMaxesHighWater) {
   EXPECT_EQ(merged.counter_value("shared"), 10u);
   EXPECT_EQ(merged.counter_value("only_a"), 1u);
   EXPECT_EQ(merged.counter_value("only_b"), 2u);
-#if SPIDER_TELEMETRY
   const GaugeSample* depth = merged.find_gauge("depth");
   ASSERT_NE(depth, nullptr);
   EXPECT_EQ(depth->value, 13);      // levels add across worlds
@@ -137,7 +130,6 @@ TEST(Metrics, SnapshotMergeSumsCountersAndMaxesHighWater) {
   std::uint64_t bucket_total = 0;
   for (const auto& [index, count] : lat->buckets) bucket_total += count;
   EXPECT_EQ(bucket_total, 3u);
-#endif
 }
 
 TEST(Metrics, MergeOrderIsWhatMakesExportsIdentical) {
@@ -170,8 +162,6 @@ TEST(TraceRecorder, DisabledRecorderRecordsNothing) {
   EXPECT_EQ(rec.size(), 0u);
   EXPECT_EQ(rec.recorded(), 0u);
 }
-
-#if SPIDER_TELEMETRY
 
 TEST(TraceRecorder, RingKeepsTheMostRecentWindow) {
   TraceRecorder rec;
@@ -335,8 +325,6 @@ TEST(TraceRecorder, ApEmitsPsmOccupancyCounterSamples) {
   EXPECT_EQ(samples[2], 0);
 }
 
-#endif  // SPIDER_TELEMETRY
-
 // ---------------------------------------------------------------------------
 // JSON reader
 
@@ -389,7 +377,6 @@ TEST(RunReport, LineRoundTripsThroughTheReader) {
   const JsonValue* counters = doc.find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_DOUBLE_EQ(counters->number_or("driver.joins", 0), 3.0);
-#if SPIDER_TELEMETRY
   const JsonValue* gauges = doc.find("gauges");
   ASSERT_NE(gauges, nullptr);
   ASSERT_NE(gauges->find("sim.queue_depth"), nullptr);
@@ -400,7 +387,6 @@ TEST(RunReport, LineRoundTripsThroughTheReader) {
   const JsonValue* h = histograms->find("dhcp.acquisition_delay_sec");
   ASSERT_NE(h, nullptr);
   EXPECT_DOUBLE_EQ(h->number_or("count", 0), 1.0);
-#endif
 }
 
 // Forward compatibility both ways across the run-report (-v1) and stream
@@ -456,8 +442,6 @@ TEST(RunReport, SweepLineCarriesMergedAndProcessSections) {
 // ---------------------------------------------------------------------------
 // FrameLog eviction streaming
 
-#if SPIDER_TELEMETRY
-
 TEST(FrameLog, EvictionsStreamIntoTheTraceRecorder) {
   TraceRecorder rec;
   rec.set_enabled(true);
@@ -481,8 +465,6 @@ TEST(FrameLog, EvictionsStreamIntoTheTraceRecorder) {
     EXPECT_EQ(events[i].arg_value, 100 + static_cast<int>(i));
   }
 }
-
-#endif  // SPIDER_TELEMETRY
 
 TEST(FrameLog, DroppedCounterAdvancesEvenWithoutARecorder) {
   trace::FrameLog log(/*capacity=*/1);

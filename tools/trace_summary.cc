@@ -38,6 +38,7 @@
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/run_report.h"
+#include "telemetry/trace_recorder.h"
 
 namespace {
 
@@ -568,8 +569,9 @@ int summarize_trace(const JsonValue& doc, int top, bool strict) {
   }
   if (strict && dropped > 0.0) {
     std::fprintf(stderr,
-                 "--strict: %.0f event(s) overwritten; raise trace_capacity\n",
-                 dropped);
+                 "--strict: %.0f event(s) overwritten; the recorder keeps the "
+                 "newest %zu, so trace a shorter run\n",
+                 dropped, spider::telemetry::TraceRecorder::kDefaultCapacity);
     return 3;
   }
   return 0;
