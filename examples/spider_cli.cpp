@@ -20,11 +20,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <string>
 
 #include "core/configs.h"
 #include "core/experiment.h"
+#include "telemetry/run_report.h"
 #include "trace/export.h"
 #include "trace/frame_log.h"
 
@@ -119,24 +119,39 @@ int main(int argc, char** argv) {
   if (o.frames > 0) exp.attach_frame_log(log);
   const auto r = exp.run();
 
-  trace::JsonWriter json;
-  json.add("config", o.config)
-      .add("seed", static_cast<std::int64_t>(o.seed))
-      .add("aps", static_cast<std::int64_t>(exp.ap_count()))
-      .add("duration_s", o.duration)
-      .add("throughput_kBps", r.avg_throughput_kBps())
-      .add("connectivity_pct", r.connectivity_percent())
-      .add("joins", static_cast<std::int64_t>(r.joins.joins))
-      .add("join_attempts", static_cast<std::int64_t>(r.joins.join_attempts))
-      .add("median_join_s",
-           r.joins.join_delay_sec.empty() ? 0.0
-                                          : r.joins.join_delay_sec.median())
-      .add("dhcp_join_failure_rate", r.joins.dhcp_join_failure_rate())
-      .add("channel_switches", static_cast<std::int64_t>(r.channel_switches))
-      .add("client_joules", r.client_joules)
-      .add("joules_per_MB", r.joules_per_megabyte());
-  json.write(std::cout);
-  std::cout << "\n";
+  // Integers print as integers, doubles as %.17g (null when not finite).
+  std::string json = "{";
+  const auto key = [&json](const char* name) {
+    if (json.size() > 1) json.push_back(',');
+    telemetry::append_json_quoted(json, name);
+    json.push_back(':');
+  };
+  const auto num = [&](const char* name, double v) {
+    key(name);
+    telemetry::append_json_double(json, v);
+  };
+  const auto count = [&](const char* name, std::uint64_t v) {
+    key(name);
+    telemetry::append_json_u64(json, v);
+  };
+  key("config");
+  telemetry::append_json_quoted(json, o.config);
+  count("seed", o.seed);
+  count("aps", exp.ap_count());
+  num("duration_s", o.duration);
+  num("throughput_kBps", r.avg_throughput_kBps());
+  num("connectivity_pct", r.connectivity_percent());
+  count("joins", r.joins.joins);
+  count("join_attempts", r.joins.join_attempts);
+  num("median_join_s", r.joins.join_delay_sec.empty()
+                           ? 0.0
+                           : r.joins.join_delay_sec.median());
+  num("dhcp_join_failure_rate", r.joins.dhcp_join_failure_rate());
+  count("channel_switches", r.channel_switches);
+  num("client_joules", r.client_joules);
+  num("joules_per_MB", r.joules_per_megabyte());
+  json += "}\n";
+  std::fputs(json.c_str(), stdout);
 
   if (!o.csv_path.empty()) {
     std::ofstream csv(o.csv_path);

@@ -158,7 +158,8 @@ class Medium {
 
   // Resident bytes of the hot per-radio state: the SoA store, the id lists
   // (partitions + grid buckets) and the in-flight tx pool.
-  // The scale bench divides this by the world size to gate bytes/radio.
+  // FastPath.TenThousandRadioFootprintStaysUnderCeiling divides this by
+  // the world size to gate bytes/radio.
   std::size_t hot_state_bytes() const;
 
   // Per-channel slices of the same counters (channels 1..14; anything else

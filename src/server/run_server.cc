@@ -337,6 +337,10 @@ void RunServer::handle_client(int fd) {
     // stop() stays responsive mid-window.
     const std::size_t newline = buffer.find('\n');
     if (newline == std::string::npos) {
+      if (buffer.size() > kMaxRequestBytes) {
+        send_all(fd, error_line("request too long"));
+        break;
+      }
       ssize_t n = -1;
       for (int idle_ms = 0; idle_ms < 5000;) {
         if (stop_.load(std::memory_order_acquire)) break;

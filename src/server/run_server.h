@@ -32,6 +32,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -72,6 +73,11 @@ core::FleetConfig fleet_scenario(std::uint64_t seed, sim::Time duration,
 
 class RunServer {
  public:
+  // Longest request line a client may send; valid requests are a few
+  // hundred bytes. A connection past it gets "request too long" and is
+  // closed, so no client can grow a handler's buffer without limit.
+  static constexpr std::size_t kMaxRequestBytes = 64 * 1024;
+
   explicit RunServer(RunServerConfig config);
   ~RunServer();
 

@@ -1,6 +1,7 @@
 #include "telemetry/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 namespace spider::telemetry {
@@ -74,13 +75,29 @@ class Parser {
           case 'r': out.push_back('\r'); break;
           case 'b': out.push_back('\b'); break;
           case 'f': out.push_back('\f'); break;
-          default: return false;  // \uXXXX unsupported (never emitted)
+          case 'u':
+            if (!parse_unicode_escape(out)) return false;
+            break;
+          default: return false;
         }
       } else {
         out.push_back(c);
       }
     }
     return false;  // unterminated
+  }
+
+  // The four hex digits after "\u". Only ASCII code points decode; the
+  // emitters escape nothing else (control characters as \u00XX).
+  bool parse_unicode_escape(std::string& out) {
+    if (text_.size() - pos_ < 4) return false;
+    const char* first = text_.data() + pos_;
+    unsigned code = 0;
+    const auto [end, ec] = std::from_chars(first, first + 4, code, 16);
+    if (ec != std::errc() || end != first + 4 || code >= 0x80) return false;
+    pos_ += 4;
+    out.push_back(static_cast<char>(code));
+    return true;
   }
 
   bool parse_number(JsonValue& out) {

@@ -1,10 +1,10 @@
 // Minimal JSON reader for telemetry artifacts.
 //
-// Parses exactly the JSON this repo emits (run-report JSONL lines, Chrome
-// trace files, BENCH_*.json) back into a DOM — what spider-trace and the
-// schema round-trip tests consume. Not a general-purpose parser: no \uXXXX
-// decoding (the emitters never produce it), numbers are doubles, input must
-// be a single value.
+// Parses exactly the JSON this repo emits (run-report and stream JSONL
+// lines, Chrome trace files) back into a DOM — what spider-trace, the run
+// server and the schema round-trip tests consume. Not a general-purpose
+// parser: \uXXXX decodes only below U+0080, numbers are doubles, input
+// must be a single value.
 #pragma once
 
 #include <cstdint>

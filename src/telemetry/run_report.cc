@@ -1,5 +1,6 @@
 #include "telemetry/run_report.h"
 
+#include <cmath>
 #include <cstdio>
 #include <mutex>
 
@@ -13,7 +14,17 @@ void append_json_quoted(std::string& out, std::string_view s) {
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
-      default: out.push_back(c);
+      default: {
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(byte));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+      }
     }
   }
   out.push_back('"');
@@ -32,8 +43,14 @@ void append_json_i64(std::string& out, std::int64_t v) {
 }
 
 // Shortest-round-trip formatting would be ideal; %.17g is deterministic for
-// a given value, which is the property the export actually needs.
+// a given value, which is the property the export actually needs. JSON has
+// no NaN or infinity, so non-finite values (a NaN histogram sample, a sum
+// that overflowed) render as null.
 void append_json_double(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;

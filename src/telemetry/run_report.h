@@ -35,8 +35,10 @@ inline constexpr std::string_view kRunReportSchema = "spider-telemetry-v1";
 inline constexpr std::string_view kStreamSchema = "spider-telemetry-stream-v1";
 
 // Low-level JSON fragment appenders shared by the run-report renderer, the
-// stream exporter, and tools. Deterministic for a given value (doubles
-// render as %.17g; hex64 renders as a quoted "0x%016x" string).
+// stream exporter, the trace recorder, and tools. Deterministic for a given
+// value, and valid JSON for every value: doubles render as %.17g (null when
+// not finite), hex64 as a quoted "0x%016x" string, and string control
+// characters other than \n and \t as \u00XX.
 void append_json_quoted(std::string& out, std::string_view s);
 void append_json_u64(std::string& out, std::uint64_t v);
 void append_json_i64(std::string& out, std::int64_t v);

@@ -2,30 +2,19 @@
 
 #include <cstdio>
 
+#include "telemetry/run_report.h"
 #include "telemetry/stream_exporter.h"
 
 namespace spider::telemetry {
 namespace {
 
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    switch (*s) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(*s);
-    }
-  }
-}
-
 void append_event(std::string& out, const TraceEvent& ev) {
   char buf[96];
-  out += "{\"name\":\"";
-  append_escaped(out, ev.name);
-  out += "\",\"cat\":\"";
-  append_escaped(out, ev.category[0] != '\0' ? ev.category : "spider");
-  out += "\",\"ph\":\"";
+  out += "{\"name\":";
+  append_json_quoted(out, ev.name);
+  out += ",\"cat\":";
+  append_json_quoted(out, ev.category[0] != '\0' ? ev.category : "spider");
+  out += ",\"ph\":\"";
   out.push_back(ev.phase);
   std::snprintf(buf, sizeof(buf), "\",\"ts\":%lld",
                 static_cast<long long>(ev.ts_us));
@@ -47,9 +36,9 @@ void append_event(std::string& out, const TraceEvent& ev) {
     out += buf;
   }
   if (ev.arg_name != nullptr) {
-    out += ",\"args\":{\"";
-    append_escaped(out, ev.arg_name);
-    std::snprintf(buf, sizeof(buf), "\":%lld}",
+    out += ",\"args\":{";
+    append_json_quoted(out, ev.arg_name);
+    std::snprintf(buf, sizeof(buf), ":%lld}",
                   static_cast<long long>(ev.arg_value));
     out += buf;
   }
@@ -117,11 +106,11 @@ std::string TraceRecorder::to_json() const {
     char buf[96];
     std::snprintf(buf, sizeof(buf),
                   "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-                  "\"tid\":%u,\"args\":{\"name\":\"",
+                  "\"tid\":%u,\"args\":{\"name\":",
                   static_cast<unsigned>(track));
     out += buf;
-    append_escaped(out, name);
-    out += "\"}}";
+    append_json_quoted(out, name);
+    out += "}}";
   }
   for (const TraceEvent& ev : events_in_order()) {
     if (!first) out.push_back(',');
@@ -137,14 +126,6 @@ std::string TraceRecorder::to_json() const {
   out += buf;
   out += "}";
   return out;
-}
-
-bool TraceRecorder::write_file(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string doc = to_json() + "\n";
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 void TraceRecorder::clear() {

@@ -96,7 +96,6 @@ class TraceRecorder {
 
   // {"traceEvents":[...]} — chrome://tracing / Perfetto loadable.
   std::string to_json() const;
-  bool write_file(const std::string& path) const;
 
   void clear();
 

@@ -1,8 +1,5 @@
 #include "trace/export.h"
 
-#include <cmath>
-#include <cstdio>
-
 namespace spider::trace {
 
 void write_cdf_csv(std::ostream& out, const std::string& label,
@@ -25,59 +22,6 @@ void write_cdfs_csv(std::ostream& out, const std::vector<NamedCdf>& series,
     }
     out << "\n";
   }
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-JsonWriter& JsonWriter::add(const std::string& key, double value) {
-  char buf[40];
-  if (std::isfinite(value)) {
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-  } else {
-    std::snprintf(buf, sizeof(buf), "null");  // JSON has no NaN/Inf
-  }
-  fields_.push_back({key, buf});
-  return *this;
-}
-
-JsonWriter& JsonWriter::add(const std::string& key, std::int64_t value) {
-  fields_.push_back({key, std::to_string(value)});
-  return *this;
-}
-
-JsonWriter& JsonWriter::add(const std::string& key, const std::string& value) {
-  fields_.push_back({key, "\"" + json_escape(value) + "\""});
-  return *this;
-}
-
-void JsonWriter::write(std::ostream& out) const {
-  out << "{";
-  for (std::size_t i = 0; i < fields_.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "\"" << json_escape(fields_[i].key) << "\":" << fields_[i].rendered;
-  }
-  out << "}";
 }
 
 }  // namespace spider::trace

@@ -1,6 +1,6 @@
-// Result exporters: CSV series (for gnuplot/matplotlib) and a small JSON
-// writer for experiment summaries. No external dependencies; writers
-// target any std::ostream so tests can capture into stringstreams.
+// Result exporters: CSV series for gnuplot/matplotlib. Writers target any
+// std::ostream so tests can capture into stringstreams. JSON output goes
+// through the telemetry appenders (telemetry/run_report.h).
 #pragma once
 
 #include <ostream>
@@ -24,25 +24,5 @@ struct NamedCdf {
 };
 void write_cdfs_csv(std::ostream& out, const std::vector<NamedCdf>& series,
                     int points, double x_min, double x_max);
-
-// Minimal JSON object writer: flat string->double / string->string maps,
-// escaped and deterministically ordered (insertion order).
-class JsonWriter {
- public:
-  JsonWriter& add(const std::string& key, double value);
-  JsonWriter& add(const std::string& key, std::int64_t value);
-  JsonWriter& add(const std::string& key, const std::string& value);
-  void write(std::ostream& out) const;
-
- private:
-  struct Field {
-    std::string key;
-    std::string rendered;  // already JSON-encoded value
-  };
-  std::vector<Field> fields_;
-};
-
-// Escapes a string for inclusion in JSON output.
-std::string json_escape(const std::string& s);
 
 }  // namespace spider::trace

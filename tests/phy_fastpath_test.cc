@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -216,6 +218,44 @@ TEST(FastPath, FullStackDigestIndependentOfDeliveryPath) {
     return exp.simulator().digest();
   };
   EXPECT_EQ(digest_with(0), digest_with(kAlwaysScan));
+}
+
+TEST(FastPath, TenThousandRadioFootprintStaysUnderCeiling) {
+  // The SoA radio store, partition and grid id lists and the tx pool must
+  // stay compact at fleet scale: 10k radios on one channel at a downtown
+  // density (500 radios/km^2), after one batched drift wave and one
+  // all-radio probe volley have grown every pool to its working size.
+  // Bytes do not depend on the machine, so this is a plain ceiling: the
+  // 240 B/radio budget plus 5 % (it measures 221).
+  constexpr int kRadios = 10'000;
+  sim::Simulator sim;
+  MediumConfig cfg;
+  cfg.base_loss = 0.1;
+  Medium medium(sim, sim::Rng(0x5CA7E), cfg);
+  const double side = std::sqrt(kRadios / 500.0) * 1000.0;
+  sim::Rng layout(0x5CA1E);
+  std::vector<std::unique_ptr<Radio>> radios;
+  radios.reserve(kRadios);
+  for (int i = 0; i < kRadios; ++i) {
+    radios.push_back(std::make_unique<Radio>(
+        medium, net::MacAddress::from_index(static_cast<std::uint32_t>(i + 1)),
+        RadioConfig{.initial_channel = 1}));
+    radios.back()->set_position(
+        {layout.uniform(0.0, side), layout.uniform(0.0, side)});
+  }
+  sim::Rng walk = layout.fork("walk");
+  std::vector<RadioMove> moves;
+  moves.reserve(radios.size());
+  for (auto& r : radios) {
+    moves.push_back(RadioMove{
+        r.get(), r->position() + Vec2{walk.uniform(-3.0, 3.0),
+                                      walk.uniform(-3.0, 3.0)}});
+  }
+  medium.move_radios(moves);
+  for (auto& r : radios) r->send(net::make_probe_request(r->address()));
+  sim.run_all();
+  EXPECT_EQ(medium.frames_sent(), static_cast<std::uint64_t>(kRadios));
+  EXPECT_LE(static_cast<double>(medium.hot_state_bytes()) / kRadios, 252.0);
 }
 
 // --- churn while frames are in flight ----------------------------------------

@@ -64,12 +64,13 @@ class Client {
 
   bool ok() const { return fd_ >= 0; }
 
-  bool send_line(const std::string& line) {
+  bool send_line(const std::string& line) { return send_raw(line + "\n"); }
+
+  bool send_raw(const std::string& bytes) {
     // MSG_NOSIGNAL: the server drops connections idle for >5 s, so a send
     // racing that close must fail with EPIPE, not kill the test process.
-    const std::string framed = line + "\n";
-    return ::send(fd_, framed.data(), framed.size(), MSG_NOSIGNAL) ==
-           static_cast<ssize_t>(framed.size());
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
   }
 
   // Reads until the next newline (blocking; the server always answers).
@@ -286,6 +287,30 @@ TEST(RunServer, HostileSubmitValuesAreRejectedAndServerStaysUp) {
     EXPECT_EQ(pong.string_or("kind", ""), "pong") << field;
   }
   EXPECT_EQ(server.runs_submitted(), 0u);
+  server.stop();
+}
+
+TEST(RunServer, OverlongRequestLineIsRejectedAndServerStaysUp) {
+  RunServerConfig config;
+  config.socket_path = test_socket_path("overlong");
+  RunServer server(config);
+  ASSERT_TRUE(server.start());
+  {
+    Client client(config.socket_path);
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(
+        client.send_raw(std::string(RunServer::kMaxRequestBytes + 1, 'x')));
+    telemetry::JsonValue reply;
+    ASSERT_TRUE(telemetry::parse_json(client.read_line(), reply));
+    EXPECT_EQ(reply.string_or("error", ""), "request too long");
+    EXPECT_EQ(client.read_line(), "");  // the server hung up
+  }
+  Client fresh(config.socket_path);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(fresh.send_line("{\"cmd\":\"ping\"}"));
+  telemetry::JsonValue pong;
+  ASSERT_TRUE(telemetry::parse_json(fresh.read_line(), pong));
+  EXPECT_EQ(pong.string_or("kind", ""), "pong");
   server.stop();
 }
 

@@ -8,7 +8,12 @@
 // digests are bit-identical with streaming on and off.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -28,6 +33,7 @@
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/run_report.h"
+#include "telemetry/spsc_ring.h"
 #include "telemetry/stream_exporter.h"
 
 namespace spider {
@@ -277,6 +283,56 @@ TEST(StreamPlane, SweepStreamsEveryReplicationAndLeavesDigestsUnchanged) {
     EXPECT_EQ(static_cast<std::uint64_t>(entry.number_or("events", 0)),
               streamed.runs[i].events_executed);
   }
+}
+
+TEST(StreamPlane, StreamedRunPassesSpiderTraceStrict) {
+  // A drive streamed to a file must summarize cleanly under the real
+  // spider-trace --strict: every line readable, no record dropped. The run
+  // is short enough that all of its records fit in one ring, so a drop is a
+  // bug even if the exporter thread never got scheduled during the run.
+  const std::string path =
+      testing::TempDir() + "stream_plane_strict_" +
+      std::to_string(static_cast<long>(::getpid())) + ".jsonl";
+  {
+    telemetry::StreamExporter exporter;
+    auto sink = std::make_shared<telemetry::FileStreamSink>(path);
+    ASSERT_TRUE(sink->ok());
+    exporter.add_sink(sink);
+    core::ExperimentConfig cfg = stream_scenario(5, &exporter);
+    cfg.duration = sim::Time::seconds(3);
+    core::Experiment(cfg).run();
+    EXPECT_EQ(exporter.ring_dropped(), 0u);
+  }  // joins the exporter thread; the sink closes the file
+
+  // Every metric value on a "metrics" line, plus run_begin and run_end, came
+  // through the ring as one record.
+  std::ifstream in(path);
+  std::size_t records = 0;
+  for (std::string line; std::getline(in, line);) {
+    telemetry::JsonValue doc;
+    ASSERT_TRUE(telemetry::parse_json(line, doc)) << line;
+    ++records;
+    for (const char* map : {"counters", "gauges", "histograms"}) {
+      if (const telemetry::JsonValue* m = doc.find(map)) {
+        records += m->object.size();
+      }
+    }
+  }
+  EXPECT_GT(records, 2u);
+  EXPECT_LT(records, telemetry::SpscRing::kDefaultCapacity);
+
+  const std::string cmd =
+      std::string(SPIDER_TRACE_BIN) + " --strict " + path + " 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr) << cmd;
+  std::string out;
+  char buf[4096];
+  for (std::size_t n = 0; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;) {
+    out.append(buf, n);
+  }
+  const int status = ::pclose(pipe);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -3,7 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <string_view>
+
+#include "telemetry/json.h"
+#include "telemetry/metrics.h"
+#include "telemetry/run_report.h"
 
 namespace spider::trace {
 namespace {
@@ -33,32 +41,62 @@ TEST(ExportCsv, EmptySeriesRendersZeros) {
   EXPECT_EQ(out.str(), "x,none\n0,0\n1,0\n");
 }
 
+// JSON output goes through the telemetry appenders (telemetry/run_report.h),
+// the one encoder shared by run reports, stream lines, trace files and tools.
 TEST(Json, FlatObjectInInsertionOrder) {
-  JsonWriter w;
-  w.add("throughput_kbps", 123.456).add("joins", std::int64_t{7}).add(
-      "config", "ch1 multi-AP");
-  std::ostringstream out;
-  w.write(out);
-  EXPECT_EQ(out.str(),
-            "{\"throughput_kbps\":123.456,\"joins\":7,"
+  std::string out = "{\"throughput_kbps\":";
+  telemetry::append_json_double(out, 123.5);
+  out += ",\"joins\":";
+  telemetry::append_json_i64(out, 7);
+  out += ",\"config\":";
+  telemetry::append_json_quoted(out, "ch1 multi-AP");
+  out += "}";
+  EXPECT_EQ(out,
+            "{\"throughput_kbps\":123.5,\"joins\":7,"
             "\"config\":\"ch1 multi-AP\"}");
 }
 
 TEST(Json, EscapesSpecials) {
-  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  JsonWriter w;
-  w.add("k\"ey", "v\talue");
-  std::ostringstream out;
-  w.write(out);
-  EXPECT_EQ(out.str(), "{\"k\\\"ey\":\"v\\talue\"}");
+  std::string out;
+  telemetry::append_json_quoted(out, "a\"b\\c\nd\te");
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\te\"");
+  out.clear();
+  telemetry::append_json_quoted(out, std::string_view("\r\x01\x1f\0", 4));
+  EXPECT_EQ(out, "\"\\u000d\\u0001\\u001f\\u0000\"");
+  // The reader decodes what the writer escapes.
+  telemetry::JsonValue doc;
+  ASSERT_TRUE(telemetry::parse_json(out, doc));
+  EXPECT_EQ(doc.string, std::string_view("\r\x01\x1f\0", 4));
 }
 
 TEST(Json, NonFiniteBecomesNull) {
-  JsonWriter w;
-  w.add("bad", std::nan(""));
-  std::ostringstream out;
-  w.write(out);
-  EXPECT_EQ(out.str(), "{\"bad\":null}");
+  std::string out;
+  telemetry::append_json_double(out, std::nan(""));
+  out += ",";
+  telemetry::append_json_double(out, std::numeric_limits<double>::infinity());
+  out += ",";
+  telemetry::append_json_double(out, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(out, "null,null,null");
+}
+
+TEST(Json, RunReportLineStaysValidForNanSamplesAndControlCharacters) {
+  // A NaN sample is legal (it lands in bucket 0) and poisons the sum; a
+  // control character in a metric name must not break the line either.
+  telemetry::Registry registry;
+  registry.histogram("lat\rency").add(std::nan(""));
+  registry.histogram("huge").add(1e308);
+  registry.histogram("huge").add(1e308);  // the sum overflows to inf
+  const std::string line = telemetry::run_report_line(
+      "nan", 0, 1, 0x1, 10, registry.snapshot());
+  std::string error;
+  telemetry::JsonValue doc;
+  EXPECT_TRUE(telemetry::parse_json(line, doc, &error)) << error << "\n"
+                                                        << line;
+  EXPECT_NE(line.find("null"), std::string::npos) << line;
+  EXPECT_NE(line.find("\\u000d"), std::string::npos) << line;
+  const telemetry::JsonValue* histograms = doc.find("histograms");
+  ASSERT_NE(histograms, nullptr);
+  EXPECT_NE(histograms->find("lat\rency"), nullptr);
 }
 
 TEST(FrameLog, CountsAndClassifies) {

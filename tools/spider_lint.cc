@@ -62,6 +62,8 @@
 #include <string_view>
 #include <vector>
 
+#include "telemetry/run_report.h"
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -776,25 +778,9 @@ bool load_file(const fs::path& path, SourceFile& f) {
   return true;
 }
 
-std::string json_escape(std::string_view s) {
+std::string json_quoted(std::string_view s) {
   std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  spider::telemetry::append_json_quoted(out, s);
   return out;
 }
 
@@ -910,11 +896,11 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < kept.size(); ++i) {
       const Finding& fd = kept[i];
       if (i != 0) std::cout << ",";
-      std::cout << "{\"file\":\"" << json_escape(fd.file)
-                << "\",\"line\":" << fd.line << ",\"rule\":\""
-                << json_escape(fd.rule) << "\",\"message\":\""
-                << json_escape(fd.message) << "\",\"hint\":\""
-                << json_escape(hint_for(fd.rule)) << "\"}";
+      std::cout << "{\"file\":" << json_quoted(fd.file)
+                << ",\"line\":" << fd.line
+                << ",\"rule\":" << json_quoted(fd.rule)
+                << ",\"message\":" << json_quoted(fd.message)
+                << ",\"hint\":" << json_quoted(hint_for(fd.rule)) << "}";
     }
     std::cout << "]}\n";
   } else {
