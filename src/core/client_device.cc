@@ -138,19 +138,11 @@ sim::Time ClientDevice::switch_channel(net::ChannelId channel,
 std::vector<ScanEntry> ClientDevice::scan_results(net::ChannelId channel) const {
   std::vector<ScanEntry> out;
   const sim::Time now = sim_.now();
-  // spider-lint: allow(det-unordered-iteration) result is sorted below
   for (const auto& [bssid, entry] : scan_table_) {
     if (channel != 0 && entry.channel != channel) continue;
     if (now - entry.last_seen > config_.scan_expiry) continue;
     out.push_back(entry);
   }
-  // Stable bssid order: callers rank these with policy scores that can tie
-  // (fresh APs all score zero), and a tie must never be broken by hash-map
-  // iteration order.
-  std::sort(out.begin(), out.end(),
-            [](const ScanEntry& a, const ScanEntry& b) {
-              return a.bssid < b.bssid;
-            });
   return out;
 }
 

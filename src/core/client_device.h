@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -88,8 +89,8 @@ class ClientDevice {
   sim::Time switch_channel(net::ChannelId channel,
                            std::function<void()> done = nullptr);
 
-  // Fresh scan results (age <= scan_expiry), optionally filtered by channel
-  // (0 = all channels).
+  // Fresh scan results (age <= scan_expiry) in bssid order, optionally
+  // filtered by channel (0 = all channels).
   std::vector<ScanEntry> scan_results(net::ChannelId channel = 0) const;
   void forget_scan(net::Bssid bssid) { scan_table_.erase(bssid); }
 
@@ -117,7 +118,10 @@ class ClientDevice {
   std::unordered_map<net::Bssid, FrameHandler> bssid_handlers_;
   FrameHandler default_handler_;
   std::unordered_map<net::ChannelId, std::deque<net::Frame>> queues_;
-  std::unordered_map<net::Bssid, ScanEntry> scan_table_;
+  // Keyed by bssid, so scan_results() comes out in bssid order: callers
+  // rank entries by policy scores that tie routinely (fresh APs all score
+  // zero), and a tie must never be broken by hash-map order.
+  std::map<net::Bssid, ScanEntry> scan_table_;
   sim::TimerHandle probe_timer_;
   std::uint64_t frames_enqueued_ = 0;
   std::uint64_t queue_drops_ = 0;

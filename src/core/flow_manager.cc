@@ -1,6 +1,5 @@
 #include "core/flow_manager.h"
 
-#include <algorithm>
 #include <utility>
 #include <variant>
 
@@ -65,18 +64,17 @@ void FlowManager::close_flow(net::Bssid bssid) {
     flows_.erase(id);
     if (on_closed_) on_closed_(id);
   }
-  // Uploads riding the lost AP die with it — closed in flow-id order, not
-  // std::erase_if's hash-map order, so the on_closed_ callbacks (and
-  // anything the owner does in them) replay identically.
-  std::vector<std::uint64_t> closing;
-  // spider-lint: allow(det-unordered-iteration) ids are sorted below
-  for (const auto& [id, up] : uploads_) {
-    if (up.bssid == bssid) closing.push_back(id);
-  }
-  std::sort(closing.begin(), closing.end());
-  for (std::uint64_t id : closing) {
-    uploads_.erase(id);
-    if (on_closed_) on_closed_(id);
+  // Uploads riding the lost AP die with it, closed in flow-id order so the
+  // on_closed_ callbacks (and anything the owner does in them) replay
+  // identically. Stepping by upper_bound survives a callback that touches
+  // uploads_.
+  for (auto it = uploads_.begin(); it != uploads_.end();) {
+    const std::uint64_t id = it->first;
+    if (it->second.bssid == bssid) {
+      uploads_.erase(it);
+      if (on_closed_) on_closed_(id);
+    }
+    it = uploads_.upper_bound(id);
   }
 }
 
@@ -111,13 +109,11 @@ std::vector<std::uint64_t> FlowManager::start_striped_upload(
 
 std::int64_t FlowManager::upload_bytes_acked() const {
   std::int64_t total = 0;
-  // spider-lint: allow(det-unordered-iteration) commutative integer sum — no order-dependent output
   for (const auto& [id, up] : uploads_) total += up.sender->bytes_acked();
   return total;
 }
 
 bool FlowManager::uploads_finished() const {
-  // spider-lint: allow(det-unordered-iteration) commutative conjunction — no order-dependent output
   for (const auto& [id, up] : uploads_) {
     if (!up.sender->finished()) return false;
   }

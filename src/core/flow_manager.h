@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <unordered_map>
 
@@ -103,7 +104,7 @@ class FlowManager {
   FlowClosedFn on_closed_;
   std::unordered_map<std::uint64_t, Flow> flows_;         // by flow id
   std::unordered_map<net::Bssid, std::uint64_t> by_bssid_;
-  std::unordered_map<std::uint64_t, Upload> uploads_;
+  std::map<std::uint64_t, Upload> uploads_;  // by flow id, closed in order
   std::unordered_map<net::Bssid, RateRecord> rates_;
   std::uint64_t next_flow_id_ = 1;
   std::uint64_t flows_opened_ = 0;

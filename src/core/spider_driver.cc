@@ -5,25 +5,20 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/arena.h"
 #include "core/check.h"
 #include "phy/channel.h"
 
 namespace spider::core {
 namespace {
 
-// Track-name literals for the Perfetto lanes the driver uses: per-interface
-// join lanes and 100+channel dwell lanes (TraceRecorder stores const char*).
-constexpr const char* kVifTrackNames[] = {"vif0", "vif1", "vif2", "vif3",
-                                          "vif4", "vif5", "vif6", "vif7"};
-constexpr const char* kChannelTrackNames[] = {
-    "ch0", "ch1", "ch2",  "ch3",  "ch4",  "ch5",  "ch6", "ch7",
-    "ch8", "ch9", "ch10", "ch11", "ch12", "ch13", "ch14"};
-constexpr std::uint32_t kChannelTrackBase = 100;
+using phy::channel_slot;
+using phy::kChannelSlots;
 
-std::size_t channel_slot(net::ChannelId channel) {
-  return channel >= 1 && channel < 15 ? static_cast<std::size_t>(channel) : 0;
-}
+// Names for the Perfetto lanes the driver uses: per-interface join lanes
+// and 100+channel dwell lanes (TraceRecorder stores const char*).
+constexpr auto kVifTrackNames = phy::make_slot_names<8>("vif");
+constexpr auto kChannelTrackNames = phy::make_slot_names<kChannelSlots>("ch");
+constexpr std::uint32_t kChannelTrackBase = 100;
 
 }  // namespace
 
@@ -49,12 +44,10 @@ SpiderDriver::SpiderDriver(sim::Simulator& simulator, ClientDevice& device,
 
   device_.set_connected_lookup([this](net::ChannelId ch) {
     std::vector<net::Bssid> out;
-    // spider-lint: allow(det-unordered-iteration) result is sorted below
     for (const auto& [bssid, vif] : interfaces_) {
       if (vif->channel == ch && vif->state == VirtualInterface::State::kConnected)
         out.push_back(bssid);
     }
-    std::sort(out.begin(), out.end());
     return out;
   });
   collector_id_ = sim_.telemetry().add_collector(
@@ -68,13 +61,7 @@ SpiderDriver::~SpiderDriver() {
   eval_timer_.cancel();
   // Unregister in bssid order: teardown must be as reproducible as the run
   // (unregister_bssid is observable through the device's frame filter).
-  core::Arena::Scope scope(sim_.arena());
-  net::Bssid* stale = sim_.arena().alloc_array<net::Bssid>(interfaces_.size());
-  std::size_t n_stale = 0;
-  // spider-lint: allow(det-unordered-iteration) keys are sorted below
-  for (auto& [bssid, vif] : interfaces_) stale[n_stale++] = bssid;
-  std::sort(stale, stale + n_stale);
-  for (std::size_t i = 0; i < n_stale; ++i) device_.unregister_bssid(stale[i]);
+  for (const auto& [bssid, vif] : interfaces_) device_.unregister_bssid(bssid);
 }
 
 void SpiderDriver::publish_metrics(telemetry::Registry& registry) {
@@ -97,20 +84,19 @@ void SpiderDriver::publish_metrics(telemetry::Registry& registry) {
   publish("driver.recamps", recamps_, published_.recamps);
   publish("driver.schedule_switches", schedule_switches_,
           published_.schedule_switches);
-  static constexpr const char* kDwellNames[] = {
-      "driver.dwell_us.ch0",  "driver.dwell_us.ch1",  "driver.dwell_us.ch2",
-      "driver.dwell_us.ch3",  "driver.dwell_us.ch4",  "driver.dwell_us.ch5",
-      "driver.dwell_us.ch6",  "driver.dwell_us.ch7",  "driver.dwell_us.ch8",
-      "driver.dwell_us.ch9",  "driver.dwell_us.ch10", "driver.dwell_us.ch11",
-      "driver.dwell_us.ch12", "driver.dwell_us.ch13", "driver.dwell_us.ch14"};
+  static constexpr auto kDwellNames =
+      phy::make_slot_names<kChannelSlots>("driver.dwell_us.ch");
   // Probe the channel plan in slot order instead of walking the unordered
   // dwell map: same totals, and the publish order no longer depends on
   // hashing internals. (Slot N is channel N for the 1..14 plan; channel 0
   // never accrues dwell, and out-of-plan channels cannot be scheduled.)
-  for (std::size_t slot = 1; slot < std::size(kDwellNames); ++slot) {
+  // The name is read through data(): gcc 12 flags `kDwellNames[slot].text`
+  // here with a false -Wstringop-overread.
+  for (std::size_t slot = 1; slot < kChannelSlots; ++slot) {
     const auto it = airtime_.find(static_cast<net::ChannelId>(slot));
     if (it == airtime_.end()) continue;
-    publish(kDwellNames[slot], static_cast<std::uint64_t>(it->second.us()),
+    publish((kDwellNames.data() + slot)->text,
+            static_cast<std::uint64_t>(it->second.us()),
             published_dwell_us_[slot]);
   }
 }
@@ -123,7 +109,7 @@ void SpiderDriver::start() {
     for (const ChannelSlice& slice : config_.schedule) {
       const std::size_t slot = channel_slot(slice.channel);
       trace.name_track(kChannelTrackBase + static_cast<std::uint32_t>(slot),
-                       kChannelTrackNames[slot]);
+                       kChannelTrackNames[slot].text);
     }
   }
   rotate_schedule(0);
@@ -182,6 +168,17 @@ void SpiderDriver::scan_excursion_step() {
   sim_.post_after(config_.scan_excursion, [this] { scan_excursion_step(); });
 }
 
+template <typename Pred>
+void SpiderDriver::destroy_interfaces_if(Pred doomed, bool lost) {
+  // Bssid order: each destroy updates join history and can fire the
+  // disconnect callback. Stepping by upper_bound survives the erase.
+  for (auto it = interfaces_.begin(); it != interfaces_.end();) {
+    const net::Bssid bssid = it->first;
+    if (doomed(*it->second)) destroy_interface(bssid, lost);
+    it = interfaces_.upper_bound(bssid);
+  }
+}
+
 void SpiderDriver::finish_channel_eval() {
   excursion_active_ = false;
   const double home_utility = channel_utility(home_channel());
@@ -202,17 +199,9 @@ void SpiderDriver::finish_channel_eval() {
   config_.schedule.front().channel = best;
   // Drop joining interfaces stranded on the old home channel, in bssid
   // order so failure-history updates replay identically.
-  core::Arena::Scope scope(sim_.arena());
-  net::Bssid* stale = sim_.arena().alloc_array<net::Bssid>(interfaces_.size());
-  std::size_t n_stale = 0;
-  // spider-lint: allow(det-unordered-iteration) keys are sorted below
-  for (const auto& [bssid, vif] : interfaces_) {
-    if (vif->channel != best) stale[n_stale++] = bssid;
-  }
-  std::sort(stale, stale + n_stale);
-  for (std::size_t i = 0; i < n_stale; ++i) {
-    destroy_interface(stale[i], /*lost=*/false);
-  }
+  destroy_interfaces_if(
+      [best](const VirtualInterface& vif) { return vif.channel != best; },
+      /*lost=*/false);
   rotate_schedule(0);
 }
 
@@ -248,17 +237,13 @@ void SpiderDriver::rotate_schedule(std::size_t slice_index) {
   std::size_t next = (slice_index + 1) % config_.schedule.size();
 
   if (config_.camp_while_connected) {
-    // Camp on the lowest-bssid live connection: "first connected found"
-    // would make the camped channel a function of hash-map order when two
-    // connections are live at once.
+    // Camp on the lowest-bssid live connection (the first in key order), so
+    // the camped channel is well defined when two connections are live.
     const VirtualInterface* camp = nullptr;
-    net::Bssid camp_bssid{};
-    // spider-lint: allow(det-unordered-iteration) min-by-bssid fold — the selected element is order-independent
     for (const auto& [bssid, vif] : interfaces_) {
-      if (vif->state != VirtualInterface::State::kConnected) continue;
-      if (camp == nullptr || bssid < camp_bssid) {
+      if (vif->state == VirtualInterface::State::kConnected) {
         camp = vif.get();
-        camp_bssid = bssid;
+        break;
       }
     }
     if (camp != nullptr) {
@@ -302,23 +287,17 @@ void SpiderDriver::rotate_schedule(std::size_t slice_index) {
 void SpiderDriver::on_arrival(net::ChannelId channel) {
   // Wake co-channel sessions in bssid order: each wake-up can enqueue
   // frames, and the enqueue order decides who serializes onto the channel
-  // first — hash-map order here would leak straight into the digest.
-  core::Arena::Scope scope(sim_.arena());
-  net::Bssid* stale = sim_.arena().alloc_array<net::Bssid>(interfaces_.size());
-  std::size_t n_stale = 0;
-  // spider-lint: allow(det-unordered-iteration) keys are sorted below
-  for (auto& [bssid, vif] : interfaces_) {
-    if (vif->channel == channel) stale[n_stale++] = bssid;
-  }
-  std::sort(stale, stale + n_stale);
-  for (std::size_t i = 0; i < n_stale; ++i) {
-    const net::Bssid bssid = stale[i];
-    auto it = interfaces_.find(bssid);
-    if (it == interfaces_.end()) continue;  // destroyed by an earlier wake-up
+  // first. Stepping by upper_bound keeps the walk valid even if a wake-up
+  // destroys an interface.
+  for (auto it = interfaces_.begin(); it != interfaces_.end();) {
+    const net::Bssid bssid = it->first;
     VirtualInterface& vif = *it->second;
-    if (vif.session) vif.session->radio_on_channel();
-    if (vif.dhcp && vif.state == VirtualInterface::State::kDhcp)
-      vif.dhcp->radio_on_channel();
+    if (vif.channel == channel) {
+      if (vif.session) vif.session->radio_on_channel();
+      if (vif.dhcp && vif.state == VirtualInterface::State::kDhcp)
+        vif.dhcp->radio_on_channel();
+    }
+    it = interfaces_.upper_bound(bssid);
   }
 }
 
@@ -353,7 +332,7 @@ void SpiderDriver::create_interface(const ScanEntry& entry) {
   telemetry::TraceRecorder& trace = sim_.telemetry().trace();
   if (trace.enabled()) {
     if (vif->trace_track < std::size(kVifTrackNames)) {
-      trace.name_track(vif->trace_track, kVifTrackNames[vif->trace_track]);
+      trace.name_track(vif->trace_track, kVifTrackNames[vif->trace_track].text);
     }
     // Discovery span: last beacon/probe sighting of this AP up to the
     // decision to join it — the "scan" leg of the join pipeline.
@@ -408,25 +387,17 @@ void SpiderDriver::selection_tick() {
       sim_.schedule_after(config_.selection_interval, [this] { selection_tick(); });
 
   // 1. Reap interfaces whose AP has been silent for link_loss_timeout of
-  //    on-channel time (silence while parked elsewhere doesn't count).
-  std::vector<net::Bssid> dead;
-  // spider-lint: allow(det-unordered-iteration) keys are sorted below
-  for (auto& [bssid, vif] : interfaces_) {
-    const sim::Time on_air_silence =
-        channel_airtime(vif->channel) - vif->airtime_at_last_heard;
-    if (on_air_silence > config_.link_loss_timeout) {
-      dead.push_back(bssid);
-      continue;
-    }
-    if (vif->state != VirtualInterface::State::kConnected &&
-        sim_.now() - vif->join_started > config_.join_give_up) {
-      dead.push_back(bssid);
-    }
-  }
-  // Reap in bssid order: each destroy updates join history and can fire the
-  // disconnect callback, so the order must not be hash-map order.
-  std::sort(dead.begin(), dead.end());
-  for (net::Bssid bssid : dead) destroy_interface(bssid, /*lost=*/true);
+  //    on-channel time (silence while parked elsewhere doesn't count), or
+  //    whose join outlived its budget.
+  destroy_interfaces_if(
+      [this](const VirtualInterface& vif) {
+        const sim::Time on_air_silence =
+            channel_airtime(vif.channel) - vif.airtime_at_last_heard;
+        return on_air_silence > config_.link_loss_timeout ||
+               (vif.state != VirtualInterface::State::kConnected &&
+                sim_.now() - vif.join_started > config_.join_give_up);
+      },
+      /*lost=*/true);
 
   // 2. Spawn interfaces for fresh candidates on scheduled channels.
   const int capacity = config_.multi_ap ? config_.max_interfaces : 1;
@@ -487,7 +458,6 @@ void SpiderDriver::destroy_interface(net::Bssid bssid, bool lost) {
 
 std::size_t SpiderDriver::connected_count() const {
   std::size_t n = 0;
-  // spider-lint: allow(det-unordered-iteration) commutative count — no order-dependent output
   for (const auto& [bssid, vif] : interfaces_) {
     if (vif->state == VirtualInterface::State::kConnected) ++n;
   }

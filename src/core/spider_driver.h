@@ -21,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "core/metrics.h"
 #include "dhcpd/dhcp_client.h"
 #include "mac/client_session.h"
+#include "phy/channel.h"
 #include "sim/simulator.h"
 #include "trace/stats.h"
 
@@ -160,6 +162,9 @@ class SpiderDriver {
   void finish_channel_eval();
   void create_interface(const ScanEntry& entry);
   void destroy_interface(net::Bssid bssid, bool lost);
+  // Destroys, in bssid order, every interface `doomed` selects.
+  template <typename Pred>
+  void destroy_interfaces_if(Pred doomed, bool lost);
   void on_session_event(VirtualInterface& vif, mac::SessionEvent event);
   void on_dhcp_event(VirtualInterface& vif, dhcpd::DhcpEvent event);
   bool scheduled_channel(net::ChannelId channel) const;
@@ -175,7 +180,9 @@ class SpiderDriver {
   ConnectionHandler on_connected_;
   DisconnectionHandler on_disconnected_;
 
-  std::unordered_map<net::Bssid, std::unique_ptr<VirtualInterface>> interfaces_;
+  // Keyed by bssid and walked in key order: reaps, PSM wake-ups, camping
+  // and teardown all replay in bssid order with no sort at the walk.
+  std::map<net::Bssid, std::unique_ptr<VirtualInterface>> interfaces_;
   std::unordered_map<net::Bssid, dhcpd::Lease> lease_cache_;
   std::unordered_map<net::ChannelId, sim::Time> airtime_;
   net::ChannelId dwell_channel_ = 0;      // channel being accounted for
@@ -190,7 +197,7 @@ class SpiderDriver {
   bool started_ = false;
   // Scratch buffer reused across eval ticks (excursions never overlap, so
   // one suffices); member so the steady-state schedule loop does not
-  // allocate. Stale-bssid staging lives on the simulator's drain arena.
+  // allocate.
   std::vector<net::ChannelId> excursion_remaining_;
 
   // Telemetry plumbing: deltas already folded into the shared driver.*
@@ -206,7 +213,7 @@ class SpiderDriver {
     std::uint64_t recamps = 0;
     std::uint64_t schedule_switches = 0;
   } published_;
-  std::array<std::uint64_t, 15> published_dwell_us_{};
+  std::array<std::uint64_t, phy::kChannelSlots> published_dwell_us_{};
   std::uint32_t next_trace_track_ = 1;
   telemetry::Hub::CollectorId collector_id_ = 0;
 };

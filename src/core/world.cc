@@ -44,7 +44,7 @@ void World::add_rider(phy::Radio& radio, sim::Time phase) {
 
 // Hot per mobility tick: the move batch is carved from the drain arena
 // (bump-pointer once the first tick warmed the block), and the medium
-// re-buckets crossers per cell group.
+// applies each move through set_position.
 SPIDER_HOT void World::tick() {
   const sim::Time now = sim_.now();
   core::Arena::Scope scope(sim_.arena());

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 
 #include "net/frame.h"
 
@@ -27,6 +28,41 @@ constexpr bool orthogonal(net::ChannelId a, net::ChannelId b) {
 
 constexpr double center_frequency_mhz(net::ChannelId c) {
   return 2412.0 + 5.0 * (c - 1);
+}
+
+// Per-channel tables (busy horizons, counters, metric and track names) are
+// flat arrays indexed by channel slot: slot N is channel N for the 1..14
+// plan, and every channel outside it folds into slot 0.
+inline constexpr std::size_t kChannelSlots = 15;
+
+constexpr std::size_t channel_slot(net::ChannelId channel) {
+  return channel >= 1 && channel < static_cast<int>(kChannelSlots)
+             ? static_cast<std::size_t>(channel)
+             : 0;
+}
+
+// Compile-time "<stem><N>" name tables, one entry per slot (N < 100). The
+// fixed buffer keeps the names static, so telemetry collectors and trace
+// recorders that store `const char*` never allocate.
+struct SlotName {
+  char text[32] = {};
+};
+
+template <std::size_t N>
+constexpr std::array<SlotName, N> make_slot_names(const char* stem) {
+  std::array<SlotName, N> names{};
+  for (std::size_t slot = 0; slot < N; ++slot) {
+    std::size_t pos = 0;
+    for (const char* c = stem; *c != '\0'; ++c) {
+      names[slot].text[pos++] = *c;
+    }
+    if (slot >= 10) names[slot].text[pos++] = static_cast<char>('0' + slot / 10);
+    names[slot].text[pos++] = static_cast<char>('0' + slot % 10);
+    if (pos >= sizeof(names[slot].text)) {
+      throw "name overflows SlotName";  // compile error when constexpr
+    }
+  }
+  return names;
 }
 
 }  // namespace spider::phy

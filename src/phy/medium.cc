@@ -12,34 +12,6 @@
 
 namespace spider::phy {
 
-namespace {
-
-// Compile-time "<stem><N>" metric-name tables, one entry per channel slot.
-// Replaces three hand-maintained 15-literal arrays; the fixed buffer keeps
-// the names static so the telemetry collector never allocates.
-struct SlotName {
-  char text[32] = {};
-};
-
-template <std::size_t N>
-constexpr std::array<SlotName, N> make_slot_names(const char* stem) {
-  std::array<SlotName, N> names{};
-  for (std::size_t slot = 0; slot < N; ++slot) {
-    std::size_t pos = 0;
-    for (const char* c = stem; *c != '\0'; ++c) {
-      names[slot].text[pos++] = *c;
-    }
-    if (slot >= 10) names[slot].text[pos++] = static_cast<char>('0' + slot / 10);
-    names[slot].text[pos++] = static_cast<char>('0' + slot % 10);
-    if (pos >= sizeof(names[slot].text)) {
-      throw "metric name overflows SlotName";  // compile error when constexpr
-    }
-  }
-  return names;
-}
-
-}  // namespace
-
 Medium::Medium(sim::Simulator& simulator, sim::Rng rng, MediumConfig config)
     : sim_(simulator), rng_(std::move(rng)), config_(config) {
   SPIDER_CHECK(config_.range_m > 0.0) << "range " << config_.range_m << " m";
@@ -142,83 +114,26 @@ SPIDER_HOT void Medium::set_position(Radio& radio, Vec2 position) {
 }
 
 SPIDER_HOT void Medium::move_radios(std::span<const RadioMove> moves) {
-  if (moves.empty()) return;
-  // Drain-arena scratch: planned crossings plus their partition slots. The
-  // first tick of a drain carves fresh blocks (cold, visible to the alloc
-  // teeth); every later tick is pure bump-pointer arithmetic.
-  core::Arena::Scope scope(sim_.arena());
-  core::Arena& arena = sim_.arena();
-  GridMove* planned = arena.alloc_array<GridMove>(moves.size());
-  std::uint8_t* planned_slot = arena.alloc_array<std::uint8_t>(moves.size());
-  std::array<std::uint32_t, kChannelSlots> slot_count{};
-  std::size_t n_planned = 0;
-  // Phase 1: write every position and plan the cell crossings. Non-crossers
-  // (the common case at sub-second tick cadence) cost one cell computation
-  // and no hash traffic at all.
-  for (const RadioMove& m : moves) {
-    const RadioId id = m.radio->id_;
-    if (m.position == hot_.position[id]) continue;
-    hot_.position[id] = m.position;
-    const std::size_t slot = channel_slot(channel_of(id));
-    GridMove g;
-    if (partitions_[slot].grid.plan_move(id, m.position, g)) {
-      planned[n_planned] = g;
-      planned_slot[n_planned] = static_cast<std::uint8_t>(slot);
-      ++slot_count[slot];
-      ++n_planned;
-    }
-  }
-  if (n_planned == 0) return;
-  // Phase 2: stable scatter into per-slot groups (preserving each slot's
-  // plan order, which is what N scalar updates would apply), then one
-  // grouped re-bucket per partition that had crossers.
-  std::array<std::uint32_t, kChannelSlots> cursor{};
-  std::uint32_t acc = 0;
-  for (std::size_t slot = 0; slot < kChannelSlots; ++slot) {
-    cursor[slot] = acc;
-    acc += slot_count[slot];
-  }
-  GridMove* grouped = arena.alloc_array<GridMove>(n_planned);
-  for (std::size_t i = 0; i < n_planned; ++i) {
-    grouped[cursor[planned_slot[i]]++] = planned[i];
-  }
-  std::uint32_t begin = 0;
-  for (std::size_t slot = 0; slot < kChannelSlots; ++slot) {
-    if (slot_count[slot] != 0) {
-      partitions_[slot].grid.rebucket_batch(
-          std::span<const GridMove>(grouped + begin, slot_count[slot]));
-    }
-    begin += slot_count[slot];
-  }
+  for (const RadioMove& m : moves) set_position(*m.radio, m.position);
 }
 
+// Members stay ascending by attach id: a fresh attach appends (ids are
+// monotone); a radio retuning back onto a channel it left goes in ahead of
+// every higher id.
 void Medium::insert_into_partition(RadioId id) {
   ChannelPartition& partition = partitions_[channel_slot(channel_of(id))];
-  // Monotone appends keep the sorted flag; an out-of-order insert (a radio
-  // retuning back onto a channel it left) clears it until the partition
-  // empties out again.
-  if (!partition.members.empty() && partition.members.back() >= id) {
-    partition.members_sorted = false;
-  }
-  hot_.member_index[id] = static_cast<std::uint32_t>(partition.members.size());
-  partition.members.push_back(id);
+  std::vector<RadioId>& members = partition.members;
+  members.insert(std::upper_bound(members.begin(), members.end(), id), id);
   partition.grid.insert(id, hot_.position[id]);
 }
 
 void Medium::remove_from_partition(RadioId id, net::ChannelId channel) {
   ChannelPartition& partition = partitions_[channel_slot(channel)];
-  const std::uint32_t index = hot_.member_index[id];
-  SPIDER_CHECK(index < partition.members.size() &&
-               partition.members[index] == id)
+  std::vector<RadioId>& members = partition.members;
+  const auto it = std::lower_bound(members.begin(), members.end(), id);
+  SPIDER_CHECK(it != members.end() && *it == id)
       << "radio not filed under channel " << channel;
-  const RadioId moved = partition.members.back();
-  partition.members[index] = moved;
-  hot_.member_index[moved] = index;
-  partition.members.pop_back();
-  // Removing the last element preserves order; a swap-and-pop from the
-  // middle does not. An emptied partition is trivially sorted again.
-  if (index != partition.members.size()) partition.members_sorted = false;
-  if (partition.members.empty()) partition.members_sorted = true;
+  members.erase(it);
   partition.grid.remove(id);
 }
 
@@ -330,22 +245,19 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
 
   // Candidate set: a span of ids whose RNG draws below must be consumed in
   // ascending (= attach) order, so grid and bucket internals never influence
-  // the stream. Grid scratch is carved from the drain arena (rewound on
-  // return).
+  // the stream. Partition members are already in that order; grid gathers
+  // are sorted below. Grid scratch is carved from the drain arena (rewound
+  // on return).
   core::Arena::Scope scope(sim_.arena());
   ChannelPartition& partition = partitions_[channel_slot(channel)];
   const std::size_t members = partition.members.size();
   const RadioId* candidates = partition.members.data();
   std::size_t count = members;
-  // A partition that only ever saw monotone appends is already in attach
-  // order, so its survivors below come out sorted and the re-sort can be
-  // skipped — the RNG stream is identical either way. Grid gathers are not.
-  bool candidates_sorted = partition.members_sorted;
   // Tiny partitions scan in place: the grid's hash probes cost more than
   // touching every co-channel radio, and the scan is a strict superset of
   // the gather, so after the shared channel/range filters both arms draw
   // identical RNG. The member vector is stable while the filter loop below
-  // runs (callbacks only fire from the post-sort delivery loop), so no copy
+  // runs (callbacks only fire from the delivery loop after it), so no copy
   // is needed.
   bool used_grid = false;
   if (members > config_.indexed_scan_threshold) {
@@ -356,7 +268,6 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
     if (used_grid) {
       candidates = buf;
       count = gathered;
-      candidates_sorted = false;
     }
   }
   if (used_grid) {
@@ -395,7 +306,7 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
     if (dist_sq > max_dist_sq) continue;
     hits[n_hits++] = Hit{id, std::sqrt(dist_sq) * inv_range_scale};
   }
-  if (!candidates_sorted) {
+  if (used_grid) {
     std::sort(hits, hits + n_hits,
               [](const Hit& a, const Hit& b) { return a.id < b.id; });
   }

@@ -20,10 +20,13 @@
 // bucketed by a uniform spatial grid whose cell is the maximum effective
 // frame range, so one delivery touches only the O(candidates) radios in the
 // 3x3 cell neighborhood of the sender instead of every radio in the world.
-// Candidates are re-sorted by attach id before the per-receiver loss draws,
-// so the RNG stream — and therefore the run digest — is independent of
-// grid/bucket internals (tests check receive sets against an O(n) scan of
-// raw positions, and grid against partition-scan digests).
+// The per-receiver loss draws run in ascending attach id: a partition keeps
+// its members in attach order, so a partition scan is ordered by
+// construction, and only grid gathers (whose bucket order follows movement
+// history) are sorted. The RNG stream — and therefore the run digest — is
+// independent of grid/bucket internals (tests check receive sets and
+// callback order against an O(n) scan of raw positions, and grid against
+// partition-scan digests).
 #pragma once
 
 #include <array>
@@ -34,6 +37,7 @@
 #include <vector>
 
 #include "net/frame.h"
+#include "phy/channel.h"
 #include "phy/geom.h"
 #include "phy/spatial_grid.h"
 #include "sim/random.h"
@@ -61,9 +65,10 @@ struct MediumConfig {
   // simplification; retries are rare at h=10%).
   int data_retry_limit = 4;
   // Partitions at or below this population skip the grid and scan the
-  // partition directly (still sorted by attach id, so the RNG stream is
-  // unchanged): at tiny worlds the 3x3 hash probes cost more than touching
-  // every co-channel radio. Tests that assert grid usage set this to 0.
+  // partition directly (members are kept in attach-id order, so the RNG
+  // stream is unchanged): at tiny worlds the 3x3 hash probes cost more than
+  // touching every co-channel radio. Tests that assert grid usage set this
+  // to 0.
   std::size_t indexed_scan_threshold = 56;
 };
 
@@ -117,14 +122,9 @@ class Medium {
   // update is free.
   void set_position(Radio& radio, Vec2 position);
 
-  // Mobility tick: applies every move (position write + lazy grid
-  // re-bucket) in one call. Crossers are grouped per channel partition and
-  // re-bucketed en masse (RadioGrid::rebucket_batch), so a fleet tick pays
-  // hash-map traffic per *cell group*, not per radio. Equivalent to calling
-  // radio->set_position(position) once per entry — same positions, same
-  // digests (position updates consume no RNG, and delivery re-sorts
-  // candidates by attach id so bucket order is invisible). Scratch comes
-  // from the simulator's drain arena.
+  // Mobility tick: applies every move in order through set_position, so a
+  // fleet tick and N radio->set_position calls leave identical state. Most
+  // moves cross no cell boundary and touch only the position array.
   void move_radios(std::span<const RadioMove> moves);
 
   void set_sniffer(SnifferFn sniffer) { sniffer_ = std::move(sniffer); }
@@ -176,31 +176,18 @@ class Medium {
   }
 
  private:
-  static constexpr std::size_t kChannelSlots = 15;  // 0 = out-of-plan
-  static std::size_t channel_slot(net::ChannelId channel) {
-    return channel >= 1 && channel < static_cast<int>(kChannelSlots)
-               ? static_cast<std::size_t>(channel)
-               : 0;
-  }
-
   struct ChannelCounters {
     std::uint64_t sent = 0;
     std::uint64_t delivered = 0;
     std::uint64_t lost = 0;
   };
 
-  // Radios tuned to one channel slot: an unordered member list (swap-and-pop
-  // via RadioHotStore::member_index) plus the spatial grid over their
-  // positions. Members are ids into hot_.
+  // Radios tuned to one channel slot: the member ids (into hot_), kept
+  // ascending by attach id through ordered insert/erase, plus the spatial
+  // grid over their positions.
   struct ChannelPartition {
     std::vector<RadioId> members;
     RadioGrid grid;
-    // True while `members` happens to be ascending by attach id — the common
-    // steady state (appends are monotone; only a swap-and-pop removal from
-    // the middle breaks it). Lets the small-partition scan path skip the
-    // per-delivery re-sort of survivors, while leaving the RNG stream
-    // byte-identical: sorted input sorts to itself.
-    bool members_sorted = true;
   };
 
   // State of one in-flight transmission, parked between transmit() and the

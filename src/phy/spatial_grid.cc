@@ -54,83 +54,6 @@ bool RadioGrid::update(RadioId id, Vec2 pos) {
   return true;
 }
 
-SPIDER_HOT bool RadioGrid::plan_move(RadioId id, Vec2 pos,
-                                     GridMove& move) const {
-  const Cell c = cell_of(pos);
-  if (c.x == store_->cell_x[id] && c.y == store_->cell_y[id]) return false;
-  move = GridMove{id, c.x, c.y};
-  return true;
-}
-
-std::vector<RadioId>* RadioGrid::batch_bucket(std::uint64_t cell_key,
-                                              bool inserting) {
-  // Newest-first over a bounded tail: a fleet tick's crossers are spatially
-  // clustered, so the hit is almost always within the first few entries.
-  // Duplicate entries past the window are harmless (same pointer); the
-  // bound keeps a pathological all-distinct batch at hash-lookup cost
-  // instead of O(moves x cells).
-  constexpr std::size_t kScanWindow = 16;
-  const std::size_t begin =
-      batch_groups_.size() > kScanWindow ? batch_groups_.size() - kScanWindow
-                                         : 0;
-  for (std::size_t i = batch_groups_.size(); i > begin; --i) {
-    if (batch_groups_[i - 1].first == cell_key) {
-      return batch_groups_[i - 1].second;
-    }
-  }
-  std::vector<RadioId>* bucket = nullptr;
-  if (inserting) {
-    bucket = &cells_[cell_key];
-  } else {
-    auto it = cells_.find(cell_key);
-    SPIDER_CHECK(it != cells_.end())
-        << "batch re-bucket from an unoccupied source cell";
-    bucket = &it->second;
-  }
-  batch_groups_.emplace_back(cell_key, bucket);
-  return bucket;
-}
-
-void RadioGrid::rebucket_batch(std::span<const GridMove> moves) {
-  if (moves.empty()) return;
-  // Pass 1 — removals: swap-and-pop every departing radio, resolving each
-  // source bucket through the per-batch memo.
-  batch_groups_.clear();
-  for (const GridMove& m : moves) {
-    std::vector<RadioId>& bucket = *batch_bucket(
-        key(store_->cell_x[m.id], store_->cell_y[m.id]), /*inserting=*/false);
-    const std::uint32_t index = store_->cell_index[m.id];
-    SPIDER_CHECK(index < bucket.size() && bucket[index] == m.id)
-        << "batch re-bucket for a radio not in its recorded cell";
-    const RadioId moved = bucket.back();
-    bucket[index] = moved;
-    store_->cell_index[moved] = index;
-    bucket.pop_back();
-    --size_;
-  }
-  // Drop buckets the batch emptied (see remove()) before insertions may
-  // repopulate those cells under fresh buckets. Resolved by key, not via
-  // the memoized pointer: the memo can hold the same cell twice, and the
-  // duplicate would dangle once the first occurrence erases the bucket.
-  for (const auto& [cell_key, bucket] : batch_groups_) {
-    auto it = cells_.find(cell_key);
-    if (it != cells_.end() && it->second.empty()) cells_.erase(it);
-  }
-  // Pass 2 — insertions, one memoized bucket resolution per destination
-  // cell. cells_ references stay valid across operator[] inserts, so memo
-  // entries never dangle within the pass.
-  batch_groups_.clear();
-  for (const GridMove& m : moves) {
-    std::vector<RadioId>& bucket =
-        *batch_bucket(key(m.cell_x, m.cell_y), /*inserting=*/true);
-    store_->cell_x[m.id] = m.cell_x;
-    store_->cell_y[m.id] = m.cell_y;
-    store_->cell_index[m.id] = static_cast<std::uint32_t>(bucket.size());
-    bucket.push_back(m.id);
-    ++size_;
-  }
-}
-
 // Hot: per delivery. `out` is carved from the drain arena at partition size
 // — an upper bound on the gather superset — so the bulk copies below never
 // bound-check or grow anything.

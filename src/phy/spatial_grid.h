@@ -6,7 +6,7 @@
 //
 //  - RadioHotStore holds the fields Medium::deliver, Medium::move_radios and
 //    the grid scans actually touch — position, address, channel, switching,
-//    grid cell, partition index — as parallel arrays indexed by attach id
+//    grid cell — as parallel arrays indexed by attach id
 //    (monotone, never reused), so candidate loops stream contiguous memory
 //    and a 100k-radio world costs ~48 hot bytes per radio instead of a
 //    pointer chase into a ~200-byte Radio.
@@ -19,13 +19,13 @@
 //
 // Determinism contract: bucket iteration order depends on movement history
 // (swap-and-pop removal), so the grid NEVER defines delivery order. Callers
-// must re-sort gathered candidates by attach id before consuming RNG draws;
-// see Medium::deliver.
+// must sort gathered candidates by attach id before consuming RNG draws;
+// see Medium::deliver. (Channel partitions need no sort: they keep their
+// members in attach order.)
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -52,8 +52,7 @@ struct RadioHotStore {
   std::vector<std::uint8_t> switching;
   std::vector<std::int32_t> cell_x;
   std::vector<std::int32_t> cell_y;
-  std::vector<std::uint32_t> cell_index;    // index within the grid bucket
-  std::vector<std::uint32_t> member_index;  // index within channel partition
+  std::vector<std::uint32_t> cell_index;  // index within the grid bucket
   std::vector<Radio*> radio;
 
   // Grows every array to cover `id` (amortized O(1) per attach).
@@ -67,7 +66,6 @@ struct RadioHotStore {
     cell_x.resize(n);
     cell_y.resize(n);
     cell_index.resize(n);
-    member_index.resize(n);
     radio.resize(n);
   }
 
@@ -79,18 +77,8 @@ struct RadioHotStore {
            cell_x.capacity() * sizeof(std::int32_t) +
            cell_y.capacity() * sizeof(std::int32_t) +
            cell_index.capacity() * sizeof(std::uint32_t) +
-           member_index.capacity() * sizeof(std::uint32_t) +
            radio.capacity() * sizeof(Radio*);
   }
-};
-
-// One pending re-bucket in a batched mobility tick: the store already holds
-// the radio's new position; (cell_x, cell_y) is the destination cell it must
-// move into. Produced by RadioGrid::plan_move, consumed by rebucket_batch.
-struct GridMove {
-  RadioId id = 0;
-  std::int32_t cell_x = 0;
-  std::int32_t cell_y = 0;
 };
 
 class RadioGrid {
@@ -118,22 +106,6 @@ class RadioGrid {
   // it did (exposed so tests can count lazy updates).
   bool update(RadioId id, Vec2 pos);
 
-  // Batched mobility. plan_move() is the read-only half of update(): it
-  // returns true and fills `move` when `pos` crosses a cell boundary, so the
-  // caller can collect a whole fleet tick's crossers and re-bucket them in
-  // one rebucket_batch() call instead of N update() calls. The store must
-  // already hold the new position; the grid only reads the destination cell
-  // from `move`.
-  bool plan_move(RadioId id, Vec2 pos, GridMove& move) const;
-  // Applies a batch of planned moves. Radios sharing a cell resolve their
-  // bucket through a small per-batch memo instead of the hash map, so a
-  // convoy crossing a boundary together pays a couple of hash lookups per
-  // cell instead of two per radio. Bucket order after the batch differs
-  // from the order N update() calls would leave — which is fine, because
-  // the delivery path re-sorts candidates by attach id (see the determinism
-  // contract above).
-  void rebucket_batch(std::span<const GridMove> moves);
-
   // Appends every radio whose cell overlaps the disc (center, radius) to
   // `out` — a superset of the radios within `radius`; the caller applies the
   // exact distance filter. `out` must have room for size() ids (the caller
@@ -158,19 +130,11 @@ class RadioGrid {
   }
   Cell cell_of(Vec2 pos) const;
 
-  // Memoized cell→bucket resolution for one rebucket_batch pass. Entries
-  // point into cells_, whose mapped vectors are address-stable across the
-  // inserts a batch performs (unordered_map nodes never move); the memo is
-  // searched newest-first over a bounded window, so clustered fleets hit it
-  // almost always and pathological scatter degrades to plain hash lookups.
-  std::vector<RadioId>* batch_bucket(std::uint64_t cell_key, bool inserting);
-
   RadioHotStore* store_ = nullptr;
   double cell_m_ = 1.0;
   double inv_cell_m_ = 1.0;
   std::size_t size_ = 0;
   std::unordered_map<std::uint64_t, std::vector<RadioId>> cells_;
-  std::vector<std::pair<std::uint64_t, std::vector<RadioId>*>> batch_groups_;
 };
 
 }  // namespace spider::phy

@@ -101,7 +101,8 @@ bool to_integral(double v, T& out) {
 }
 
 // Reads the numeric fields of a "submit" request. Fails on any value the
-// run cannot take: out of range for its type, or not positive.
+// run cannot take: out of range for its type, not positive, or over the
+// server's caps.
 bool read_submission(const telemetry::JsonValue& request, RunSubmission& out) {
   std::int64_t duration_ms = 0;
   if (!to_integral(request.number_or("seed", 1), out.seed) ||
@@ -110,13 +111,12 @@ bool read_submission(const telemetry::JsonValue& request, RunSubmission& out) {
       !to_integral(request.number_or("clients", 4), out.clients)) {
     return false;
   }
-  // sim::Time::millis multiplies by 1000; keep that in range too.
-  if (duration_ms <= 0 ||
-      duration_ms > std::numeric_limits<std::int64_t>::max() / 1000) {
+  if (duration_ms <= 0 || duration_ms > RunServer::kMaxDurationSec * 1000) {
     return false;
   }
   out.duration = sim::Time::millis(duration_ms);
-  return out.aps >= 1 && out.clients >= 1;
+  return out.aps >= 1 && out.aps <= RunServer::kMaxAps && out.clients >= 1 &&
+         out.clients <= RunServer::kMaxClients;
 }
 
 std::string error_line(std::string_view message) {

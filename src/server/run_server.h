@@ -77,6 +77,13 @@ class RunServer {
   // hundred bytes. A connection past it gets "request too long" and is
   // closed, so no client can grow a handler's buffer without limit.
   static constexpr std::size_t kMaxRequestBytes = 64 * 1024;
+  // Largest world and run one submission may ask for; past these a submit
+  // gets "bad submission parameters". The paper's drives run 30-60 min
+  // among a few hundred APs, so one hour and 1000 APs or clients cover
+  // every hosted scenario while no single submit can exhaust memory.
+  static constexpr int kMaxAps = 1000;
+  static constexpr int kMaxClients = 1000;
+  static constexpr std::int64_t kMaxDurationSec = 3600;
 
   explicit RunServer(RunServerConfig config);
   ~RunServer();

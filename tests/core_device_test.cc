@@ -51,6 +51,18 @@ TEST_F(DeviceTest, ScanTableFillsFromBeacons) {
   EXPECT_EQ(results[0].bssid, ap->address());
   EXPECT_EQ(results[0].channel, 1);
   EXPECT_LT(results[0].rssi_dbm, 0.0);
+
+  // Fill the rest of the table out of bssid order: a higher bssid first,
+  // then a lower one. Results still come back in bssid order.
+  auto high = make_ap(1, 0xA9);
+  sim_.run_for(sim::Time::millis(300));
+  auto low = make_ap(1, 0x90);
+  sim_.run_for(sim::Time::millis(300));
+  const auto ordered = device_->scan_results();
+  ASSERT_EQ(ordered.size(), 3u);
+  EXPECT_EQ(ordered[0].bssid, low->address());
+  EXPECT_EQ(ordered[1].bssid, ap->address());
+  EXPECT_EQ(ordered[2].bssid, high->address());
 }
 
 TEST_F(DeviceTest, ScanResultsFilterByChannel) {

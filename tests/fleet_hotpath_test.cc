@@ -1,11 +1,11 @@
-// Fleet-scale hot path: batched mobility + interned beacon payloads.
+// Fleet-scale hot path: per-tick mobility + interned beacon payloads.
 //
-// The contract mirrors the PHY delivery one: the batch APIs change *work*,
-// never *outcomes*. Medium::move_radios must leave the world in exactly the
-// state N scalar set_position calls leave it in (same receive sets, same RNG
-// streams, bit-identical digests), every beacon, probe response and
-// auth/assoc grant must carry the AP's one interned capability payload, and
-// the position-update timer chain must stop at the experiment horizon.
+// Medium::move_radios applies a tick's moves one radio at a time through
+// set_position, and these tests guard that it stays equivalent to N scalar
+// set_position calls (same receive sets, same RNG streams, bit-identical
+// digests). Every beacon, probe response and auth/assoc grant must carry the
+// AP's one interned capability payload, and the position-update timer chain
+// must stop at the experiment horizon.
 #include "core/fleet.h"
 
 #include <gtest/gtest.h>
@@ -158,7 +158,7 @@ TEST(FleetHotPath, BatchAndScalarMobilityConsumeIdenticalRngStreams) {
   const MobilityOutcome batch = run_lossy_mobility(true);
   const MobilityOutcome scalar = run_lossy_mobility(false);
   EXPECT_EQ(batch.digest, scalar.digest)
-      << "batched re-bucketing leaked into the RNG stream";
+      << "move_radios diverged from per-radio set_position";
   EXPECT_EQ(batch.delivered, scalar.delivered);
   EXPECT_EQ(batch.lost, scalar.lost);
 }

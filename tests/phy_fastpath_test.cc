@@ -39,13 +39,15 @@ MediumConfig lossless() {
 
 // --- grid vs. brute force over mobile trajectories ---------------------------
 
-TEST(FastPath, GridMatchesBruteForceAcrossMobileTrajectories) {
-  // Random walk across cell boundaries (and through negative coordinates,
-  // which exercise the floor-based cell math), with radios split across two
-  // channels and occasionally retuned. After every round the receive set of a
-  // broadcast must equal the brute-force set computed from raw positions.
-  sim::Simulator sim;
-  Medium medium(sim, sim::Rng(1), lossless());
+// Scan threshold that sends every delivery down the partition scan.
+constexpr std::size_t kAlwaysScan = std::numeric_limits<std::size_t>::max();
+
+// Random walk across cell boundaries (and through negative coordinates,
+// which exercise the floor-based cell math), with radios split across two
+// channels and retuned every round. After every round the receive set of a
+// broadcast must equal the brute-force set computed from raw positions, and
+// the receive callbacks must fire in ascending attach id.
+void check_receive_sets_and_order(Medium& medium, sim::Simulator& sim) {
   sim::Rng walk(0xF00D);
 
   constexpr int kRadios = 40;
@@ -53,6 +55,8 @@ TEST(FastPath, GridMatchesBruteForceAcrossMobileTrajectories) {
   std::vector<std::unique_ptr<Radio>> radios;
   std::vector<int> received(kRadios, 0);
   std::vector<int> expected(kRadios, 0);
+  // Radio i is the (i+1)-th attach, so ascending index is attach order.
+  std::vector<int> callback_order;
   for (int i = 0; i < kRadios; ++i) {
     radios.push_back(std::make_unique<Radio>(
         medium, net::MacAddress::from_index(i + 1),
@@ -61,8 +65,9 @@ TEST(FastPath, GridMatchesBruteForceAcrossMobileTrajectories) {
         {walk.uniform(-500.0, 500.0), walk.uniform(-500.0, 500.0)});
     const int idx = i;
     radios.back()->set_receive_handler(
-        [&received, idx](const net::Frame&, const RxInfo&) {
+        [&received, &callback_order, idx](const net::Frame&, const RxInfo&) {
           ++received[idx];
+          callback_order.push_back(idx);
         });
   }
 
@@ -73,13 +78,19 @@ TEST(FastPath, GridMatchesBruteForceAcrossMobileTrajectories) {
       r->set_position(r->position() + Vec2{walk.uniform(-200.0, 200.0),
                                            walk.uniform(-200.0, 200.0)});
     }
-    // Occasionally flip a radio to the other channel (partition move).
-    if (round % 3 == 0) {
-      Radio& flip = *radios[static_cast<std::size_t>(
-          walk.uniform_int(0, kRadios - 1))];
-      flip.tune(flip.channel() == 6 ? 11 : 6);
-      sim.run_all();  // complete the reset so nobody is mid-switch below
-    }
+    // Retune churn: flip a random radio to the other channel (partition
+    // move), and bounce one of the lowest ids out and back so it re-enters
+    // its partition behind higher ids.
+    Radio& flip = *radios[static_cast<std::size_t>(
+        walk.uniform_int(0, kRadios - 1))];
+    flip.tune(flip.channel() == 6 ? 11 : 6);
+    sim.run_all();
+    Radio& low = *radios[static_cast<std::size_t>(round % 4)];
+    const net::ChannelId home = low.channel();
+    low.tune(home == 6 ? 11 : 6);
+    sim.run_all();
+    low.tune(home);
+    sim.run_all();  // complete the resets so nobody is mid-switch below
 
     Radio& sender = *radios[static_cast<std::size_t>(round % kRadios)];
     for (int i = 0; i < kRadios; ++i) {
@@ -91,19 +102,37 @@ TEST(FastPath, GridMatchesBruteForceAcrossMobileTrajectories) {
       }
       ++expected[static_cast<std::size_t>(i)];
     }
+    callback_order.clear();
     sender.send(net::make_probe_request(sender.address()));
     sim.run_all();
     ASSERT_EQ(received, expected) << "round " << round << " diverged";
+    EXPECT_TRUE(std::is_sorted(callback_order.begin(), callback_order.end()))
+        << "round " << round << " delivered out of attach order";
   }
+}
+
+TEST(FastPath, GridMatchesBruteForceAcrossMobileTrajectories) {
+  sim::Simulator sim;
+  Medium medium(sim, sim::Rng(1), lossless());
+  check_receive_sets_and_order(medium, sim);
   EXPECT_GT(medium.deliveries_grid(), 0u);
   // Every delivery disc fits the 3x3 neighborhood at the default rate.
   EXPECT_EQ(medium.deliveries_scan(), 0u);
 }
 
-// --- grid gathers vs. partition scans: identical RNG streams -----------------
+TEST(FastPath, PartitionScanMatchesBruteForceInAttachOrder) {
+  // Same trajectories down the partition scan: no sort runs on this path,
+  // so the attach order comes from the partitions themselves.
+  sim::Simulator sim;
+  MediumConfig cfg = lossless();
+  cfg.indexed_scan_threshold = kAlwaysScan;
+  Medium medium(sim, sim::Rng(1), cfg);
+  check_receive_sets_and_order(medium, sim);
+  EXPECT_EQ(medium.deliveries_grid(), 0u);
+  EXPECT_GT(medium.deliveries_scan(), 0u);
+}
 
-// Scan threshold that sends every delivery down the partition scan.
-constexpr std::size_t kAlwaysScan = std::numeric_limits<std::size_t>::max();
+// --- grid gathers vs. partition scans: identical RNG streams -----------------
 
 struct PathOutcome {
   std::uint64_t digest = 0;
@@ -226,7 +255,7 @@ TEST(FastPath, TenThousandRadioFootprintStaysUnderCeiling) {
   // density (500 radios/km^2), after one batched drift wave and one
   // all-radio probe volley have grown every pool to its working size.
   // Bytes do not depend on the machine, so this is a plain ceiling: the
-  // 240 B/radio budget plus 5 % (it measures 221).
+  // 240 B/radio budget plus 5 % (it measures 214).
   constexpr int kRadios = 10'000;
   sim::Simulator sim;
   MediumConfig cfg;

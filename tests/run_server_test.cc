@@ -259,17 +259,21 @@ TEST(RunServer, HostileSubmitValuesAreRejectedAndServerStaysUp) {
   RunServer server(config);
   ASSERT_TRUE(server.start());
   // Each field takes values its integer type cannot hold (casting them is
-  // undefined behaviour), non-finite ones (1e400 reads as infinity) and
-  // durations whose microsecond count would overflow.
+  // undefined behaviour), non-finite ones (1e400 reads as infinity),
+  // durations whose microsecond count would overflow, and in-range values
+  // past the server's caps (a 2e9-client world would exhaust its memory).
   const char* const hostile[] = {
       "\"seed\":1e300",        "\"seed\":-1",
       "\"seed\":1.9e19",       "\"seed\":1e400",
       "\"duration_s\":1e300",  "\"duration_s\":-1e400",
       "\"duration_s\":1e17",   "\"duration_s\":-1",
+      "\"duration_s\":3601",   "\"duration_s\":1e9",
       "\"aps\":1e300",         "\"aps\":3e9",
       "\"aps\":-1e10",         "\"aps\":1e400",
+      "\"aps\":1001",          "\"aps\":2e9",
       "\"clients\":1e300",     "\"clients\":-3e9",
-      "\"clients\":1e400",
+      "\"clients\":1e400",     "\"clients\":1001",
+      "\"clients\":2e9",
   };
   Client client(config.socket_path);
   ASSERT_TRUE(client.ok());

@@ -80,9 +80,10 @@ struct RuleInfo {
 constexpr RuleInfo kRules[] = {
     {"det-unordered-iteration",
      "iteration over an unordered container (order is hashing-internal)",
-     "copy the elements and sort by a stable key before anything "
-     "order-dependent, switch to std::map/sorted vector, or suppress with a "
-     "reason proving the order cannot escape"},
+     "switch to std::map / sorted vector so the container iterates in key "
+     "order; else copy the elements and sort by a stable key before anything "
+     "order-dependent, or suppress with a reason proving the order cannot "
+     "escape"},
     {"det-banned-sources",
      "non-deterministic source (wall clock / global RNG / unseeded engine)",
      "draw from the world's seeded sim::Rng; wall-clock timing belongs in "
