@@ -70,7 +70,7 @@ void World::run(const std::function<void()>& start_clients) {
   if (config_.stream != nullptr) {
     stream_ = std::make_unique<telemetry::StreamSession>(
         *config_.stream, sim_.telemetry(), config_.stream_run_tag,
-        config_.stream_cadence.us());
+        kStreamCadence.us());
     stream_->begin(sim_.now().us(), config_.seed);
   }
   start_clients();

@@ -37,6 +37,8 @@ namespace spider::core {
 
 // Client radios move to the vehicle's route position at this period.
 inline constexpr sim::Time kPositionUpdate = sim::Time::millis(100);
+// A streamed run publishes its changed metrics at this period.
+inline constexpr sim::Time kStreamCadence = sim::Time::millis(100);
 
 // Fields every harness shares; ExperimentConfig and FleetConfig add their
 // own on top.
@@ -59,12 +61,11 @@ struct WorldConfig {
   // one ring write per span, and sweeps only want it on a chosen run.
   bool trace_enabled = false;
   // Live telemetry plane (DESIGN.md): when non-null, the run attaches a
-  // StreamSession to this exporter and publishes metrics deltas at
-  // `stream_cadence` of simulated time, plus trace events as they record.
+  // StreamSession to this exporter and publishes metrics deltas every
+  // kStreamCadence of simulated time, plus trace events as they record.
   // Streaming never perturbs the run: digests are identical on and off.
   telemetry::StreamExporter* stream = nullptr;
   std::uint32_t stream_run_tag = 0;  // "run" field on every streamed line
-  sim::Time stream_cadence = sim::Time::millis(100);
 };
 
 class World {

@@ -1,8 +1,9 @@
 // Minimal JSON reader for telemetry artifacts.
 //
 // Parses exactly the JSON this repo emits (run-report and stream JSONL
-// lines, Chrome trace files) back into a DOM — what spider-trace, the run
-// server and the schema round-trip tests consume. Not a general-purpose
+// lines, Chrome trace files) back into a DOM — what spider-trace and the
+// schema round-trip tests consume. Nesting deeper than 64 levels is
+// refused, so hostile input cannot exhaust the stack. Not a general-purpose
 // parser: \uXXXX decodes only below U+0080, numbers are doubles, input
 // must be a single value.
 #pragma once

@@ -216,9 +216,7 @@ void FileStreamSink::flush() {
 // ---------------------------------------------------------------------------
 // StreamExporter — consumer side (I/O thread).
 
-StreamExporter::StreamExporter(Options options) : options_(options) {
-  if (options_.batch == 0) options_.batch = 1;
-  scratch_.resize(options_.batch);
+StreamExporter::StreamExporter() : scratch_(kBatch) {
   thread_ = std::thread([this] { thread_main(); });
 }
 
@@ -240,29 +238,11 @@ void StreamExporter::add_sink(std::shared_ptr<StreamSink> sink) {
   sinks_.push_back(std::move(sink));
 }
 
-void StreamExporter::remove_sink(const StreamSink* sink) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::erase_if(sinks_, [sink](const std::shared_ptr<StreamSink>& s) {
-    return s.get() == sink;
-  });
-}
-
-std::uint64_t StreamExporter::lines_written() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lines_;
-}
-
 std::uint64_t StreamExporter::ring_dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t total = 0;
+  std::uint64_t total = closed_dropped_;
   for (const auto& s : sources_) total += s->ring->dropped();
-  for (const auto& s : finished_) total += s->dropped_at_close;
   return total;
-}
-
-std::size_t StreamExporter::open_runs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sources_.size();
 }
 
 void StreamExporter::attach(SpscRing* ring, std::uint32_t run_tag) {
@@ -270,7 +250,6 @@ void StreamExporter::attach(SpscRing* ring, std::uint32_t run_tag) {
   auto source = std::make_unique<Source>();
   source->ring = ring;
   source->run = run_tag;
-  source->attach_order = next_attach_order_++;
   sources_.push_back(std::move(source));
 }
 
@@ -285,9 +264,7 @@ void StreamExporter::detach(SpscRing* ring) {
     while ((n = ring->pop_batch(scratch_.data(), scratch_.size())) > 0) {
       for (std::size_t j = 0; j < n; ++j) consume_locked(source, scratch_[j]);
     }
-    source.dropped_at_close = ring->dropped();
-    source.ring = nullptr;
-    finished_.push_back(std::move(sources_[i]));
+    closed_dropped_ += ring->dropped();
     sources_.erase(sources_.begin() + static_cast<std::ptrdiff_t>(i));
     flush_locked();
     return;
@@ -299,14 +276,14 @@ void StreamExporter::thread_main() {
     bool busy;
     {
       // The lock is re-acquired every iteration — never held across a whole
-      // busy period — so snapshot_json(), add_sink() (a follower joining
-      // mid-run), and attach/detach stay responsive while records flow.
+      // busy period — so add_sink() and attach/detach stay responsive while
+      // records flow.
       std::unique_lock<std::mutex> lock(mu_);
       busy = sweep_locked() > 0;
       if (!busy) {
         flush_locked();
         if (stop_) return;
-        cv_.wait_for(lock, std::chrono::microseconds(options_.poll_us));
+        cv_.wait_for(lock, std::chrono::microseconds(kPollUs));
       }
     }
     if (busy) std::this_thread::yield();  // let blocked waiters in
@@ -372,9 +349,6 @@ void StreamExporter::consume_locked(Source& source,
                                     const StreamRecord& record) {
   switch (record.kind) {
     case StreamRecordKind::kRunBegin: {
-      source.begun = true;
-      source.seed = record.u;
-      source.last_ts_us = record.ts_us;
       std::string line;
       append_line_head(line, "run_begin", source.run, source.seq++,
                        record.ts_us);
@@ -385,10 +359,6 @@ void StreamExporter::consume_locked(Source& source,
       return;
     }
     case StreamRecordKind::kRunEnd: {
-      source.finished = true;
-      source.digest = record.u;
-      source.events = static_cast<std::uint64_t>(record.a);
-      source.last_ts_us = record.ts_us;
       std::string line;
       append_line_head(line, "run_end", source.run, source.seq++,
                        record.ts_us);
@@ -397,8 +367,7 @@ void StreamExporter::consume_locked(Source& source,
       line += ",\"events\":";
       append_json_i64(line, record.a);
       line += ",\"stream_dropped\":";
-      append_json_u64(line, source.ring != nullptr ? source.ring->dropped()
-                                                   : source.dropped_at_close);
+      append_json_u64(line, source.ring->dropped());
       line += ",\"trace_dropped\":";
       append_json_i64(line, record.b);
       line += "}\n";
@@ -416,8 +385,8 @@ void StreamExporter::consume_locked(Source& source,
       m.a = record.a;
       m.b = record.b;
       m.d = record.d;
-      // Baseline values ride the next metrics line so followers that join
-      // at run start see every metric at least once.
+      // Baseline values ride the next metrics line so a reader sees every
+      // metric at least once.
       if (std::find(source.pending.begin(), source.pending.end(), record.id) ==
           source.pending.end()) {
         source.pending.push_back(record.id);
@@ -454,7 +423,6 @@ void StreamExporter::consume_locked(Source& source,
     case StreamRecordKind::kPublishBegin:
       source.in_batch = true;
       source.batch_ts_us = record.ts_us;
-      source.last_ts_us = record.ts_us;
       return;
     case StreamRecordKind::kPublishEnd: {
       source.in_batch = false;
@@ -504,7 +472,6 @@ void StreamExporter::consume_locked(Source& source,
     case StreamRecordKind::kSpan:
     case StreamRecordKind::kInstant:
     case StreamRecordKind::kCounterSample: {
-      source.last_ts_us = record.ts_us;
       std::string line;
       const char* kind = record.kind == StreamRecordKind::kSpan ? "span"
                          : record.kind == StreamRecordKind::kInstant
@@ -535,7 +502,6 @@ void StreamExporter::consume_locked(Source& source,
 }
 
 void StreamExporter::write_locked(const std::string& line) {
-  ++lines_;
   std::erase_if(sinks_, [&line](const std::shared_ptr<StreamSink>& sink) {
     return !sink->write_line(line);
   });
@@ -543,88 +509,6 @@ void StreamExporter::write_locked(const std::string& line) {
 
 void StreamExporter::flush_locked() {
   for (auto& sink : sinks_) sink->flush();
-}
-
-void StreamExporter::append_source_state(std::string& out,
-                                         const Source& source,
-                                         bool open) const {
-  out += "{\"run\":";
-  append_json_u64(out, source.run);
-  out += ",\"state\":\"";
-  if (open) {
-    out += source.begun ? "running" : "attached";
-  } else {
-    out += source.finished ? "finished" : "aborted";
-  }
-  out += "\",\"seed\":";
-  append_json_u64(out, source.seed);
-  if (source.finished) {
-    out += ",\"digest\":";
-    append_json_hex64(out, source.digest);
-    out += ",\"events\":";
-    append_json_u64(out, source.events);
-  }
-  out += ",\"ts_us\":";
-  append_json_i64(out, source.last_ts_us);
-  out += ",\"lines\":";
-  append_json_u64(out, source.seq);
-  out += ",\"stream_dropped\":";
-  append_json_u64(out, source.ring != nullptr ? source.ring->dropped()
-                                              : source.dropped_at_close);
-  // Latest values, grouped by kind, names sorted — same shapes as the
-  // "metrics" stream lines.
-  std::vector<const MetricState*> by_kind[3];
-  for (const MetricState& m : source.metrics) {
-    if (m.defined) by_kind[static_cast<int>(m.kind)].push_back(&m);
-  }
-  static constexpr const char* kSection[3] = {"counters", "gauges",
-                                              "histograms"};
-  for (int kind = 0; kind < 3; ++kind) {
-    std::sort(by_kind[kind].begin(), by_kind[kind].end(),
-              [](const MetricState* a, const MetricState* b) {
-                return a->name < b->name;
-              });
-    out += ",\"";
-    out += kSection[kind];
-    out += "\":{";
-    bool first = true;
-    for (const MetricState* m : by_kind[kind]) {
-      if (!first) out.push_back(',');
-      first = false;
-      append_json_quoted(out, m->name);
-      out.push_back(':');
-      append_metric_value(out, m->kind, m->u, m->a, m->b, m->d);
-    }
-    out += "}";
-  }
-  out += "}";
-}
-
-std::string StreamExporter::snapshot_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<const Source*, bool>> runs;
-  runs.reserve(sources_.size() + finished_.size());
-  for (const auto& s : sources_) runs.emplace_back(s.get(), true);
-  for (const auto& s : finished_) runs.emplace_back(s.get(), false);
-  std::sort(runs.begin(), runs.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first->run != b.first->run)
-                return a.first->run < b.first->run;
-              return a.first->attach_order < b.first->attach_order;
-            });
-  std::string out = "{\"schema\":";
-  append_json_quoted(out, kStreamSchema);
-  out += ",\"kind\":\"snapshot\",\"lines\":";
-  append_json_u64(out, lines_);
-  out += ",\"runs\":[";
-  bool first = true;
-  for (const auto& [source, open] : runs) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_source_state(out, *source, open);
-  }
-  out += "]}";
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -648,7 +532,7 @@ void StreamSession::begin(std::int64_t ts_us, std::uint64_t seed) {
   if (begun_) return;
   begun_ = true;
   publisher_.begin_run(ts_us, seed);
-  // Baseline publish so followers see the full metric set up front, then
+  // Baseline publish so readers see the full metric set up front, then
   // arm the cadence hook and the trace tee. Patient: this is not the hot
   // path yet, and the baseline must not be lost to a cold backlog.
   hub_.run_collectors();

@@ -6,8 +6,7 @@
 //   ----------                        -------------------
 //   Hub::maybe_publish_stream ──┐
 //   TraceRecorder tee ──────────┼──> SpscRing ──> StreamExporter ──> sinks
-//   StreamSession begin/finish ─┘                 (JSONL renderer)    (file,
-//                                                                    socket)
+//   StreamSession begin/finish ─┘                 (JSONL renderer)    (file)
 //
 // StreamPublisher is the producer-side encoder: it walks the registry's
 // ordered maps at each cadence publish and pushes one fixed-size record per
@@ -20,8 +19,6 @@
 // line a per-run sequence number in ring order — producer order, so a
 // multi-world stream sorts deterministically by (run, seq) regardless of
 // worker count or host timing — and fans lines out to the registered sinks.
-// It also keeps a live per-run metric table, served as one snapshot line to
-// anyone who asks (the run-server's "snapshot" command).
 //
 // StreamSession ties one world to one exporter for one run: it owns the
 // ring, wires the Hub and trace tee on begin(), publishes the final state
@@ -142,7 +139,7 @@ class StreamPublisher {
 // Where rendered lines go. write_line is called with the exporter's lock
 // held (implementations must not call back into the exporter) and receives
 // one full line including the trailing newline. Returning false
-// unsubscribes the sink (e.g. a follower hung up).
+// unsubscribes the sink (e.g. a write failed).
 class StreamSink {
  public:
   virtual ~StreamSink() = default;
@@ -164,17 +161,7 @@ class FileStreamSink : public StreamSink {
 
 class StreamExporter {
  public:
-  struct Options {
-    // Host-time poll period of the I/O thread while idle, microseconds.
-    // Host timing can never influence line *content* or order — only how
-    // soon a line reaches a sink.
-    std::int64_t poll_us = 500;
-    // Records drained per ring per sweep (bounds exporter latency spikes).
-    std::size_t batch = 512;
-  };
-
-  StreamExporter() : StreamExporter(Options{}) {}
-  explicit StreamExporter(Options options);
+  StreamExporter();
   // All sessions must be destroyed first (they detach themselves); joins
   // the I/O thread and flushes sinks.
   ~StreamExporter();
@@ -183,20 +170,19 @@ class StreamExporter {
   StreamExporter& operator=(const StreamExporter&) = delete;
 
   void add_sink(std::shared_ptr<StreamSink> sink);
-  void remove_sink(const StreamSink* sink);
 
-  // One JSONL snapshot line: every run this exporter has seen (open and
-  // finished) with its latest metric values, runs ordered by (tag, attach
-  // order), metrics by name.
-  std::string snapshot_json() const;
-
-  std::uint64_t lines_written() const;
   // Total ring overflow drops across all sources, open and closed.
   std::uint64_t ring_dropped() const;
-  std::size_t open_runs() const;
 
  private:
   friend class StreamSession;
+
+  // Host-time poll period of the I/O thread while idle. Host timing can
+  // never influence line *content* or order — only how soon a line reaches
+  // a sink.
+  static constexpr std::int64_t kPollUs = 500;
+  // Records drained per ring per sweep (bounds exporter latency spikes).
+  static constexpr std::size_t kBatch = 512;
 
   struct MetricState {
     std::string name;
@@ -211,24 +197,16 @@ class StreamExporter {
   struct Source {
     SpscRing* ring = nullptr;
     std::uint32_t run = 0;
-    std::uint64_t attach_order = 0;
     std::uint64_t seq = 0;  // next line sequence number for this run
-    std::uint64_t seed = 0;
-    std::uint64_t digest = 0;  // valid once finished
-    std::uint64_t events = 0;
-    std::int64_t last_ts_us = 0;
-    bool begun = false;
-    bool finished = false;
     std::vector<MetricState> metrics;     // indexed by metric id
     std::vector<std::uint32_t> pending;   // ids updated in the open batch
     bool in_batch = false;
     std::int64_t batch_ts_us = 0;
-    std::uint64_t dropped_at_close = 0;   // ring drop count, frozen on detach
   };
 
   void attach(SpscRing* ring, std::uint32_t run_tag);
   // Drains everything still in `ring` inline (the producer has stopped),
-  // freezes its drop count, and moves the source to the finished list.
+  // adds its drop count to the closed total, and forgets the source.
   void detach(SpscRing* ring);
 
   void thread_main();
@@ -237,18 +215,13 @@ class StreamExporter {
   void consume_locked(Source& source, const StreamRecord& record);
   void write_locked(const std::string& line);
   void flush_locked();
-  void append_source_state(std::string& out, const Source& source,
-                           bool open) const;
 
-  Options options_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
-  std::uint64_t next_attach_order_ = 0;
-  std::vector<std::unique_ptr<Source>> sources_;   // open (ring attached)
-  std::vector<std::unique_ptr<Source>> finished_;  // detached; ring == null
+  std::vector<std::unique_ptr<Source>> sources_;  // open (ring attached)
+  std::uint64_t closed_dropped_ = 0;  // ring drops of every detached source
   std::vector<std::shared_ptr<StreamSink>> sinks_;
-  std::uint64_t lines_ = 0;
   std::vector<StreamRecord> scratch_;  // consumer-side drain buffer
   std::thread thread_;
 };

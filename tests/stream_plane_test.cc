@@ -2,10 +2,11 @@
 // plane"): warm cadence publishes are allocation-free (this binary links
 // spider_alloc_guard, so an armed guard makes any heap traffic fatal), the
 // final streamed totals reconcile exactly with the end-of-run
-// MetricsSnapshot despite cumulative-value self-healing, the exporter's
-// snapshot line carries finished-run state, sweeps assign deterministic
-// per-replication run tags, and — the plane's prime directive — per-run
-// digests are bit-identical with streaming on and off.
+// MetricsSnapshot despite cumulative-value self-healing (for a bare
+// simulator and for a fleet world, traced and untraced), sweeps assign
+// deterministic per-replication run tags, spider-trace reads streamed and
+// hostile files without undefined behaviour, and — the plane's prime
+// directive — per-run digests are bit-identical with streaming on and off.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -25,6 +26,7 @@
 #include "core/check.h"
 #include "core/configs.h"
 #include "core/experiment.h"
+#include "core/fleet.h"
 #include "core/sweep.h"
 #include "mobility/route.h"
 #include "net/addr.h"
@@ -70,6 +72,7 @@ struct StreamedFinals {
   bool begun = false;
   bool ended = false;
   std::uint64_t events = 0;
+  std::size_t spans = 0;
 };
 
 std::map<std::uint32_t, StreamedFinals> replay_stream(
@@ -96,6 +99,8 @@ std::map<std::uint32_t, StreamedFinals> replay_stream(
     } else if (kind == "run_end") {
       run.ended = true;
       run.events = static_cast<std::uint64_t>(doc.number_or("events", 0));
+    } else if (kind == "span") {
+      ++run.spans;
     } else if (kind == "metrics") {
       if (const telemetry::JsonValue* c = doc.find("counters")) {
         for (const auto& [name, value] : c->object) {
@@ -140,6 +145,33 @@ void expect_finals_match_snapshot(const StreamedFinals& finals,
     EXPECT_EQ(it->second.first, sample.count) << sample.name;
     EXPECT_DOUBLE_EQ(it->second.second, sample.sum) << sample.name;
   }
+}
+
+// Compact vehicular scenario (mirrors tests/sweep_test.cc) so replications
+// stay fast while exercising the full stack the stream hooks ride on.
+core::ExperimentConfig stream_scenario(std::uint64_t seed,
+                                       telemetry::StreamExporter* stream) {
+  core::ExperimentConfig cfg;
+  cfg.seed = seed;
+  cfg.duration = sim::Time::seconds(15);
+  cfg.medium.base_loss = 0.1;
+  cfg.vehicle = mobility::Vehicle(mobility::Route::straight(250.0), 12.0);
+  cfg.spider = core::single_channel_multi_ap(1);
+  mobility::ApDescriptor ap;
+  ap.ssid = "stream-ap";
+  ap.mac = net::MacAddress::from_index(0xA0);
+  ap.subnet = net::Ipv4Address{(10u << 24) | (0xA0u << 8)};
+  ap.position = {90, 12};
+  ap.channel = 1;
+  ap.backhaul_bps = 2e6;
+  mobility::ApDescriptor ap2 = ap;
+  ap2.ssid = "stream-ap2";
+  ap2.mac = net::MacAddress::from_index(0xA1);
+  ap2.subnet = net::Ipv4Address{(10u << 24) | (0xA1u << 8)};
+  ap2.position = {200, -8};
+  cfg.aps = {ap, ap2};
+  cfg.stream = stream;
+  return cfg;
 }
 
 TEST(StreamPlane, WarmPublishIsAllocationFree) {
@@ -204,34 +236,41 @@ TEST(StreamPlane, FinalStreamedTotalsReconcileWithSnapshot) {
   EXPECT_TRUE(finals.ended);
   EXPECT_EQ(finals.events, sim.events_executed());
   expect_finals_match_snapshot(finals, snap);
-}
 
-// Compact vehicular scenario (mirrors tests/sweep_test.cc) so replications
-// stay fast while exercising the full stack the stream hooks ride on.
-core::ExperimentConfig stream_scenario(std::uint64_t seed,
-                                       telemetry::StreamExporter* stream) {
-  core::ExperimentConfig cfg;
-  cfg.seed = seed;
-  cfg.duration = sim::Time::seconds(15);
-  cfg.medium.base_loss = 0.1;
-  cfg.vehicle = mobility::Vehicle(mobility::Route::straight(250.0), 12.0);
-  cfg.spider = core::single_channel_multi_ap(1);
-  mobility::ApDescriptor ap;
-  ap.ssid = "stream-ap";
-  ap.mac = net::MacAddress::from_index(0xA0);
-  ap.subnet = net::Ipv4Address{(10u << 24) | (0xA0u << 8)};
-  ap.position = {90, 12};
-  ap.channel = 1;
-  ap.backhaul_bps = 2e6;
-  mobility::ApDescriptor ap2 = ap;
-  ap2.ssid = "stream-ap2";
-  ap2.mac = net::MacAddress::from_index(0xA1);
-  ap2.subnet = net::Ipv4Address{(10u << 24) | (0xA1u << 8)};
-  ap2.position = {200, -8};
-  cfg.aps = {ap, ap2};
-  cfg.stream = stream;
-  cfg.stream_cadence = sim::Time::millis(10);
-  return cfg;
+  // A fleet world streams through the same World path. Its trace switch
+  // decides whether join spans reach the stream; either way the finals
+  // reconcile with the fleet's own end-of-run snapshot.
+  for (const bool trace : {true, false}) {
+    telemetry::StreamExporter fleet_exporter;
+    auto fleet_capture = std::make_shared<CaptureSink>();
+    fleet_exporter.add_sink(fleet_capture);
+    core::FleetConfig cfg;
+    static_cast<core::WorldConfig&>(cfg) = stream_scenario(9, &fleet_exporter);
+    cfg.clients = 2;
+    cfg.trace_enabled = trace;
+    cfg.stream_run_tag = 4;
+    telemetry::MetricsSnapshot fleet_snap;
+    std::uint64_t fleet_events = 0;
+    {
+      core::FleetExperiment fleet(cfg);
+      fleet.run();
+      fleet_snap = fleet.simulator().telemetry().collect();
+      fleet_events = fleet.simulator().events_executed();
+    }  // the session detaches here, draining its ring into the sink
+
+    auto fleet_runs = replay_stream(fleet_capture->text());
+    ASSERT_EQ(fleet_runs.size(), 1u) << "trace " << trace;
+    const StreamedFinals& fleet_finals = fleet_runs[4];
+    EXPECT_TRUE(fleet_finals.begun);
+    EXPECT_TRUE(fleet_finals.ended);
+    EXPECT_EQ(fleet_finals.events, fleet_events);
+    if (trace) {
+      EXPECT_GT(fleet_finals.spans, 0u);
+    } else {
+      EXPECT_EQ(fleet_finals.spans, 0u);
+    }
+    expect_finals_match_snapshot(fleet_finals, fleet_snap);
+  }
 }
 
 TEST(StreamPlane, SweepStreamsEveryReplicationAndLeavesDigestsUnchanged) {
@@ -267,22 +306,19 @@ TEST(StreamPlane, SweepStreamsEveryReplicationAndLeavesDigestsUnchanged) {
     EXPECT_EQ(it->second.events, streamed.runs[i].events_executed);
     expect_finals_match_snapshot(it->second, streamed.runs[i].telemetry);
   }
+}
 
-  // The exporter's registry snapshot agrees: every run finished, in tag
-  // order, with its event count.
-  telemetry::JsonValue snap;
-  ASSERT_TRUE(telemetry::parse_json(exporter.snapshot_json(), snap));
-  EXPECT_EQ(snap.string_or("kind", ""), "snapshot");
-  const telemetry::JsonValue* snap_runs = snap.find("runs");
-  ASSERT_NE(snap_runs, nullptr);
-  ASSERT_EQ(snap_runs->array.size(), seeds.size());
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    const telemetry::JsonValue& entry = snap_runs->array[i];
-    EXPECT_EQ(static_cast<std::size_t>(entry.number_or("run", 99)), i);
-    EXPECT_EQ(entry.string_or("state", ""), "finished");
-    EXPECT_EQ(static_cast<std::uint64_t>(entry.number_or("events", 0)),
-              streamed.runs[i].events_executed);
+// Runs the real spider-trace with `args`; returns its wait status and puts
+// what it wrote to stdout and stderr in `out`.
+int run_spider_trace(const std::string& args, std::string* out) {
+  const std::string cmd = std::string(SPIDER_TRACE_BIN) + " " + args + " 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buf[4096];
+  for (std::size_t n = 0; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;) {
+    out->append(buf, n);
   }
+  return ::pclose(pipe);
 }
 
 TEST(StreamPlane, StreamedRunPassesSpiderTraceStrict) {
@@ -321,18 +357,64 @@ TEST(StreamPlane, StreamedRunPassesSpiderTraceStrict) {
   EXPECT_GT(records, 2u);
   EXPECT_LT(records, telemetry::SpscRing::kDefaultCapacity);
 
-  const std::string cmd =
-      std::string(SPIDER_TRACE_BIN) + " --strict " + path + " 2>&1";
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  ASSERT_NE(pipe, nullptr) << cmd;
   std::string out;
-  char buf[4096];
-  for (std::size_t n = 0; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;) {
-    out.append(buf, n);
-  }
-  const int status = ::pclose(pipe);
+  const int status = run_spider_trace("--strict " + path, &out);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
   std::remove(path.c_str());
+}
+
+TEST(StreamPlane, SpiderTraceSkipsNumbersOutOfRange) {
+  // spider-trace reads files that other processes wrote. A number that
+  // cannot be the integer it stands for (a negative run tag, an infinite
+  // timestamp, a bucket past any index) must cost its line or trace event
+  // with a warning, never reach a cast: that cast is undefined behaviour,
+  // which the sanitizer builds turn into an abort. One hostile file per
+  // artifact kind, each with one good record so the run still succeeds.
+  const std::string stream = R"({"schema":"spider-telemetry-stream-v1",)"
+                             R"("kind":"run_begin","seq":0,"seed":1,)";
+  const std::string report = R"({"schema":"spider-telemetry-v1",)"
+                             R"("label":"a","runs":1,"combined_digest":"0x1",)";
+  struct Case {
+    const char* name;
+    std::string text;
+    const char* summary;  // what the good records add up to
+  };
+  const Case cases[] = {
+      {"stream",
+       stream + R"("run":-1,"ts_us":0})" "\n" +
+           stream + R"("run":0,"ts_us":1e999})" "\n" +
+           stream + R"("run":0,"ts_us":0})" "\n",
+       "1 stream line(s), 2 skipped"},
+      {"report",
+       report + R"("kind":"run","counters":{"driver.joins":-1}})" "\n" +
+           report + R"("kind":"sweep","merged":{"counters":{"x":1e20}}})"
+                    "\n" +
+           report + R"("kind":"sweep","merged":{"histograms":{"h":{)"
+                    R"("count":1,"sum":1,"buckets":[[-3,1e300]]}}}})" "\n" +
+           report + R"("kind":"run","counters":{"driver.joins":2}})" "\n",
+       "1 run line(s), 0 sweep block(s), 0 stream line(s), 3 skipped"},
+      {"trace",
+       R"({"traceEvents":[)"
+       R"({"ph":"M","name":"thread_name","tid":-1,"args":{"name":"bad"}},)"
+       R"({"ph":"X","cat":"c","name":"n","ts":1e999,"dur":1},)"
+       R"({"ph":"X","cat":"c","name":"n","ts":5,"dur":2}],"droppedEvents":0})",
+       "skipped events (numbers out of range): 2"},
+  };
+  for (const Case& c : cases) {
+    const std::string path = testing::TempDir() + "stream_plane_hostile_" +
+                             c.name + "_" +
+                             std::to_string(static_cast<long>(::getpid()));
+    std::ofstream(path) << c.text;
+    std::string out;
+    const int status = run_spider_trace(path, &out);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << c.name << ":\n" << out;
+    EXPECT_NE(out.find("is out of range"), std::string::npos)
+        << c.name << ":\n" << out;
+    EXPECT_NE(out.find(c.summary), std::string::npos)
+        << c.name << ":\n" << out;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

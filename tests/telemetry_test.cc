@@ -7,18 +7,23 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/check.h"
 #include "mac/access_point.h"
 #include "net/frame.h"
 #include "phy/medium.h"
 #include "phy/radio.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 #include "telemetry/hub.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/run_report.h"
+#include "telemetry/stream_exporter.h"
 #include "telemetry/trace_recorder.h"
 #include "trace/frame_log.h"
 
@@ -351,6 +356,110 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(parse_json("{} trailing", doc, nullptr));
   EXPECT_FALSE(parse_json("", doc, nullptr));
   EXPECT_FALSE(error.empty());
+}
+
+// Collects an exporter's lines; read only once the exporter is destroyed
+// and its I/O thread joined.
+class StringSink : public StreamSink {
+ public:
+  explicit StringSink(std::string* out) : out_(out) {}
+  bool write_line(std::string_view line) override {
+    out_->append(line);
+    return true;
+  }
+
+ private:
+  std::string* out_;
+};
+
+// One artifact of each kind spider-trace reads, as the emitters write them:
+// a run-report line, a stream "metrics" line and a small Chrome trace.
+std::vector<std::string> real_artifacts() {
+  Registry registry;
+  registry.counter("driver.joins").inc(3);
+  registry.gauge("sim.queue_depth").set(17);
+  registry.histogram("dhcp.acquisition_delay_sec").add(0.25);
+  std::vector<std::string> out = {
+      run_report_line("fig6", 2, 42, 0xabcdef, 9001, registry.snapshot())};
+
+  std::string stream;
+  {
+    sim::Simulator sim;
+    sim.telemetry().metrics().histogram("app.latency_s").add(0.5);
+    StreamExporter exporter;
+    exporter.add_sink(std::make_shared<StringSink>(&stream));
+    StreamSession session(exporter, sim.telemetry(), /*run_tag=*/3,
+                          /*cadence_us=*/100);
+    session.begin(0, /*seed=*/42);
+    session.finish(100, sim.digest(), sim.events_executed());
+  }
+  const std::size_t metrics = stream.find("\"kind\":\"metrics\"");
+  const std::size_t begin = stream.rfind('\n', metrics) + 1;  // npos + 1 = 0
+  out.push_back(stream.substr(begin, stream.find('\n', metrics) - begin));
+
+  TraceRecorder rec;
+  rec.set_enabled(true);
+  rec.name_track(106, "ch6");
+  rec.complete("dhcp", "join", 1000, 250, 1, "attempts", 2);
+  rec.instant("frame_evicted", "framelog", 1500, 0, "bytes", 62);
+  rec.counter("sim.queue_depth", "sim", 2000, 42);
+  out.push_back(rec.to_json());
+  return out;
+}
+
+// parse_json is the only reader of outside input (spider-trace's files).
+// Seeded byte flips, inserts, deletes and truncations of real artifacts
+// must each parse or fail with an error — under the sanitizer presets, with
+// no report — and nesting far past the depth cap must be refused.
+TEST(Json, SeededMutationsOfRealArtifactsParseOrFailCleanly) {
+  const std::vector<std::string> artifacts = real_artifacts();
+  for (const std::string& text : artifacts) {
+    JsonValue doc;
+    ASSERT_TRUE(parse_json(text, doc, nullptr)) << text;
+  }
+  sim::Rng rng(0x5EED);
+  constexpr int kMutants = 20000;
+  int parsed = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string text =
+        artifacts[static_cast<std::size_t>(i) % artifacts.size()];
+    for (auto edits = rng.uniform_int(1, 4); edits > 0 && !text.empty();
+         --edits) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1));
+      switch (rng.uniform_int(0, 3)) {
+        case 0:  // flip one bit
+          text[at] = static_cast<char>(text[at] ^ (1 << rng.uniform_int(0, 7)));
+          break;
+        case 1:
+          text.insert(at, 1, static_cast<char>(rng.uniform_int(0, 255)));
+          break;
+        case 2:
+          text.erase(at, 1);
+          break;
+        default:
+          text.resize(at);
+          break;
+      }
+    }
+    JsonValue doc;
+    std::string error;
+    if (parse_json(text, doc, &error)) {
+      ++parsed;
+    } else {
+      EXPECT_FALSE(error.empty()) << text;
+    }
+  }
+  // Both outcomes occur, so the budget reaches past the first byte.
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, kMutants);
+
+  JsonValue doc;
+  EXPECT_TRUE(parse_json(std::string(32, '[') + std::string(32, ']'), doc));
+  EXPECT_FALSE(parse_json(std::string(100000, '['), doc));
+  // Balanced, so only the depth cap can refuse it.
+  EXPECT_FALSE(parse_json(
+      std::string(100000, '[') + std::string(100000, ']'), doc));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 // spider-trace — terminal summaries of the repo's telemetry artifacts.
 //
-// Accepts any artifact the benches and the run server emit:
+// Accepts any artifact the benches emit:
 //   * a spider-telemetry-v1 JSONL file (from --telemetry): prints each
 //     sweep's top counters, gauge levels/peaks, histogram summaries with
 //     log-bucket quantiles, and a per-channel dwell/traffic table;
-//   * a spider-telemetry-stream-v1 JSONL file (from --stream / spider-serve):
-//     prints per-run stream statistics and the final streamed metric values;
+//   * a spider-telemetry-stream-v1 JSONL file (from --stream): prints
+//     per-run stream statistics and the final streamed metric values;
 //     mixed files work — lines with an unknown schema or kind are skipped
 //     with a warning, so v1 consumers can skim stream files and vice versa;
 //   * a Chrome trace JSON file (from --trace): prints per-(category, name)
@@ -14,25 +14,26 @@
 //     tracks, and the ring's dropped-event count.
 //
 // Usage: spider-trace <file> [--top N] [--strict]
-//        spider-trace --follow <socket> [--top N] [--strict]
 //
-// --follow connects to a spider-serve socket, prints the snapshot, then
-// tails the live stream until the server hangs up. --strict exits nonzero
-// when any drop counter (stream ring overflow, trace ring overwrite) is
-// nonzero — the CI guard that telemetry windows were big enough.
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
+// To watch a run live, stream it to a file (--stream PATH) and read that
+// file. The file may come from anywhere, so every number that becomes an
+// integer is range-checked first (Checked below): a line or trace event
+// carrying a non-finite, negative-where-unsigned or out-of-range value is
+// skipped with a warning, like a line of unknown schema. --strict exits
+// nonzero when any drop counter (stream ring overflow, trace ring
+// overwrite) is nonzero — the CI guard that telemetry windows were big
+// enough.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/json.h"
@@ -60,24 +61,70 @@ std::string read_file(const char* path, bool* ok) {
   return buf.str();
 }
 
-// Nearest-bucket quantile over the sparse (index, count) pairs a JSONL
-// histogram carries; mirrors Histogram::quantile but works on the export.
-double bucket_quantile(const JsonValue& buckets, double q, double min_v,
+// The one way a JSON number becomes an integer here. Casting NaN, an
+// infinity, a negative value to an unsigned type, or anything past the
+// type's range is undefined behaviour, so integer() refuses those, returns
+// 0, and remembers the first field that failed; the caller then skips the
+// whole line (or trace event) with warn().
+class Checked {
+ public:
+  template <typename T>
+  T integer(double v, std::string_view field) {
+    constexpr double kLo = static_cast<double>(std::numeric_limits<T>::min());
+    // 2^bits (2^(bits-1) if signed), built from a power of two so it is
+    // exact in a double; every double below it truncates into range.
+    constexpr double kEnd =
+        2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+    if (v >= kLo && v < kEnd) return static_cast<T>(v);  // NaN fails both
+    if (ok_) {
+      ok_ = false;
+      field_ = field;
+      value_ = v;
+    }
+    return T{};
+  }
+
+  bool ok() const { return ok_; }
+
+  void warn(const char* where, std::size_t index) const {
+    std::fprintf(stderr, "%s %zu: skipping: \"%s\" = %g is out of range\n",
+                 where, index, field_.c_str(), value_);
+  }
+
+ private:
+  bool ok_ = true;
+  std::string field_;
+  double value_ = 0.0;
+};
+
+// The sparse (bucket index, count) pairs a JSONL histogram carries.
+using Buckets = std::vector<std::pair<std::size_t, std::uint64_t>>;
+
+Buckets read_buckets(const JsonValue& buckets, Checked& in) {
+  Buckets out;
+  for (const JsonValue& pair : buckets.array) {
+    if (pair.array.size() != 2) continue;
+    const auto index =
+        in.integer<std::size_t>(pair.array[0].number, "bucket index");
+    const auto count =
+        in.integer<std::uint64_t>(pair.array[1].number, "bucket count");
+    out.emplace_back(index, count);
+  }
+  return out;
+}
+
+// Nearest-bucket quantile over an exported histogram; mirrors
+// Histogram::quantile but works on the export.
+double bucket_quantile(const Buckets& buckets, double q, double min_v,
                        double max_v) {
   std::uint64_t total = 0;
-  for (const JsonValue& pair : buckets.array) {
-    if (pair.array.size() == 2) {
-      total += static_cast<std::uint64_t>(pair.array[1].number);
-    }
-  }
+  for (const auto& [index, count] : buckets) total += count;
   if (total == 0) return 0.0;
   const auto target =
       static_cast<std::uint64_t>(q * static_cast<double>(total));
   std::uint64_t cum = 0;
-  for (const JsonValue& pair : buckets.array) {
-    if (pair.array.size() != 2) continue;
-    const auto index = static_cast<std::size_t>(pair.array[0].number);
-    cum += static_cast<std::uint64_t>(pair.array[1].number);
+  for (const auto& [index, count] : buckets) {
+    cum += count;
     if (cum > target) {
       if (index == 0) return min_v;
       if (index >= Histogram::kBuckets - 1) return max_v;
@@ -89,15 +136,24 @@ double bucket_quantile(const JsonValue& buckets, double q, double min_v,
 
 // ---------------------------------------------------------------------------
 // spider-telemetry-v1 JSONL mode
+//
+// A sweep line's numbers are read into rows before anything is printed, so
+// a line with a bad number prints nothing but its warning.
 
-void print_counters(const JsonValue& counters, int top) {
-  std::vector<std::pair<std::string, std::uint64_t>> rows;
+using CounterRows = std::vector<std::pair<std::string, std::uint64_t>>;
+
+CounterRows counter_rows(const JsonValue& counters, Checked& in) {
+  CounterRows rows;
   for (const auto& [name, value] : counters.object) {
-    rows.emplace_back(name, static_cast<std::uint64_t>(value.number));
+    rows.emplace_back(name, in.integer<std::uint64_t>(value.number, name));
   }
   std::stable_sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
     return a.second > b.second;
   });
+  return rows;
+}
+
+void print_counters(const CounterRows& rows, int top) {
   const std::size_t shown =
       std::min<std::size_t>(rows.size(), static_cast<std::size_t>(top));
   std::printf("  counters (top %zu of %zu):\n", shown, rows.size());
@@ -116,23 +172,43 @@ void print_gauges(const JsonValue& gauges) {
   }
 }
 
-void print_histograms(const JsonValue& histograms) {
-  if (histograms.object.empty()) return;
-  std::printf("  histograms:\n");
+struct HistogramRow {
+  std::string name;
+  double count = 0.0;
+  double sum = 0.0;
+  double max_v = 0.0;
+  double p50 = 0.0;
+  double p90 = 0.0;
+};
+
+std::vector<HistogramRow> histogram_rows(const JsonValue& histograms,
+                                         Checked& in) {
+  std::vector<HistogramRow> rows;
   for (const auto& [name, h] : histograms.object) {
-    const double count = h.number_or("count", 0.0);
-    const double sum = h.number_or("sum", 0.0);
-    const double min_v = h.number_or("min", 0.0);
-    const double max_v = h.number_or("max", 0.0);
-    double p50 = 0.0;
-    double p90 = 0.0;
+    HistogramRow row;
+    row.name = name;
+    row.count = h.number_or("count", 0.0);
+    row.sum = h.number_or("sum", 0.0);
+    row.max_v = h.number_or("max", 0.0);
     if (const JsonValue* buckets = h.find("buckets")) {
-      p50 = bucket_quantile(*buckets, 0.5, min_v, max_v);
-      p90 = bucket_quantile(*buckets, 0.9, min_v, max_v);
+      const Buckets pairs = read_buckets(*buckets, in);
+      const double min_v = h.number_or("min", 0.0);
+      row.p50 = bucket_quantile(pairs, 0.5, min_v, row.max_v);
+      row.p90 = bucket_quantile(pairs, 0.9, min_v, row.max_v);
     }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+void print_histograms(const std::vector<HistogramRow>& rows) {
+  if (rows.empty()) return;
+  std::printf("  histograms:\n");
+  for (const HistogramRow& h : rows) {
     std::printf(
         "    %-32s n=%-7.0f mean=%-9.4g p50~%-9.4g p90~%-9.4g max=%.4g\n",
-        name.c_str(), count, count > 0 ? sum / count : 0.0, p50, p90, max_v);
+        h.name.c_str(), h.count, h.count > 0 ? h.sum / h.count : 0.0, h.p50,
+        h.p90, h.max_v);
   }
 }
 
@@ -146,11 +222,14 @@ void print_channel_table(const JsonValue& counters) {
     bool any = false;
   };
   std::map<int, Row> rows;
+  // -1 unless `name` is `prefix` followed by a channel number that fits.
   const auto channel_of = [](const std::string& name,
-                             const char* prefix) -> int {
-    const std::size_t len = std::strlen(prefix);
-    if (name.compare(0, len, prefix) != 0) return -1;
-    return std::atoi(name.c_str() + len);
+                             std::string_view prefix) -> int {
+    if (name.compare(0, prefix.size(), prefix) != 0) return -1;
+    int ch = -1;
+    std::from_chars(name.data() + prefix.size(), name.data() + name.size(),
+                    ch);
+    return ch;
   };
   for (const auto& [name, value] : counters.object) {
     if (int ch = channel_of(name, "driver.dwell_us.ch"); ch >= 0) {
@@ -180,7 +259,7 @@ void print_channel_table(const JsonValue& counters) {
 }
 
 // ---------------------------------------------------------------------------
-// spider-telemetry-stream-v1 mode (files and --follow)
+// spider-telemetry-stream-v1 mode
 
 // Accumulates one run's stream. Metric values are cumulative on the wire, so
 // "latest value seen" IS the final total — which is what reconciles against
@@ -206,17 +285,21 @@ struct RunStreamState {
 
 class StreamSummary {
  public:
-  void consume(const JsonValue& doc) {
-    const std::string kind = doc.string_or("kind", "");
-    if (kind == "snapshot") {
-      if (const JsonValue* runs = doc.find("runs")) {
-        for (const JsonValue& run : runs->array) consume_run_state(run);
-      }
-      return;
+  // Folds one stream line in. Returns false, after a warning, when the
+  // line's run tag or timestamp is not a valid integer.
+  bool consume(const JsonValue& doc, std::size_t line_no) {
+    Checked in;
+    const auto tag =
+        in.integer<std::uint32_t>(doc.number_or("run", 0.0), "run");
+    const auto ts =
+        in.integer<std::int64_t>(doc.number_or("ts_us", 0.0), "ts_us");
+    if (!in.ok()) {
+      in.warn("line", line_no);
+      return false;
     }
-    RunStreamState& run =
-        runs_[static_cast<std::uint32_t>(doc.number_or("run", 0.0))];
-    const auto ts = static_cast<std::int64_t>(doc.number_or("ts_us", 0.0));
+    ++lines_;
+    const std::string kind = doc.string_or("kind", "");
+    RunStreamState& run = runs_[tag];
     if (!run.begun || ts < run.first_ts_us) run.first_ts_us = ts;
     if (ts > run.last_ts_us) run.last_ts_us = ts;
     if (kind == "run_begin") {
@@ -240,10 +323,10 @@ class StreamSummary {
     }
     // Unknown kinds within the stream schema are forward-compatible: the
     // timestamps above were already folded in, nothing else to do.
+    return true;
   }
 
   std::size_t lines_consumed() const { return lines_; }
-  void count_line() { ++lines_; }
 
   double total_drops() const {
     double total = 0.0;
@@ -320,21 +403,6 @@ class StreamSummary {
     }
   }
 
-  void consume_run_state(const JsonValue& state) {
-    RunStreamState& run =
-        runs_[static_cast<std::uint32_t>(state.number_or("run", 0.0))];
-    run.seed = state.number_or("seed", run.seed);
-    run.events = state.number_or("events", run.events);
-    run.digest = state.string_or("digest", run.digest);
-    run.last_ts_us = static_cast<std::int64_t>(
-        state.number_or("ts_us", static_cast<double>(run.last_ts_us)));
-    run.stream_dropped = state.number_or("stream_dropped", run.stream_dropped);
-    const std::string s = state.string_or("state", "");
-    if (s == "running") run.begun = true;
-    if (s == "finished") run.begun = run.ended = true;
-    merge_metrics(run, state);
-  }
-
   std::map<std::uint32_t, RunStreamState> runs_;
   std::size_t lines_ = 0;
 };
@@ -359,8 +427,7 @@ int summarize_jsonl(const std::string& text, int top, bool strict) {
     }
     const std::string schema = doc.string_or("schema", "");
     if (schema == spider::telemetry::kStreamSchema) {
-      stream.consume(doc);
-      stream.count_line();
+      if (!stream.consume(doc, line_no)) ++skipped;
       continue;
     }
     // Unknown schemas are skipped, not fatal: consumers of either schema
@@ -373,40 +440,57 @@ int summarize_jsonl(const std::string& text, int top, bool strict) {
     }
     const std::string kind = doc.string_or("kind", "");
     if (kind == "run") {
-      ++runs_seen;
-      std::uint64_t samples = 0;
+      Checked in;
+      std::uint64_t joins = 0;
       if (const JsonValue* counters = doc.find("counters")) {
-        samples = static_cast<std::uint64_t>(
-            counters->number_or("driver.joins", 0.0));
+        joins = in.integer<std::uint64_t>(
+            counters->number_or("driver.joins", 0.0), "driver.joins");
       }
+      if (!in.ok()) {
+        in.warn("line", line_no);
+        ++skipped;
+        continue;
+      }
+      ++runs_seen;
       std::printf("run   %-20s #%-3.0f seed=%-6.0f events=%-9.0f "
                   "joins=%llu digest=%s\n",
                   doc.string_or("label", "?").c_str(),
                   doc.number_or("run", 0.0), doc.number_or("seed", 0.0),
                   doc.number_or("events", 0.0),
-                  static_cast<unsigned long long>(samples),
+                  static_cast<unsigned long long>(joins),
                   doc.string_or("digest", "?").c_str());
     } else if (kind == "sweep") {
+      const JsonValue* merged = doc.find("merged");
+      const auto section = [merged](const char* key) {
+        return merged != nullptr ? merged->find(key) : nullptr;
+      };
+      const JsonValue* counters = section("counters");
+      const JsonValue* histograms = section("histograms");
+      Checked in;
+      const CounterRows counter_table =
+          counters != nullptr ? counter_rows(*counters, in) : CounterRows{};
+      const std::vector<HistogramRow> histogram_table =
+          histograms != nullptr ? histogram_rows(*histograms, in)
+                                : std::vector<HistogramRow>{};
+      if (!in.ok()) {
+        in.warn("line", line_no);
+        ++skipped;
+        continue;
+      }
       ++sweeps_seen;
       std::printf("sweep %-20s runs=%-3.0f combined_digest=%s\n",
                   doc.string_or("label", "?").c_str(),
                   doc.number_or("runs", 0.0),
                   doc.string_or("combined_digest", "?").c_str());
-      if (const JsonValue* merged = doc.find("merged")) {
-        if (const JsonValue* counters = merged->find("counters")) {
-          print_counters(*counters, top);
-          print_channel_table(*counters);
-        }
-        if (const JsonValue* gauges = merged->find("gauges")) {
-          print_gauges(*gauges);
-        }
-        if (const JsonValue* histograms = merged->find("histograms")) {
-          print_histograms(*histograms);
-        }
+      if (counters != nullptr) {
+        print_counters(counter_table, top);
+        print_channel_table(*counters);
       }
+      if (const JsonValue* gauges = section("gauges")) print_gauges(*gauges);
+      print_histograms(histogram_table);
       if (const JsonValue* process = doc.find("process")) {
-        if (const JsonValue* counters = process->find("counters")) {
-          for (const auto& [name, value] : counters->object) {
+        if (const JsonValue* totals = process->find("counters")) {
+          for (const auto& [name, value] : totals->object) {
             if (value.number != 0.0) {
               std::printf("  process %-30s %12.0f\n", name.c_str(),
                           value.number);
@@ -465,23 +549,33 @@ int summarize_trace(const JsonValue& doc, int top, bool strict) {
   std::int64_t first_ts = 0;
   std::int64_t last_ts = 0;
   bool any_ts = false;
-  for (const JsonValue& ev : events->array) {
+  std::size_t skipped = 0;
+  for (std::size_t i = 0; i < events->array.size(); ++i) {
+    const JsonValue& ev = events->array[i];
     const std::string ph = ev.string_or("ph", "");
+    Checked in;
     if (ph == "M") {
-      if (const JsonValue* args = ev.find("args")) {
-        tracks[static_cast<std::uint32_t>(ev.number_or("tid", 0.0))] =
-            args->string_or("name", "?");
+      const auto tid =
+          in.integer<std::uint32_t>(ev.number_or("tid", 0.0), "tid");
+      if (!in.ok()) {
+        in.warn("traceEvents", i);
+        ++skipped;
+      } else if (const JsonValue* args = ev.find("args")) {
+        tracks[tid] = args->string_or("name", "?");
       }
       continue;
     }
     const double ts = ev.number_or("ts", 0.0);
     const double dur = ev.number_or("dur", 0.0);
-    if (!any_ts || static_cast<std::int64_t>(ts) < first_ts) {
-      first_ts = static_cast<std::int64_t>(ts);
+    const auto start = in.integer<std::int64_t>(ts, "ts");
+    const auto end = in.integer<std::int64_t>(ts + dur, "ts + dur");
+    if (!in.ok()) {
+      in.warn("traceEvents", i);
+      ++skipped;
+      continue;
     }
-    if (!any_ts || static_cast<std::int64_t>(ts + dur) > last_ts) {
-      last_ts = static_cast<std::int64_t>(ts + dur);
-    }
+    if (!any_ts || start < first_ts) first_ts = start;
+    if (!any_ts || end > last_ts) last_ts = end;
     any_ts = true;
     const std::string key =
         ev.string_or("cat", "?") + "/" + ev.string_or("name", "?");
@@ -514,7 +608,8 @@ int summarize_trace(const JsonValue& doc, int top, bool strict) {
     std::printf("trace window: %.3f s .. %.3f s (%.3f s)\n",
                 static_cast<double>(first_ts) / 1e6,
                 static_cast<double>(last_ts) / 1e6,
-                static_cast<double>(last_ts - first_ts) / 1e6);
+                (static_cast<double>(last_ts) -
+                 static_cast<double>(first_ts)) / 1e6);
   }
   if (!tracks.empty()) {
     std::printf("tracks:");
@@ -561,6 +656,9 @@ int summarize_trace(const JsonValue& doc, int top, bool strict) {
                   c.max_v, c.last_v);
     }
   }
+  if (skipped > 0) {
+    std::printf("skipped events (numbers out of range): %zu\n", skipped);
+  }
   // Events overwritten by the recorder's bounded ring — the exported file
   // holds only the most recent window when this is nonzero.
   const double dropped = doc.number_or("droppedEvents", 0.0);
@@ -577,113 +675,10 @@ int summarize_trace(const JsonValue& doc, int top, bool strict) {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// --follow: tail a spider-serve socket
-
-int follow_socket(const char* path, int top, bool strict) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::fprintf(stderr, "cannot create socket\n");
-    return 1;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (std::strlen(path) >= sizeof(addr.sun_path)) {
-    std::fprintf(stderr, "socket path too long\n");
-    ::close(fd);
-    return 1;
-  }
-  std::memcpy(addr.sun_path, path, std::strlen(path) + 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    std::fprintf(stderr, "cannot connect to %s (is spider-serve running?)\n",
-                 path);
-    ::close(fd);
-    return 1;
-  }
-  const char request[] = "{\"cmd\":\"follow\"}\n";
-  if (::send(fd, request, sizeof(request) - 1, 0) < 0) {
-    std::fprintf(stderr, "cannot send follow request\n");
-    ::close(fd);
-    return 1;
-  }
-
-  StreamSummary stream;
-  std::string buffer;
-  char chunk[8192];
-  bool snapshot_seen = false;
-  for (;;) {
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (line.empty()) continue;
-      JsonValue doc;
-      if (!spider::telemetry::parse_json(line, doc)) continue;
-      const std::string kind = doc.string_or("kind", "");
-      stream.consume(doc);
-      if (kind == "snapshot") {
-        snapshot_seen = true;
-        const JsonValue* runs = doc.find("runs");
-        std::printf("connected: %zu run(s) known to the server\n",
-                    runs != nullptr ? runs->array.size() : 0);
-        std::fflush(stdout);
-        continue;
-      }
-      stream.count_line();
-      // Live one-liner per streamed record so mid-run progress is visible.
-      std::printf("[run %.0f] seq %.0f t=%.3fs %s", doc.number_or("run", 0.0),
-                  doc.number_or("seq", 0.0),
-                  doc.number_or("ts_us", 0.0) / 1e6, kind.c_str());
-      if (kind == "metrics") {
-        std::size_t changed = 0;
-        for (const char* section : {"counters", "gauges", "histograms"}) {
-          if (const JsonValue* group = doc.find(section)) {
-            changed += group->object.size();
-          }
-        }
-        std::printf(" (%zu changed)", changed);
-      } else if (kind == "span") {
-        std::printf(" %s/%s dur=%.3fms", doc.string_or("cat", "?").c_str(),
-                    doc.string_or("name", "?").c_str(),
-                    doc.number_or("dur_us", 0.0) / 1e3);
-      } else if (kind == "instant" || kind == "counter_sample") {
-        std::printf(" %s/%s", doc.string_or("cat", "?").c_str(),
-                    doc.string_or("name", "?").c_str());
-      } else if (kind == "run_end") {
-        std::printf(" digest=%s events=%.0f dropped=%.0f/%.0f",
-                    doc.string_or("digest", "?").c_str(),
-                    doc.number_or("events", 0.0),
-                    doc.number_or("stream_dropped", 0.0),
-                    doc.number_or("trace_dropped", 0.0));
-      }
-      std::printf("\n");
-      std::fflush(stdout);
-    }
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;  // server hung up (or shut down) — summarize and exit
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  std::printf("stream closed after %zu line(s)\n", stream.lines_consumed());
-  stream.print(top);
-  if (!snapshot_seen && stream.lines_consumed() == 0) {
-    std::fprintf(stderr, "no stream data received\n");
-    return 1;
-  }
-  if (strict && stream.total_drops() > 0.0) {
-    std::fprintf(stderr, "--strict: %.0f dropped record(s) in the stream\n",
-                 stream.total_drops());
-    return 3;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const char* path = nullptr;
-  const char* follow = nullptr;
   int top = 12;
   bool strict = false;
   for (int i = 1; i < argc; ++i) {
@@ -693,21 +688,16 @@ int main(int argc, char** argv) {
       top = std::atoi(argv[i] + 6);
     } else if (std::strcmp(argv[i], "--strict") == 0) {
       strict = true;
-    } else if (std::strcmp(argv[i], "--follow") == 0 && i + 1 < argc) {
-      follow = argv[++i];
     } else if (path == nullptr) {
       path = argv[i];
     }
   }
-  if ((path == nullptr && follow == nullptr) || top <= 0) {
+  if (path == nullptr || top <= 0) {
     std::fprintf(stderr,
                  "usage: spider-trace <telemetry.jsonl | stream.jsonl | "
-                 "trace.json> [--top N] [--strict]\n"
-                 "       spider-trace --follow <socket> [--top N] "
-                 "[--strict]\n");
+                 "trace.json> [--top N] [--strict]\n");
     return 2;
   }
-  if (follow != nullptr) return follow_socket(follow, top, strict);
   bool ok = false;
   const std::string text = read_file(path, &ok);
   if (!ok) {
