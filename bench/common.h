@@ -66,8 +66,9 @@ inline void parse_common_flags(int argc, char** argv) {
 }
 
 // The binary's shared stream exporter, created on first use when --stream is
-// set (nullptr otherwise). One exporter serves every sweep in the binary;
-// its I/O thread outlives all runs and flushes the file sink at exit.
+// set (nullptr otherwise). One exporter serves every sweep in the binary:
+// each run appends its own lines to the file, and the exporter flushes the
+// file sink at exit.
 inline telemetry::StreamExporter* stream_exporter() {
   const TelemetryOptions& options = telemetry_options();
   if (options.stream_path.empty()) return nullptr;
@@ -80,7 +81,7 @@ inline telemetry::StreamExporter* stream_exporter() {
                    telemetry_options().stream_path.c_str());
       return false;
     }
-    exporter.add_sink(std::move(sink));
+    exporter.set_sink(std::move(sink));
     return true;
   }();
   return wired ? &exporter : nullptr;

@@ -107,8 +107,8 @@ class World {
   std::vector<std::unique_ptr<backhaul::ApHost>> ap_hosts_;
   std::vector<Rider> riders_;
   bool ran_ = false;
-  // Last member: destroyed first, so the session detaches (and drains its
-  // ring) while the simulator and its registry strings are still alive.
+  // Last member: destroyed first, so the session disarms the Hub while the
+  // simulator is still alive.
   std::unique_ptr<telemetry::StreamSession> stream_;
 };
 

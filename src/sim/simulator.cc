@@ -177,8 +177,8 @@ SPIDER_HOT void Simulator::drain(Time limit) {
       // Live-stream cadence hook, at instant boundaries only so a publish
       // can never observe (or interleave with) a half-executed instant. One
       // branch when no stream is attached; publishing reads metrics and
-      // pushes into the lock-free ring — it schedules nothing, consumes no
-      // randomness, and never touches the digest.
+      // appends rendered lines to the stream — it schedules nothing,
+      // consumes no randomness, and never touches the digest.
       telemetry_.maybe_publish_stream(ev.at_us);
     }
     instant_us_ = ev.at_us;

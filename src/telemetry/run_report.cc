@@ -1,5 +1,6 @@
 #include "telemetry/run_report.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <mutex>
@@ -32,14 +33,12 @@ void append_json_quoted(std::string& out, std::string_view s) {
 
 void append_json_u64(std::string& out, std::uint64_t v) {
   char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out += buf;
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 void append_json_i64(std::string& out, std::int64_t v) {
   char buf[24];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out += buf;
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 // Shortest-round-trip formatting would be ideal; %.17g is deterministic for

@@ -28,7 +28,7 @@ namespace spider::telemetry {
 
 inline constexpr std::string_view kRunReportSchema = "spider-telemetry-v1";
 
-// Schema tag of the live-stream JSONL lines the StreamExporter writes (see
+// Schema tag of the live-stream JSONL lines a StreamPublisher renders (see
 // stream_exporter.h for the line shapes). Stream lines are a superset
 // shape: readers of either schema must tolerate unknown keys (the JSON
 // reader in json.h does), so a -v1 consumer can skim -stream-v1 files.

@@ -81,8 +81,8 @@ class TraceRecorder {
   // setup survive a later enable.
   void name_track(std::uint32_t track, const char* name);
 
-  // Live-stream tee: while set, every recorded event is also pushed to the
-  // stream publisher (which never blocks — see spsc_ring.h). Wired by
+  // Live-stream tee: while set, every recorded event is also rendered as a
+  // line by the stream publisher (see stream_exporter.h). Wired by
   // Hub::set_stream; nullptr detaches.
   void set_stream(StreamPublisher* stream) { stream_ = stream; }
 

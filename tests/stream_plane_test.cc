@@ -1,12 +1,13 @@
 // End-to-end gates for the live telemetry plane (DESIGN.md "Live telemetry
-// plane"): warm cadence publishes are allocation-free (this binary links
-// spider_alloc_guard, so an armed guard makes any heap traffic fatal), the
-// final streamed totals reconcile exactly with the end-of-run
-// MetricsSnapshot despite cumulative-value self-healing (for a bare
-// simulator and for a fleet world, traced and untraced), sweeps assign
-// deterministic per-replication run tags, spider-trace reads streamed and
-// hostile files without undefined behaviour, and — the plane's prime
-// directive — per-run digests are bit-identical with streaming on and off.
+// plane"): warm cadence publishes, sink write included, are allocation-free
+// (this binary links spider_alloc_guard, so an armed guard makes any heap
+// traffic fatal), the final streamed totals reconcile exactly with the
+// end-of-run MetricsSnapshot (for a bare simulator and for a fleet world,
+// traced and untraced), sweeps assign deterministic per-replication run
+// tags, each run's lines depend only on its seed — not on the worker count —
+// spider-trace reads streamed, half-written and hostile files without
+// undefined behaviour, and — the plane's prime directive — per-run digests
+// are bit-identical with streaming on and off.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -15,11 +16,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/alloc_guard.h"
@@ -35,20 +38,19 @@
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/run_report.h"
-#include "telemetry/spsc_ring.h"
 #include "telemetry/stream_exporter.h"
 
 namespace spider {
 namespace {
 
-// Accumulates every rendered line; write_line runs on the exporter thread
-// (with the exporter's lock held), the test reads after runs complete, so
-// the sink carries its own lock.
+// Accumulates every rendered line; write() runs on whichever world thread
+// hands its lines off (with the exporter's lock held), and the test reads
+// after runs complete, so the sink carries its own lock.
 class CaptureSink : public telemetry::StreamSink {
  public:
-  bool write_line(std::string_view line) override {
+  bool write(std::string_view lines) override {
     std::lock_guard<std::mutex> lock(mu_);
-    text_.append(line);
+    text_.append(lines);
     return true;
   }
 
@@ -63,8 +65,7 @@ class CaptureSink : public telemetry::StreamSink {
 };
 
 // Latest cumulative values seen on a run's "metrics" lines — the reader-side
-// model of the self-healing contract: whatever was dropped mid-run, the last
-// sighting of each metric is the truth.
+// model of the stream: the last sighting of each metric is its total.
 struct StreamedFinals {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::pair<std::int64_t, std::int64_t>> gauges;
@@ -74,6 +75,45 @@ struct StreamedFinals {
   std::uint64_t events = 0;
   std::size_t spans = 0;
 };
+
+// Counts the bytes handed to it and keeps none of them, so a sink write
+// allocates nothing and the warm-publish guard covers the whole path.
+class CountingSink : public telemetry::StreamSink {
+ public:
+  bool write(std::string_view lines) override {
+    bytes_ += lines.size();
+    return true;
+  }
+  std::size_t bytes() const { return bytes_; }
+
+ private:
+  std::size_t bytes_ = 0;
+};
+
+// A stream's lines grouped by run, in file order. Fails the test unless
+// each run's seq runs 0..n-1 with no gap.
+std::map<std::uint32_t, std::vector<std::string>> lines_by_run(
+    const std::string& text) {
+  std::map<std::uint32_t, std::vector<std::string>> runs;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    std::size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    std::string line = text.substr(start, end - start);
+    start = end + 1;
+    telemetry::JsonValue doc;
+    if (!telemetry::parse_json(line, doc)) {
+      ADD_FAILURE() << "unparseable stream line: " << line;
+      continue;
+    }
+    std::vector<std::string>& run =
+        runs[static_cast<std::uint32_t>(doc.number_or("run", 0))];
+    EXPECT_EQ(doc.number_or("seq", -1), static_cast<double>(run.size()))
+        << line;
+    run.push_back(std::move(line));
+  }
+  return runs;
+}
 
 std::map<std::uint32_t, StreamedFinals> replay_stream(
     const std::string& text) {
@@ -183,22 +223,29 @@ TEST(StreamPlane, WarmPublishIsAllocationFree) {
   telemetry::Histogram& latency = hub.metrics().histogram("app.latency_s");
 
   telemetry::StreamExporter exporter;
+  auto sink = std::make_shared<CountingSink>();
+  exporter.set_sink(sink);
   telemetry::StreamSession session(exporter, hub, /*run_tag=*/1,
                                    /*cadence_us=*/100);
-  session.begin(0, /*seed=*/42);  // cold: defines every metric (allocates)
+  session.begin(0, /*seed=*/42);  // cold: tracks every metric (allocates)
   hits.inc(3);
   depth.set(5);
   latency.add(0.25);
   session.publisher().publish_metrics(100, hub.metrics());
 
   // Warm steady state: no new metrics, so each publish is a lockstep walk
-  // of the registry plus fixed-size ring pushes — zero allocation budget.
+  // of the registry rendering into the reserved buffer, then one sink
+  // write — zero allocation budget.
   for (int i = 0; i < 4; ++i) {
     hits.inc(1);
     depth.set(6 + i);
     latency.add(0.5);
-    core::ScopedAllocGuard guard("warm stream publish");
-    session.publisher().publish_metrics(200 + 100 * i, hub.metrics());
+    const std::size_t before = sink->bytes();
+    {
+      core::ScopedAllocGuard guard("warm stream publish");
+      session.publisher().publish_metrics(200 + 100 * i, hub.metrics());
+    }
+    EXPECT_GT(sink->bytes(), before) << "publish " << i << " wrote no line";
   }
   session.finish(1000, sim.digest(), sim.events_executed());
 }
@@ -212,7 +259,7 @@ TEST(StreamPlane, FinalStreamedTotalsReconcileWithSnapshot) {
 
   telemetry::StreamExporter exporter;
   auto capture = std::make_shared<CaptureSink>();
-  exporter.add_sink(capture);
+  exporter.set_sink(capture);
   {
     telemetry::StreamSession session(exporter, hub, /*run_tag=*/3,
                                      /*cadence_us=*/50);
@@ -226,7 +273,7 @@ TEST(StreamPlane, FinalStreamedTotalsReconcileWithSnapshot) {
     }
     sim.run_all();
     session.finish(sim.now().us(), sim.digest(), sim.events_executed());
-  }  // detach drains the ring before the registry can go away
+  }
 
   const telemetry::MetricsSnapshot snap = hub.collect();
   auto runs = replay_stream(capture->text());
@@ -243,7 +290,7 @@ TEST(StreamPlane, FinalStreamedTotalsReconcileWithSnapshot) {
   for (const bool trace : {true, false}) {
     telemetry::StreamExporter fleet_exporter;
     auto fleet_capture = std::make_shared<CaptureSink>();
-    fleet_exporter.add_sink(fleet_capture);
+    fleet_exporter.set_sink(fleet_capture);
     core::FleetConfig cfg;
     static_cast<core::WorldConfig&>(cfg) = stream_scenario(9, &fleet_exporter);
     cfg.clients = 2;
@@ -256,7 +303,7 @@ TEST(StreamPlane, FinalStreamedTotalsReconcileWithSnapshot) {
       fleet.run();
       fleet_snap = fleet.simulator().telemetry().collect();
       fleet_events = fleet.simulator().events_executed();
-    }  // the session detaches here, draining its ring into the sink
+    }
 
     auto fleet_runs = replay_stream(fleet_capture->text());
     ASSERT_EQ(fleet_runs.size(), 1u) << "trace " << trace;
@@ -280,7 +327,7 @@ TEST(StreamPlane, SweepStreamsEveryReplicationAndLeavesDigestsUnchanged) {
 
   telemetry::StreamExporter exporter;
   auto capture = std::make_shared<CaptureSink>();
-  exporter.add_sink(capture);
+  exporter.set_sink(capture);
   const core::SweepReport streamed = core::run_seed_sweep(
       seeds, [&](std::uint64_t s) { return stream_scenario(s, &exporter); },
       2);
@@ -306,6 +353,23 @@ TEST(StreamPlane, SweepStreamsEveryReplicationAndLeavesDigestsUnchanged) {
     EXPECT_EQ(it->second.events, streamed.runs[i].events_executed);
     expect_finals_match_snapshot(it->second, streamed.runs[i].telemetry);
   }
+
+  // A run's lines depend only on its seed: streamed by 1, 2 or 3 workers,
+  // each run holds the same lines in the same order, numbered without gaps.
+  const auto by_run = [&seeds](unsigned threads) {
+    telemetry::StreamExporter rerun_exporter;
+    auto rerun = std::make_shared<CaptureSink>();
+    rerun_exporter.set_sink(rerun);
+    core::run_seed_sweep(
+        seeds,
+        [&](std::uint64_t s) { return stream_scenario(s, &rerun_exporter); },
+        threads);
+    return lines_by_run(rerun->text());
+  };
+  const auto two_workers = lines_by_run(capture->text());
+  ASSERT_EQ(two_workers.size(), seeds.size());
+  EXPECT_EQ(by_run(1), two_workers);
+  EXPECT_EQ(by_run(3), two_workers);
 }
 
 // Runs the real spider-trace with `args`; returns its wait status and puts
@@ -323,9 +387,7 @@ int run_spider_trace(const std::string& args, std::string* out) {
 
 TEST(StreamPlane, StreamedRunPassesSpiderTraceStrict) {
   // A drive streamed to a file must summarize cleanly under the real
-  // spider-trace --strict: every line readable, no record dropped. The run
-  // is short enough that all of its records fit in one ring, so a drop is a
-  // bug even if the exporter thread never got scheduled during the run.
+  // spider-trace --strict: every line readable, run_begin through run_end.
   const std::string path =
       testing::TempDir() + "stream_plane_strict_" +
       std::to_string(static_cast<long>(::getpid())) + ".jsonl";
@@ -333,33 +395,45 @@ TEST(StreamPlane, StreamedRunPassesSpiderTraceStrict) {
     telemetry::StreamExporter exporter;
     auto sink = std::make_shared<telemetry::FileStreamSink>(path);
     ASSERT_TRUE(sink->ok());
-    exporter.add_sink(sink);
+    exporter.set_sink(sink);
     core::ExperimentConfig cfg = stream_scenario(5, &exporter);
     cfg.duration = sim::Time::seconds(3);
     core::Experiment(cfg).run();
-    EXPECT_EQ(exporter.ring_dropped(), 0u);
-  }  // joins the exporter thread; the sink closes the file
+  }  // the sink closes the file
 
-  // Every metric value on a "metrics" line, plus run_begin and run_end, came
-  // through the ring as one record.
-  std::ifstream in(path);
-  std::size_t records = 0;
-  for (std::string line; std::getline(in, line);) {
-    telemetry::JsonValue doc;
-    ASSERT_TRUE(telemetry::parse_json(line, doc)) << line;
-    ++records;
-    for (const char* map : {"counters", "gauges", "histograms"}) {
-      if (const telemetry::JsonValue* m = doc.find(map)) {
-        records += m->object.size();
-      }
-    }
+  std::string text;
+  {
+    std::ifstream in(path, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in), {});
   }
-  EXPECT_GT(records, 2u);
-  EXPECT_LT(records, telemetry::SpscRing::kDefaultCapacity);
+  const auto runs = lines_by_run(text);
+  ASSERT_EQ(runs.size(), 1u);
+  const std::vector<std::string>& lines = runs.begin()->second;
+  ASSERT_GT(lines.size(), 2u);
+  EXPECT_NE(lines.front().find("\"kind\":\"run_begin\""), std::string::npos);
+  EXPECT_NE(lines.back().find("\"kind\":\"run_end\""), std::string::npos);
 
   std::string out;
-  const int status = run_spider_trace("--strict " + path, &out);
+  int status = run_spider_trace("--strict " + path, &out);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+
+  // A file read while the run is still writing it can end mid-line. The
+  // unterminated tail is skipped with a note and the rest still summarizes;
+  // the same broken line with its newline is a hard parse error.
+  std::size_t cut = text.size() / 2;
+  while (text[cut - 1] == '\n') ++cut;
+  std::ofstream(path, std::ios::binary) << text.substr(0, cut);
+  out.clear();
+  status = run_spider_trace("--strict " + path, &out);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+  EXPECT_NE(out.find("may still be being written"), std::string::npos) << out;
+  EXPECT_NE(out.find("stream line(s)"), std::string::npos) << out;
+
+  std::ofstream(path, std::ios::binary) << text.substr(0, cut) << "\n";
+  out.clear();
+  status = run_spider_trace(path, &out);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << out;
+  EXPECT_NE(out.find("parse error"), std::string::npos) << out;
   std::remove(path.c_str());
 }
 

@@ -358,13 +358,12 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(error.empty());
 }
 
-// Collects an exporter's lines; read only once the exporter is destroyed
-// and its I/O thread joined.
+// Collects an exporter's lines.
 class StringSink : public StreamSink {
  public:
   explicit StringSink(std::string* out) : out_(out) {}
-  bool write_line(std::string_view line) override {
-    out_->append(line);
+  bool write(std::string_view lines) override {
+    out_->append(lines);
     return true;
   }
 
@@ -387,7 +386,7 @@ std::vector<std::string> real_artifacts() {
     sim::Simulator sim;
     sim.telemetry().metrics().histogram("app.latency_s").add(0.5);
     StreamExporter exporter;
-    exporter.add_sink(std::make_shared<StringSink>(&stream));
+    exporter.set_sink(std::make_shared<StringSink>(&stream));
     StreamSession session(exporter, sim.telemetry(), /*run_tag=*/3,
                           /*cadence_us=*/100);
     session.begin(0, /*seed=*/42);

@@ -8,30 +8,33 @@
 //     per-run stream statistics and the final streamed metric values;
 //     mixed files work — lines with an unknown schema or kind are skipped
 //     with a warning, so v1 consumers can skim stream files and vice versa;
-//   * a Chrome trace JSON file (from --trace): prints per-(category, name)
-//     span statistics, instant-event counts, counter-track statistics
-//     (samples / value range / final value, per series id), the named
-//     tracks, and the ring's dropped-event count.
+//   * a Chrome trace JSON file (from --trace, one document on one line):
+//     prints per-(category, name) span statistics, instant-event counts,
+//     counter-track statistics (samples / value range / final value, per
+//     series id), the named tracks, and the ring's dropped-event count.
 //
 // Usage: spider-trace <file> [--top N] [--strict]
 //
-// To watch a run live, stream it to a file (--stream PATH) and read that
-// file. The file may come from anywhere, so every number that becomes an
-// integer is range-checked first (Checked below): a line or trace event
-// carrying a non-finite, negative-where-unsigned or out-of-range value is
-// skipped with a warning, like a line of unknown schema. --strict exits
-// nonzero when any drop counter (stream ring overflow, trace ring
-// overwrite) is nonzero — the CI guard that telemetry windows were big
-// enough.
+// JSONL files are read one line at a time, so memory is bounded by the
+// longest line, not the file. To watch a run live, stream it to a file
+// (--stream PATH) and read that file while the run writes it: a last line
+// without its newline that does not parse yet is skipped with a note. The
+// file may come from anywhere, so every number that becomes an integer is
+// range-checked first (Checked below): a line or trace event carrying a
+// non-finite, negative-where-unsigned or out-of-range value is skipped with
+// a warning, like a line of unknown schema. --strict exits nonzero when the
+// trace recorder's ring overwrote events (a run_end's "trace_dropped" or a
+// Chrome trace's "droppedEvents") — the CI guard that trace windows were
+// big enough.
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <istream>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,17 +52,37 @@ using spider::telemetry::JsonValue;
 // ---------------------------------------------------------------------------
 // Shared helpers
 
-std::string read_file(const char* path, bool* ok) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    *ok = false;
-    return {};
+// A file read one line at a time; memory is bounded by the longest line.
+class Lines {
+ public:
+  explicit Lines(std::istream& in) : in_(in) {}
+
+  // Moves to the next line (or, after hold(), stays on the current one).
+  bool next() {
+    if (held_) {
+      held_ = false;
+      return true;
+    }
+    if (!std::getline(in_, text_)) return false;
+    ++number_;
+    terminated_ = !in_.eof();
+    return true;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *ok = true;
-  return buf.str();
-}
+  // Makes the next call to next() return the current line again.
+  void hold() { held_ = true; }
+
+  const std::string& text() const { return text_; }
+  std::size_t number() const { return number_; }
+  // False only for a last line that did not end in '\n'.
+  bool terminated() const { return terminated_; }
+
+ private:
+  std::istream& in_;
+  std::string text_;
+  std::size_t number_ = 0;
+  bool terminated_ = false;
+  bool held_ = false;
+};
 
 // The one way a JSON number becomes an integer here. Casting NaN, an
 // infinity, a negative value to an unsigned type, or anything past the
@@ -275,7 +298,6 @@ struct RunStreamState {
   std::uint64_t instants = 0;
   std::uint64_t counter_samples = 0;
   double events = 0.0;
-  double stream_dropped = 0.0;
   double trace_dropped = 0.0;
   std::string digest;
   std::map<std::string, double> counters;                      // latest
@@ -317,7 +339,6 @@ class StreamSummary {
     } else if (kind == "run_end") {
       run.ended = true;
       run.events = doc.number_or("events", 0.0);
-      run.stream_dropped = doc.number_or("stream_dropped", 0.0);
       run.trace_dropped = doc.number_or("trace_dropped", 0.0);
       run.digest = doc.string_or("digest", "?");
     }
@@ -328,11 +349,9 @@ class StreamSummary {
 
   std::size_t lines_consumed() const { return lines_; }
 
-  double total_drops() const {
+  double trace_dropped() const {
     double total = 0.0;
-    for (const auto& [tag, run] : runs_) {
-      total += run.stream_dropped + run.trace_dropped;
-    }
+    for (const auto& [tag, run] : runs_) total += run.trace_dropped;
     return total;
   }
 
@@ -349,12 +368,12 @@ class StreamSummary {
       std::printf("\n");
       std::printf(
           "  lines: %llu metrics, %llu spans, %llu instants, %llu samples; "
-          "dropped: %.0f stream, %.0f trace\n",
+          "trace events overwritten: %.0f\n",
           static_cast<unsigned long long>(run.metrics_lines),
           static_cast<unsigned long long>(run.spans),
           static_cast<unsigned long long>(run.instants),
           static_cast<unsigned long long>(run.counter_samples),
-          run.stream_dropped, run.trace_dropped);
+          run.trace_dropped);
       std::vector<std::pair<std::string, double>> rows(run.counters.begin(),
                                                        run.counters.end());
       std::stable_sort(rows.begin(), rows.end(),
@@ -407,20 +426,25 @@ class StreamSummary {
   std::size_t lines_ = 0;
 };
 
-int summarize_jsonl(const std::string& text, int top, bool strict) {
-  std::istringstream lines(text);
-  std::string line;
-  std::size_t line_no = 0;
+int summarize_jsonl(Lines& lines, int top, bool strict) {
   std::size_t runs_seen = 0;
   std::size_t sweeps_seen = 0;
   std::size_t skipped = 0;
   StreamSummary stream;
-  while (std::getline(lines, line)) {
-    ++line_no;
+  while (lines.next()) {
+    const std::string& line = lines.text();
+    const std::size_t line_no = lines.number();
     if (line.empty()) continue;
     JsonValue doc;
     std::string error;
     if (!spider::telemetry::parse_json(line, doc, &error)) {
+      if (!lines.terminated()) {
+        std::fprintf(stderr,
+                     "line %zu: skipping unterminated last line (the file "
+                     "may still be being written)\n",
+                     line_no);
+        break;
+      }
       std::fprintf(stderr, "line %zu: parse error: %s\n", line_no,
                    error.c_str());
       return 1;
@@ -513,9 +537,10 @@ int summarize_jsonl(const std::string& text, int top, bool strict) {
               runs_seen, sweeps_seen, stream.lines_consumed());
   if (skipped > 0) std::printf(", %zu skipped", skipped);
   std::printf("\n");
-  if (strict && stream.total_drops() > 0.0) {
-    std::fprintf(stderr, "--strict: %.0f dropped record(s) in the stream\n",
-                 stream.total_drops());
+  if (strict && stream.trace_dropped() > 0.0) {
+    std::fprintf(stderr,
+                 "--strict: %.0f trace event(s) overwritten in the stream\n",
+                 stream.trace_dropped());
     return 3;
   }
   return 0;
@@ -698,18 +723,22 @@ int main(int argc, char** argv) {
                  "trace.json> [--top N] [--strict]\n");
     return 2;
   }
-  bool ok = false;
-  const std::string text = read_file(path, &ok);
-  if (!ok) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
     std::fprintf(stderr, "cannot read %s\n", path);
     return 1;
   }
-  // A Chrome trace is one JSON object with "traceEvents"; everything else
-  // that parses line-by-line is treated as JSONL (run-report or stream).
-  JsonValue doc;
-  if (spider::telemetry::parse_json(text, doc, nullptr) &&
-      doc.find("traceEvents") != nullptr) {
-    return summarize_trace(doc, top, strict);
+  // A Chrome trace is one JSON object with "traceEvents" on one line;
+  // everything else is treated as JSONL (run-report or stream), starting
+  // with that same first line.
+  Lines lines(in);
+  if (lines.next()) {
+    JsonValue doc;
+    if (spider::telemetry::parse_json(lines.text(), doc, nullptr) &&
+        doc.find("traceEvents") != nullptr) {
+      return summarize_trace(doc, top, strict);
+    }
+    lines.hold();
   }
-  return summarize_jsonl(text, top, strict);
+  return summarize_jsonl(lines, top, strict);
 }
