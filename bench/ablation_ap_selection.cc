@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
       const std::vector<std::uint64_t> seeds = {7, 17, 27, 37};
       const auto runs = bench::run_seed_replications(
           seeds, [&row, give_up](std::uint64_t seed) {
-            auto cfg = bench::amherst_drive(seed, sim::Time::seconds(900));
+            auto cfg = core::amherst_drive(seed, sim::Time::seconds(900));
             // Rebuild the deployment with a much higher dud density.
             sim::Rng rng(seed);
             auto deploy_rng = rng.fork("deploy");

@@ -20,17 +20,7 @@ int main(int argc, char** argv) {
   for (int n : {1, 2, 4, 8}) {
     trace::OnlineStats agg, per, fair;
     for (std::uint64_t seed : {7ULL, 17ULL}) {
-      core::FleetConfig cfg;
-      cfg.seed = seed;
-      cfg.clients = n;
-      cfg.duration = sim::Time::seconds(600);
-      sim::Rng rng(seed);
-      auto deploy_rng = rng.fork("deploy");
-      cfg.aps = mobility::area_deployment(700, 500, 30, deploy_rng);
-      cfg.vehicle =
-          mobility::Vehicle(mobility::Route::rectangle(600, 400), 10.0);
-      cfg.spider = core::single_channel_multi_ap(1);
-      core::FleetExperiment fleet(std::move(cfg));
+      core::FleetExperiment fleet(core::contention_fleet(seed, n));
       const auto r = fleet.run();
       agg.add(r.aggregate_throughput_kBps());
       per.add(r.mean_client_throughput_kBps());

@@ -20,7 +20,7 @@ std::vector<double> run_all(const std::vector<std::uint64_t>& seeds,
                             core::SpiderConfig sc) {
   const auto runs =
       bench::run_seed_replications(seeds, [&sc](std::uint64_t seed) {
-        auto cfg = spider::bench::amherst_drive(seed);
+        auto cfg = spider::core::amherst_drive(seed);
         cfg.spider = sc;
         return cfg;
       });

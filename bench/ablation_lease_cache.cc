@@ -22,7 +22,7 @@ Outcome run(bool cache) {
   const std::vector<std::uint64_t> seeds = {7, 17, 27};
   const auto runs =
       bench::run_seed_replications(seeds, [cache](std::uint64_t seed) {
-        auto cfg = bench::amherst_drive(seed, sim::Time::seconds(1200));
+        auto cfg = core::amherst_drive(seed, sim::Time::seconds(1200));
         cfg.spider = core::single_channel_multi_ap(1);
         cfg.spider.cache_leases = cache;
         return cfg;

@@ -15,7 +15,7 @@ double mean_goodput_at(double distance_m, bool auto_rate,
   const auto runs = bench::run_seed_replications(
       seeds, [distance_m, auto_rate](std::uint64_t seed) {
         core::ExperimentConfig cfg =
-            bench::static_lab(seed, 1, 1, 4e6, sim::Time::seconds(60));
+            core::static_lab(seed, 1, 1, 4e6, sim::Time::seconds(60));
         cfg.medium.base_loss = 0.1;
         cfg.medium.edge_degradation = true;  // vehicular-style fringe
         cfg.aps[0].position = {distance_m, 0.0};

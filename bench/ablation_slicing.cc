@@ -25,7 +25,7 @@ double run(int aps_ch1, int aps_ch11, std::vector<core::ChannelSlice> schedule,
   const auto runs = bench::run_seed_replications(
       seeds, [&](std::uint64_t seed) {
         auto cfg =
-            bench::static_lab(seed, aps_ch1, 1, 2e6, sim::Time::seconds(120));
+            core::static_lab(seed, aps_ch1, 1, 2e6, sim::Time::seconds(120));
         for (int i = 0; i < aps_ch11; ++i) {
           mobility::ApDescriptor d = cfg.aps.front();
           d.ssid = "lab11-" + std::to_string(i);

@@ -18,7 +18,7 @@ enum class Policy { kEqual, kEstimate, kOracle };
 
 // Returns completion time (s) of a 4 MB upload, or 0 if it did not finish.
 double run_upload(Policy policy, std::uint64_t seed) {
-  auto cfg = bench::static_lab(seed, 1, 1, 4e6, sim::Time::seconds(180));
+  auto cfg = core::static_lab(seed, 1, 1, 4e6, sim::Time::seconds(180));
   // Second AP: same channel, much thinner backhaul.
   mobility::ApDescriptor d = cfg.aps.front();
   d.ssid = "thin";

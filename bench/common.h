@@ -1,7 +1,6 @@
-// Shared scaffolding for the reproduction benches: canonical deployments
-// (an "Amherst-style" downtown area and a "Boston-style" denser one), the
-// standard vehicle, config constructors, and CDF printing in the gnuplot-
-// friendly two-column format each figure plots.
+// Shared scaffolding for the reproduction benches: the telemetry flags, the
+// seed sweeps, and CDF printing in the gnuplot-friendly two-column format
+// each figure plots. The paper worlds themselves live in core/scenarios.h.
 #pragma once
 
 #include <cstdio>
@@ -15,6 +14,7 @@
 
 #include "core/configs.h"
 #include "core/experiment.h"
+#include "core/scenarios.h"
 #include "core/sweep.h"
 #include "telemetry/stream_exporter.h"
 #include "trace/stats.h"
@@ -160,67 +160,6 @@ inline std::vector<core::ExperimentResults> run_seed_replications(
     results.push_back(std::move(run.results));
   }
   return results;
-}
-
-// Downtown-core drive: ~0.35 km^2 area, 30 building sites (roughly doubled
-// by clustering), rectangular loop at 10 m/s (the paper's town speeds).
-inline core::ExperimentConfig amherst_drive(std::uint64_t seed,
-                                            sim::Time duration =
-                                                sim::Time::seconds(600)) {
-  core::ExperimentConfig cfg;
-  cfg.seed = seed;
-  cfg.duration = duration;
-  sim::Rng rng(seed);
-  auto deploy_rng = rng.fork("deploy");
-  cfg.aps = mobility::area_deployment(700, 500, 30, deploy_rng);
-  cfg.vehicle = mobility::Vehicle(mobility::Route::rectangle(600, 400), 10.0);
-  return cfg;
-}
-
-// Boston-style: denser sites, bigger clusters, slightly faster drive.
-inline core::ExperimentConfig boston_drive(std::uint64_t seed,
-                                           sim::Time duration =
-                                               sim::Time::seconds(600)) {
-  core::ExperimentConfig cfg;
-  cfg.seed = seed;
-  cfg.duration = duration;
-  sim::Rng rng(seed ^ 0xB057);
-  auto deploy_rng = rng.fork("deploy");
-  mobility::DeploymentConfig dcfg;
-  dcfg.cluster_fraction = 0.55;
-  dcfg.backhaul_min_bps = 1.5e6;
-  dcfg.backhaul_max_bps = 6e6;
-  cfg.aps = mobility::area_deployment(800, 600, 45, deploy_rng, dcfg);
-  cfg.vehicle = mobility::Vehicle(mobility::Route::rectangle(700, 500), 12.0);
-  return cfg;
-}
-
-// Static-lab world with `n_aps` APs near the client (micro-benchmarks).
-inline core::ExperimentConfig static_lab(std::uint64_t seed, int n_aps,
-                                         net::ChannelId channel,
-                                         double backhaul_bps,
-                                         sim::Time duration =
-                                             sim::Time::seconds(120)) {
-  core::ExperimentConfig cfg;
-  cfg.seed = seed;
-  cfg.duration = duration;
-  cfg.medium.base_loss = 0.05;
-  cfg.medium.edge_degradation = false;
-  cfg.vehicle = mobility::Vehicle(mobility::Route::straight(1.0), 0.0);
-  for (int i = 0; i < n_aps; ++i) {
-    mobility::ApDescriptor d;
-    d.ssid = "lab-" + std::to_string(i);
-    d.mac = net::MacAddress::from_index(0xA0 + static_cast<std::uint32_t>(i));
-    d.subnet = net::Ipv4Address{(10u << 24) |
-                                (static_cast<std::uint32_t>(0xA0 + i) << 8)};
-    d.position = {10.0 + 2.0 * i, 0.0};
-    d.channel = channel;
-    d.backhaul_bps = backhaul_bps;
-    d.dhcp_offer_min = sim::Time::millis(50);
-    d.dhcp_offer_max = sim::Time::millis(150);
-    cfg.aps.push_back(d);
-  }
-  return cfg;
 }
 
 inline void print_header(const char* title, const char* paper_ref) {

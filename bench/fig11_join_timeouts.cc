@@ -15,7 +15,7 @@ trace::EmpiricalCdf run_config(bool three_channels,
   const std::vector<std::uint64_t> seeds = {7, 17, 27};
   const auto runs = bench::run_seed_replications(
       seeds, [three_channels, &timers](std::uint64_t seed) {
-        auto cfg = spider::bench::amherst_drive(seed);
+        auto cfg = spider::core::amherst_drive(seed);
         core::SpiderConfig sc = three_channels
                                     ? core::multi_channel_multi_ap()
                                     : core::single_channel_multi_ap(1);

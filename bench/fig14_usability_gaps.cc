@@ -15,7 +15,7 @@ trace::EmpiricalCdf spider_disruptions(core::SpiderConfig sc) {
   const std::vector<std::uint64_t> seeds = {7, 17, 27};
   const auto runs =
       bench::run_seed_replications(seeds, [&sc](std::uint64_t seed) {
-        auto cfg = spider::bench::amherst_drive(seed);
+        auto cfg = spider::core::amherst_drive(seed);
         cfg.spider = sc;
         return cfg;
       });

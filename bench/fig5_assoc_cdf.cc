@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   for (double x : {0.25, 0.50, 0.75, 1.00}) {
     const auto runs =
         bench::run_seed_replications(seeds, [x](std::uint64_t seed) {
-          auto cfg = bench::amherst_drive(seed);
+          auto cfg = core::amherst_drive(seed);
           core::SpiderConfig sc = core::single_channel_multi_ap(6);
           sc.period = sim::Time::millis(400);
           if (x < 1.0) {

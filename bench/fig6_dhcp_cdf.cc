@@ -17,7 +17,7 @@ trace::EmpiricalCdf run_config(double f6, dhcpd::DhcpClientConfig timers,
   const auto runs = bench::run_seed_replications(
       seeds,
       [f6, &timers](std::uint64_t seed) {
-        auto cfg = spider::bench::amherst_drive(seed);
+        auto cfg = spider::core::amherst_drive(seed);
         core::SpiderConfig sc = core::single_channel_multi_ap(6);
         sc.period = sim::Time::millis(400);
         if (f6 < 1.0) {

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     const auto runs =
         bench::run_seed_replications(seeds, [f](std::uint64_t seed) {
           auto cfg =
-              bench::static_lab(seed, 1, 1, 5e6, sim::Time::seconds(120));
+              core::static_lab(seed, 1, 1, 5e6, sim::Time::seconds(120));
           core::SpiderConfig sc = core::single_channel_multi_ap(1);
           sc.period = sim::Time::millis(400);
           if (f < 1.0) {

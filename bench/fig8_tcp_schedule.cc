@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     const auto runs =
         bench::run_seed_replications(seeds, [x_ms](std::uint64_t seed) {
           auto cfg =
-              bench::static_lab(seed, 1, 1, 5e6, sim::Time::seconds(120));
+              core::static_lab(seed, 1, 1, 5e6, sim::Time::seconds(120));
           cfg.spider = core::multi_channel_multi_ap(
               sim::Time::millis(3 * x_ms), {1, 6, 11});
           return cfg;

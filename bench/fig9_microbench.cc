@@ -19,7 +19,7 @@ double spider_run(int n_aps_ch1, int n_aps_ch11, double backhaul,
                   std::vector<core::ChannelSlice> schedule, sim::Time period,
                   std::uint64_t seed) {
   core::ExperimentConfig cfg =
-      bench::static_lab(seed, n_aps_ch1, 1, backhaul, sim::Time::seconds(60));
+      core::static_lab(seed, n_aps_ch1, 1, backhaul, sim::Time::seconds(60));
   for (int i = 0; i < n_aps_ch11; ++i) {
     mobility::ApDescriptor d = cfg.aps.front();
     d.ssid = "lab11-" + std::to_string(i);
@@ -38,7 +38,7 @@ double spider_run(int n_aps_ch1, int n_aps_ch11, double backhaul,
 }
 
 double stock_run(std::uint64_t seed, double backhaul) {
-  auto cfg = bench::static_lab(seed, 1, 1, backhaul, sim::Time::seconds(60));
+  auto cfg = core::static_lab(seed, 1, 1, backhaul, sim::Time::seconds(60));
   cfg.driver = core::DriverKind::kStock;
   cfg.stock.scan_channels = {1};
   const auto r = core::Experiment(std::move(cfg)).run();

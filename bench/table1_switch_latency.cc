@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   for (int n_aps = 0; n_aps <= 4; ++n_aps) {
     trace::OnlineStats latency_ms;
     for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-      auto cfg = bench::static_lab(seed, n_aps, 1, 2e6,
+      auto cfg = core::static_lab(seed, n_aps, 1, 2e6,
                                    sim::Time::seconds(30));
       // Split the schedule between the populated channel and an empty one so
       // the driver keeps switching; every other switch parks/wakes all

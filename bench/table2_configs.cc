@@ -44,44 +44,12 @@ int main(int argc, char** argv) {
       "Table 2 — avg. throughput and connectivity per configuration");
   std::printf("(each row: mean of 3 seeds, 600 s drives at 10 m/s)\n\n");
 
-  print_row("(1) Channel 1, Multi-AP",
-            average_runs([](std::uint64_t seed) {
-              auto cfg = bench::amherst_drive(seed);
-              cfg.spider = core::single_channel_multi_ap(1);
-              return cfg;
-            }));
-  print_row("(2) Channel 1, Single-AP",
-            average_runs([](std::uint64_t seed) {
-              auto cfg = bench::amherst_drive(seed);
-              cfg.spider = core::single_channel_single_ap(1);
-              return cfg;
-            }));
-  print_row("(3) 3 channels, Multi-AP",
-            average_runs([](std::uint64_t seed) {
-              auto cfg = bench::amherst_drive(seed);
-              cfg.spider = core::multi_channel_multi_ap();
-              return cfg;
-            }));
-  print_row("(4) 3 channels, Single-AP",
-            average_runs([](std::uint64_t seed) {
-              auto cfg = bench::amherst_drive(seed);
-              cfg.spider = core::multi_channel_single_ap();
-              return cfg;
-            }));
-  print_row("(2) Channel 6, Single-AP (Boston)*",
-            average_runs([](std::uint64_t seed) {
-              auto cfg = bench::boston_drive(seed);
-              cfg.spider = core::single_channel_multi_ap(6);
-              cfg.spider.multi_ap = false;
-              cfg.spider.max_interfaces = 1;
-              return cfg;
-            }));
-  print_row("Stock driver (Boston)*",
-            average_runs([](std::uint64_t seed) {
-              auto cfg = bench::boston_drive(seed);
-              cfg.driver = core::DriverKind::kStock;
-              return cfg;
-            }));
+  for (int row = 0; row < core::kTable2Rows; ++row) {
+    print_row(core::table2_label(row),
+              average_runs([row](std::uint64_t seed) {
+                return core::table2_row(row, seed);
+              }));
+  }
 
   std::printf(
       "\npaper's values:   121.5/35.5  28.0/22.3  28.8/44.6  77.9/40.2\n"

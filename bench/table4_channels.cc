@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   for (const auto& row : rows) {
     const auto runs =
         bench::run_seed_replications(seeds, [&row](std::uint64_t seed) {
-          auto cfg = bench::amherst_drive(seed);
+          auto cfg = core::amherst_drive(seed);
           if (row.channels.size() == 1) {
             cfg.spider = core::single_channel_multi_ap(row.channels[0]);
           } else {

@@ -12,6 +12,7 @@
 #include "core/client_device.h"
 #include "core/configs.h"
 #include "core/experiment.h"
+#include "core/scenarios.h"
 #include "mobility/deployment.h"
 
 using namespace spider;
@@ -19,12 +20,11 @@ using namespace spider;
 int main(int argc, char** argv) {
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 3;
 
-  sim::Rng rng(seed);
-  auto deploy_rng = rng.fork("deploy");
-  const auto aps = mobility::area_deployment(700, 500, 30, deploy_rng);
-  const mobility::Route route = mobility::Route::rectangle(600, 400);
-  const double speed = 10.0;
-  const sim::Time horizon = sim::Time::seconds(600);
+  core::ExperimentConfig cfg = core::amherst_drive(seed);
+  const auto& aps = cfg.aps;
+  const mobility::Route& route = cfg.vehicle.route();
+  const double speed = cfg.vehicle.speed();
+  const sim::Time horizon = cfg.duration;
 
   // Passive part: pure geometry — encounters per AP from the route.
   std::map<net::ChannelId, int> ap_count;
@@ -56,11 +56,6 @@ int main(int argc, char** argv) {
   std::printf("recommended camp channel: %d\n\n", best);
 
   // Active validation: run Spider on the recommended channel.
-  core::ExperimentConfig cfg;
-  cfg.seed = seed;
-  cfg.duration = horizon;
-  cfg.aps = aps;
-  cfg.vehicle = mobility::Vehicle(route, speed);
   cfg.spider = core::single_channel_multi_ap(best);
   const auto r = core::Experiment(std::move(cfg)).run();
   std::printf("validation drive on channel %d: %.1f KB/s, %.1f%% connected\n",

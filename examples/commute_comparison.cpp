@@ -10,21 +10,11 @@
 
 #include "core/configs.h"
 #include "core/experiment.h"
+#include "core/scenarios.h"
 
 using namespace spider;
 
 namespace {
-
-core::ExperimentConfig make_world(std::uint64_t seed) {
-  core::ExperimentConfig cfg;
-  cfg.seed = seed;
-  cfg.duration = sim::Time::seconds(1200);
-  sim::Rng rng(seed);
-  auto deploy_rng = rng.fork("deploy");
-  cfg.aps = mobility::area_deployment(700, 500, 30, deploy_rng);
-  cfg.vehicle = mobility::Vehicle(mobility::Route::rectangle(600, 400), 10.0);
-  return cfg;
-}
 
 void report(const char* name, const core::ExperimentResults& r) {
   // A 128 kb/s stream needs 16 KB/s *sustained*; with buffering, the
@@ -50,22 +40,22 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(seed));
 
   {
-    auto cfg = make_world(seed);
+    auto cfg = core::amherst_drive(seed, sim::Time::seconds(1200));
     cfg.driver = core::DriverKind::kStock;
     report("stock Wi-Fi", core::Experiment(std::move(cfg)).run());
   }
   {
-    auto cfg = make_world(seed);
+    auto cfg = core::amherst_drive(seed, sim::Time::seconds(1200));
     cfg.spider = core::single_channel_single_ap(1);
     report("Spider: ch1, single AP", core::Experiment(std::move(cfg)).run());
   }
   {
-    auto cfg = make_world(seed);
+    auto cfg = core::amherst_drive(seed, sim::Time::seconds(1200));
     cfg.spider = core::single_channel_multi_ap(1);
     report("Spider: ch1, multi-AP", core::Experiment(std::move(cfg)).run());
   }
   {
-    auto cfg = make_world(seed);
+    auto cfg = core::amherst_drive(seed, sim::Time::seconds(1200));
     cfg.spider = core::multi_channel_multi_ap();
     report("Spider: 3 channels, multi-AP",
            core::Experiment(std::move(cfg)).run());

@@ -6,16 +6,22 @@
 //   $ ./spider_cli --config=multi --channel=1 --speed=10 --duration=300
 //                  --seed=7 --sites=30 --csv=cdfs.csv --frames=20
 //
-// Flags (all optional):
+// Flags (all optional; a value outside its range, or not a number, exits 2):
 //   --config=multi|single|3ch|3ch-single|dynamic|stock   driver preset
-//   --channel=N        camp channel for single-channel presets (default 1)
-//   --speed=M          vehicle speed m/s (default 10; 0 = static)
-//   --duration=S       simulated seconds (default 300)
-//   --seed=N           RNG seed (default 1)
-//   --sites=N          deployment sites in the 700x500 m area (default 30)
-//   --dud=F            fraction of never-leasing APs (default 0.2)
+//   --channel=N        camp channel for single-channel presets, 1..11
+//                      (default 1)
+//   --speed=M          vehicle speed m/s, 0..1000 (default 10; 0 = static)
+//   --duration=S       simulated seconds, 1e-6..1e6 (default 300)
+//   --seed=N           RNG seed, 0..2^64-1 (default 1)
+//   --sites=N          deployment sites in the 700x500 m area, 0..1000
+//                      (default 30)
+//   --dud=F            fraction of never-leasing APs, 0..1 (default 0.2)
 //   --csv=PATH         write connection/disruption/bandwidth CDFs as CSV
-//   --frames=N         print the first N management frames of the trace
+//   --frames=N         print the first N management frames of the trace,
+//                      0..100000
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,6 +30,7 @@
 
 #include "core/configs.h"
 #include "core/experiment.h"
+#include "phy/channel.h"
 #include "telemetry/run_report.h"
 #include "trace/export.h"
 #include "trace/frame_log.h"
@@ -53,19 +60,66 @@ bool parse_flag(const char* arg, const char* name, std::string& out) {
   return false;
 }
 
+// The numeric flags below parse all of their value with strto* and require
+// it within the range in the usage comment; anything else exits 2, like an
+// unknown flag. The bounds keep every value inside what the simulator can
+// represent (a duration past ~9e12 s would overflow sim::Time).
+[[noreturn]] void bad_value(const char* flag, const std::string& v,
+                            const std::string& want) {
+  std::fprintf(stderr, "bad value for %s: '%s' (want %s)\n", flag, v.c_str(),
+               want.c_str());
+  std::exit(2);
+}
+
+double number(const char* flag, const std::string& v, double lo, double hi) {
+  char* end = nullptr;
+  errno = 0;
+  const double x = std::strtod(v.c_str(), &end);
+  if (v.empty() || *end != '\0' || errno == ERANGE || !std::isfinite(x) ||
+      x < lo || x > hi) {
+    char want[64];
+    std::snprintf(want, sizeof want, "a number in %g..%g", lo, hi);
+    bad_value(flag, v, want);
+  }
+  return x;
+}
+
+int integer(const char* flag, const std::string& v, int lo, int hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long x = std::strtol(v.c_str(), &end, 10);
+  if (v.empty() || *end != '\0' || errno == ERANGE || x < lo || x > hi) {
+    bad_value(flag, v,
+              "an integer in " + std::to_string(lo) + ".." + std::to_string(hi));
+  }
+  return static_cast<int>(x);
+}
+
+std::uint64_t seed_value(const std::string& v) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
+  // strtoull accepts (and wraps) a leading '-'; a seed is digits only.
+  if (v.empty() || std::isdigit(static_cast<unsigned char>(v[0])) == 0 ||
+      *end != '\0' || errno == ERANGE) {
+    bad_value("--seed", v, "an integer in 0..2^64-1");
+  }
+  return x;
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
     std::string v;
     if (parse_flag(argv[i], "--config", v)) o.config = v;
-    else if (parse_flag(argv[i], "--channel", v)) o.channel = std::atoi(v.c_str());
-    else if (parse_flag(argv[i], "--speed", v)) o.speed = std::atof(v.c_str());
-    else if (parse_flag(argv[i], "--duration", v)) o.duration = std::atof(v.c_str());
-    else if (parse_flag(argv[i], "--seed", v)) o.seed = std::strtoull(v.c_str(), nullptr, 10);
-    else if (parse_flag(argv[i], "--sites", v)) o.sites = std::atoi(v.c_str());
-    else if (parse_flag(argv[i], "--dud", v)) o.dud = std::atof(v.c_str());
+    else if (parse_flag(argv[i], "--channel", v)) o.channel = integer("--channel", v, phy::kMinChannel, phy::kMaxChannel);
+    else if (parse_flag(argv[i], "--speed", v)) o.speed = number("--speed", v, 0.0, 1000.0);
+    else if (parse_flag(argv[i], "--duration", v)) o.duration = number("--duration", v, 1e-6, 1e6);
+    else if (parse_flag(argv[i], "--seed", v)) o.seed = seed_value(v);
+    else if (parse_flag(argv[i], "--sites", v)) o.sites = integer("--sites", v, 0, 1000);
+    else if (parse_flag(argv[i], "--dud", v)) o.dud = number("--dud", v, 0.0, 1.0);
     else if (parse_flag(argv[i], "--csv", v)) o.csv_path = v;
-    else if (parse_flag(argv[i], "--frames", v)) o.frames = std::atoi(v.c_str());
+    else if (parse_flag(argv[i], "--frames", v)) o.frames = integer("--frames", v, 0, 100000);
     else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       std::exit(2);

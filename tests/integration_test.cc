@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/configs.h"
+#include "core/scenarios.h"
 
 namespace spider::core {
 namespace {
@@ -163,34 +164,19 @@ TEST(Integration, MobileMultiApBeatsMobileSingleApOverDeployment) {
   // The paper's headline: on a drive through a clustered deployment, the
   // single-channel multi-AP configuration beats the stock-mimicking
   // single-AP configuration in average throughput.
-  ExperimentConfig base;
-  base.seed = 21;
-  base.duration = sim::Time::seconds(600);
-  sim::Rng rng(base.seed);
-  auto drng = rng.fork("deploy");
-  base.aps = mobility::area_deployment(700, 500, 30, drng);
-  base.vehicle = mobility::Vehicle(mobility::Route::rectangle(600, 400), 10.0);
-
-  ExperimentConfig multi = base;
-  multi.spider = single_channel_multi_ap(1);
-  const auto rm = Experiment(std::move(multi)).run();
-
-  ExperimentConfig single = base;
-  single.spider = single_channel_single_ap(1);
-  const auto rs = Experiment(std::move(single)).run();
+  const auto rm = Experiment(table2_row(0, 21)).run();
+  const auto rs = Experiment(table2_row(1, 21)).run();
 
   EXPECT_GT(rm.avg_throughput_kBps(), 1.5 * rs.avg_throughput_kBps());
   EXPECT_GT(rm.connectivity_percent(), rs.connectivity_percent());
 }
 
 TEST(Integration, JoinMetricsAccumulateOnDrive) {
-  ExperimentConfig cfg = static_lab();
-  cfg.seed = 5;
-  cfg.duration = sim::Time::seconds(300);
-  sim::Rng rng(cfg.seed);
-  auto drng = rng.fork("deploy");
-  cfg.aps = mobility::area_deployment(700, 500, 30, drng);
-  cfg.vehicle = mobility::Vehicle(mobility::Route::rectangle(600, 400), 10.0);
+  // The Amherst drive with the lab's medium.
+  ExperimentConfig cfg = amherst_drive(5, sim::Time::seconds(300));
+  cfg.medium.base_loss = 0.05;
+  cfg.medium.edge_degradation = false;
+  cfg.spider = single_channel_multi_ap(1);
   const auto r = Experiment(cfg).run();
   EXPECT_GT(r.joins.join_attempts, 3u);
   EXPECT_GT(r.joins.associations, 0u);
