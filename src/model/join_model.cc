@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace spider::model {
@@ -51,43 +52,63 @@ double q_round_failure(const JoinModelParams& params, double fraction,
   return failure;
 }
 
+namespace {
+
+// R = floor(t / D), the whole rounds of a stay of t seconds (0 if t <= 0).
+// A stay with more rounds than an int holds, or a NaN one, has no round
+// count to walk, so it is rejected rather than cast.
+int whole_rounds(const JoinModelParams& params, double time_in_range) {
+  if (time_in_range <= 0.0) return 0;
+  const double rounds = std::floor(time_in_range / params.period);
+  if (!(rounds <= std::numeric_limits<int>::max())) {
+    throw std::invalid_argument("time_in_range has too many rounds");
+  }
+  return static_cast<int>(rounds);
+}
+
+}  // namespace
+
 double join_probability(const JoinModelParams& params, double fraction,
-                        double time_in_range) {
+                        double time_in_range, double* unjoined_rounds) {
   if (!params.valid()) throw std::invalid_argument("JoinModelParams invalid");
-  if (fraction <= 0.0 || time_in_range <= 0.0) return 0.0;
+  const int rounds = whole_rounds(params, time_in_range);
+  // Without a request nothing joins: every whole round is spent unjoined.
+  if (unjoined_rounds != nullptr) *unjoined_rounds = rounds;
+  if (fraction <= 0.0 || rounds < 1) return 0.0;
   fraction = std::min(fraction, 1.0);
 
-  const int rounds = static_cast<int>(std::floor(time_in_range / params.period));
-  if (rounds < 1) return 0.0;
-
-  // Eq. 7's double product; q_round_failure depends only on n - m, so the
-  // term for delta = n - m appears (rounds - delta) times.
-  double total_failure = 1.0;
-  for (int delta = 0; delta < rounds; ++delta) {
-    const double qf = q_round_failure(params, fraction, delta);
-    if (qf >= 1.0) continue;
-    total_failure *= std::pow(qf, rounds - delta);
-    if (total_failure < 1e-15) return 1.0;
+  // Eq. 7's double product. q_round_failure depends only on n - m, so
+  //   F(j) = prod_{delta<j} qf(delta)^(j - delta)
+  // and F(j+1) = F(j) * G(j) with G(j) = prod_{delta<=j} qf(delta): one
+  // running product walks every F(j), and their prefix sum comes free.
+  double unjoined = 0.0;     // sum of F(j) over the rounds walked so far
+  double failure = 1.0;      // F(j): no join within the first j rounds
+  double window_miss = 1.0;  // G(j): no response lands in round j's window
+  for (int j = 0; j < rounds; ++j) {
+    unjoined += failure;
+    window_miss *= q_round_failure(params, fraction, j);
+    failure *= window_miss;
+    if (failure < 1e-15) {
+      failure = 0.0;
+      break;
+    }
   }
-  return 1.0 - total_failure;
+  if (unjoined_rounds != nullptr) *unjoined_rounds = unjoined;
+  return 1.0 - failure;
 }
 
 double expected_join_time(const JoinModelParams& params, double fraction,
                           double time_in_range) {
   if (time_in_range <= 0.0) return 0.0;
-  const int rounds = static_cast<int>(std::floor(time_in_range / params.period));
   // E[min(T_join, T)] = integral over [0,T] of P(not yet joined at t) dt,
-  // evaluated at round granularity (the model's native resolution).
-  double expected = 0.0;
-  for (int j = 0; j < rounds; ++j) {
-    expected +=
-        params.period *
-        (1.0 - join_probability(params, fraction, j * params.period));
-  }
-  // Partial tail beyond the last whole round.
-  expected += (time_in_range - rounds * params.period) *
-              (1.0 - join_probability(params, fraction, rounds * params.period));
-  return std::min(expected, time_in_range);
+  // evaluated at round granularity (the model's native resolution): D per
+  // whole round still unjoined, plus the partial tail beyond the last one.
+  double unjoined = 0.0;
+  const double p =
+      join_probability(params, fraction, time_in_range, &unjoined);
+  const double tail =
+      time_in_range - whole_rounds(params, time_in_range) * params.period;
+  return std::min(params.period * unjoined + tail * (1.0 - p), time_in_range);
 }
 
 }  // namespace spider::model

@@ -48,14 +48,29 @@ double q_round_failure(const JoinModelParams& params, double fraction,
                        int round_delta);
 
 // Eq. 7: probability of obtaining at least one lease within time t.
+//
+// One pass over the R = floor(t/D) whole rounds: the no-join probability
+// obeys F(j+1) = F(j) * prod_{delta<=j} qbar(delta), so a running product
+// yields every F(j) in O(R*k) with k = requests_per_round, and no pow.
+// Once F falls below 1e-15 the pass stops and returns 1.
+//
+// If `unjoined_rounds` is given it receives sum_{j<R} F(j) =
+// sum_{j<R} (1 - p(f, j*D)): the expected number of the R whole rounds that
+// start with no join yet. When the pass stops early it holds the sum up to
+// that round; the rounds after it add less than 1e-15 each.
+//
+// Throws std::invalid_argument for invalid params, and for a t that is NaN
+// or has more whole rounds than an int holds.
 double join_probability(const JoinModelParams& params, double fraction,
-                        double time_in_range);
+                        double time_in_range,
+                        double* unjoined_rounds = nullptr);
 
 // Expected time spent before the join completes, capped at T:
-//   g_T(f_i) = sum over rounds of D * (1 - p(f_i, j*D))
+//   g_T(f_i) = D * sum_{j<R} (1 - p(f_i, j*D)) + (T - R*D) * (1 - p(f_i, T))
 // This is the g_T(f_i) of the throughput optimization (Section 2.1.3);
 // if joining is hopeless it approaches T and the channel contributes
-// nothing.
+// nothing. It is one join_probability call: its `unjoined_rounds` is the
+// sum, so g_T costs the same O(R*k) pass as p.
 double expected_join_time(const JoinModelParams& params, double fraction,
                           double time_in_range);
 

@@ -4,8 +4,11 @@
 // join request per segment, uniform response time, independent per-message
 // loss, success iff the response lands inside a future on-channel window —
 // and estimates the join probability empirically. Matching the closed form
-// validates the derivation; both are then compared against the full-stack
-// simulator, which adds the multi-phase handshake the model elides.
+// validates the derivation of Eq. 7 (fig2_join_model prints both, and
+// ModelVsMonteCarlo in tests/model_join_test.cc gates the agreement). It
+// checks nothing beyond the model's own simplifications: neither is yet
+// compared against the full-stack simulator, whose MAC+DHCP handshake has
+// more phases than the model (ROADMAP item 2, "Model vs. stack").
 #pragma once
 
 #include "model/join_model.h"

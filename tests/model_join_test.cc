@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <tuple>
+#include <vector>
 
 namespace spider::model {
 namespace {
@@ -177,6 +182,138 @@ TEST(ExpectedJoinTime, MonotoneDecreasingInFraction) {
     prev = g;
   }
 }
+
+TEST(ExpectedJoinTime, RejectsInvalidParams) {
+  JoinModelParams lossy = paper_params();
+  lossy.loss = 1.0;
+  JoinModelParams no_period = paper_params();
+  no_period.period = 0.0;
+  JoinModelParams inverted = paper_params();
+  inverted.beta_max = inverted.beta_min - 0.1;
+  for (const JoinModelParams& bad : {lossy, no_period, inverted}) {
+    EXPECT_THROW(join_probability(bad, 0.5, 4.0), std::invalid_argument);
+    EXPECT_THROW(expected_join_time(bad, 0.5, 4.0), std::invalid_argument);
+    EXPECT_THROW(expected_join_time(bad, 0.5, 0.3), std::invalid_argument);
+  }
+}
+
+TEST(ExpectedJoinTime, RejectsHorizonWithoutARoundCount) {
+  const JoinModelParams p = paper_params();
+  // 2e12 rounds of D = 0.5 s do not fit an int; NaN has no count at all.
+  for (double t : {1e12, std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(join_probability(p, 0.5, t), std::invalid_argument) << t;
+    EXPECT_THROW(expected_join_time(p, 0.5, t), std::invalid_argument) << t;
+  }
+  EXPECT_EQ(join_probability(p, 0.5, 1e9), 1.0);
+}
+
+TEST(ExpectedJoinTime, ShorterThanOnePeriodIsAllWaiting) {
+  const JoinModelParams p = paper_params();
+  for (double t : {0.1, 0.3, 0.49}) {
+    EXPECT_DOUBLE_EQ(expected_join_time(p, 0.5, t), t) << "t=" << t;
+  }
+}
+
+TEST(ExpectedJoinTime, FractionAboveOneActsAsOne) {
+  const JoinModelParams p = paper_params();
+  for (double t : {4.0, 20.0, 57.1}) {
+    EXPECT_EQ(join_probability(p, 1.1, t), join_probability(p, 1.0, t));
+    EXPECT_EQ(expected_join_time(p, 1.1, t), expected_join_time(p, 1.0, t));
+  }
+}
+
+// The pow form of Eq. 7 and g_T as they stood before the one-pass kernel:
+// p(t) rebuilds prod_{delta<R} qf(delta)^(R - delta) from scratch and g_T
+// calls it once per round. Kept here only as the oracle. Eq. 6 is tabulated
+// once per (f, horizon), so the oracle's O(R^2) walk reads qf(delta) rather
+// than re-evaluating Eq. 5 k times per term; the arithmetic is unchanged.
+class PowForm {
+ public:
+  PowForm(const JoinModelParams& params, double fraction, double horizon)
+      : period_(params.period), fraction_(std::min(fraction, 1.0)) {
+    for (int delta = 0; delta < rounds_in(horizon); ++delta) {
+      qf_.push_back(q_round_failure(params, fraction_, delta));
+    }
+  }
+
+  double join_probability(double time_in_range) const {
+    if (fraction_ <= 0.0 || time_in_range <= 0.0) return 0.0;
+    const int rounds = rounds_in(time_in_range);
+    if (rounds < 1) return 0.0;
+    double total_failure = 1.0;
+    for (int delta = 0; delta < rounds; ++delta) {
+      const double qf = qf_.at(static_cast<std::size_t>(delta));
+      if (qf >= 1.0) continue;
+      total_failure *= std::pow(qf, rounds - delta);
+      if (total_failure < 1e-15) return 1.0;
+    }
+    return 1.0 - total_failure;
+  }
+
+  double expected_join_time(double time_in_range) const {
+    if (time_in_range <= 0.0) return 0.0;
+    const int rounds = rounds_in(time_in_range);
+    double expected = 0.0;
+    for (int j = 0; j < rounds; ++j) {
+      expected += period_ * (1.0 - join_probability(j * period_));
+    }
+    expected += (time_in_range - rounds * period_) *
+                (1.0 - join_probability(rounds * period_));
+    return std::min(expected, time_in_range);
+  }
+
+  // sum_{j<R} (1 - p(j*D)): what `unjoined_rounds` must hold.
+  double unjoined_rounds(double time_in_range) const {
+    double unjoined = 0.0;
+    for (int j = 0; j < rounds_in(time_in_range); ++j) {
+      unjoined += 1.0 - join_probability(j * period_);
+    }
+    return unjoined;
+  }
+
+ private:
+  int rounds_in(double t) const {
+    return static_cast<int>(std::floor(t / period_));
+  }
+
+  double period_;
+  double fraction_;
+  std::vector<double> qf_;  // Eq. 6 for delta = 0 .. R-1
+};
+
+// The one-pass kernel against the pow form over the Fig. 2 fractions (and
+// past 1), five beta_max, four loss rates and horizons from none to 400 s.
+// p is compared absolutely: near p = 0, 1 - F loses digits to cancellation.
+class OnePassVsPowForm
+    : public ::testing::TestWithParam<std::tuple<double, double>> {};
+
+TEST_P(OnePassVsPowForm, AgreesToRoundoff) {
+  const auto [beta_max, loss] = GetParam();
+  JoinModelParams p = paper_params(beta_max);
+  p.loss = loss;
+  for (double t : {0.0, 0.3, 0.5, 1.0, 4.0, 7.3, 20.0, 57.1, 400.0}) {
+    for (int i = 0; i <= 220; ++i) {
+      const double f = i * 0.005;
+      double unjoined = -1.0;
+      const double prob = join_probability(p, f, t, &unjoined);
+      const PowForm oracle(p, f, t);
+      EXPECT_NEAR(prob, oracle.join_probability(t), 1e-12)
+          << "f=" << f << " t=" << t;
+      const double want_unjoined = oracle.unjoined_rounds(t);
+      EXPECT_NEAR(unjoined, want_unjoined, 1e-12 * std::max(1.0, want_unjoined))
+          << "f=" << f << " t=" << t;
+      const double want_g = oracle.expected_join_time(t);
+      EXPECT_NEAR(expected_join_time(p, f, t), want_g, 1e-12 * want_g)
+          << "f=" << f << " t=" << t;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig2Grid, OnePassVsPowForm,
+    ::testing::Combine(::testing::Values(0.5, 2.0, 5.0, 10.0, 20.0),
+                       ::testing::Values(0.0, 0.1, 0.5, 0.9)));
 
 TEST(MonteCarlo, TrialIsDeterministicForSeed) {
   const JoinModelParams p = paper_params();

@@ -123,6 +123,32 @@ TEST(DividingSpeed, ShrinksWithEffectiveRange) {
   EXPECT_LT(v50, v100);
 }
 
+// Fig. 4's dividing speeds as EXPERIMENTS.md tabulates them (and
+// perfbench/reference.json pins them): 25/50/75 % of Bw joined on channel 1,
+// the rest pending on channel 2, at the nominal 100 m and the effective
+// 50 m range. The bisection lands on dyadic speeds, so these are exact.
+TEST(DividingSpeed, MatchesFig4Table) {
+  const OptimizerParams p = paper_optimizer();
+  const double Bw = p.wireless_bps;
+  struct Row {
+    double joined_share;
+    double range_m;
+    double speed;
+  };
+  const Row rows[] = {
+      {0.25, 100.0, 28.8409423828125}, {0.25, 50.0, 14.4017333984375},
+      {0.50, 100.0, 21.5777587890625}, {0.50, 50.0, 10.7701416015625},
+      {0.75, 100.0, 13.9368896484375}, {0.75, 50.0, 6.9642333984375},
+  };
+  for (const Row& r : rows) {
+    EXPECT_EQ(dividing_speed(p, {r.joined_share * Bw, 0},
+                             {0, (1.0 - r.joined_share) * Bw}, r.range_m,
+                             0.5, 60.0, 0.05, 0.05),
+              r.speed)
+        << "joined " << r.joined_share << " range " << r.range_m;
+  }
+}
+
 TEST(KChannel, SingleChannelUsesWholeBudget) {
   const OptimizerParams p = paper_optimizer();
   const double Bw = p.wireless_bps;
