@@ -26,10 +26,35 @@ void WiredLink::send(net::TcpSegment segment) {
     busy_until_ = start + sim::transmission_time(size, config_.rate_bps);
     ready = busy_until_;
   }
-  sim_.post_at(ready + config_.latency, [this, segment] {
-    ++delivered_;
-    if (deliver_) deliver_(segment);
-  });
+  // Shaped ready times are monotone and the latency is constant, so due
+  // times only fall back when set_rate(0) unshapes a link whose backlog is
+  // still in flight; those later segments queue behind the backlog.
+  const sim::Time due = std::max(ready + config_.latency, last_due_);
+  last_due_ = due;
+  if (in_flight_count_ == in_flight_.size()) {
+    std::vector<net::TcpSegment> grown(
+        std::max<std::size_t>(16, 2 * in_flight_.size()));
+    for (std::size_t i = 0; i < in_flight_count_; ++i) {
+      grown[i] = in_flight_[(in_flight_head_ + i) & (in_flight_.size() - 1)];
+    }
+    in_flight_.swap(grown);
+    in_flight_head_ = 0;
+  }
+  in_flight_[(in_flight_head_ + in_flight_count_) & (in_flight_.size() - 1)] =
+      segment;
+  ++in_flight_count_;
+  // Same-instant events fire in post order, so delivery events pop the ring
+  // in send order.
+  sim_.post_at(due, [this] { deliver_front(); });
+}
+
+void WiredLink::deliver_front() {
+  // Copied out before the handler runs: it may send on this link again.
+  const net::TcpSegment segment = in_flight_[in_flight_head_];
+  in_flight_head_ = (in_flight_head_ + 1) & (in_flight_.size() - 1);
+  --in_flight_count_;
+  ++delivered_;
+  if (deliver_) deliver_(segment);
 }
 
 }  // namespace spider::backhaul

@@ -50,7 +50,7 @@ void ClientDevice::on_receive(const net::Frame& frame,
       e.bssid = frame.bssid;
       e.info = *beacon;
       e.channel = beacon->channel;
-      e.rssi_dbm = info.rssi_dbm;
+      e.rssi_dbm = info.rssi_dbm();
       e.last_seen = sim_.now();
     }
   }

@@ -329,9 +329,7 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
     ++frames_delivered_;
     ++per_channel_[channel_slot(channel)].delivered;
     if (is_addressee) addressed_delivery = true;
-    // Log-distance RSSI proxy: -40 dBm at 1 m, path-loss exponent 3.
-    const double rssi = -40.0 - 30.0 * std::log10(std::max(d, 1.0));
-    hot_.radio[id]->handle_delivery(frame, RxInfo{channel, d, rssi});
+    hot_.radio[id]->handle_delivery(frame, RxInfo{channel, d});
   }
 
   if (arq_eligible && sender != nullptr) {

@@ -29,7 +29,9 @@
 // partition-scan digests).
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -82,7 +84,13 @@ struct RadioMove {
 struct RxInfo {
   net::ChannelId channel = 0;
   double distance_m = 0.0;
-  double rssi_dbm = 0.0;  // log-distance proxy, for AP-selection policies
+
+  // Log-distance RSSI proxy for AP-selection policies: -40 dBm at 1 m,
+  // path-loss exponent 3. Computed on demand, since most receivers (APs
+  // dropping beacons) never read it.
+  double rssi_dbm() const {
+    return -40.0 - 30.0 * std::log10(std::max(distance_m, 1.0));
+  }
 };
 
 class Medium {

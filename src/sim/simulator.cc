@@ -92,7 +92,7 @@ Simulator::Simulator() : tokens_(std::make_shared<detail::TokenSlab>()) {
 
 Simulator::~Simulator() { tokens_->dead = true; }
 
-SPIDER_HOT TimerHandle Simulator::schedule_at(Time at, SmallFn fn) {
+SPIDER_HOT TimerHandle Simulator::schedule_at(Time at, SmallFn&& fn) {
   // Scheduling in the past is an invariant violation, not a recoverable
   // error: see src/core/check.h for the exceptions-vs-checks policy. Under
   // kLogAndCount the event is clamped to now() so the run can continue.
@@ -106,14 +106,14 @@ SPIDER_HOT TimerHandle Simulator::schedule_at(Time at, SmallFn fn) {
   return TimerHandle{tokens_, slot, generation};
 }
 
-SPIDER_HOT TimerHandle Simulator::schedule_after(Time delay, SmallFn fn) {
+SPIDER_HOT TimerHandle Simulator::schedule_after(Time delay, SmallFn&& fn) {
   SPIDER_CHECK(!delay.is_negative())
       << "schedule_after(" << delay.to_string() << ") with negative delay";
   if (delay.is_negative()) delay = Time::zero();
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-SPIDER_HOT void Simulator::post_at(Time at, SmallFn fn) {
+SPIDER_HOT void Simulator::post_at(Time at, SmallFn&& fn) {
   SPIDER_CHECK(at >= now_) << "post_at(" << at.to_string()
                            << ") behind clock " << now_.to_string();
   if (at < now_) at = now_;
@@ -121,7 +121,7 @@ SPIDER_HOT void Simulator::post_at(Time at, SmallFn fn) {
   note_push();
 }
 
-SPIDER_HOT void Simulator::post_after(Time delay, SmallFn fn) {
+SPIDER_HOT void Simulator::post_after(Time delay, SmallFn&& fn) {
   SPIDER_CHECK(!delay.is_negative())
       << "post_after(" << delay.to_string() << ") with negative delay";
   if (delay.is_negative()) delay = Time::zero();

@@ -101,20 +101,24 @@ class Simulator {
 
   Time now() const { return now_; }
 
+  // Every scheduling call takes its callable by rvalue reference: a lambda
+  // argument becomes one SmallFn temporary at the call site, which the wheel
+  // relocates once into the event's node.
+  //
   // Schedules `fn` at absolute time `at`. Scheduling in the past is an
   // invariant violation (SPIDER_CHECK, fatal by default); under
   // check::Policy::kLogAndCount the event is clamped to now() and survives.
-  TimerHandle schedule_at(Time at, SmallFn fn);
+  TimerHandle schedule_at(Time at, SmallFn&& fn);
   // Schedules `fn` at now() + delay; negative delays violate the same check
   // and clamp to zero under kLogAndCount.
-  TimerHandle schedule_after(Time delay, SmallFn fn);
+  TimerHandle schedule_after(Time delay, SmallFn&& fn);
 
   // Fire-and-forget variants: no cancellation token is allocated and no
   // handle is returned, which makes these the cheapest way to schedule.
   // Most events in a vehicular run — frame deliveries, beacon ticks, DHCP
   // server responses — are never cancelled; use these for them.
-  void post_at(Time at, SmallFn fn);
-  void post_after(Time delay, SmallFn fn);
+  void post_at(Time at, SmallFn&& fn);
+  void post_after(Time delay, SmallFn&& fn);
 
   // Runs events until the queue drains or the limit is hit. Advances now()
   // to the limit even if the queue drains earlier, so back-to-back run_for()

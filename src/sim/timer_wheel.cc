@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <utility>
 
 #include "core/check.h"
@@ -10,8 +9,7 @@
 namespace spider::sim {
 
 TimerWheel::TimerWheel() {
-  std::memset(head_, 0xFF, sizeof(head_));  // every slot starts at kNil
-  std::memset(tail_, 0xFF, sizeof(tail_));
+  // No slot storage is written: an occupancy bit of 0 marks a slot empty.
   nodes_.reserve(64);
   free_list_.reserve(nodes_.capacity());
   overflow_.reserve(8);
@@ -41,7 +39,7 @@ void TimerWheel::release_node(std::uint32_t idx) {
 }
 
 SPIDER_HOT void TimerWheel::schedule(std::int64_t at_us, std::uint64_t seq,
-                                     std::uint32_t token, SmallFn fn) {
+                                     std::uint32_t token, SmallFn&& fn) {
   const std::uint32_t idx = acquire_node();
   Node& n = nodes_[idx];
   n.at_us = at_us;
@@ -96,44 +94,53 @@ std::uint32_t TimerWheel::late_pop() {
 }
 
 SPIDER_HOT void TimerWheel::place(std::uint32_t idx) {
-  const Node& n = nodes_[idx];
-  const auto at = static_cast<std::uint64_t>(n.at_us);
+  const auto at = static_cast<std::uint64_t>(nodes_[idx].at_us);
   const std::uint64_t diff = at ^ static_cast<std::uint64_t>(clock_);
+  if (diff < kLevel0Slots) {
+    // Inside the clock's level-0 window (diff == 0 means "due now"): the
+    // low bits are the exact microsecond slot.
+    const int slot = static_cast<int>(at & (kLevel0Slots - 1));
+    if (append(level0_[slot], occ0_[slot >> 6], 1ull << (slot & 63), idx)) {
+      occ0_summary_ |= 1ull << (slot >> 6);
+    }
+    return;
+  }
   if ((diff >> kSpanBits) != 0) {
     // Beyond the top-level window: parked until the clock's top bits catch
-    // up. Rare by construction (2^48 us ahead), so the list growth is cold.
+    // up. Rare by construction (2^kSpanBits us ahead), so the list growth
+    // is cold.
     overflow_.push_back(idx);
     return;
   }
-  // Highest differing byte picks the level; byte l of the absolute time
-  // picks the slot. diff == 0 means "due now": level 0, current slot.
-  const int level =
-      diff == 0 ? 0 : (63 - std::countl_zero(diff)) >> 3;
-  const int slot =
-      static_cast<int>((at >> (kSlotBits * level)) & kSlotMask);
-  append(level, slot, idx);
+  // The highest differing bit picks the upper level; that level's bits of
+  // the absolute time pick the slot.
+  const int msb = 63 - std::countl_zero(diff);
+  const int level = 1 + (msb - kLevel0Bits) / kUpperBits;
+  const int slot = static_cast<int>((at >> level_shift(level)) &
+                                    (kUpperSlots - 1));
+  append(upper(level, slot), upper_word(level, slot), 1ull << (slot & 63),
+         idx);
 }
 
-SPIDER_HOT void TimerWheel::append(int level, int slot, std::uint32_t idx) {
+SPIDER_HOT bool TimerWheel::append(SlotList& list, std::uint64_t& word,
+                                   std::uint64_t bit, std::uint32_t idx) {
   nodes_[idx].next = kNil;
-  std::uint32_t& t = tail(level, slot);
-  if (t == kNil) {
-    head(level, slot) = idx;
-    set_bit(level, slot);
-  } else {
-    nodes_[t].next = idx;
+  if ((word & bit) == 0) {
+    word |= bit;
+    list = SlotList{idx, idx};
+    return true;
   }
-  t = idx;
+  nodes_[list.tail].next = idx;
+  list.tail = idx;
+  return false;
 }
 
 void TimerWheel::cascade(int level, int slot) {
-  std::uint32_t idx = head(level, slot);
-  head(level, slot) = kNil;
-  tail(level, slot) = kNil;
-  clear_bit(level, slot);
+  std::uint32_t idx = upper(level, slot).head;
+  upper_word(level, slot) &= ~(1ull << (slot & 63));
   while (idx != kNil) {
     const std::uint32_t next = nodes_[idx].next;
-    place(idx);  // byte `level` now matches the clock: lands a level down
+    place(idx);  // this level's bits now match the clock: lands lower down
     idx = next;
   }
   ++cascades_;
@@ -156,14 +163,26 @@ void TimerWheel::refill_from_overflow() {
   overflow_.resize(kept);
 }
 
-int TimerWheel::first_set_at_or_after(int level, int from) const {
-  if (from >= kSlots) return -1;
+int TimerWheel::first_level0_at_or_after(int from) const {
+  const int word = from >> 6;
+  const std::uint64_t bits = occ0_[word] & (~0ull << (from & 63));
+  if (bits != 0) return (word << 6) + std::countr_zero(bits);
+  if (word + 1 == kLevel0Words) return -1;
+  const std::uint64_t later = occ0_summary_ & (~0ull << (word + 1));
+  if (later == 0) return -1;
+  const int w = std::countr_zero(later);
+  return (w << 6) + std::countr_zero(occ0_[w]);
+}
+
+int TimerWheel::first_upper_at_or_after(int level, int from) const {
+  if (from >= kUpperSlots) return -1;
+  const std::uint64_t* occ = occ_upper_[level - 1];
   int word = from >> 6;
-  std::uint64_t bits = occ_[level][word] & (~0ull << (from & 63));
+  std::uint64_t bits = occ[word] & (~0ull << (from & 63));
   for (;;) {
     if (bits != 0) return (word << 6) + std::countr_zero(bits);
-    if (++word == kWords) return -1;
-    bits = occ_[level][word];
+    if (++word == kUpperWords) return -1;
+    bits = occ[word];
   }
 }
 
@@ -175,11 +194,11 @@ SPIDER_HOT std::int64_t TimerWheel::find_due(std::int64_t limit_us) {
     // occupied level-0 slots are at or after the clock's index — earlier
     // ones would be in the past, which schedule() forbids).
     {
-      const int idx = static_cast<int>(clock & kSlotMask);
-      const int s = first_set_at_or_after(0, idx);
+      constexpr std::uint64_t kMask = kLevel0Slots - 1;
+      const int s = first_level0_at_or_after(static_cast<int>(clock & kMask));
       if (s >= 0) {
-        const std::int64_t t =
-            static_cast<std::int64_t>((clock & ~kSlotMask) | static_cast<std::uint64_t>(s));
+        const auto t = static_cast<std::int64_t>(
+            (clock & ~kMask) | static_cast<std::uint64_t>(s));
         if (t > limit_us) return kNone;
         clock_ = t;
         return t;
@@ -193,11 +212,11 @@ SPIDER_HOT std::int64_t TimerWheel::find_due(std::int64_t limit_us) {
     // clock's index (an equal index would have matched a lower level).
     bool cascaded = false;
     for (int level = 1; level < kLevels; ++level) {
-      const int idx = static_cast<int>((clock >> (kSlotBits * level)) & kSlotMask);
-      const int s = first_set_at_or_after(level, idx + 1);
+      const int shift = level_shift(level);
+      const int idx = static_cast<int>((clock >> shift) & (kUpperSlots - 1));
+      const int s = first_upper_at_or_after(level, idx + 1);
       if (s < 0) continue;
-      const int shift = kSlotBits * level;
-      const std::uint64_t window_mask = (1ull << (shift + kSlotBits)) - 1;
+      const std::uint64_t window_mask = (1ull << (shift + kUpperBits)) - 1;
       const std::uint64_t base =
           (clock & ~window_mask) | (static_cast<std::uint64_t>(s) << shift);
       if (static_cast<std::int64_t>(base) > limit_us) return kNone;
@@ -253,13 +272,15 @@ SPIDER_HOT bool TimerWheel::pop_due(std::int64_t limit_us, Fired* out) {
   if (t == kNone) return false;
   // find_due parked the clock exactly on the due tick, so its level-0 slot
   // holds that microsecond's events in seq order; pop the head.
-  const int slot = static_cast<int>(static_cast<std::uint64_t>(t) & kSlotMask);
-  const std::uint32_t idx = head(0, slot);
+  const int slot = static_cast<int>(static_cast<std::uint64_t>(t) &
+                                    (kLevel0Slots - 1));
+  SlotList& list = level0_[slot];
+  const std::uint32_t idx = list.head;
   Node& n = nodes_[idx];
-  head(0, slot) = n.next;
   if (n.next == kNil) {
-    tail(0, slot) = kNil;
-    clear_bit(0, slot);
+    clear_level0(slot);
+  } else {
+    list.head = n.next;
   }
   out->at_us = n.at_us;
   out->seq = n.seq;

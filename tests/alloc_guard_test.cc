@@ -3,9 +3,10 @@
 // This binary (alone among the tests) links spider_alloc_guard, so the
 // global operator new/delete family is replaced with counting forwarders.
 // The tests first pin down the guard's own mechanics (counting windows,
-// meter mode, the tripping check), then wrap the three steady-state loops
-// the ISSUE names — PHY frame delivery, batched mobility, interned beacon
-// ticks — in an armed guard and assert they allocate nothing once warm.
+// meter mode, the tripping check), then wrap the steady-state loops — PHY
+// frame delivery, batched mobility, interned beacon ticks, management
+// exchanges, the backhaul TCP exchange — in an armed guard and assert they
+// allocate nothing once warm.
 #include "core/alloc_guard.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "backhaul/wired_link.h"
 #include "core/check.h"
 #include "mac/access_point.h"
 #include "net/addr.h"
@@ -22,6 +24,7 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "tcp/tcp.h"
 
 namespace spider::core {
 namespace {
@@ -225,6 +228,51 @@ TEST(AllocGuardHotPaths, InternedMgmtExchangeIsAllocationFreeOnceWarm) {
   }
   EXPECT_EQ(responses, 34u)
       << "the guarded loop must actually have completed exchanges";
+}
+
+TEST(AllocGuardHotPaths, WarmBackhaulExchangeIsAllocationFree) {
+  // The Fig. 9 lab's wired half: a bulk download whose data crosses a
+  // shaped 5 Mb/s, 20 ms downlink and whose ACKs cross the uplink back to
+  // the content server. The receive window is kept under the drop-tail
+  // queue so the exchange runs without loss (reordering would mint
+  // out-of-order map entries). Once the in-flight rings and the event pool
+  // have reached their high-water mark, a send costs no allocation.
+  sim::Simulator sim;
+  const backhaul::WiredLinkConfig link_cfg{
+      .rate_bps = 5e6, .latency = sim::Time::millis(20)};
+  backhaul::WiredLink uplink(sim, link_cfg);
+  backhaul::WiredLink downlink(sim, link_cfg);
+  tcp::TcpConfig tcp_cfg;
+  tcp_cfg.receive_window_segments = 64;
+  tcp::ContentServer server(sim, tcp_cfg);
+  tcp::TcpReceiver client(
+      sim, /*flow_id=*/1,
+      [&uplink](const net::TcpSegment& ack) { uplink.send(ack); }, tcp_cfg);
+  uplink.set_deliver_handler([&](const net::TcpSegment& seg) {
+    server.handle_segment(
+        seg, [&downlink](const net::TcpSegment& data) { downlink.send(data); });
+  });
+  downlink.set_deliver_handler(
+      [&client](const net::TcpSegment& seg) { client.on_segment(seg); });
+
+  net::TcpSegment get;  // the HTTP GET that opens the download
+  get.flow_id = 1;
+  get.from_sender = false;
+  get.syn = true;
+  uplink.send(get);
+  sim.run_for(sim::Time::seconds(3));  // warm-up: slow start to the window
+  const std::int64_t bytes_before = client.bytes_in_order();
+  const std::uint64_t segments_before = downlink.delivered();
+  {
+    ScopedAllocGuard guard("warm backhaul exchange");
+    sim.run_for(sim::Time::seconds(2));
+    EXPECT_EQ(guard.allocations(), 0u)
+        << "a warm backhaul send/deliver allocated";
+  }
+  EXPECT_EQ(downlink.dropped(), 0u);
+  EXPECT_GT(downlink.delivered(), segments_before + 500)
+      << "the guarded window must carry ~830 data segments at 5 Mb/s";
+  EXPECT_GT(client.bytes_in_order(), bytes_before + 1'000'000);
 }
 
 }  // namespace

@@ -75,6 +75,46 @@ TEST(WiredLink, QueueLimitDropsExcess) {
   EXPECT_EQ(link.delivered() + link.dropped(), 10u);
 }
 
+TEST(WiredLink, UnshapingMidBacklogKeepsFifoOrder) {
+  // set_rate(0) while a shaped backlog is in flight: segments sent after it
+  // are ready at once, but a wire does not reorder, so they arrive with the
+  // last backlogged segment rather than overtaking the backlog.
+  sim::Simulator sim;
+  WiredLink link(sim, {.rate_bps = 1e6, .latency = sim::Time::millis(10)});
+  std::vector<std::int64_t> order;
+  std::vector<sim::Time> times;
+  link.set_deliver_handler([&](const net::TcpSegment& s) {
+    order.push_back(s.seq);
+    times.push_back(sim.now());
+  });
+  net::TcpSegment seg;
+  seg.payload_bytes = 960;  // 1000 B with headers: 8 ms at 1 Mb/s
+  for (std::int64_t i = 0; i < 3; ++i) {
+    seg.seq = i;
+    link.send(seg);
+  }
+  link.set_rate(0.0);
+  for (std::int64_t i = 3; i < 5; ++i) {
+    seg.seq = i;
+    link.send(seg);
+  }
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
+  ASSERT_EQ(times.size(), 5u);
+  EXPECT_EQ(times[2], sim::Time::millis(34));
+  EXPECT_EQ(times[3], times[2]);
+  EXPECT_EQ(times[4], times[2]);
+  EXPECT_EQ(link.delivered(), 5u);
+
+  // Sent once the backlog has drained, an unshaped segment takes only the
+  // latency again.
+  seg.seq = 5;
+  link.send(seg);
+  const sim::Time sent = sim.now();
+  sim.run_all();
+  EXPECT_EQ(times.back(), sent + sim::Time::millis(10));
+}
+
 TEST(WiredLink, BacklogDrainsOverTime) {
   sim::Simulator sim;
   WiredLink link(sim, {.rate_bps = 1e6, .latency = sim::Time::zero()});

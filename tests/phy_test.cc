@@ -64,7 +64,7 @@ TEST_F(PhyTest, DeliveryWithinRange) {
     ++received;
     EXPECT_DOUBLE_EQ(info.distance_m, 50.0);
     EXPECT_EQ(info.channel, 6);
-    EXPECT_LT(info.rssi_dbm, -40.0);
+    EXPECT_LT(info.rssi_dbm(), -40.0);
   });
   tx.send(net::make_probe_request(tx.address()));
   sim_.run_all();

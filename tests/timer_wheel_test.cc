@@ -5,9 +5,12 @@
 // in isolation across the cases where a wheel could plausibly diverge:
 // same-instant FIFO straddling cascade boundaries, far-future events beyond
 // the top level, cancels discovered after a cascade moved the node, inserts
-// behind the wheel cursor (the late heap). A randomized schedule/cancel/run
-// script then drives the Simulator against an in-test min-heap oracle and
-// compares the fire order event by event.
+// behind the wheel cursor (the late heap). Boundary instants are derived
+// from the wheel's geometry constants, and a gate pins the point of the
+// wide level 0: sub-span delays inside the clock's level-0 window are filed
+// once and never cascade. A randomized schedule/cancel/run script then
+// drives the Simulator against an in-test min-heap oracle and compares the
+// fire order event by event.
 //
 // The warm-path allocation guarantee (schedule/fire/cancel touch no heap once
 // the node pool has grown) is proven under core::ScopedAllocGuard.
@@ -56,14 +59,38 @@ void expect_heap_order(
   EXPECT_EQ(fired, sorted) << "wheel diverged from (at, seq) heap order";
 }
 
+// Geometry, read off the wheel rather than restated: level 0's span, and the
+// first instant each upper level buckets on its own.
+constexpr std::int64_t kLevel0Span = std::int64_t{1} << TimerWheel::kLevel0Bits;
+constexpr std::int64_t kWheelSpan = std::int64_t{1} << TimerWheel::kSpanBits;
+constexpr std::int64_t level_base(int level) {
+  return std::int64_t{1} << TimerWheel::level_shift(level);
+}
+
+TEST(TimerWheel, GeometryCoversTheFrameScaleAndTheRunScale) {
+  // Level 0 must outlast a 1500 B frame at 11 Mb/s plus the long preamble
+  // (~1.3 ms) with room to spare, and the levels together must reach 2^48 us
+  // before anything is parked in the overflow list.
+  EXPECT_GE(kLevel0Span, 4096);
+  EXPECT_GE(TimerWheel::kSpanBits, 48);
+  EXPECT_EQ(level_base(1), kLevel0Span);
+  EXPECT_EQ(TimerWheel::level_shift(TimerWheel::kLevels - 1) +
+                TimerWheel::kUpperBits,
+            TimerWheel::kSpanBits);
+}
+
 TEST(TimerWheel, SameTimestampPostsFireInSeqOrderAcrossCascadeBoundaries) {
-  // Timestamps chosen to straddle every cascade boundary the 8-bit levels
-  // have below the top: one inside level 0, one exactly at a level-1 window
-  // base, one just past it, and one at a level-2 base. Posts are interleaved
-  // across the timestamps (insertion-permuted), so same-instant FIFO has to
-  // survive both the permuted inserts and the cascades that re-file the
-  // higher-level nodes.
-  const std::int64_t instants[] = {200, 256, 257, 65536, 65541, 16777216};
+  // Timestamps straddle every boundary the levels have below the top: both
+  // sides of level 0's edge, and each upper level's base and the instant
+  // after it. Posts are interleaved across the timestamps (insertion-
+  // permuted), so same-instant FIFO has to survive both the permuted inserts
+  // and the cascades that re-file the higher-level nodes.
+  std::vector<std::int64_t> instants = {200, kLevel0Span - 1, kLevel0Span,
+                                        kLevel0Span + 1};
+  for (int level = 2; level < TimerWheel::kLevels; ++level) {
+    instants.push_back(level_base(level));
+    instants.push_back(level_base(level) + 1);
+  }
   TimerWheel w;
   std::uint64_t seq = 0;
   for (int round = 0; round < 5; ++round) {
@@ -71,7 +98,7 @@ TEST(TimerWheel, SameTimestampPostsFireInSeqOrderAcrossCascadeBoundaries) {
     if (round % 2 == 0) {
       for (const std::int64_t at : instants) w.schedule(at, seq++, 0, [] {});
     } else {
-      for (auto it = std::rbegin(instants); it != std::rend(instants); ++it) {
+      for (auto it = instants.rbegin(); it != instants.rend(); ++it) {
         w.schedule(*it, seq++, 0, [] {});
       }
     }
@@ -81,19 +108,48 @@ TEST(TimerWheel, SameTimestampPostsFireInSeqOrderAcrossCascadeBoundaries) {
 }
 
 TEST(TimerWheel, FarFutureEventsBeyondTopLevelFireInOrder) {
-  // Events past 2^48 us live in the overflow list until the wheel's window
-  // catches up; interleave them with near events and with each other across
-  // two distinct far windows.
-  constexpr std::int64_t kSpan = 1ll << 48;
+  // Events past the wheel's span live in the overflow list until the
+  // wheel's window catches up; interleave them with near events and with
+  // each other across two distinct far windows.
   TimerWheel w;
   std::uint64_t seq = 0;
-  w.schedule(kSpan + 5, seq++, 0, [] {});
+  w.schedule(kWheelSpan + 5, seq++, 0, [] {});
   w.schedule(10, seq++, 0, [] {});
-  w.schedule(2 * kSpan + 1, seq++, 0, [] {});
-  w.schedule(kSpan + 5, seq++, 0, [] {});  // same far instant, later seq
-  w.schedule(kSpan - 1, seq++, 0, [] {});
-  w.schedule(2 * kSpan, seq++, 0, [] {});
+  w.schedule(2 * kWheelSpan + 1, seq++, 0, [] {});
+  w.schedule(kWheelSpan + 5, seq++, 0, [] {});  // same far instant, later seq
+  w.schedule(kWheelSpan - 1, seq++, 0, [] {});
+  w.schedule(2 * kWheelSpan, seq++, 0, [] {});
   expect_heap_order(drain_all(w), seq);
+}
+
+TEST(TimerWheel, DelaysWithinTheLevel0SpanNeverCascade) {
+  // The near-horizon gate: a stream of sub-span delays (frame airtimes,
+  // ACK/response timers) filed from a level-0 window base is filed at its
+  // exact microsecond and fires without a single cascade, whichever window
+  // the clock is in.
+  std::mt19937_64 rng(0x5EEDu);
+  for (const std::int64_t base : {std::int64_t{0}, 37 * kLevel0Span,
+                                  level_base(3) + 5 * kLevel0Span}) {
+    TimerWheel w;
+    std::uint64_t seq = 0;
+    TimerWheel::Fired ev;
+    if (base > 0) {  // park the clock on the window base
+      w.schedule(base, seq++, 0, [] {});
+      ASSERT_TRUE(w.pop_due(base, &ev));
+      ASSERT_EQ(w.clock(), base);
+    }
+    const std::uint64_t cascades_before = w.cascades();
+    const std::uint64_t first_seq = seq;
+    for (std::int64_t i = 0; i < 4 * kLevel0Span; ++i) {
+      const auto delay = static_cast<std::int64_t>(rng() % kLevel0Span);
+      w.schedule(base + delay, seq++, 0, [] {});
+    }
+    auto fired = drain_all(w);
+    expect_heap_order(fired, seq - first_seq);
+    EXPECT_EQ(w.cascades(), cascades_before)
+        << "a sub-span delay was filed above level 0 (window base " << base
+        << ")";
+  }
 }
 
 TEST(TimerWheel, NextDueRespectsLimitWithoutPopping) {
@@ -116,17 +172,19 @@ TEST(TimerWheelSim, CancelAfterCascadeIsHonored) {
   // to (but short of) its instant cascades it down through level 1 into
   // level 0. Cancelling after those cascades must still suppress the fire —
   // cancellation lives in the token slab, not in any wheel slot.
+  const std::int64_t at = level_base(2) + 3 * kLevel0Span + 10;
   Simulator sim;
   int fired = 0;
-  auto h = sim.schedule_at(Time::micros(70000), [&] { ++fired; });
-  sim.post_at(Time::micros(69990), [] {});
-  sim.run_until(Time::micros(69995));  // cascades 70000 down to level 0
+  auto h = sim.schedule_at(Time::micros(at), [&] { ++fired; });
+  sim.post_at(Time::micros(at - 10), [] {});
+  sim.run_until(Time::micros(at - 5));  // cascades `at` down to level 0
+  EXPECT_EQ(sim.scheduler_cascades(), 2u);
   h.cancel();
   sim.run_all();
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(sim.events_cancelled(), 1u);
   // A cancelled discard never advances the clock (same as the heap path).
-  EXPECT_EQ(sim.now(), Time::micros(69995));
+  EXPECT_EQ(sim.now(), Time::micros(at - 5));
 }
 
 TEST(TimerWheelSim, ScheduleBehindWheelCursorAfterCancelledRun) {
@@ -209,16 +267,18 @@ TEST(TimerWheelSim, RandomizedChurnMatchesHeapReference) {
     if (roll < 55) {
       // Mixed horizons: mostly near, some mid, a few far enough to climb
       // several levels, a trickle beyond the top-level span.
+      // The near bucket straddles level 0's edge, so sub-span delays land
+      // on both sides of a window boundary as the clock wanders.
       const auto bucket = rng() % 100;
       std::int64_t delay;
       if (bucket < 70) {
-        delay = static_cast<std::int64_t>(rng() % 512);
+        delay = static_cast<std::int64_t>(rng() % (2 * kLevel0Span));
       } else if (bucket < 90) {
-        delay = static_cast<std::int64_t>(rng() % (1 << 20));
+        delay = static_cast<std::int64_t>(rng() % level_base(2));
       } else if (bucket < 99) {
         delay = static_cast<std::int64_t>(rng() % (1ll << 34));
       } else {
-        delay = (1ll << 48) + static_cast<std::int64_t>(rng() % 1024);
+        delay = kWheelSpan + static_cast<std::int64_t>(rng() % 1024);
       }
       const std::size_t id = oracle.schedule(oracle.now_us() + delay);
       ASSERT_EQ(id, handles.size());
@@ -229,7 +289,7 @@ TEST(TimerWheelSim, RandomizedChurnMatchesHeapReference) {
       handles[id].cancel();
       oracle.cancel(id);
     } else {
-      const auto advance = static_cast<std::int64_t>(rng() % 4096);
+      const auto advance = static_cast<std::int64_t>(rng() % kLevel0Span);
       sim.run_for(Time::micros(advance));
       oracle.run_until(oracle.now_us() + advance, expected);
     }
