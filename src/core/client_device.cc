@@ -14,23 +14,7 @@ ClientDevice::ClientDevice(phy::Medium& medium, net::MacAddress address,
       config_(config) {
   radio_.set_receive_handler(
       [this](const net::Frame& f, const phy::RxInfo& i) { on_receive(f, i); });
-  if (config_.auto_rate) {
-    radio_.set_tx_result_handler([this](const net::Frame& f, bool ok) {
-      if (f.kind != net::FrameKind::kData) return;
-      if (ok) {
-        rate_.on_success(f.dst);
-      } else {
-        rate_.on_failure(f.dst);
-      }
-    });
-  }
   arm_probe_timer();
-}
-
-void ClientDevice::apply_rate(net::Frame& frame) {
-  if (config_.auto_rate && frame.kind == net::FrameKind::kData) {
-    frame.tx_rate_bps = rate_.rate_for(frame.dst);
-  }
 }
 
 void ClientDevice::register_bssid(net::Bssid bssid, FrameHandler handler) {
@@ -61,7 +45,6 @@ void ClientDevice::on_receive(const net::Frame& frame,
 }
 
 bool ClientDevice::enqueue(net::ChannelId channel, net::Frame frame) {
-  apply_rate(frame);
   if (channel == radio_.channel() && !radio_.switching()) {
     ++frames_enqueued_;
     radio_.send(std::move(frame));
@@ -83,7 +66,6 @@ void ClientDevice::flush_queue(net::ChannelId channel) {
   while (!it->second.empty()) {
     net::Frame f = std::move(it->second.front());
     it->second.pop_front();
-    apply_rate(f);  // re-stamp: the rate may have adapted while queued
     radio_.send(std::move(f));
   }
 }

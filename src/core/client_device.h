@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "net/frame.h"
-#include "phy/auto_rate.h"
 #include "phy/medium.h"
 #include "phy/radio.h"
 #include "sim/simulator.h"
@@ -43,10 +42,6 @@ struct ClientDeviceConfig {
   sim::Time probe_interval = sim::Time::millis(500);
   // Scan entries older than this are ignored by selection.
   sim::Time scan_expiry = sim::Time::seconds(3);
-  // Minstrel-lite rate adaptation on uplink data frames (opt-in), mirroring
-  // the AP-side knob: failures step the per-AP rate down, sustained
-  // success steps it up.
-  bool auto_rate = false;
 };
 
 class ClientDevice {
@@ -106,14 +101,10 @@ class ClientDevice {
   void flush_queue(net::ChannelId channel);
   void arm_probe_timer();
 
-  // Stamps the frame's tx rate when uplink adaptation is enabled.
-  void apply_rate(net::Frame& frame);
-
   sim::Simulator& sim_;
   phy::Medium& medium_;
   phy::Radio radio_;
   ClientDeviceConfig config_;
-  phy::AutoRate rate_;
   ConnectedFn connected_;
   std::unordered_map<net::Bssid, FrameHandler> bssid_handlers_;
   FrameHandler default_handler_;

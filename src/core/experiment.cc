@@ -7,10 +7,8 @@ namespace spider::core {
 Experiment::Experiment(ExperimentConfig config)
     : config_(std::move(config)), world_(config_) {
   sim::Simulator& sim = world_.simulator();
-  ClientDeviceConfig dev_cfg;
-  dev_cfg.auto_rate = config_.client_auto_rate;
   device_ = std::make_unique<ClientDevice>(
-      world_.medium(), net::MacAddress::from_index(0x00C00001u), dev_cfg);
+      world_.medium(), net::MacAddress::from_index(0x00C00001u));
   world_.add_rider(device_->radio(), sim::Time::zero());
   energy_ = std::make_unique<phy::EnergyMeter>(sim);
   device_->radio().attach_energy_meter(energy_.get());

@@ -28,8 +28,6 @@ enum class DriverKind : std::uint8_t { kSpider, kStock };
 struct ExperimentConfig : WorldConfig {
   DriverKind driver = DriverKind::kSpider;
   StockDriverConfig stock;
-  // Uplink rate adaptation at the client (mirrors ap_mac.auto_rate).
-  bool client_auto_rate = false;
 };
 
 struct ExperimentResults {

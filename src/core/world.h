@@ -54,7 +54,7 @@ struct WorldConfig {
   tcp::TcpConfig tcp;
   SpiderConfig spider;
   // MAC-layer knobs applied to every AP (ssid/channel still come from each
-  // ApDescriptor) — e.g. the beacon interval or auto-rate, world-wide.
+  // ApDescriptor) — e.g. the beacon interval, world-wide.
   mac::AccessPointConfig ap_mac;
   // Turns on the world's trace recorder for this run (Chrome trace-event
   // spans for joins, channel dwells, DHCP). Off by default: recording costs

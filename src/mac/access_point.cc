@@ -54,16 +54,6 @@ AccessPoint::AccessPoint(phy::Medium& medium, net::MacAddress address,
   });
   collector_id_ = medium_.simulator().telemetry().add_collector(
       [this](telemetry::Registry& registry) { publish_metrics(registry); });
-  if (config_.auto_rate) {
-    radio_.set_tx_result_handler([this](const net::Frame& f, bool ok) {
-      if (f.kind != net::FrameKind::kData) return;
-      if (ok) {
-        rate_.on_success(f.dst);
-      } else {
-        rate_.on_failure(f.dst);
-      }
-    });
-  }
 }
 
 AccessPoint::~AccessPoint() {
@@ -106,11 +96,6 @@ void AccessPoint::publish_metrics(telemetry::Registry& registry) {
                 static_cast<std::int64_t>(published_.occupancy));
   occupancy.record_peak(static_cast<std::int64_t>(buffered_high_water_));
   published_.occupancy = buffered_now_;
-}
-
-double AccessPoint::downlink_rate_bps(net::MacAddress client) const {
-  return config_.auto_rate ? rate_.rate_for(client)
-                           : medium_.config().bitrate_bps;
 }
 
 void AccessPoint::start() {
@@ -283,7 +268,6 @@ void AccessPoint::flush_buffer(net::MacAddress client, ClientState& state) {
     net::Frame f = std::move(state.buffer.front());
     state.buffer.pop_front();
     --buffered_now_;
-    if (config_.auto_rate) f.tx_rate_bps = rate_.rate_for(client);
     radio_.send(std::move(f));
   }
   if (drained) trace_psm_occupancy();
@@ -302,7 +286,6 @@ bool AccessPoint::send_to_client(net::MacAddress dst, net::Frame frame) {
     note_buffered();
     return true;
   }
-  if (config_.auto_rate) frame.tx_rate_bps = rate_.rate_for(dst);
   radio_.send(std::move(frame));
   return true;
 }

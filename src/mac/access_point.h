@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "net/frame.h"
-#include "phy/auto_rate.h"
 #include "phy/medium.h"
 #include "phy/radio.h"
 #include "sim/random.h"
@@ -40,10 +39,6 @@ struct AccessPointConfig {
   // Power-save buffering.
   std::size_t max_buffered_frames = 1024;
   bool open = true;
-  // Minstrel-lite per-client rate adaptation on downlink data (opt-in):
-  // failures step the client's rate down, sustained success steps it up;
-  // low rates trade airtime for reach at the cell edge.
-  bool auto_rate = false;
 };
 
 class AccessPoint {
@@ -89,8 +84,6 @@ class AccessPoint {
   std::uint64_t psm_enters() const { return psm_enters_; }
   std::uint64_t psm_exits() const { return psm_exits_; }
   std::size_t buffered_high_water() const { return buffered_high_water_; }
-  // Current downlink rate for a client (medium default if auto_rate off).
-  double downlink_rate_bps(net::MacAddress client) const;
 
  private:
   struct ClientState {
@@ -133,7 +126,6 @@ class AccessPoint {
   // response and auth/assoc grant, so none of them allocates a payload.
   net::SharedPayload beacon_payload_;
   DataSink data_sink_;
-  phy::AutoRate rate_;
   // Free-listed delayed-response nodes (see PendingResponse). The pool only
   // grows while more responses are in flight at once than ever before; the
   // steady state recycles.

@@ -39,14 +39,14 @@ const char* to_string(DhcpMessage::Kind kind) {
 
 Frame make_probe_request(MacAddress client) {
   return Frame{FrameKind::kProbeRequest, client, MacAddress::broadcast(),
-               Bssid{}, false, kProbeRequestBytes, 0.0, {}};
+               Bssid{}, false, kProbeRequestBytes, {}};
 }
 
 Frame make_beacon(MacAddress ap, SharedPayload info) {
   SPIDER_DCHECK(info.holds<BeaconInfo>())
       << "beacon payload does not hold a BeaconInfo";
   return Frame{FrameKind::kBeacon, ap, MacAddress::broadcast(), ap, false,
-               kBeaconBytes, 0.0, std::move(info)};
+               kBeaconBytes, std::move(info)};
 }
 
 Frame make_probe_response(MacAddress ap, MacAddress client,
@@ -54,55 +54,55 @@ Frame make_probe_response(MacAddress ap, MacAddress client,
   SPIDER_DCHECK(info.holds<BeaconInfo>())
       << "probe-response payload does not hold a BeaconInfo";
   return Frame{FrameKind::kProbeResponse, ap, client, ap, false,
-               kProbeResponseBytes, 0.0, std::move(info)};
+               kProbeResponseBytes, std::move(info)};
 }
 
 Frame make_auth_request(MacAddress client, Bssid ap) {
-  return Frame{FrameKind::kAuthRequest, client, ap, ap, false, kAuthBytes, 0.0, {}};
+  return Frame{FrameKind::kAuthRequest, client, ap, ap, false, kAuthBytes, {}};
 }
 
 Frame make_assoc_request(MacAddress client, Bssid ap) {
   return Frame{FrameKind::kAssocRequest, client, ap, ap, false,
-               kAssocRequestBytes, 0.0, {}};
+               kAssocRequestBytes, {}};
 }
 
 Frame make_auth_response(Bssid ap, MacAddress client, SharedPayload info) {
   SPIDER_DCHECK(info.holds<BeaconInfo>())
       << "auth-response payload does not hold a BeaconInfo";
   return Frame{FrameKind::kAuthResponse, ap, client, ap, false, kAuthBytes,
-               0.0, std::move(info)};
+               std::move(info)};
 }
 
 Frame make_assoc_response(Bssid ap, MacAddress client, SharedPayload info) {
   SPIDER_DCHECK(info.holds<BeaconInfo>())
       << "assoc-response payload does not hold a BeaconInfo";
   return Frame{FrameKind::kAssocResponse, ap, client, ap, false,
-               kAssocResponseBytes, 0.0, std::move(info)};
+               kAssocResponseBytes, std::move(info)};
 }
 
 Frame make_disassoc(MacAddress src, MacAddress dst, Bssid ap) {
-  return Frame{FrameKind::kDisassoc, src, dst, ap, false, kDisassocBytes, 0.0, {}};
+  return Frame{FrameKind::kDisassoc, src, dst, ap, false, kDisassocBytes, {}};
 }
 
 Frame make_null_data(MacAddress client, Bssid ap, bool power_mgmt) {
   return Frame{FrameKind::kNullData, client, ap, ap, power_mgmt,
-               kNullDataBytes, 0.0, {}};
+               kNullDataBytes, {}};
 }
 
 Frame make_ps_poll(MacAddress client, Bssid ap) {
-  return Frame{FrameKind::kPsPoll, client, ap, ap, false, kPsPollBytes, 0.0, {}};
+  return Frame{FrameKind::kPsPoll, client, ap, ap, false, kPsPollBytes, {}};
 }
 
 Frame make_dhcp_frame(MacAddress src, MacAddress dst, Bssid ap,
                       DhcpMessage msg) {
   return Frame{FrameKind::kData, src, dst, ap, false,
-               kMacDataOverheadBytes + kDhcpMessageBytes, 0.0, msg};
+               kMacDataOverheadBytes + kDhcpMessageBytes, msg};
 }
 
 Frame make_tcp_frame(MacAddress src, MacAddress dst, Bssid ap,
                      TcpSegment segment) {
   const int size = kMacDataOverheadBytes + segment.size_bytes();
-  return Frame{FrameKind::kData, src, dst, ap, false, size, 0.0, segment};
+  return Frame{FrameKind::kData, src, dst, ap, false, size, segment};
 }
 
 }  // namespace spider::net

@@ -140,9 +140,6 @@ struct Frame {
   Bssid bssid;               // the AP the frame belongs to (null for probes)
   bool power_mgmt = false;   // PM bit: "I am entering power-save mode"
   int size_bytes = 0;
-  // PHY rate this frame is modulated at; 0 = the medium's default. Lower
-  // rates are slower but more robust at range (see phy rate adaptation).
-  double tx_rate_bps = 0.0;
   SharedPayload payload;
 
   bool is_management() const {

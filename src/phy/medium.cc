@@ -6,7 +6,6 @@
 
 #include "core/arena.h"
 #include "core/check.h"
-#include "phy/auto_rate.h"
 #include "phy/channel.h"
 #include "phy/radio.h"
 
@@ -24,17 +23,12 @@ Medium::Medium(sim::Simulator& simulator, sim::Rng rng, MediumConfig config)
       << " must be a fraction of range";
   SPIDER_CHECK(config_.data_retry_limit >= 0)
       << "data_retry_limit " << config_.data_retry_limit;
-  // Grid cell = maximum effective range of any standard-rate frame, so one
-  // delivery disc never overlaps more than the 3x3 cell neighborhood. Frames
-  // modulated below the slowest 802.11b rate can still outgrow the cell;
-  // gather() then widens the neighborhood or deliver() degrades to a
-  // partition scan (counted in deliveries_scan_).
-  const double cell_m =
-      config_.range_m *
-      rate_range_scale(k80211bRates.front(), config_.bitrate_bps);
+  // Grid cell = range, so a delivery disc covers a 3x3 cell neighborhood.
+  // RadioGrid::gather takes its bounds from the disc, not from the sender's
+  // cell, so rounding at a cell edge cannot drop a receiver at range.
   for (ChannelPartition& partition : partitions_) {
     partition.grid.bind(&hot_);
-    partition.grid.reset_cell_size(cell_m);
+    partition.grid.reset_cell_size(config_.range_m);
   }
   collector_id_ = sim_.telemetry().add_collector(
       [this](telemetry::Registry& registry) { publish_metrics(registry); });
@@ -163,10 +157,9 @@ SPIDER_HOT sim::Time Medium::transmit(Radio& sender, net::Frame frame) {
   const std::size_t slot = channel_slot(channel);
   ++per_channel_[slot].sent;
   if (sniffer_) sniffer_(frame, channel, sim_.now());
-  const double rate =
-      frame.tx_rate_bps > 0.0 ? frame.tx_rate_bps : config_.bitrate_bps;
   const sim::Time airtime =
-      config_.preamble + sim::transmission_time(frame.size_bytes, rate);
+      config_.preamble +
+      sim::transmission_time(frame.size_bytes, config_.bitrate_bps);
   const Vec2 pos = hot_.position[sender.id_];
 
   // Carrier sense is channel-global: every sender on the channel defers to
@@ -235,14 +228,6 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
                              frame.kind == net::FrameKind::kPsPoll);
   bool addressed_delivery = false;
 
-  // Frames modulated below the nominal rate decode further out (802.11b's
-  // low rates): scale the geometry by the rate's range factor.
-  const double range_scale =
-      rate_range_scale(frame.tx_rate_bps, config_.bitrate_bps);
-  SPIDER_DCHECK(range_scale > 0.0)
-      << "rate " << frame.tx_rate_bps << " bps scaled range by "
-      << range_scale;
-
   // Candidate set: a span of ids whose RNG draws below must be consumed in
   // ascending (= attach) order, so grid and bucket internals never influence
   // the stream. Partition members are already in that order; grid gathers
@@ -259,18 +244,11 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
   // identical RNG. The member vector is stable while the filter loop below
   // runs (callbacks only fire from the delivery loop after it), so no copy
   // is needed.
-  bool used_grid = false;
-  if (members > config_.indexed_scan_threshold) {
-    RadioId* buf = sim_.arena().alloc_array<RadioId>(members);
-    std::size_t gathered = 0;
-    used_grid = partition.grid.gather(sender_pos, config_.range_m * range_scale,
-                                      buf, gathered);
-    if (used_grid) {
-      candidates = buf;
-      count = gathered;
-    }
-  }
+  const bool used_grid = members > config_.indexed_scan_threshold;
   if (used_grid) {
+    RadioId* buf = sim_.arena().alloc_array<RadioId>(members);
+    count = partition.grid.gather(sender_pos, config_.range_m, buf);
+    candidates = buf;
     ++deliveries_grid_;
   } else {
     ++deliveries_scan_;
@@ -288,13 +266,11 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
   // compares squared distances; one sqrt per survivor, none per reject.
   struct Hit {
     RadioId id;
-    double distance_m;  // rate-scaled, as loss_probability expects
+    double distance_m;
   };
   Hit* hits = sim_.arena().alloc_array<Hit>(count);
   std::size_t n_hits = 0;
-  const double max_dist = config_.range_m * range_scale;
-  const double max_dist_sq = max_dist * max_dist;
-  const double inv_range_scale = 1.0 / range_scale;
+  const double max_dist_sq = config_.range_m * config_.range_m;
   for (std::size_t i = 0; i < count; ++i) {
     const RadioId id = candidates[i];
     if (id == sender_id) continue;
@@ -304,7 +280,7 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
     const double dy = rx_pos.y - sender_pos.y;
     const double dist_sq = dx * dx + dy * dy;
     if (dist_sq > max_dist_sq) continue;
-    hits[n_hits++] = Hit{id, std::sqrt(dist_sq) * inv_range_scale};
+    hits[n_hits++] = Hit{id, std::sqrt(dist_sq)};
   }
   if (used_grid) {
     std::sort(hits, hits + n_hits,
@@ -333,9 +309,9 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
   }
 
   if (arq_eligible && sender != nullptr) {
-    // Tell the sender how its unicast data fared (still attached only):
-    // failure drives AP re-buffering, both outcomes drive rate adaptation.
-    sender->handle_tx_result(frame, addressed_delivery);
+    // Tell a still-attached sender its unicast data never arrived: the
+    // AP re-buffers it for a power-save client.
+    if (!addressed_delivery) sender->handle_tx_failure(frame);
   }
 }
 

@@ -17,9 +17,9 @@
 //
 // Delivery: radios are partitioned by current channel (kept in sync through
 // attach/detach/retune notifications from the Radio) and each partition is
-// bucketed by a uniform spatial grid whose cell is the maximum effective
-// frame range, so one delivery touches only the O(candidates) radios in the
-// 3x3 cell neighborhood of the sender instead of every radio in the world.
+// bucketed by a uniform spatial grid whose cell is the frame range, so one
+// delivery touches only the O(candidates) radios in the 3x3 cell
+// neighborhood of the sender instead of every radio in the world.
 // The per-receiver loss draws run in ascending attach id: a partition keeps
 // its members in attach order, so a partition scan is ordered by
 // construction, and only grid gathers (whose bucket order follows movement
@@ -155,8 +155,8 @@ class Medium {
   std::uint64_t frames_delivered() const { return frames_delivered_; }
   std::uint64_t frames_lost() const { return frames_lost_; }
   // Delivery observability: deliveries served from the 3x3 grid
-  // neighborhood vs. a partition scan (a frame whose effective range
-  // outgrew the grid cell, or a partition at or below the scan threshold).
+  // neighborhood vs. a scan of a partition at or below
+  // indexed_scan_threshold.
   std::uint64_t deliveries_grid() const { return deliveries_grid_; }
   std::uint64_t deliveries_scan() const { return deliveries_scan_; }
   // Radios currently attached on `channel` (tests; O(1)).

@@ -64,9 +64,8 @@ SPIDER_HOT void Radio::handle_delivery(const net::Frame& frame,
   if (receive_handler_) receive_handler_(frame, info);
 }
 
-SPIDER_HOT void Radio::handle_tx_result(const net::Frame& frame, bool ok) {
-  if (!ok && tx_failure_handler_) tx_failure_handler_(frame);
-  if (tx_result_handler_) tx_result_handler_(frame, ok);
+void Radio::handle_tx_failure(const net::Frame& frame) {
+  if (tx_failure_handler_) tx_failure_handler_(frame);
 }
 
 }  // namespace spider::phy

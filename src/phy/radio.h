@@ -46,8 +46,6 @@ class Radio {
   // every attempt was lost). Mirrors the 802.11 retry-failure indication
   // drivers get, which APs use to re-queue frames for power-save clients.
   using TxFailureHandler = std::function<void(const net::Frame&)>;
-  // Full outcome feedback for unicast data frames (rate adaptation).
-  using TxResultHandler = std::function<void(const net::Frame&, bool ok)>;
 
   Radio(Medium& medium, net::MacAddress address, RadioConfig config = {});
   ~Radio();
@@ -71,9 +69,6 @@ class Radio {
   }
   void set_tx_failure_handler(TxFailureHandler handler) {
     tx_failure_handler_ = std::move(handler);
-  }
-  void set_tx_result_handler(TxResultHandler handler) {
-    tx_result_handler_ = std::move(handler);
   }
 
   // True while a hardware reset is in flight; the radio is deaf and mute.
@@ -101,7 +96,7 @@ class Radio {
   friend class Medium;
   // Medium-side delivery entry point.
   void handle_delivery(const net::Frame& frame, const RxInfo& info);
-  void handle_tx_result(const net::Frame& frame, bool ok);
+  void handle_tx_failure(const net::Frame& frame);
 
   Medium& medium_;
   net::MacAddress address_;
@@ -111,7 +106,6 @@ class Radio {
   sim::TimerHandle switch_timer_;
   ReceiveHandler receive_handler_;
   TxFailureHandler tx_failure_handler_;
-  TxResultHandler tx_result_handler_;
   std::uint64_t frames_tx_ = 0;
   std::uint64_t frames_rx_ = 0;
   std::uint64_t tx_dropped_switching_ = 0;

@@ -57,14 +57,11 @@ bool RadioGrid::update(RadioId id, Vec2 pos) {
 // Hot: per delivery. `out` is carved from the drain arena at partition size
 // — an upper bound on the gather superset — so the bulk copies below never
 // bound-check or grow anything.
-SPIDER_HOT bool RadioGrid::gather(Vec2 center, double radius_m, RadioId* out,
-                                  std::size_t& count) const {
-  count = 0;
+SPIDER_HOT std::size_t RadioGrid::gather(Vec2 center, double radius_m,
+                                         RadioId* out) const {
+  std::size_t count = 0;
   const Cell lo = cell_of({center.x - radius_m, center.y - radius_m});
   const Cell hi = cell_of({center.x + radius_m, center.y + radius_m});
-  const std::int64_t span_x = static_cast<std::int64_t>(hi.x) - lo.x + 1;
-  const std::int64_t span_y = static_cast<std::int64_t>(hi.y) - lo.y + 1;
-  if (span_x * span_y > kMaxGatherCells) return false;
   for (std::int32_t cy = lo.y; cy <= hi.y; ++cy) {
     for (std::int32_t cx = lo.x; cx <= hi.x; ++cx) {
       auto it = cells_.find(key(cx, cy));
@@ -74,7 +71,7 @@ SPIDER_HOT bool RadioGrid::gather(Vec2 center, double radius_m, RadioId* out,
       count += bucket.size();
     }
   }
-  return true;
+  return count;
 }
 
 std::size_t RadioGrid::memory_bytes() const {

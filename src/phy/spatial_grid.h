@@ -11,11 +11,10 @@
 //    and a 100k-radio world costs ~48 hot bytes per radio instead of a
 //    pointer chase into a ~200-byte Radio.
 //  - RadioGrid buckets ids into square cells of side cell_m (chosen by the
-//    Medium as the maximum effective frame range, so a delivery disc never
-//    overlaps more than a 3x3 neighborhood at standard rates); buckets are
-//    updated lazily — only when a mobile radio actually crosses a cell
-//    boundary, which at vehicular speeds is a few times per minute, not per
-//    position tick.
+//    Medium as the frame range, so a delivery disc covers a 3x3
+//    neighborhood); buckets are updated lazily — only when a mobile radio
+//    actually crosses a cell boundary, which at vehicular speeds is a few
+//    times per minute, not per position tick.
 //
 // Determinism contract: bucket iteration order depends on movement history
 // (swap-and-pop removal), so the grid NEVER defines delivery order. Callers
@@ -83,12 +82,6 @@ struct RadioHotStore {
 
 class RadioGrid {
  public:
-  // A delivery disc may span at most this many cells before gather() refuses
-  // and the caller degrades to a partition scan (5x5 covers frames modulated
-  // below the slowest 802.11b rate; anything wider means the cell size was
-  // configured far smaller than the effective range).
-  static constexpr std::int64_t kMaxGatherCells = 25;
-
   RadioGrid() = default;
 
   std::size_t size() const { return size_; }
@@ -109,11 +102,9 @@ class RadioGrid {
   // Appends every radio whose cell overlaps the disc (center, radius) to
   // `out` — a superset of the radios within `radius`; the caller applies the
   // exact distance filter. `out` must have room for size() ids (the caller
-  // carves it from the drain arena at partition size). Returns false
-  // (leaving count at 0) when the disc spans more than kMaxGatherCells
-  // cells.
-  bool gather(Vec2 center, double radius_m, RadioId* out,
-              std::size_t& count) const;
+  // carves it from the drain arena at partition size). Returns the number
+  // of ids written.
+  std::size_t gather(Vec2 center, double radius_m, RadioId* out) const;
 
   // Container overhead for bytes-per-radio accounting (buckets + hash map).
   std::size_t memory_bytes() const;

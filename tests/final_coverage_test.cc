@@ -1,9 +1,7 @@
-// Last-mile coverage: client-side uplink rate adaptation, the
-// offered-bandwidth selection path, multi-channel fleets, and a handful of
-// remaining contracts.
+// Last-mile coverage: the offered-bandwidth selection path, multi-channel
+// fleets, and a handful of remaining contracts.
 #include <gtest/gtest.h>
 
-#include "core/client_device.h"
 #include "core/configs.h"
 #include "core/experiment.h"
 #include "core/fleet.h"
@@ -11,58 +9,6 @@
 
 namespace spider::core {
 namespace {
-
-TEST(ClientAutoRate, UplinkStampsAdaptedRate) {
-  sim::Simulator sim;
-  phy::MediumConfig mcfg;
-  mcfg.base_loss = 0.0;
-  mcfg.edge_degradation = false;
-  phy::Medium medium(sim, sim::Rng(1), mcfg);
-
-  ClientDeviceConfig cfg;
-  cfg.radio.initial_channel = 6;
-  cfg.auto_rate = true;
-  ClientDevice device(medium, net::MacAddress::from_index(0xC0), cfg);
-
-  const auto ap = net::MacAddress::from_index(0xA0);
-  double last_rate = -1.0;
-  medium.set_sniffer([&](const net::Frame& f, net::ChannelId, sim::Time) {
-    if (f.kind == net::FrameKind::kData) last_rate = f.tx_rate_bps;
-  });
-
-  net::TcpSegment seg;
-  seg.payload_bytes = 100;
-  // No AP radio exists: every unicast data tx fails, stepping the rate
-  // down; each send must be stamped with the current per-AP rate.
-  // (Bounded runs: the device's periodic probe timer never drains.)
-  device.enqueue(6, net::make_tcp_frame(device.address(), ap, ap, seg));
-  sim.run_for(sim::Time::millis(50));
-  EXPECT_DOUBLE_EQ(last_rate, 11e6);
-  device.enqueue(6, net::make_tcp_frame(device.address(), ap, ap, seg));
-  sim.run_for(sim::Time::millis(50));
-  EXPECT_DOUBLE_EQ(last_rate, 5.5e6);  // stepped down after the failure
-  device.enqueue(6, net::make_tcp_frame(device.address(), ap, ap, seg));
-  sim.run_for(sim::Time::millis(50));
-  EXPECT_DOUBLE_EQ(last_rate, 2e6);
-}
-
-TEST(ClientAutoRate, OffByDefaultLeavesFramesUnstamped) {
-  sim::Simulator sim;
-  phy::Medium medium(sim, sim::Rng(1));
-  ClientDevice device(medium, net::MacAddress::from_index(0xC0),
-                      ClientDeviceConfig{.radio = {.initial_channel = 6}});
-  double observed = -1.0;
-  medium.set_sniffer([&](const net::Frame& f, net::ChannelId, sim::Time) {
-    if (f.kind == net::FrameKind::kData) observed = f.tx_rate_bps;
-  });
-  net::TcpSegment seg;
-  seg.payload_bytes = 10;
-  device.enqueue(6, net::make_tcp_frame(device.address(),
-                                        net::MacAddress::from_index(0xA0),
-                                        net::Bssid{}, seg));
-  sim.run_for(sim::Time::millis(50));
-  EXPECT_DOUBLE_EQ(observed, 0.0);
-}
 
 TEST(OfferedBandwidthPolicy, StillJoinsAndTransfers) {
   ExperimentConfig cfg;
@@ -155,7 +101,6 @@ TEST(ExperimentConfigDefaults, MatchPaperEnvironment) {
   ExperimentConfig cfg;
   EXPECT_EQ(cfg.backhaul_latency, sim::Time::millis(100));  // RTT ~200 ms
   EXPECT_EQ(cfg.duration, sim::Time::seconds(1800));        // 30-min drives
-  EXPECT_FALSE(cfg.client_auto_rate);
   phy::MediumConfig m;
   EXPECT_DOUBLE_EQ(m.range_m, 100.0);
   EXPECT_DOUBLE_EQ(m.base_loss, 0.10);

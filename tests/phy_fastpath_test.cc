@@ -6,7 +6,6 @@
 // exactly the order a partition scan does (digests bit-identical); (2) the
 // lifecycle notifications (attach/detach/retune/move) keep the index in sync
 // even when radios churn while frames are in flight.
-#include "phy/auto_rate.h"
 #include "phy/medium.h"
 #include "phy/radio.h"
 
@@ -15,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -46,7 +46,9 @@ constexpr std::size_t kAlwaysScan = std::numeric_limits<std::size_t>::max();
 // which exercise the floor-based cell math), with radios split across two
 // channels and retuned every round. After every round the receive set of a
 // broadcast must equal the brute-force set computed from raw positions, and
-// the receive callbacks must fire in ascending attach id.
+// the receive callbacks must fire in ascending attach id. Then the edges of
+// a range-sized cell: senders exactly on a cell boundary (and one ulp either
+// side of it) with receivers exactly range_m away along each axis.
 void check_receive_sets_and_order(Medium& medium, sim::Simulator& sim) {
   sim::Rng walk(0xF00D);
 
@@ -71,9 +73,25 @@ void check_receive_sets_and_order(Medium& medium, sim::Simulator& sim) {
         });
   }
 
+  const double range = medium.config().range_m;
+  auto broadcast_and_check = [&](Radio& sender, const char* what, int round) {
+    for (int i = 0; i < kRadios; ++i) {
+      const Radio& rx = *radios[static_cast<std::size_t>(i)];
+      if (&rx == &sender || rx.channel() != sender.channel()) continue;
+      if (distance(sender.position(), rx.position()) > range) continue;
+      ++expected[static_cast<std::size_t>(i)];
+    }
+    callback_order.clear();
+    sender.send(net::make_probe_request(sender.address()));
+    sim.run_all();
+    ASSERT_EQ(received, expected) << what << " round " << round << " diverged";
+    EXPECT_TRUE(std::is_sorted(callback_order.begin(), callback_order.end()))
+        << what << " round " << round << " delivered out of attach order";
+  };
+
   for (int round = 0; round < kRounds; ++round) {
-    // Move everyone; steps are large relative to the ~141 m cell so most
-    // rounds re-bucket most radios.
+    // Move everyone; steps are large relative to the range-sized (100 m)
+    // cell so most rounds re-bucket most radios.
     for (auto& r : radios) {
       r->set_position(r->position() + Vec2{walk.uniform(-200.0, 200.0),
                                            walk.uniform(-200.0, 200.0)});
@@ -92,32 +110,66 @@ void check_receive_sets_and_order(Medium& medium, sim::Simulator& sim) {
     low.tune(home);
     sim.run_all();  // complete the resets so nobody is mid-switch below
 
-    Radio& sender = *radios[static_cast<std::size_t>(round % kRadios)];
-    for (int i = 0; i < kRadios; ++i) {
-      const Radio& rx = *radios[static_cast<std::size_t>(i)];
-      if (&rx == &sender || rx.channel() != sender.channel()) continue;
-      if (distance(sender.position(), rx.position()) >
-          medium.config().range_m) {
-        continue;
-      }
-      ++expected[static_cast<std::size_t>(i)];
+    ASSERT_NO_FATAL_FAILURE(broadcast_and_check(
+        *radios[static_cast<std::size_t>(round % kRadios)], "walk", round));
+  }
+
+  // Cell-boundary edges: the sender sits on x (or y) = k * range, or one ulp
+  // either side, and four receivers sit range away along +x, -x, +y and -y,
+  // tuned to the sender's channel. The rest stay where the walk left them.
+  struct EdgeSender {
+    Vec2 at;
+    bool on_boundary;
+  };
+  Radio& sender = *radios[kRadios - 1];
+  std::vector<EdgeSender> edge_senders;
+  for (const int k : {-2, -1, 0, 1, 3, 64}) {
+    const double b = k * range;
+    for (const double v : {std::nextafter(b, -1e300), b,
+                           std::nextafter(b, 1e300)}) {
+      edge_senders.push_back({{v, 37.0}, v == b});
+      edge_senders.push_back({{-61.0, v}, v == b});
     }
-    callback_order.clear();
-    sender.send(net::make_probe_request(sender.address()));
+  }
+  const Vec2 axes[] = {{range, 0.0}, {-range, 0.0}, {0.0, range},
+                       {0.0, -range}};
+  int round = 0;
+  for (const EdgeSender& edge : edge_senders) {
+    sender.set_position(edge.at);
+    for (std::size_t a = 0; a < std::size(axes); ++a) {
+      Radio& rx = *radios[a];
+      rx.set_position(edge.at + axes[a]);
+      if (rx.channel() != sender.channel()) rx.tune(sender.channel());
+    }
     sim.run_all();
-    ASSERT_EQ(received, expected) << "round " << round << " diverged";
-    EXPECT_TRUE(std::is_sorted(callback_order.begin(), callback_order.end()))
-        << "round " << round << " delivered out of attach order";
+    const std::vector<int> before = received;
+    ASSERT_NO_FATAL_FAILURE(broadcast_and_check(sender, "edge", round++));
+    // From a sender exactly on a boundary the arithmetic is exact, so every
+    // axis receiver is exactly range_m out and hears the frame. One ulp off
+    // the boundary, rounding may leave a receiver an ulp beyond range; the
+    // brute-force check above covers those.
+    if (!edge.on_boundary) continue;
+    for (std::size_t a = 0; a < std::size(axes); ++a) {
+      EXPECT_EQ(received[a], before[a] + 1) << "edge round " << round - 1;
+    }
   }
 }
 
 TEST(FastPath, GridMatchesBruteForceAcrossMobileTrajectories) {
-  sim::Simulator sim;
-  Medium medium(sim, sim::Rng(1), lossless());
-  check_receive_sets_and_order(medium, sim);
-  EXPECT_GT(medium.deliveries_grid(), 0u);
-  // Every delivery disc fits the 3x3 neighborhood at the default rate.
-  EXPECT_EQ(medium.deliveries_scan(), 0u);
+  // The default range, and 250 m: there, rounding in cell_of files a sender
+  // one ulp below x = 64 * 250 m in cell 63 and a receiver exactly 250 m
+  // east of it in cell 65, so a gather fixed at the 3x3 around the sender's
+  // cell would miss it.
+  for (const double range : {100.0, 250.0}) {
+    sim::Simulator sim;
+    MediumConfig cfg = lossless();
+    cfg.range_m = range;
+    Medium medium(sim, sim::Rng(1), cfg);
+    check_receive_sets_and_order(medium, sim);
+    EXPECT_GT(medium.deliveries_grid(), 0u);
+    // The scan threshold is 0, so every delivery gathers from the grid.
+    EXPECT_EQ(medium.deliveries_scan(), 0u);
+  }
 }
 
 TEST(FastPath, PartitionScanMatchesBruteForceInAttachOrder) {
@@ -310,25 +362,27 @@ TEST(FastPath, ReceiverDestroyedDuringAirtimeGetsNothing) {
 TEST(FastPath, SenderDestroyedDuringAirtimeStillDelivers) {
   // The sender is carried across airtime as an attach id, not a pointer: a
   // sender that detaches (or whose storage is reused) before delivery fires
-  // loses its tx-result callback but the frame still reaches receivers.
+  // gets no tx-failure callback, but the frame still reaches receivers.
   sim::Simulator sim;
   Medium medium(sim, sim::Rng(1), lossless());
   Radio rx(medium, net::MacAddress::from_index(2));
   rx.set_position({10, 0});
   int received = 0;
   rx.set_receive_handler([&](const net::Frame&, const RxInfo&) { ++received; });
+  int tx_failures = 0;
   {
     Radio tx(medium, net::MacAddress::from_index(1));
-    int tx_results = 0;
-    tx.set_tx_result_handler(
-        [&](const net::Frame&, bool) { ++tx_results; });
+    tx.set_tx_failure_handler([&](const net::Frame&) { ++tx_failures; });
     net::TcpSegment seg;
     seg.payload_bytes = 100;
-    tx.send(net::make_tcp_frame(tx.address(), rx.address(), net::Bssid{}, seg));
-    EXPECT_EQ(tx_results, 0);
+    // Addressed to a station that does not exist, so the frame fails at
+    // delivery; rx overhears it.
+    tx.send(net::make_tcp_frame(tx.address(), net::MacAddress::from_index(9),
+                                net::Bssid{}, seg));
     // tx destroyed with the unicast frame still on the air.
   }
   sim.run_all();
+  EXPECT_EQ(tx_failures, 0);
   EXPECT_EQ(received, 1);
   EXPECT_EQ(medium.frames_delivered(), 1u);
 }
@@ -366,66 +420,27 @@ TEST(FastPath, RetuneCompletingDuringAirtimeMovesPartitions) {
 }
 
 TEST(FastPath, SenderRetuningDuringAirtimeStillGetsTxResult) {
+  // The addressee is absent, so the frame fails; the failure must reach the
+  // sender even though it has left the channel by the time delivery fires.
   sim::Simulator sim;
   Medium medium(sim, sim::Rng(1), lossless());
   Radio tx(medium, net::MacAddress::from_index(1), {.initial_channel = 6});
   Radio rx(medium, net::MacAddress::from_index(2), {.initial_channel = 6});
   rx.set_position({10, 0});
-  int tx_ok = 0;
-  tx.set_tx_result_handler([&](const net::Frame&, bool ok) {
-    if (ok) ++tx_ok;
-  });
+  int tx_failures = 0;
+  tx.set_tx_failure_handler([&](const net::Frame&) { ++tx_failures; });
   net::TcpSegment seg;
   seg.payload_bytes = 100;
-  tx.send(net::make_tcp_frame(tx.address(), rx.address(), net::Bssid{}, seg));
+  tx.send(net::make_tcp_frame(tx.address(), net::MacAddress::from_index(9),
+                              net::Bssid{}, seg));
   tx.tune(11);  // sender leaves the channel while its own frame is in flight
   sim.run_all();
-  EXPECT_EQ(tx_ok, 1);
-  EXPECT_EQ(medium.frames_delivered(), 1u);
+  EXPECT_EQ(tx_failures, 1);
+  EXPECT_EQ(tx.channel(), 11);
+  EXPECT_EQ(medium.frames_delivered(), 1u);  // rx overheard it
 }
 
-// --- degrade path and observability ------------------------------------------
-
-TEST(FastPath, SubRateFrameDegradesToPartitionScan) {
-  // A frame "modulated" at 1 bps has an effective range of ~381 m — a disc
-  // far wider than the 3x3 grid neighborhood — so gather() refuses and the
-  // delivery falls back to scanning the channel partition. Delivery itself
-  // must be unaffected: a receiver 250 m out is within the scaled range.
-  sim::Simulator sim;
-  Medium medium(sim, sim::Rng(1), lossless());
-  Radio tx(medium, net::MacAddress::from_index(1));
-  Radio rx(medium, net::MacAddress::from_index(2));
-  rx.set_position({250, 0});
-  int received = 0;
-  rx.set_receive_handler([&](const net::Frame&, const RxInfo&) { ++received; });
-  net::Frame probe = net::make_probe_request(tx.address());
-  probe.tx_rate_bps = 1.0;
-  tx.send(std::move(probe));
-  sim.run_all();
-  EXPECT_EQ(received, 1);
-  EXPECT_EQ(medium.deliveries_grid(), 0u);
-  EXPECT_EQ(medium.deliveries_scan(), 1u);
-}
-
-TEST(FastPath, StandardLowRateStaysOnGrid) {
-  // The grid cell is sized for the slowest standard 802.11b rate, so a
-  // 1 Mb/s frame (range scale ~1.42) still gathers from the grid and reaches
-  // a receiver beyond the nominal 100 m range.
-  sim::Simulator sim;
-  Medium medium(sim, sim::Rng(1), lossless());
-  Radio tx(medium, net::MacAddress::from_index(1));
-  Radio rx(medium, net::MacAddress::from_index(2));
-  rx.set_position({130, 0});
-  int received = 0;
-  rx.set_receive_handler([&](const net::Frame&, const RxInfo&) { ++received; });
-  net::Frame probe = net::make_probe_request(tx.address());
-  probe.tx_rate_bps = k80211bRates.front();  // 1 Mb/s
-  tx.send(std::move(probe));
-  sim.run_all();
-  EXPECT_EQ(received, 1);
-  EXPECT_EQ(medium.deliveries_grid(), 1u);
-  EXPECT_EQ(medium.deliveries_scan(), 0u);
-}
+// --- busy horizons and grid churn --------------------------------------------
 
 TEST(FastPath, BusyHorizonsAreIndependentPerChannel) {
   sim::Simulator sim;

@@ -179,7 +179,9 @@ std::vector<std::string> strip_comments_and_strings(
                                  in[i - 1] != '_'))) {
             std::size_t open = in.find('(', i + 2);
             if (open != std::string::npos) {
-              raw_delim = ")" + in.substr(i + 2, open - i - 2) + "\"";
+              raw_delim.assign(1, ')');
+              raw_delim.append(in, i + 2, open - i - 2);
+              raw_delim.push_back('"');
               state = State::kRawString;
               i = open;
             }
