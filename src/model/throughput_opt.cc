@@ -19,9 +19,14 @@ double channel_cap_fraction(const OptimizerParams& params,
 
 namespace {
 
-// Largest f <= budget satisfying f <= cap(f). cap(f) is non-decreasing in f
-// (more channel time -> faster join -> higher discount factor), so
-// f - cap(f) is increasing and the crossing is unique.
+// A feasible f <= budget, i.e. f <= cap(f): the budget itself if it is
+// feasible, else a crossing of f = cap(f) found by bisecting [0, budget]
+// (0 is always feasible). The crossing need not be unique: cap jumps up
+// wherever requests_per_round steps and grows more slowly than f in between,
+// so f - cap(f) can change sign several times below the budget
+// (ChannelCap.FeasibleSetIsNotAnInterval). Which crossing the bisection
+// lands on depends on the budget, and it need not be the largest feasible f;
+// Fig. 4's dividing speeds are pinned with this rule.
 double max_feasible_fraction(const OptimizerParams& params,
                              const ChannelOffer& offer, double budget) {
   budget = std::clamp(budget, 0.0, 1.0);

@@ -5,8 +5,8 @@
 // The tests first pin down the guard's own mechanics (counting windows,
 // meter mode, the tripping check), then wrap the steady-state loops — PHY
 // frame delivery, batched mobility, interned beacon ticks, management
-// exchanges, the backhaul TCP exchange — in an armed guard and assert they
-// allocate nothing once warm.
+// exchanges, the backhaul TCP exchange, a client device's frame dispatch —
+// in an armed guard and assert they allocate nothing once warm.
 #include "core/alloc_guard.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 
 #include "backhaul/wired_link.h"
 #include "core/check.h"
+#include "core/client_device.h"
 #include "mac/access_point.h"
 #include "net/addr.h"
 #include "net/frame.h"
@@ -273,6 +274,67 @@ TEST(AllocGuardHotPaths, WarmBackhaulExchangeIsAllocationFree) {
   EXPECT_GT(downlink.delivered(), segments_before + 500)
       << "the guarded window must carry ~830 data segments at 5 Mb/s";
   EXPECT_GT(client.bytes_in_order(), bytes_before + 1'000'000);
+}
+
+TEST(AllocGuardHotPaths, WarmClientReceptionIsAllocationFree) {
+  // A client device's per-frame work once its tables are filled: beacons
+  // from APs already in the scan table, frames from a BSSID with a
+  // registered handler (beacons and probe responses from that AP), and
+  // another client's probe requests, which only the default handler sees.
+  sim::Simulator sim;
+  phy::Medium medium(sim, sim::Rng(13), lossless());
+  mac::AccessPointConfig cfg;
+  mac::AccessPoint known(medium, net::MacAddress::from_index(0xA42),
+                         {0.0, 0.0}, sim::Rng(14), cfg);
+  mac::AccessPoint registered(medium, net::MacAddress::from_index(0xA43),
+                              {10.0, 0.0}, sim::Rng(15), cfg);
+  ClientDevice device(
+      medium, net::MacAddress::from_index(0x53A),
+      ClientDeviceConfig{.radio = {.initial_channel = cfg.channel}});
+  device.set_position({5.0, 0.0});
+  phy::Radio foreign(medium, net::MacAddress::from_index(0x53B),
+                     phy::RadioConfig{.initial_channel = cfg.channel});
+  foreign.set_position({-5.0, 0.0});
+
+  std::uint64_t registered_frames = 0;
+  std::uint64_t foreign_frames = 0;
+  device.register_bssid(registered.address(),
+                        [&registered_frames](const net::Frame&,
+                                             const phy::RxInfo&) {
+                          ++registered_frames;
+                        });
+  device.set_default_handler(
+      [&foreign_frames, &foreign](const net::Frame& f, const phy::RxInfo&) {
+        if (f.src == foreign.address()) ++foreign_frames;
+      });
+  const auto run_with_foreign_probes = [&](int probes) {
+    for (int i = 0; i < probes; ++i) {
+      foreign.send(net::make_probe_request(foreign.address()));
+      sim.run_for(sim::Time::millis(100));
+    }
+  };
+  known.start();
+  registered.start();
+  // Warm-up: both APs enter the scan table, and the event, tx and response
+  // pools reach the size one second of this traffic needs.
+  run_with_foreign_probes(10);
+  ASSERT_EQ(device.scan_results().size(), 2u);
+  const sim::Time guarded_from = sim.now();
+  const std::uint64_t registered_before = registered_frames;
+  const std::uint64_t foreign_before = foreign_frames;
+  {
+    ScopedAllocGuard guard("warm client reception");
+    run_with_foreign_probes(10);
+    EXPECT_EQ(guard.allocations(), 0u)
+        << "a warm client device allocated while receiving";
+  }
+  for (const ScanEntry& entry : device.scan_results()) {
+    EXPECT_GE(entry.last_seen, guarded_from)
+        << "the guarded second must refresh every scan entry";
+  }
+  EXPECT_GE(registered_frames, registered_before + 8)
+      << "the registered AP's ~10 beacons must reach its handler";
+  EXPECT_EQ(foreign_frames, foreign_before + 10);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace spider::model {
 namespace {
 
@@ -42,6 +44,31 @@ TEST(ChannelCap, ClampedToUnit) {
   const OptimizerParams p = paper_optimizer();
   const ChannelOffer huge{.joined_bps = 100e6, .available_bps = 0.0};
   EXPECT_DOUBLE_EQ(channel_cap_fraction(p, huge, 0.5), 1.0);
+}
+
+// f - cap(f) is not monotone in f: cap jumps up wherever requests_per_round
+// steps (f = 0.014, 0.214, ... at the paper's D, w and c) and sags in
+// between, so {f : f <= cap(f)} is a union of intervals, not one.
+// max_feasible_fraction's answer therefore depends on the budget it starts
+// from, and one cached crossing per solve would change the model's answers.
+// Fig. 4 scenario s1 (50 % of Bw pending on channel 2) at T = 10 s, the
+// 100 m range crossed at 20 m/s.
+TEST(ChannelCap, FeasibleSetIsNotAnInterval) {
+  const OptimizerParams p = paper_optimizer(/*T=*/10.0);
+  const ChannelOffer pending{.joined_bps = 0.0,
+                             .available_bps = 0.5 * p.wireless_bps};
+  // The f at which f - cap(f) has the other sign than at f - 0.001: today
+  // 0.015, 0.079, 0.215 and 0.252.
+  std::vector<double> changes;
+  bool infeasible = false;
+  for (int i = 1; i <= 1000; ++i) {
+    const double f = i * 0.001;
+    const bool over = f > channel_cap_fraction(p, pending, f);
+    if (i > 1 && over != infeasible) changes.push_back(f);
+    infeasible = over;
+  }
+  EXPECT_GT(changes.size(), 1u)
+      << "f - cap(f) changes sign at " << ::testing::PrintToString(changes);
 }
 
 TEST(TwoChannel, RespectsPeriodBudget) {
