@@ -77,5 +77,5 @@ int main(int argc, char** argv) {
       "residual attempts are encounters where the dud was the only AP in\n"
       "range). The paper's choice of history is cheap insurance: it never\n"
       "loses, and needs no RSSI calibration or bandwidth oracle.\n");
-  return 0;
+  return bench::finish();
 }

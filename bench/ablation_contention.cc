@@ -20,7 +20,9 @@ int main(int argc, char** argv) {
   for (int n : {1, 2, 4, 8}) {
     trace::OnlineStats agg, per, fair;
     for (std::uint64_t seed : {7ULL, 17ULL}) {
-      core::FleetExperiment fleet(core::contention_fleet(seed, n));
+      core::FleetConfig cfg = core::contention_fleet(seed, n);
+      bench::attach_stream(cfg);
+      core::FleetExperiment fleet(std::move(cfg));
       const auto r = fleet.run();
       agg.add(r.aggregate_throughput_kBps());
       per.add(r.mean_client_throughput_kBps());
@@ -34,5 +36,5 @@ int main(int argc, char** argv) {
       "cell split backhaul and airtime) and per-client throughput falls as\n"
       "the fleet grows; fairness stays moderate because staggered vehicles\n"
       "often occupy different cells.\n");
-  return 0;
+  return bench::finish();
 }

@@ -58,5 +58,5 @@ int main(int argc, char** argv) {
       "\nexpected shape: dynamic recovers a large share of the per-layout\n"
       "oracle's throughput without knowing the layout, and never does much\n"
       "worse than the naive static pick.\n");
-  return 0;
+  return bench::finish();
 }

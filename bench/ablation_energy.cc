@@ -58,5 +58,5 @@ int main(int argc, char** argv) {
       "so are similar across configurations — but joules PER MEGABYTE vary\n"
       "by the throughput each configuration extracts: single-channel\n"
       "multi-AP is by far the most energy-efficient way to move bytes.\n");
-  return 0;
+  return bench::finish();
 }

@@ -59,5 +59,5 @@ int main(int argc, char** argv) {
       "the slowest stage) and converts the savings into throughput and\n"
       "connectivity on every revisit — the quantified version of the\n"
       "paper's claim that lease caching is essential at vehicular speed.\n");
-  return 0;
+  return bench::finish();
 }

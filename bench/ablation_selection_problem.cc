@@ -10,7 +10,7 @@
 using namespace spider;
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
+  bench::reject_flags(argc, argv);
   bench::print_header(
       "ablation_selection_problem",
       "Appendix A — greedy AP selection vs. exact optimum");

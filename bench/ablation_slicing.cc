@@ -72,5 +72,5 @@ int main(int argc, char** argv) {
       "\nexpected shape: (a) aggregates both backhauls with zero switching\n"
       "cost; (b) pays hardware resets and TCP parking on every dwell — the\n"
       "reason Spider schedules channels, not APs.\n");
-  return 0;
+  return bench::finish();
 }

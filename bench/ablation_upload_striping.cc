@@ -28,6 +28,7 @@ double run_upload(Policy policy, std::uint64_t seed) {
   d.backhaul_bps = 1e6;
   cfg.aps.push_back(d);
   cfg.spider = core::single_channel_multi_ap(1);
+  bench::attach_stream(cfg);
 
   core::Experiment exp(std::move(cfg));
   auto& sim = exp.simulator();
@@ -100,5 +101,5 @@ int main(int argc, char** argv) {
       "\nexpected shape: equal striping finishes when the THIN pipe drains\n"
       "its half; proportional striping finishes both shares together and\n"
       "completes meaningfully sooner.\n");
-  return 0;
+  return bench::finish();
 }

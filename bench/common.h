@@ -21,21 +21,22 @@
 
 namespace spider::bench {
 
-// Telemetry export options shared by every bench binary:
-//   --telemetry <path>   append one spider-telemetry-v1 JSONL block per sweep
-//                        (inspect with `spider-trace <path>`);
-//   --trace <path>       record the binary's *first* replication with the
-//                        Chrome trace recorder and write the JSON there
-//                        (load in Perfetto / chrome://tracing);
-//   --stream <path>      stream every replication live as
-//                        spider-telemetry-stream-v1 JSONL (inspect with
-//                        `spider-trace <path>`; see DESIGN.md "Live
-//                        telemetry plane").
-// All also accept the --flag=value spelling.
+// Telemetry flags shared by every bench binary that runs simulated worlds:
+//   --stream <path>   write every world's run to <path> as
+//                     spider-telemetry-stream-v1 JSONL (also
+//                     --stream=<path>; inspect with `spider-trace <path>`,
+//                     see DESIGN.md "Live telemetry plane");
+//   --trace           also record the binary's first world's trace events
+//                     (join spans, channel dwells, queue-depth samples) into
+//                     that stream; `spider-trace --chrome OUT <path>` turns
+//                     them into a Perfetto / chrome://tracing file.
+// Any other argument exits 2. Benches that run no world take no flags
+// (reject_flags).
 struct TelemetryOptions {
-  std::string telemetry_path;
-  std::string trace_path;
   std::string stream_path;
+  bool trace = false;
+  // The binary's stream, once --stream's file is open; nullptr otherwise.
+  telemetry::StreamExporter* stream = nullptr;
 };
 
 inline TelemetryOptions& telemetry_options() {
@@ -43,56 +44,83 @@ inline TelemetryOptions& telemetry_options() {
   return options;
 }
 
-// Parses the shared flags above; call first thing in main. Unknown
-// arguments are ignored (benches have no other flags).
-inline void parse_common_flags(int argc, char** argv) {
-  TelemetryOptions& options = telemetry_options();
-  const auto value_of = [&](const char* flag, int& i) -> const char* {
-    const std::size_t len = std::strlen(flag);
-    if (std::strncmp(argv[i], flag, len) != 0) return nullptr;
-    if (argv[i][len] == '=') return argv[i] + len + 1;
-    if (argv[i][len] == '\0' && i + 1 < argc) return argv[++i];
-    return nullptr;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (const char* v = value_of("--telemetry", i)) {
-      options.telemetry_path = v;
-    } else if (const char* v = value_of("--trace", i)) {
-      options.trace_path = v;
-    } else if (const char* v = value_of("--stream", i)) {
-      options.stream_path = v;
-    }
+// Exits 2 with `problem` and a usage line.
+[[noreturn]] inline void usage_error(const char* program,
+                                     const std::string& problem,
+                                     const char* usage) {
+  std::fprintf(stderr, "%s: %s\nusage: %s %s\n", program, problem.c_str(),
+               program, usage);
+  std::exit(2);
+}
+
+// For benches that evaluate the analytical model only: there is no world
+// to stream, so any argument exits 2.
+inline void reject_flags(int argc, char** argv) {
+  if (argc > 1) {
+    usage_error(argv[0], std::string("unexpected argument '") + argv[1] + "'",
+                "(takes no arguments)");
   }
 }
 
-// The binary's shared stream exporter, created on first use when --stream is
-// set (nullptr otherwise). One exporter serves every sweep in the binary:
-// each run appends its own lines to the file, and the exporter flushes the
-// file sink at exit.
-inline telemetry::StreamExporter* stream_exporter() {
-  const TelemetryOptions& options = telemetry_options();
-  if (options.stream_path.empty()) return nullptr;
-  static telemetry::StreamExporter exporter;
-  static const bool wired = [] {
-    auto sink = std::make_shared<telemetry::FileStreamSink>(
-        telemetry_options().stream_path);
-    if (!sink->ok()) {
-      std::fprintf(stderr, "warning: could not open stream file %s\n",
-                   telemetry_options().stream_path.c_str());
-      return false;
+// Parses the shared flags above and opens the stream file; call first thing
+// in main. A file that cannot be opened exits 1.
+inline void parse_common_flags(int argc, char** argv) {
+  static constexpr const char* kUsage = "[--stream PATH [--trace]]";
+  TelemetryOptions& options = telemetry_options();
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--stream") == 0 && i + 1 < argc) {
+      options.stream_path = argv[++i];
+    } else if (std::strncmp(argv[i], "--stream=", 9) == 0 &&
+               argv[i][9] != '\0') {
+      options.stream_path = argv[i] + 9;
+    } else if (std::strcmp(argv[i], "--trace") == 0) {
+      options.trace = true;
+    } else {
+      usage_error(argv[0],
+                  std::string("unexpected argument '") + argv[i] + "'",
+                  kUsage);
     }
-    exporter.set_sink(std::move(sink));
-    return true;
-  }();
-  return wired ? &exporter : nullptr;
+  }
+  if (options.trace && options.stream_path.empty()) {
+    usage_error(argv[0], "--trace records into the stream; add --stream PATH",
+                kUsage);
+  }
+  if (options.stream_path.empty()) return;
+  auto sink = std::make_shared<telemetry::FileStreamSink>(options.stream_path);
+  if (!sink->ok()) {
+    std::fprintf(stderr, "%s: could not open stream file %s\n", argv[0],
+                 options.stream_path.c_str());
+    std::exit(1);
+  }
+  static telemetry::StreamExporter exporter;
+  exporter.set_sink(std::move(sink));
+  options.stream = &exporter;
 }
 
-// Binary-wide run tags for --stream: configs materialize serially in
-// submission order (core/sweep.cc), so consecutive tags are deterministic
-// across worker counts and a multi-sweep bench never reuses a tag.
-inline std::uint32_t next_stream_run_tag() {
-  static std::uint32_t next = 1;
-  return next++;
+// Attaches one world to the binary's stream, if there is one: the next
+// binary-wide run tag, and tracing on for the binary's first world when
+// --trace is set. Call once per world, in the order the worlds' configs are
+// built (sweeps build them serially in submission order, core/sweep.cc), so
+// tags are deterministic across worker counts and a multi-sweep bench never
+// reuses one.
+inline void attach_stream(core::WorldConfig& cfg) {
+  const TelemetryOptions& options = telemetry_options();
+  if (options.stream == nullptr) return;
+  static std::uint32_t next_tag = 1;
+  cfg.stream = options.stream;
+  cfg.stream_run_tag = next_tag++;
+  if (options.trace && cfg.stream_run_tag == 1) cfg.trace_enabled = true;
+}
+
+// main's exit status: closes the stream file (its last line carries the
+// process-wide check counters) and returns 1, after a message, if any write
+// to it failed; 0 otherwise.
+inline int finish() {
+  const TelemetryOptions& options = telemetry_options();
+  if (options.stream == nullptr || options.stream->close()) return 0;
+  std::fprintf(stderr, "error: writing stream file %s failed; it is "
+               "incomplete\n", options.stream_path.c_str());
+  return 1;
 }
 
 // Worker threads for bench sweeps: SPIDER_BENCH_THREADS if set (>0), else
@@ -109,51 +137,18 @@ inline unsigned sweep_threads() {
 
 // Replicates one scenario across seeds (one Simulator world per worker) and
 // returns per-seed results in seed order, exactly as the old serial loops
-// produced them. When --telemetry is set, every sweep appends its JSONL
-// block under `label`; when --trace is set, the binary's first replication
-// runs with the trace recorder on and its Chrome trace JSON lands at the
-// given path.
+// produced them. Every world is attached to the stream (attach_stream).
 inline std::vector<core::ExperimentResults> run_seed_replications(
     const std::vector<std::uint64_t>& seeds,
-    const std::function<core::ExperimentConfig(std::uint64_t)>& make_config,
-    const char* label = "sweep") {
-  const TelemetryOptions& options = telemetry_options();
-  static bool trace_written = false;
-  const bool want_trace = !options.trace_path.empty() && !trace_written;
-  std::size_t invocation = 0;
+    const std::function<core::ExperimentConfig(std::uint64_t)>& make_config) {
   core::SweepReport report = core::run_seed_sweep(
       seeds,
       [&](std::uint64_t seed) {
         core::ExperimentConfig cfg = make_config(seed);
-        // Configs materialize serially in submission order, so invocation 0
-        // is exactly run 0 of this sweep.
-        if (want_trace && invocation == 0) cfg.trace_enabled = true;
-        if (telemetry::StreamExporter* stream = stream_exporter()) {
-          cfg.stream = stream;
-          cfg.stream_run_tag = next_stream_run_tag();
-        }
-        ++invocation;
+        attach_stream(cfg);
         return cfg;
       },
       sweep_threads());
-  if (!options.telemetry_path.empty()) {
-    if (!core::append_telemetry_jsonl(report, options.telemetry_path, label)) {
-      std::fprintf(stderr, "warning: could not append telemetry to %s\n",
-                   options.telemetry_path.c_str());
-    }
-  }
-  if (want_trace && !report.runs.empty() &&
-      !report.runs.front().trace_json.empty()) {
-    if (std::FILE* f = std::fopen(options.trace_path.c_str(), "w")) {
-      std::fwrite(report.runs.front().trace_json.data(), 1,
-                  report.runs.front().trace_json.size(), f);
-      std::fclose(f);
-      trace_written = true;
-    } else {
-      std::fprintf(stderr, "warning: could not write trace to %s\n",
-                   options.trace_path.c_str());
-    }
-  }
   std::vector<core::ExperimentResults> results;
   results.reserve(report.runs.size());
   for (core::SweepRunResult& run : report.runs) {

@@ -82,5 +82,5 @@ int main(int argc, char** argv) {
       "and the best instantaneous bandwidth (paper: 60th pct ~300 KB/s, 90th\n"
       "~1000 KB/s) but also the longest disruptions; multi-channel multi-AP\n"
       "has the shortest connections AND the shortest disruptions.\n");
-  return 0;
+  return bench::finish();
 }

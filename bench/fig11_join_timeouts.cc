@@ -64,5 +64,5 @@ int main(int argc, char** argv) {
       "but the absolute median stays in the seconds range (the paper's 2-3 s\n"
       "~ 10-15 TCP timeouts) and roughly doubles on three channels — hence\n"
       "stay on one channel for throughput.\n");
-  return 0;
+  return bench::finish();
 }

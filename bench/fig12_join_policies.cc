@@ -79,5 +79,5 @@ int main(int argc, char** argv) {
       "\nexpected shape: the single-channel reduced-timeout policy joins\n"
       "fastest; default timers and multi-channel schedules push the curves\n"
       "right (paper: multi-channel medians ~4-5 s).\n");
-  return 0;
+  return bench::finish();
 }

@@ -47,5 +47,5 @@ int main(int argc, char** argv) {
       "\nexpected shape: Spider's connection-length CDFs sit at or to the\n"
       "right of the users' demand curve over the bulk of the distribution —\n"
       "it can host the TCP flows users actually run.\n");
-  return 0;
+  return bench::finish();
 }

@@ -47,5 +47,5 @@ int main(int argc, char** argv) {
       "disruption CDF is comparable to the users' natural inter-connection\n"
       "gaps; the single-channel configuration shows longer outages (areas\n"
       "with no co-channel AP).\n");
-  return 0;
+  return bench::finish();
 }

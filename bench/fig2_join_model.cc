@@ -10,7 +10,7 @@
 using namespace spider;
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
+  bench::reject_flags(argc, argv);
   bench::print_header("fig2_join_model",
                       "Fig. 2 — join probability, model vs. simulation");
   std::printf("params: D=500ms w=7ms c=100ms beta_min=500ms h=10%% t=4s\n");

@@ -11,7 +11,7 @@
 using namespace spider;
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
+  bench::reject_flags(argc, argv);
   bench::print_header("fig3_beta_sweep",
                       "Fig. 3 — join probability vs. beta_max");
   std::printf("params: D=500ms c=100ms beta_min=500ms h=10%% t=4s\n\n");

@@ -17,7 +17,7 @@
 using namespace spider;
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
+  bench::reject_flags(argc, argv);
   bench::print_header("fig4_dividing_speed",
                       "Fig. 4 — optimal per-channel bandwidth vs. speed");
 

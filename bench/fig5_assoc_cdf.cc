@@ -42,5 +42,5 @@ int main(int argc, char** argv) {
       "expected shape: f6=100%% completes fastest (paper: median 200 ms,\n"
       "all within 400 ms); smaller fractions shift the CDF right but stay\n"
       "usable — association tolerates switching better than DHCP does.\n");
-  return 0;
+  return bench::finish();
 }

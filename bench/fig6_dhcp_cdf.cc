@@ -11,8 +11,7 @@ using namespace spider;
 
 namespace {
 
-trace::EmpiricalCdf run_config(double f6, dhcpd::DhcpClientConfig timers,
-                               const char* label) {
+trace::EmpiricalCdf run_config(double f6, dhcpd::DhcpClientConfig timers) {
   const std::vector<std::uint64_t> seeds = {11, 22, 33};
   const auto runs = bench::run_seed_replications(
       seeds,
@@ -27,8 +26,7 @@ trace::EmpiricalCdf run_config(double f6, dhcpd::DhcpClientConfig timers,
         sc.join_give_up = sim::Time::seconds(15);
         cfg.spider = sc;
         return cfg;
-      },
-      label);
+      });
   trace::EmpiricalCdf join;
   for (const auto& r : runs) {
     for (double d : r.joins.join_delay_sec.samples()) join.add(d);
@@ -56,12 +54,11 @@ int main(int argc, char** argv) {
       {1.00, dhcpd::default_dhcp_timers(), "100% - default"},
   };
   for (const auto& row : rows) {
-    bench::print_cdf(row.label, run_config(row.f6, row.timers, row.label),
-                     15.0, 16);
+    bench::print_cdf(row.label, run_config(row.f6, row.timers), 15.0, 16);
   }
   std::printf(
       "expected shape: 100%%+reduced joins fastest (paper: median 1.3 s vs\n"
       "2.5 s with default timers); at 25%% the accumulated failures drag the\n"
       "CDF far right — DHCP is not robust to small schedule fractions.\n");
-  return 0;
+  return bench::finish();
 }

@@ -39,5 +39,5 @@ int main(int argc, char** argv) {
       "\nexpected shape: monotone, roughly proportional to the primary\n"
       "share (paper: ~0 -> ~4000 kb/s), because 400 ms away-time stays\n"
       "below the RTO at these RTTs.\n");
-  return 0;
+  return bench::finish();
 }

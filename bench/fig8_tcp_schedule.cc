@@ -36,5 +36,5 @@ int main(int argc, char** argv) {
       "\nexpected shape: rises to a peak around x~100-150 ms, then collapses\n"
       "once 2x of absence exceeds the RTO (paper: peak ~3500 kb/s then\n"
       "~500 kb/s beyond 200 ms) — TCP timeouts plus slow start.\n");
-  return 0;
+  return bench::finish();
 }

@@ -33,6 +33,7 @@ double spider_run(int n_aps_ch1, int n_aps_ch11, double backhaul,
   cfg.spider = core::single_channel_multi_ap(1);
   cfg.spider.schedule = std::move(schedule);
   cfg.spider.period = period;
+  bench::attach_stream(cfg);
   const auto r = core::Experiment(std::move(cfg)).run();
   return r.traffic.avg_throughput_bytes_per_sec / 1e3;  // KB/s
 }
@@ -41,6 +42,7 @@ double stock_run(std::uint64_t seed, double backhaul) {
   auto cfg = core::static_lab(seed, 1, 1, backhaul, sim::Time::seconds(60));
   cfg.driver = core::DriverKind::kStock;
   cfg.stock.scan_channels = {1};
+  bench::attach_stream(cfg);
   const auto r = core::Experiment(std::move(cfg)).run();
   return r.traffic.avg_throughput_bytes_per_sec / 1e3;
 }
@@ -80,5 +82,5 @@ int main(int argc, char** argv) {
       "single card) across backhauls; the cross-channel schedules lag, with\n"
       "the faster 50 ms switch beating 100 ms at high backhaul (less RTO\n"
       "risk), as in the paper.\n");
-  return 0;
+  return bench::finish();
 }

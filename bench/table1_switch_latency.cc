@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
       cfg.spider = core::single_channel_multi_ap(1);
       cfg.spider.schedule = {{1, 0.5}, {11, 0.5}};
       cfg.spider.period = sim::Time::millis(400);
+      bench::attach_stream(cfg);
       core::Experiment exp(std::move(cfg));
       auto& sim = exp.simulator();
       // Sample the modeled switch latency once per period, after the world
@@ -54,5 +55,5 @@ int main(int argc, char** argv) {
       "\nexpected shape: ~4.94 ms base (hardware reset only), growing by\n"
       "the per-AP PSM/PS-Poll airtime to ~5.9 ms at four interfaces\n"
       "(paper: 4.942 / 4.952 / 5.266 / 5.546 / 5.945 ms).\n");
-  return 0;
+  return bench::finish();
 }

@@ -58,5 +58,5 @@ int main(int argc, char** argv) {
       "multi-channel rows trade throughput for reach; stock trails Spider.\n"
       "(Connectivity ordering between (1) and (3) is layout-dependent in\n"
       "our simulator; see EXPERIMENTS.md.)\n");
-  return 0;
+  return bench::finish();
 }

@@ -59,5 +59,5 @@ int main(int argc, char** argv) {
       "\npaper's values: 23.0 / 27.1 / 28.2 / 23.6 / 13.5 / 21.8 %%\n"
       "expected shape: shorter timeouts raise the failure rate (roughly 2x\n"
       "default), and multi-channel schedules raise it for default timers.\n");
-  return 0;
+  return bench::finish();
 }

@@ -49,5 +49,5 @@ int main(int argc, char** argv) {
       "expected shape: single channel wins throughput by a wide margin;\n"
       "adding channels grows the reachable AP pool (connectivity) while\n"
       "fractional dwell strangles TCP and DHCP (throughput).\n");
-  return 0;
+  return bench::finish();
 }

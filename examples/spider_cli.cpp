@@ -31,7 +31,7 @@
 #include "core/configs.h"
 #include "core/experiment.h"
 #include "phy/channel.h"
-#include "telemetry/run_report.h"
+#include "telemetry/json.h"
 #include "trace/export.h"
 #include "trace/frame_log.h"
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/check.h"
@@ -14,9 +15,8 @@ namespace {
 using phy::channel_slot;
 using phy::kChannelSlots;
 
-// Names for the Perfetto lanes the driver uses: per-interface join lanes
-// and 100+channel dwell lanes (TraceRecorder stores const char*).
-constexpr auto kVifTrackNames = phy::make_slot_names<8>("vif");
+// Names for the driver's 100+channel dwell lanes; each interface's join
+// lane is named "vifN" when the interface is created.
 constexpr auto kChannelTrackNames = phy::make_slot_names<kChannelSlots>("ch");
 constexpr std::uint32_t kChannelTrackBase = 100;
 
@@ -109,7 +109,7 @@ void SpiderDriver::start() {
     for (const ChannelSlice& slice : config_.schedule) {
       const std::size_t slot = channel_slot(slice.channel);
       trace.name_track(kChannelTrackBase + static_cast<std::uint32_t>(slot),
-                       kChannelTrackNames[slot].text);
+                       kChannelTrackNames[slot].text, sim_.now().us());
     }
   }
   rotate_schedule(0);
@@ -331,9 +331,9 @@ void SpiderDriver::create_interface(const ScanEntry& entry) {
 
   telemetry::TraceRecorder& trace = sim_.telemetry().trace();
   if (trace.enabled()) {
-    if (vif->trace_track < std::size(kVifTrackNames)) {
-      trace.name_track(vif->trace_track, kVifTrackNames[vif->trace_track].text);
-    }
+    trace.name_track(vif->trace_track,
+                     "vif" + std::to_string(vif->trace_track),
+                     sim_.now().us());
     // Discovery span: last beacon/probe sighting of this AP up to the
     // decision to join it — the "scan" leg of the join pipeline.
     trace.complete("scan", "join", entry.last_seen.us(),

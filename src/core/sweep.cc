@@ -8,7 +8,6 @@
 
 #include "core/check.h"
 #include "sim/thread_pool.h"
-#include "telemetry/run_report.h"
 
 namespace spider::core {
 namespace {
@@ -28,7 +27,6 @@ SweepRunResult run_one(std::size_t index, ExperimentConfig config) {
   SweepRunResult out;
   out.index = index;
   out.seed = config.seed;
-  const bool traced = config.trace_enabled;
   Experiment experiment(std::move(config));
   out.results = experiment.run();
   out.digest = experiment.simulator().digest();
@@ -36,9 +34,6 @@ SweepRunResult run_one(std::size_t index, ExperimentConfig config) {
   // Snapshot on the worker thread, inside the world that produced it; only
   // the immutable snapshot crosses back to the caller.
   out.telemetry = experiment.simulator().telemetry().collect();
-  if (traced) {
-    out.trace_json = experiment.simulator().telemetry().trace().to_json();
-  }
   return out;
 }
 
@@ -58,21 +53,6 @@ telemetry::MetricsSnapshot SweepReport::merged_telemetry() const {
     merged.merge_from(run.telemetry);
   }
   return merged;
-}
-
-bool append_telemetry_jsonl(const SweepReport& report, const std::string& path,
-                            std::string_view label) {
-  std::string out;
-  for (const SweepRunResult& run : report.runs) {
-    out += telemetry::run_report_line(label, run.index, run.seed, run.digest,
-                                      run.events_executed, run.telemetry);
-    out += '\n';
-  }
-  out += telemetry::sweep_report_line(label, report.runs.size(),
-                                      report.combined_digest(),
-                                      report.merged_telemetry());
-  out += '\n';
-  return telemetry::append_to_file(path, out);
 }
 
 SweepRunner::SweepRunner(unsigned threads)

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "core/experiment.h"
@@ -36,8 +35,6 @@ struct SweepRunResult {
   std::uint64_t events_executed = 0;
   // Collected telemetry of this replication's world.
   telemetry::MetricsSnapshot telemetry;
-  // Chrome trace JSON, filled only when the run's config enabled tracing.
-  std::string trace_json;
 };
 
 struct SweepReport {
@@ -51,15 +48,10 @@ struct SweepReport {
 
   // Submission-order merge of the per-run snapshots. Worker count cannot
   // affect the result: merges apply in run index order, not completion
-  // order, so 1-thread and 8-thread sweeps export byte-identically.
+  // order, so 1-thread and 8-thread sweeps merge identically. spider-trace's
+  // merged summary of the sweep's stream reads the same values.
   telemetry::MetricsSnapshot merged_telemetry() const;
 };
-
-// Appends one "kind":"run" JSONL line per replication plus the sweep summary
-// line to `path` (schema "spider-telemetry-v1"). Returns success. The
-// standard bench export behind --telemetry.
-bool append_telemetry_jsonl(const SweepReport& report, const std::string& path,
-                            std::string_view label);
 
 class SweepRunner {
  public:

@@ -1,11 +1,17 @@
-// Minimal JSON reader for telemetry artifacts.
+// JSON for telemetry artifacts: the fragment writers every emitter shares,
+// and a minimal reader.
 //
-// Parses exactly the JSON this repo emits (run-report and stream JSONL
-// lines, Chrome trace files) back into a DOM — what spider-trace and the
-// schema round-trip tests consume. Nesting deeper than 64 levels is
-// refused, so hostile input cannot exhaust the stack. Not a general-purpose
-// parser: \uXXXX decodes only below U+0080, numbers are doubles, input
-// must be a single value.
+// The writers render the stream's lines (stream_exporter.h), spider-trace's
+// Chrome export and the tools' JSON output. They are deterministic for a
+// given value and produce valid JSON for every value: doubles render as
+// %.17g (null when not finite), hex64 as a quoted "0x%016x" string, and
+// string control characters other than \n and \t as \u00XX.
+//
+// The reader parses exactly the JSON this repo emits back into a DOM — what
+// spider-trace and the schema round-trip tests consume. Nesting deeper than
+// 64 levels is refused, so hostile input cannot exhaust the stack. Not a
+// general-purpose parser: \uXXXX decodes only below U+0080, numbers are
+// doubles, input must be a single value.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +22,21 @@
 #include <vector>
 
 namespace spider::telemetry {
+
+struct MetricsSnapshot;
+
+void append_json_quoted(std::string& out, std::string_view s);
+void append_json_u64(std::string& out, std::uint64_t v);
+void append_json_i64(std::string& out, std::int64_t v);
+void append_json_double(std::string& out, double v);
+void append_json_hex64(std::string& out, std::uint64_t v);
+
+// Renders the three metric maps: "counters":{name:value,…},
+// "gauges":{name:{"value":v,"high_water":h},…} and
+// "histograms":{name:{"count":c,"sum":s,"min":m,"max":M,
+// "buckets":[[index,count],…]},…} (buckets sparse, no surrounding braces),
+// appended to `out`.
+void append_snapshot_json(std::string& out, const MetricsSnapshot& snapshot);
 
 class JsonValue {
  public:

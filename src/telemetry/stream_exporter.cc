@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "telemetry/hub.h"
-#include "telemetry/run_report.h"
+#include "telemetry/json.h"
 
 namespace spider::telemetry {
 
@@ -77,14 +77,15 @@ void StreamPublisher::begin_run(std::int64_t ts_us, std::uint64_t seed) {
 
 void StreamPublisher::end_run(std::int64_t ts_us, std::uint64_t digest,
                               std::uint64_t events_executed,
-                              std::uint64_t trace_dropped) {
+                              const MetricsSnapshot& snapshot) {
   open_line("run_end", ts_us);
   out_ += ",\"digest\":";
   append_json_hex64(out_, digest);
   out_ += ",\"events\":";
   append_json_u64(out_, events_executed);
-  out_ += ",\"trace_dropped\":";
-  append_json_u64(out_, trace_dropped);
+  out_ += ",\"snapshot\":{";
+  append_snapshot_json(out_, snapshot);
+  out_ += '}';
   close_line();
   hand_off();
   exporter_.flush();  // a finished run is whole in the file
@@ -200,6 +201,23 @@ SPIDER_HOT void StreamPublisher::publish_trace(const TraceEvent& event) {
                                : "spider");
   out_ += ",\"track\":";
   append_json_u64(out_, event.track);
+  if (event.arg_name != nullptr && event.phase != 'C') {
+    out_ += ",\"args\":{";
+    append_json_quoted(out_, event.arg_name);
+    out_ += ':';
+    append_json_i64(out_, event.arg_value);
+    out_ += '}';
+  }
+  close_line();
+}
+
+void StreamPublisher::publish_track(std::uint32_t track, std::string_view name,
+                                    std::int64_t ts_us) {
+  open_line("track", ts_us);
+  out_ += ",\"track\":";
+  append_json_u64(out_, track);
+  out_ += ",\"name\":";
+  append_json_quoted(out_, name);
   close_line();
 }
 
@@ -218,28 +236,62 @@ bool FileStreamSink::write(std::string_view lines) {
   return std::fwrite(lines.data(), 1, lines.size(), file_) == lines.size();
 }
 
-void FileStreamSink::flush() {
-  if (file_ != nullptr) std::fflush(file_);
+bool FileStreamSink::flush() {
+  return file_ != nullptr && std::fflush(file_) == 0;
+}
+
+bool FileStreamSink::close() {
+  if (file_ == nullptr) return false;
+  const bool flushed = std::fflush(file_) == 0;
+  const bool closed = std::fclose(file_) == 0;
+  file_ = nullptr;
+  return flushed && closed;
 }
 
 // ---------------------------------------------------------------------------
 // StreamExporter — shared by every world of a sweep.
 
-StreamExporter::~StreamExporter() { flush(); }
+StreamExporter::~StreamExporter() { close(); }
 
 void StreamExporter::set_sink(std::shared_ptr<StreamSink> sink) {
   std::lock_guard<std::mutex> lock(mu_);
   sink_ = std::move(sink);
 }
 
+template <typename Op>
+void StreamExporter::use_sink(const Op& op) {
+  if (sink_ != nullptr && !op(*sink_)) {
+    failed_ = true;
+    sink_.reset();
+  }
+}
+
 void StreamExporter::write(std::string_view lines) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (sink_ != nullptr && !sink_->write(lines)) sink_.reset();
+  use_sink([lines](StreamSink& sink) { return sink.write(lines); });
 }
 
 void StreamExporter::flush() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (sink_ != nullptr) sink_->flush();
+  use_sink([](StreamSink& sink) { return sink.flush(); });
+}
+
+bool StreamExporter::close() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (sink_ != nullptr) {
+    std::string line = "{\"schema\":";
+    append_json_quoted(line, kStreamSchema);
+    line += ",\"kind\":\"close\",\"process\":{";
+    {
+      std::lock_guard<std::mutex> process_lock(process_registry_mutex());
+      append_snapshot_json(line, process_registry().snapshot());
+    }
+    line += "}}\n";
+    use_sink([&line](StreamSink& sink) { return sink.write(line); });
+    use_sink([](StreamSink& sink) { return sink.close(); });
+    sink_.reset();
+  }
+  return !failed_;
 }
 
 // ---------------------------------------------------------------------------
@@ -276,7 +328,8 @@ void StreamSession::finish(std::int64_t ts_us, std::uint64_t digest,
   // so the streamed end state equals the end-of-run MetricsSnapshot.
   hub_.run_collectors();
   publisher_.publish_metrics(ts_us, hub_.metrics());
-  publisher_.end_run(ts_us, digest, events_executed, hub_.trace().dropped());
+  publisher_.end_run(ts_us, digest, events_executed,
+                     hub_.metrics().snapshot());
 }
 
 }  // namespace spider::telemetry

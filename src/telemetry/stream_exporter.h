@@ -1,4 +1,5 @@
-// Live telemetry plane (DESIGN.md "Live telemetry plane").
+// Live telemetry plane (DESIGN.md "Live telemetry plane") — the one
+// artifact a run writes.
 //
 // Data flow — one writer per stream:
 //
@@ -24,7 +25,7 @@
 // StreamSession ties one world to one exporter for one run: it wires the
 // Hub and trace tee on begin(), publishes the final state plus the run_end
 // line on finish(), and on destruction disarms the Hub and hands over any
-// lines still buffered.
+// lines still buffered. The exporter writes one closing line when it closes.
 //
 // Line shapes (all carry "schema":"spider-telemetry-stream-v1"):
 //   {"kind":"run_begin","run":R,"seq":0,"ts_us":T,"seed":S}
@@ -32,10 +33,18 @@
 //    "counters":{name:value,…},"gauges":{name:{"value":v,"high_water":h},…},
 //    "histograms":{name:{"count":c,"sum":s},…}}        — changed metrics only
 //   {"kind":"span","run":R,"seq":N,"ts_us":T,"dur_us":D,"name":…,"cat":…,
-//    "track":K}                                         (instant/counter_sample
-//                                                        analogous)
+//    "track":K[,"args":{name:v}]}                       (instant analogous,
+//                                                        without dur_us)
+//   {"kind":"counter_sample","run":R,"seq":N,"ts_us":T,"value":V,"name":…,
+//    "cat":…,"track":K}
+//   {"kind":"track","run":R,"seq":N,"ts_us":T,"track":K,"name":…}
 //   {"kind":"run_end","run":R,"seq":N,"ts_us":T,"digest":"0x…","events":E,
-//    "trace_dropped":T}
+//    "snapshot":{"counters":…,"gauges":…,"histograms":…}}
+//                  — the run's final MetricsSnapshot, histograms with
+//                    min/max and sparse buckets (json.h append_snapshot_json)
+//   {"kind":"close","process":{"counters":…,"gauges":…,"histograms":…}}
+//                  — last line of the file: the process-wide registry
+//                    (SPIDER_CHECK failure counters)
 #pragma once
 
 #include <cstdint>
@@ -52,6 +61,10 @@
 
 namespace spider::telemetry {
 
+// Schema tag on every stream line. Readers must tolerate unknown keys and
+// kinds (the JSON reader in json.h does), so the shapes can grow.
+inline constexpr std::string_view kStreamSchema = "spider-telemetry-stream-v1";
+
 class Hub;
 class StreamExporter;
 
@@ -62,9 +75,10 @@ class StreamPublisher {
   StreamPublisher(StreamExporter& exporter, std::uint32_t run_tag);
 
   void begin_run(std::int64_t ts_us, std::uint64_t seed);
-  // Writes run_end, hands the buffer off and flushes the sink.
+  // Writes run_end with the run's final snapshot, hands the buffer off and
+  // flushes the sink.
   void end_run(std::int64_t ts_us, std::uint64_t digest,
-               std::uint64_t events_executed, std::uint64_t trace_dropped);
+               std::uint64_t events_executed, const MetricsSnapshot& snapshot);
 
   // One cadence publish: walks the registry in lexicographic order, writes
   // one "metrics" line holding every new or changed metric (none: no line,
@@ -76,6 +90,8 @@ class StreamPublisher {
   // Trace tee: spans/instants/counter samples are rendered as they are
   // recorded and reach the exporter with the next publish.
   SPIDER_HOT void publish_trace(const TraceEvent& event);
+  void publish_track(std::uint32_t track, std::string_view name,
+                     std::int64_t ts_us);
 
   // Hands every buffered line to the exporter.
   void hand_off();
@@ -119,15 +135,17 @@ class StreamPublisher {
   std::vector<TrackedHistogram> histograms_;
 };
 
-// Where rendered lines go. write() is called with the exporter's lock held
-// (implementations must not call back into the exporter) and receives one
-// or more whole lines, each ending in a newline. Returning false drops the
-// sink (e.g. a write failed).
+// Where rendered lines go. Every call is made with the exporter's lock held
+// (implementations must not call back into the exporter); write() receives
+// one or more whole lines, each ending in a newline. Each returns false when
+// it failed; the exporter then remembers the failure and drops the sink.
 class StreamSink {
  public:
   virtual ~StreamSink() = default;
   virtual bool write(std::string_view lines) = 0;
-  virtual void flush() {}
+  virtual bool flush() { return true; }
+  // The last call the sink gets.
+  virtual bool close() { return flush(); }
 };
 
 class FileStreamSink : public StreamSink {
@@ -136,7 +154,8 @@ class FileStreamSink : public StreamSink {
   ~FileStreamSink() override;
   bool ok() const { return file_ != nullptr; }
   bool write(std::string_view lines) override;
-  void flush() override;
+  bool flush() override;
+  bool close() override;  // flushes and closes the file
 
  private:
   std::FILE* file_ = nullptr;
@@ -147,7 +166,7 @@ class FileStreamSink : public StreamSink {
 class StreamExporter {
  public:
   StreamExporter() = default;
-  ~StreamExporter();  // flushes the sink
+  ~StreamExporter();  // close()s
 
   StreamExporter(const StreamExporter&) = delete;
   StreamExporter& operator=(const StreamExporter&) = delete;
@@ -158,9 +177,20 @@ class StreamExporter {
   void write(std::string_view lines);
   void flush();
 
+  // Writes the closing line and closes the sink; later writes are
+  // discarded. Returns false if any write, flush or the close itself ever
+  // failed. Call once the stream's runs are finished; calling again only
+  // repeats the verdict.
+  bool close();
+
  private:
+  // Calls `op` on the sink; on failure remembers it and drops the sink.
+  template <typename Op>
+  void use_sink(const Op& op);
+
   std::mutex mu_;
   std::shared_ptr<StreamSink> sink_;
+  bool failed_ = false;
 };
 
 // One world's attachment to an exporter for one run. Construct with the

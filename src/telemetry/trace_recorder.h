@@ -1,25 +1,25 @@
-// Structured trace recorder — Chrome trace-event JSON out of simulated time.
+// Structured trace recorder — spans, instants and counter samples in
+// simulated time, teed into the run's telemetry stream.
 //
-// Records complete spans ('X'), instant events ('i'), and counter samples
-// ('C', rendered by Perfetto as stepped graphs) into a bounded ring:
-// when the ring is full the *oldest* entry is overwritten and a dropped
-// counter advances, so a million-event run costs a flat, configured amount
-// of memory and the exported file always holds the most recent window.
-// to_json() renders the standard {"traceEvents":[...]} envelope that both
-// chrome://tracing and Perfetto load directly; timestamps are microseconds
-// (sim::Time's native unit), tracks map to Chrome "tid"s and can be named
-// via name_track() metadata records.
+// Records complete spans ('X'), instant events ('i') and counter samples
+// ('C') and hands each one to the stream publisher as it is recorded, so a
+// traced run's stream holds every event of the run (stream_exporter.h
+// renders them as "span", "instant" and "counter_sample" lines, and
+// `spider-trace --chrome` turns those into a Chrome trace-event file that
+// chrome://tracing and Perfetto load). The recorder keeps nothing itself:
+// without a stream attached, recording only counts. Timestamps are
+// microseconds (sim::Time's native unit); tracks become Chrome "tid"s and
+// can be named with name_track().
 //
 // Cost model: recording is OFF by default — every record call starts with an
 // inlined enabled() check, so the tracing-disabled hot path pays one
-// predictable branch. Name/category/arg-name strings are required to be
-// string literals (they are stored as const char*, never copied); every call
-// site in the tree complies.
+// predictable branch. Event name/category/arg-name strings are required to
+// be string literals (TraceEvent carries them as const char*, never
+// copied); every call site in the tree complies.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <string_view>
 
 namespace spider::telemetry {
 
@@ -38,16 +38,10 @@ struct TraceEvent {
 
 class TraceRecorder {
  public:
-  static constexpr std::size_t kDefaultCapacity = 1 << 16;
-
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) {
     enabled_ = on;
   }
-
-  // Ring budget in events. Shrinking drops the oldest entries.
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const { return capacity_; }
 
   void complete(const char* name, const char* category, std::int64_t ts_us,
                 std::int64_t dur_us, std::uint32_t track,
@@ -68,48 +62,34 @@ class TraceRecorder {
   // Counter sample ('C'): Perfetto renders each counter name as a stepped
   // graph alongside the span tracks — the export shape for gauges like
   // queue depth or PSM occupancy. `track` distinguishes multiple series
-  // under one name (serialized as the Chrome "id" field; 0 = the sole
-  // unkeyed series), e.g. one PSM-occupancy line per AP.
+  // under one name (the Chrome "id" field; 0 = the sole unkeyed series),
+  // e.g. one PSM-occupancy line per AP.
   void counter(const char* name, const char* category, std::int64_t ts_us,
                std::int64_t value, std::uint32_t track = 0) {
     if (!enabled_) return;
     push(TraceEvent{name, category, 'C', ts_us, 0, track, "value", value});
   }
 
-  // Attaches a display name to a track (emitted as a thread_name metadata
-  // record). Recorded regardless of enabled() so tracks registered during
-  // setup survive a later enable.
-  void name_track(std::uint32_t track, const char* name);
+  // Names a track from `ts_us` on (a "track" stream line; a thread_name
+  // record in the Chrome export). Like the events, a no-op unless enabled;
+  // unlike their strings, `name` need not outlive the call.
+  void name_track(std::uint32_t track, std::string_view name,
+                  std::int64_t ts_us);
 
-  // Live-stream tee: while set, every recorded event is also rendered as a
-  // line by the stream publisher (see stream_exporter.h). Wired by
+  // Live-stream tee: while set, every recorded event is rendered as a line
+  // by the stream publisher (see stream_exporter.h). Wired by
   // Hub::set_stream; nullptr detaches.
   void set_stream(StreamPublisher* stream) { stream_ = stream; }
 
-  std::size_t size() const { return buffer_.size(); }
+  // Events recorded while enabled, streamed or not.
   std::uint64_t recorded() const { return recorded_; }
-  // Events overwritten by the ring (recorded - retained).
-  std::uint64_t dropped() const { return dropped_; }
-
-  // Events in chronological (recording) order, oldest first.
-  std::vector<TraceEvent> events_in_order() const;
-
-  // {"traceEvents":[...]} — chrome://tracing / Perfetto loadable.
-  std::string to_json() const;
-
-  void clear();
 
  private:
   void push(const TraceEvent& ev);
 
   bool enabled_ = false;
   StreamPublisher* stream_ = nullptr;
-  std::size_t capacity_ = kDefaultCapacity;
-  std::vector<TraceEvent> buffer_;
-  std::size_t next_ = 0;  // ring write cursor once buffer_ is full
   std::uint64_t recorded_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::vector<std::pair<std::uint32_t, const char*>> track_names_;
 };
 
 }  // namespace spider::telemetry

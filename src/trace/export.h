@@ -1,6 +1,6 @@
 // Result exporters: CSV series for gnuplot/matplotlib. Writers target any
 // std::ostream so tests can capture into stringstreams. JSON output goes
-// through the telemetry appenders (telemetry/run_report.h).
+// through the telemetry appenders (telemetry/json.h).
 #pragma once
 
 #include <ostream>

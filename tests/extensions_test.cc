@@ -8,6 +8,8 @@
 #include "core/experiment.h"
 #include "core/fleet.h"
 #include "phy/energy.h"
+#include "stream_capture.h"
+#include "telemetry/stream_exporter.h"
 
 namespace spider::core {
 namespace {
@@ -240,14 +242,18 @@ TEST(Fleet, AggregateDoesNotScaleBeyondTheBottleneck) {
 }
 
 TEST(Fleet, TraceEnabledRecordsJoinSpans) {
+  telemetry::StreamExporter exporter;
+  auto sink = std::make_shared<testutil::CaptureSink>();
+  exporter.set_sink(sink);
   auto cfg = small_fleet(2);
   cfg.trace_enabled = true;
+  cfg.stream = &exporter;
   FleetExperiment fleet(std::move(cfg));
   fleet.run();
-  const auto& trace = fleet.simulator().telemetry().trace();
   std::size_t joins = 0;
-  for (const telemetry::TraceEvent& ev : trace.events_in_order()) {
-    if (ev.phase == 'X' && std::string_view(ev.name) == "join") ++joins;
+  for (const telemetry::JsonValue& span :
+       testutil::parse_lines(sink->text(), "span")) {
+    if (span.string_or("name", "") == "join") ++joins;
   }
   // Both clients join the shared AP at least once, so at least two spans.
   EXPECT_GE(joins, 2u);

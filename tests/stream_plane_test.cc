@@ -5,9 +5,11 @@
 // end-of-run MetricsSnapshot (for a bare simulator and for a fleet world,
 // traced and untraced), sweeps assign deterministic per-replication run
 // tags, each run's lines depend only on its seed — not on the worker count —
-// spider-trace reads streamed, half-written and hostile files without
-// undefined behaviour, and — the plane's prime directive — per-run digests
-// are bit-identical with streaming on and off.
+// a failed write is remembered and reported, spider-trace reads streamed,
+// bench-written, half-written and hostile files without undefined behaviour
+// and turns their trace lines into a valid Chrome trace, and — the plane's
+// prime directive — per-run digests are bit-identical with streaming on and
+// off.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -19,7 +21,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -37,32 +39,16 @@
 #include "telemetry/hub.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
-#include "telemetry/run_report.h"
 #include "telemetry/stream_exporter.h"
+#include "telemetry/trace_recorder.h"
+#include "stream_capture.h"
 
 namespace spider {
 namespace {
 
-// Accumulates every rendered line; write() runs on whichever world thread
-// hands its lines off (with the exporter's lock held), and the test reads
-// after runs complete, so the sink carries its own lock.
-class CaptureSink : public telemetry::StreamSink {
- public:
-  bool write(std::string_view lines) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    text_.append(lines);
-    return true;
-  }
-
-  std::string text() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return text_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::string text_;
-};
+using testutil::CaptureSink;
+using testutil::read_file;
+using testutil::run_command;
 
 // Latest cumulative values seen on a run's "metrics" lines — the reader-side
 // model of the stream: the last sighting of each metric is its total.
@@ -90,8 +76,9 @@ class CountingSink : public telemetry::StreamSink {
   std::size_t bytes_ = 0;
 };
 
-// A stream's lines grouped by run, in file order. Fails the test unless
-// each run's seq runs 0..n-1 with no gap.
+// A stream's run lines grouped by run, in file order (the exporter's closing
+// line belongs to no run). Fails the test unless each run's seq runs
+// 0..n-1 with no gap.
 std::map<std::uint32_t, std::vector<std::string>> lines_by_run(
     const std::string& text) {
   std::map<std::uint32_t, std::vector<std::string>> runs;
@@ -106,6 +93,7 @@ std::map<std::uint32_t, std::vector<std::string>> lines_by_run(
       ADD_FAILURE() << "unparseable stream line: " << line;
       continue;
     }
+    if (doc.string_or("kind", "") == "close") continue;
     std::vector<std::string>& run =
         runs[static_cast<std::uint32_t>(doc.number_or("run", 0))];
     EXPECT_EQ(doc.number_or("seq", -1), static_cast<double>(run.size()))
@@ -131,6 +119,7 @@ std::map<std::uint32_t, StreamedFinals> replay_stream(
       continue;
     }
     EXPECT_EQ(doc.string_or("schema", ""), telemetry::kStreamSchema);
+    if (doc.string_or("kind", "") == "close") continue;
     StreamedFinals& run = runs[static_cast<std::uint32_t>(
         doc.number_or("run", 0))];
     const std::string kind = doc.string_or("kind", "");
@@ -375,21 +364,16 @@ TEST(StreamPlane, SweepStreamsEveryReplicationAndLeavesDigestsUnchanged) {
 // Runs the real spider-trace with `args`; returns its wait status and puts
 // what it wrote to stdout and stderr in `out`.
 int run_spider_trace(const std::string& args, std::string* out) {
-  const std::string cmd = std::string(SPIDER_TRACE_BIN) + " " + args + " 2>&1";
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return -1;
-  char buf[4096];
-  for (std::size_t n = 0; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;) {
-    out->append(buf, n);
-  }
-  return ::pclose(pipe);
+  return run_command(std::string(SPIDER_TRACE_BIN) + " " + args + " 2>&1",
+                     out);
 }
 
-TEST(StreamPlane, StreamedRunPassesSpiderTraceStrict) {
+TEST(StreamPlane, StreamedRunPassesSpiderTrace) {
   // A drive streamed to a file must summarize cleanly under the real
-  // spider-trace --strict: every line readable, run_begin through run_end.
+  // spider-trace: every line readable, run_begin through run_end, then the
+  // exporter's closing line.
   const std::string path =
-      testing::TempDir() + "stream_plane_strict_" +
+      testing::TempDir() + "stream_plane_read_" +
       std::to_string(static_cast<long>(::getpid())) + ".jsonl";
   {
     telemetry::StreamExporter exporter;
@@ -399,7 +383,8 @@ TEST(StreamPlane, StreamedRunPassesSpiderTraceStrict) {
     core::ExperimentConfig cfg = stream_scenario(5, &exporter);
     cfg.duration = sim::Time::seconds(3);
     core::Experiment(cfg).run();
-  }  // the sink closes the file
+    EXPECT_TRUE(exporter.close());
+  }
 
   std::string text;
   {
@@ -412,10 +397,15 @@ TEST(StreamPlane, StreamedRunPassesSpiderTraceStrict) {
   ASSERT_GT(lines.size(), 2u);
   EXPECT_NE(lines.front().find("\"kind\":\"run_begin\""), std::string::npos);
   EXPECT_NE(lines.back().find("\"kind\":\"run_end\""), std::string::npos);
+  EXPECT_NE(text.rfind("{\"schema\":\"spider-telemetry-stream-v1\","
+                       "\"kind\":\"close\""),
+            std::string::npos);
 
   std::string out;
-  int status = run_spider_trace("--strict " + path, &out);
+  int status = run_spider_trace(path, &out);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+  EXPECT_NE(out.find("merged over 1 finished run(s)"), std::string::npos)
+      << out;
 
   // A file read while the run is still writing it can end mid-line. The
   // unterminated tail is skipped with a note and the rest still summarizes;
@@ -424,7 +414,7 @@ TEST(StreamPlane, StreamedRunPassesSpiderTraceStrict) {
   while (text[cut - 1] == '\n') ++cut;
   std::ofstream(path, std::ios::binary) << text.substr(0, cut);
   out.clear();
-  status = run_spider_trace("--strict " + path, &out);
+  status = run_spider_trace(path, &out);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
   EXPECT_NE(out.find("may still be being written"), std::string::npos) << out;
   EXPECT_NE(out.find("stream line(s)"), std::string::npos) << out;
@@ -437,42 +427,222 @@ TEST(StreamPlane, StreamedRunPassesSpiderTraceStrict) {
   std::remove(path.c_str());
 }
 
+// A sink whose every call fails, as a full disk would.
+class FailingSink : public telemetry::StreamSink {
+ public:
+  bool write(std::string_view) override {
+    ++writes;
+    return false;
+  }
+  bool flush() override { return false; }
+  int writes = 0;
+};
+
+TEST(StreamPlane, FailedStreamWritesAreRememberedAndReported) {
+  // A failed write drops the sink and is remembered; close() reports it.
+  {
+    telemetry::StreamExporter exporter;
+    auto sink = std::make_shared<FailingSink>();
+    exporter.set_sink(sink);
+    exporter.write("{}\n");
+    exporter.write("{}\n");  // the sink is gone: not called again
+    EXPECT_EQ(sink->writes, 1);
+    EXPECT_FALSE(exporter.close());
+    EXPECT_FALSE(exporter.close());
+  }
+  // So is a failed flush at a run's end, with every write accepted.
+  {
+    class FailingFlush : public CaptureSink {
+     public:
+      bool flush() override { return false; }
+    };
+    telemetry::StreamExporter exporter;
+    exporter.set_sink(std::make_shared<FailingFlush>());
+    core::ExperimentConfig cfg = stream_scenario(5, &exporter);
+    cfg.duration = sim::Time::seconds(1);
+    core::Experiment(cfg).run();
+    EXPECT_FALSE(exporter.close());
+  }
+  // A real file on a full device fails at the run's end flush or at close.
+  if (std::FILE* probe = std::fopen("/dev/full", "w")) {
+    std::fclose(probe);
+    telemetry::StreamExporter exporter;
+    auto sink = std::make_shared<telemetry::FileStreamSink>("/dev/full");
+    ASSERT_TRUE(sink->ok());
+    exporter.set_sink(sink);
+    core::ExperimentConfig cfg = stream_scenario(5, &exporter);
+    cfg.duration = sim::Time::seconds(1);
+    core::Experiment(cfg).run();
+    EXPECT_FALSE(exporter.close());
+  }
+}
+
+TEST(StreamPlane, SpiderTraceRejectsBadArguments) {
+  const std::string path = testing::TempDir() + "stream_plane_args_" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           ".jsonl";
+  std::ofstream(path) << R"({"schema":"spider-telemetry-stream-v1",)"
+                         R"("kind":"run_begin","run":0,"seq":0,"ts_us":0,)"
+                         R"("seed":1})" "\n";
+  const std::string out_path = path + ".json";
+  // --top parses all of its value as an integer in 1..1000; --chrome needs
+  // a path; anything unknown or extra is refused.
+  const std::string bad[] = {
+      "--top=4294967297 " + path, "--top=3x " + path, "--top 0 " + path,
+      "--top=1001 " + path,       "--top= " + path,   "--top=-2 " + path,
+      path + " --top",            "--chrome",         path + " --chrome",
+      "--chrome= " + path,        "--strict " + path, path + " " + path,
+      "",
+  };
+  for (const std::string& args : bad) {
+    std::string out;
+    const int status = run_spider_trace(args, &out);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
+        << "[" << args << "]:\n" << out;
+    EXPECT_NE(out.find("usage: spider-trace"), std::string::npos)
+        << "[" << args << "]:\n" << out;
+  }
+  for (const std::string& args :
+       {"--top=3 " + path, "--top 1000 " + path,
+        "--chrome=" + out_path + " " + path}) {
+    std::string out;
+    const int status = run_spider_trace(args, &out);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "[" << args << "]:\n" << out;
+  }
+  std::remove(path.c_str());
+  std::remove(out_path.c_str());
+}
+
+// The Chrome document spider-trace --chrome makes of `stream_text`; fails
+// the test unless spider-trace exits 0 and the document parses.
+telemetry::JsonValue chrome_of(const std::string& stream_text,
+                               const std::string& tag) {
+  const std::string base = testing::TempDir() + "stream_plane_chrome_" + tag +
+                           "_" + std::to_string(static_cast<long>(::getpid()));
+  std::ofstream(base + ".jsonl", std::ios::binary) << stream_text;
+  std::string out;
+  const int status =
+      run_spider_trace("--chrome " + base + ".json " + base + ".jsonl", &out);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+  telemetry::JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(telemetry::parse_json(read_file(base + ".json"), doc, &error))
+      << error;
+  std::remove((base + ".jsonl").c_str());
+  std::remove((base + ".json").c_str());
+  return doc;
+}
+
+// The recorder's events, streamed and turned into a Chrome document by
+// spider-trace --chrome, read back through the JSON reader.
+TEST(TraceRecorder, JsonRoundTripsThroughTheReader) {
+  testutil::TraceCapture capture;
+  telemetry::TraceRecorder rec;
+  capture.attach(rec);
+  rec.set_enabled(true);
+  rec.name_track(1, "vif0", 0);
+  // Multi-digit tids once truncated the metadata record's buffer; keep one
+  // in the round trip.
+  rec.name_track(106, "ch6", 0);
+  rec.complete("dhcp", "join", 1000, 250, 1, "attempts", 2);
+  rec.instant("frame_evicted", "framelog", 1500, 0, "bytes", 62);
+
+  const telemetry::JsonValue doc = chrome_of(capture.text(), "roundtrip");
+  const telemetry::JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_TRUE(events->is_array());
+  ASSERT_EQ(events->array.size(), 4u);
+  EXPECT_EQ(events->array[1].find("args")->string_or("name", ""), "ch6");
+  EXPECT_DOUBLE_EQ(events->array[1].number_or("tid", -1), 106.0);
+
+  const telemetry::JsonValue& span = events->array[2];
+  EXPECT_EQ(span.string_or("ph", ""), "X");
+  EXPECT_EQ(span.string_or("name", ""), "dhcp");
+  EXPECT_EQ(span.string_or("cat", ""), "join");
+  EXPECT_DOUBLE_EQ(span.number_or("ts", 0), 1000.0);
+  EXPECT_DOUBLE_EQ(span.number_or("dur", 0), 250.0);
+  EXPECT_DOUBLE_EQ(span.number_or("tid", -1), 1.0);
+  ASSERT_NE(span.find("args"), nullptr);
+  EXPECT_DOUBLE_EQ(span.find("args")->number_or("attempts", 0), 2.0);
+
+  const telemetry::JsonValue& instant = events->array[3];
+  EXPECT_EQ(instant.string_or("ph", ""), "i");
+  EXPECT_EQ(instant.find("dur"), nullptr);
+  ASSERT_NE(instant.find("args"), nullptr);
+  EXPECT_DOUBLE_EQ(instant.find("args")->number_or("bytes", 0), 62.0);
+
+  const telemetry::JsonValue& meta = events->array[0];
+  EXPECT_EQ(meta.string_or("ph", ""), "M");
+  EXPECT_EQ(meta.string_or("name", ""), "thread_name");
+  ASSERT_NE(meta.find("args"), nullptr);
+  EXPECT_EQ(meta.find("args")->string_or("name", ""), "vif0");
+}
+
+TEST(TraceRecorder, CounterEventsRenderAsPerfettoCounterSeries) {
+  testutil::TraceCapture capture;
+  telemetry::TraceRecorder rec;
+  capture.attach(rec);
+  rec.set_enabled(true);
+  rec.counter("sim.queue_depth", "sim", 1000, 42);
+  rec.counter("mac.ap.psm_buffered", "mac", 2000, 3, /*track=*/7);
+
+  const telemetry::JsonValue doc = chrome_of(capture.text(), "counter");
+  const telemetry::JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->array.size(), 2u);
+
+  const telemetry::JsonValue& depth = events->array[0];
+  EXPECT_EQ(depth.string_or("ph", ""), "C");
+  EXPECT_EQ(depth.string_or("name", ""), "sim.queue_depth");
+  EXPECT_DOUBLE_EQ(depth.number_or("ts", 0), 1000.0);
+  EXPECT_EQ(depth.find("dur"), nullptr);
+  // Track 0 is the sole unkeyed series: no "id" field.
+  EXPECT_EQ(depth.find("id"), nullptr);
+  ASSERT_NE(depth.find("args"), nullptr);
+  EXPECT_DOUBLE_EQ(depth.find("args")->number_or("value", 0), 42.0);
+
+  const telemetry::JsonValue& psm = events->array[1];
+  EXPECT_EQ(psm.string_or("ph", ""), "C");
+  // A nonzero track becomes the series id, so per-AP series stay separate.
+  EXPECT_EQ(psm.string_or("id", ""), "7");
+  ASSERT_NE(psm.find("args"), nullptr);
+  EXPECT_DOUBLE_EQ(psm.find("args")->number_or("value", 0), 3.0);
+}
+
 TEST(StreamPlane, SpiderTraceSkipsNumbersOutOfRange) {
   // spider-trace reads files that other processes wrote. A number that
   // cannot be the integer it stands for (a negative run tag, an infinite
-  // timestamp, a bucket past any index) must cost its line or trace event
-  // with a warning, never reach a cast: that cast is undefined behaviour,
-  // which the sanitizer builds turn into an abort. One hostile file per
-  // artifact kind, each with one good record so the run still succeeds.
-  const std::string stream = R"({"schema":"spider-telemetry-stream-v1",)"
-                             R"("kind":"run_begin","seq":0,"seed":1,)";
-  const std::string report = R"({"schema":"spider-telemetry-v1",)"
-                             R"("label":"a","runs":1,"combined_digest":"0x1",)";
+  // timestamp, a bucket past any index) must cost its line with a warning,
+  // never reach a cast: that cast is undefined behaviour, which the
+  // sanitizer builds turn into an abort. Each hostile file has good lines
+  // too, so the run still succeeds.
+  const std::string head = R"({"schema":"spider-telemetry-stream-v1",)";
+  const std::string begin = head + R"("kind":"run_begin","seq":0,"seed":1,)";
+  const std::string end = head + R"("kind":"run_end","run":0,"seq":1,)"
+                                 R"("ts_us":5,"snapshot":)";
   struct Case {
     const char* name;
     std::string text;
-    const char* summary;  // what the good records add up to
+    const char* summary;  // what the good lines add up to
   };
   const Case cases[] = {
       {"stream",
-       stream + R"("run":-1,"ts_us":0})" "\n" +
-           stream + R"("run":0,"ts_us":1e999})" "\n" +
-           stream + R"("run":0,"ts_us":0})" "\n",
+       begin + R"("run":-1,"ts_us":0})" "\n" +
+           begin + R"("run":0,"ts_us":1e999})" "\n" +
+           begin + R"("run":0,"ts_us":0})" "\n",
        "1 stream line(s), 2 skipped"},
-      {"report",
-       report + R"("kind":"run","counters":{"driver.joins":-1}})" "\n" +
-           report + R"("kind":"sweep","merged":{"counters":{"x":1e20}}})"
-                    "\n" +
-           report + R"("kind":"sweep","merged":{"histograms":{"h":{)"
-                    R"("count":1,"sum":1,"buckets":[[-3,1e300]]}}}})" "\n" +
-           report + R"("kind":"run","counters":{"driver.joins":2}})" "\n",
-       "1 run line(s), 0 sweep block(s), 0 stream line(s), 3 skipped"},
-      {"trace",
-       R"({"traceEvents":[)"
-       R"({"ph":"M","name":"thread_name","tid":-1,"args":{"name":"bad"}},)"
-       R"({"ph":"X","cat":"c","name":"n","ts":1e999,"dur":1},)"
-       R"({"ph":"X","cat":"c","name":"n","ts":5,"dur":2}],"droppedEvents":0})",
-       "skipped events (numbers out of range): 2"},
+      {"snapshot",
+       begin + R"("run":0,"ts_us":0})" "\n" +
+           end + R"({"counters":{"driver.joins":-1}}})" "\n" +
+           end + R"({"gauges":{"g":{"value":1e300,"high_water":0}}}})" "\n" +
+           end + R"({"histograms":{"h":{"count":1,"sum":1,)"
+                 R"("buckets":[[-3,1e300]]}}}})" "\n" +
+           end + R"({"histograms":{"h":{"count":1,"sum":1,)"
+                 R"("buckets":[[56,1]]}}}})" "\n" +
+           head + R"("kind":"close","process":{"counters":{"x":1e20}}})"
+                  "\n",
+       "1 stream line(s), 5 skipped"},
   };
   for (const Case& c : cases) {
     const std::string path = testing::TempDir() + "stream_plane_hostile_" +
@@ -489,6 +659,123 @@ TEST(StreamPlane, SpiderTraceSkipsNumbersOutOfRange) {
         << c.name << ":\n" << out;
     std::remove(path.c_str());
   }
+
+  // --chrome: trace lines whose ts_us, dur_us or track cannot be their
+  // integers are skipped with a warning, and the document stays valid JSON
+  // holding only the good lines.
+  const std::string span = head + R"("kind":"span","run":0,"seq":1,)"
+                                  R"("name":"join","cat":"join",)";
+  const std::string text =
+      span + R"("ts_us":5,"dur_us":1e999,"track":1})" "\n" +
+      span + R"("ts_us":5,"dur_us":2,"track":-1})" "\n" +
+      span + R"("ts_us":1e300,"dur_us":2,"track":1})" "\n" +
+      head + R"("kind":"counter_sample","run":0,"seq":2,"ts_us":5,)"
+             R"("value":3,"name":"q","cat":"sim","track":4294967296})" "\n" +
+      head + R"("kind":"track","run":0,"seq":3,"ts_us":5,"track":-2,)"
+             R"("name":"bad"})" "\n" +
+      head + R"("kind":"track","run":0,"seq":4,"ts_us":5,"track":1,)"
+             R"("name":"vif1"})" "\n" +
+      span + R"("ts_us":5,"dur_us":2,"track":1})" "\n";
+  const std::string base = testing::TempDir() + "stream_plane_hostile_chrome_" +
+                           std::to_string(static_cast<long>(::getpid()));
+  std::ofstream(base + ".jsonl") << text;
+  std::string out;
+  const int status =
+      run_spider_trace("--chrome " + base + ".json " + base + ".jsonl", &out);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+  EXPECT_NE(out.find("is out of range"), std::string::npos) << out;
+  EXPECT_NE(out.find("2 stream line(s), 5 skipped"), std::string::npos) << out;
+  telemetry::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(telemetry::parse_json(read_file(base + ".json"), doc, &error))
+      << error;
+  const telemetry::JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->array.size(), 2u);
+  EXPECT_EQ(events->array[0].string_or("ph", ""), "M");
+  EXPECT_EQ(events->array[1].string_or("ph", ""), "X");
+  EXPECT_DOUBLE_EQ(events->array[1].number_or("dur", -1), 2.0);
+  std::remove((base + ".jsonl").c_str());
+  std::remove((base + ".json").c_str());
+}
+
+TEST(StreamPlane, BenchStreamRoundTripsThroughSpiderTrace) {
+  const std::string base = testing::TempDir() + "stream_plane_fig8_" +
+                           std::to_string(static_cast<long>(::getpid()));
+  const std::string fig8 = std::string("SPIDER_BENCH_THREADS=2 ") +
+                           SPIDER_FIG8_BIN;
+  std::string plain;
+  int status = run_command(fig8, &plain);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << plain;
+  // Streaming and tracing change nothing a bench prints.
+  std::string streamed;
+  status = run_command(fig8 + " --stream " + base + ".jsonl --trace",
+                       &streamed);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << streamed;
+  EXPECT_EQ(plain, streamed);
+
+  std::string out;
+  status = run_spider_trace(base + ".jsonl", &out);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+  out.clear();
+  status = run_spider_trace(
+      "--chrome " + base + ".json " + base + ".jsonl", &out);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+
+  // One Chrome event per span, instant and counter_sample line, and one
+  // thread_name record per track line; --trace traced the first world only.
+  const std::string text = read_file(base + ".jsonl");
+  std::size_t trace_lines = 0;
+  std::set<std::pair<double, double>> tracks;
+  for (const telemetry::JsonValue& line : testutil::parse_lines(text, "")) {
+    const std::string kind = line.string_or("kind", "");
+    if (kind == "span" || kind == "instant" || kind == "counter_sample") {
+      ++trace_lines;
+      EXPECT_DOUBLE_EQ(line.number_or("run", -1), 1.0);
+    } else if (kind == "track") {
+      tracks.emplace(line.number_or("run", -1), line.number_or("track", -1));
+    }
+  }
+  EXPECT_GT(trace_lines, 0u);
+  EXPECT_FALSE(tracks.empty());
+  telemetry::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(telemetry::parse_json(read_file(base + ".json"), doc, &error))
+      << error;
+  const telemetry::JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::size_t chrome_events = 0;
+  std::set<std::pair<double, double>> named;
+  for (const telemetry::JsonValue& ev : events->array) {
+    if (ev.string_or("ph", "") == "M") {
+      named.emplace(ev.number_or("pid", -1), ev.number_or("tid", -1));
+    } else {
+      ++chrome_events;
+    }
+  }
+  EXPECT_EQ(chrome_events, trace_lines);
+  EXPECT_EQ(named, tracks);
+  std::remove((base + ".jsonl").c_str());
+  std::remove((base + ".json").c_str());
+
+  // A stream that cannot be written fails the bench, with a message.
+  if (std::FILE* probe = std::fopen("/dev/full", "w")) {
+    std::fclose(probe);
+    out.clear();
+    status = run_command(fig8 + " --stream /dev/full 2>&1 >/dev/null", &out);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << out;
+    EXPECT_NE(out.find("/dev/full"), std::string::npos) << out;
+  }
+  // --trace records into the stream, so it needs one; a bench that runs no
+  // world takes no flags.
+  out.clear();
+  status = run_command(fig8 + " --trace 2>&1", &out);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2) << out;
+  out.clear();
+  status = run_command(std::string(SPIDER_FIG2_BIN) + " --stream " + base +
+                           ".jsonl 2>&1",
+                       &out);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2) << out;
 }
 
 }  // namespace

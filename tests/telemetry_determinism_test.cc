@@ -1,15 +1,23 @@
 // Telemetry determinism gates.
 //
-// The exports are only trustworthy if they are *reproducible artifacts*:
-// the same seeded sweep must render byte-identical JSONL no matter how many
-// worker threads ran it and no matter how often it is repeated. These tests
-// pin that property at the string level (not just value-level equality), and
-// check the end-to-end trace path: a vehicular run with tracing on must
-// produce Perfetto-loadable JSON containing the scan/auth/assoc/DHCP join
-// spans the recorder promises.
+// The stream is only trustworthy if it is a *reproducible artifact*: the
+// same seeded sweep must stream byte-identical lines when repeated, the
+// same lines per run whatever the worker count, and spider-trace must print
+// the same summary of either file, its merged values equal to the sweep's
+// own merged_telemetry(). These tests pin that at the string level (not just
+// value-level equality), and check the end-to-end trace path: a vehicular
+// run with tracing on must stream the scan/auth/assoc/DHCP join spans the
+// recorder promises.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,8 +27,9 @@
 #include "core/sweep.h"
 #include "mobility/route.h"
 #include "net/addr.h"
+#include "stream_capture.h"
 #include "telemetry/json.h"
-#include "telemetry/run_report.h"
+#include "telemetry/stream_exporter.h"
 
 namespace spider::core {
 namespace {
@@ -52,20 +61,68 @@ ExperimentConfig scenario(std::uint64_t seed, bool trace = false) {
   return cfg;
 }
 
-// Exactly what core::append_telemetry_jsonl writes, minus the file I/O —
-// the byte sequence under test.
-std::string render_jsonl(const SweepReport& report) {
-  std::string out;
-  for (const SweepRunResult& run : report.runs) {
-    out += telemetry::run_report_line("gate", run.index, run.seed, run.digest,
-                                      run.events_executed, run.telemetry);
-    out += '\n';
+// Runs the sweep with every run streamed; returns the stream file's text,
+// closing line included.
+std::string streamed_sweep(const std::vector<std::uint64_t>& seeds,
+                           unsigned threads, SweepReport* report = nullptr) {
+  telemetry::StreamExporter exporter;
+  auto sink = std::make_shared<testutil::CaptureSink>();
+  exporter.set_sink(sink);
+  SweepReport sweep = run_seed_sweep(
+      seeds,
+      [&exporter](std::uint64_t s) {
+        ExperimentConfig cfg = scenario(s);
+        cfg.stream = &exporter;
+        return cfg;
+      },
+      threads);
+  EXPECT_TRUE(exporter.close());
+  if (report != nullptr) *report = std::move(sweep);
+  return sink->text();
+}
+
+// A stream's lines keyed by (run, seq): the order-free view of a file that
+// several workers wrote.
+std::map<std::pair<int, int>, std::string> by_run_and_seq(
+    const std::string& text) {
+  std::map<std::pair<int, int>, std::string> out;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    const std::size_t end = text.find('\n', start);
+    const std::string line = text.substr(start, end - start);
+    start = end + 1;
+    telemetry::JsonValue doc;
+    EXPECT_TRUE(telemetry::parse_json(line, doc)) << line;
+    const auto key =
+        std::make_pair(static_cast<int>(doc.number_or("run", -1)),
+                       static_cast<int>(doc.number_or("seq", -1)));
+    EXPECT_TRUE(out.emplace(key, line).second) << "duplicate " << line;
   }
-  out += telemetry::sweep_report_line("gate", report.runs.size(),
-                                      report.combined_digest(),
-                                      report.merged_telemetry());
-  out += '\n';
   return out;
+}
+
+// What the real spider-trace prints for `text` (stdout only).
+std::string spider_trace_stdout(const std::string& text) {
+  const std::string path = ::testing::TempDir() + "determinism_" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           ".jsonl";
+  std::ofstream(path, std::ios::binary) << text;
+  std::string out;
+  const int status = testutil::run_command(
+      std::string(SPIDER_TRACE_BIN) + " " + path + " 2>/dev/null", &out);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+  std::remove(path.c_str());
+  return out;
+}
+
+// The merged summary's body: the lines after spider-trace's "merged over …"
+// line, up to the line count at the end.
+std::string merged_section(const std::string& summary) {
+  const std::size_t header = summary.find("merged over ");
+  const std::size_t footer = summary.find(" stream line(s)");
+  if (header == std::string::npos || footer == std::string::npos) return {};
+  const std::size_t body = summary.find('\n', header) + 1;
+  return summary.substr(body, summary.rfind('\n', footer) + 1 - body);
 }
 
 std::vector<std::uint64_t> eight_seeds() {
@@ -74,22 +131,53 @@ std::vector<std::uint64_t> eight_seeds() {
 
 TEST(TelemetryDeterminism, RepeatedSeededSweepsExportIdenticalBytes) {
   const auto seeds = eight_seeds();
-  const auto first = run_seed_sweep(
-      seeds, [](std::uint64_t s) { return scenario(s); }, 2);
-  const auto second = run_seed_sweep(
-      seeds, [](std::uint64_t s) { return scenario(s); }, 2);
-  EXPECT_EQ(render_jsonl(first), render_jsonl(second));
+  const std::string first = streamed_sweep(seeds, 1);
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, streamed_sweep(seeds, 1));
 }
 
 TEST(TelemetryDeterminism, WorkerCountCannotChangeTheExport) {
   const auto seeds = eight_seeds();
-  const auto serial = run_seed_sweep(
-      seeds, [](std::uint64_t s) { return scenario(s); }, 1);
-  const auto parallel = run_seed_sweep(
-      seeds, [](std::uint64_t s) { return scenario(s); }, 8);
-  ASSERT_EQ(serial.runs.size(), parallel.runs.size());
-  EXPECT_EQ(render_jsonl(serial), render_jsonl(parallel))
-      << "merged telemetry must be a function of the runs, not the workers";
+  SweepReport serial_report;
+  const std::string serial = streamed_sweep(seeds, 1, &serial_report);
+  const std::string parallel = streamed_sweep(seeds, 8);
+  // Eight workers interleave the runs' lines differently; each run's lines
+  // are the same.
+  EXPECT_EQ(by_run_and_seq(serial), by_run_and_seq(parallel))
+      << "each run's stream must be a function of its seed, not the workers";
+
+  // spider-trace orders what it prints by run tag, so it prints the same
+  // summary of either file.
+  const std::string summary = spider_trace_stdout(serial);
+  EXPECT_EQ(summary, spider_trace_stdout(parallel));
+
+  // Its merged summary reads the values of the sweep's merged_telemetry():
+  // a one-run stream whose run_end carries that snapshot prints the same
+  // merged section.
+  telemetry::StreamExporter exporter;
+  auto sink = std::make_shared<testutil::CaptureSink>();
+  exporter.set_sink(sink);
+  {
+    telemetry::StreamPublisher publisher(exporter, /*run_tag=*/0);
+    publisher.begin_run(0, /*seed=*/0);
+    publisher.end_run(0, serial_report.combined_digest(), 0,
+                      serial_report.merged_telemetry());
+  }
+  EXPECT_TRUE(exporter.close());
+  const std::string expected = merged_section(spider_trace_stdout(sink->text()));
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(merged_section(summary), expected);
+  EXPECT_NE(summary.find("merged over 8 finished run(s)"), std::string::npos)
+      << summary;
+  // And one value spelled out: the merged count of posted events, the
+  // largest counter.
+  char posted[80];
+  std::snprintf(posted, sizeof posted, "    %-40s %12llu\n",
+                "sim.events_posted",
+                static_cast<unsigned long long>(
+                    serial_report.merged_telemetry().counter_value(
+                        "sim.events_posted")));
+  EXPECT_NE(expected.find(posted), std::string::npos) << expected;
 }
 
 TEST(TelemetryDeterminism, TelemetryAgreesWithTheResultsItDescribes) {
@@ -115,35 +203,34 @@ TEST(TelemetryDeterminism, TelemetryAgreesWithTheResultsItDescribes) {
   }
 }
 
-TEST(TelemetryDeterminism, TracedRunEmitsTheJoinSpans) {
-  Experiment experiment(scenario(7, /*trace=*/true));
-  experiment.run();
-  const std::string json =
-      experiment.simulator().telemetry().trace().to_json();
+// The traced run's stream text.
+std::string traced_stream(std::uint64_t seed) {
+  telemetry::StreamExporter exporter;
+  auto sink = std::make_shared<testutil::CaptureSink>();
+  exporter.set_sink(sink);
+  ExperimentConfig cfg = scenario(seed, /*trace=*/true);
+  cfg.stream = &exporter;
+  Experiment(std::move(cfg)).run();
+  return sink->text();
+}
 
-  telemetry::JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(telemetry::parse_json(json, doc, &error)) << error;
-  const telemetry::JsonValue* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
+TEST(TelemetryDeterminism, TracedRunEmitsTheJoinSpans) {
+  const std::string text = traced_stream(7);
 
   std::set<std::string> span_names;
+  for (const telemetry::JsonValue& span : testutil::parse_lines(text, "span")) {
+    if (span.string_or("cat", "") != "join") continue;
+    span_names.insert(span.string_or("name", ""));
+    EXPECT_GE(span.number_or("dur_us", -1), 0.0);
+  }
   std::set<std::string> track_names;
-  for (const telemetry::JsonValue& ev : events->array) {
-    const std::string ph = ev.string_or("ph", "");
-    if (ph == "X" && ev.string_or("cat", "") == "join") {
-      span_names.insert(ev.string_or("name", ""));
-      EXPECT_GE(ev.number_or("dur", -1), 0.0);
-    } else if (ph == "M") {
-      if (const telemetry::JsonValue* args = ev.find("args")) {
-        track_names.insert(args->string_or("name", ""));
-      }
-    }
+  for (const telemetry::JsonValue& track :
+       testutil::parse_lines(text, "track")) {
+    track_names.insert(track.string_or("name", ""));
   }
   // The full join pipeline must be visible: scan -> auth -> assoc -> dhcp,
   // plus the enclosing join envelope.
-  EXPECT_TRUE(span_names.count("scan")) << json.substr(0, 400);
+  EXPECT_TRUE(span_names.count("scan")) << text.substr(0, 400);
   EXPECT_TRUE(span_names.count("auth"));
   EXPECT_TRUE(span_names.count("assoc"));
   EXPECT_TRUE(span_names.count("dhcp"));
@@ -151,10 +238,8 @@ TEST(TelemetryDeterminism, TracedRunEmitsTheJoinSpans) {
   // Track 0 is the main/stock lane; the first virtual interface gets lane 1.
   EXPECT_TRUE(track_names.count("vif1"));
 
-  // Re-running the identical traced scenario renders the identical file.
-  Experiment again(scenario(7, /*trace=*/true));
-  again.run();
-  EXPECT_EQ(json, again.simulator().telemetry().trace().to_json());
+  // Re-running the identical traced scenario streams the identical lines.
+  EXPECT_EQ(text, traced_stream(7));
 }
 
 TEST(TelemetryDeterminism, UntracedRunsRecordNoTraceEvents) {

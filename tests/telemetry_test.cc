@@ -1,11 +1,16 @@
 // Unit gates for the telemetry layer: histogram bucket boundaries (the
 // fixed log-scale buckets must be bit-deterministic, including values that
-// land exactly on a boundary), snapshot merging, the trace ring, the JSON
-// reader, the run-report schema round-trip, frame-log eviction streaming,
-// and the check-failure shim over the process registry.
+// land exactly on a boundary), snapshot merging, the trace recorder's
+// stream tee, the JSON reader, the run_end and closing lines' schema
+// round-trip, frame-log eviction streaming, and the check-failure shim over
+// the process registry.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -22,13 +27,17 @@
 #include "telemetry/hub.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
-#include "telemetry/run_report.h"
 #include "telemetry/stream_exporter.h"
 #include "telemetry/trace_recorder.h"
 #include "trace/frame_log.h"
+#include "stream_capture.h"
 
 namespace spider::telemetry {
 namespace {
+
+using spider::testutil::CaptureSink;
+using spider::testutil::parse_lines;
+using spider::testutil::TraceCapture;
 
 // ---------------------------------------------------------------------------
 // Histogram buckets
@@ -158,106 +167,24 @@ TEST(Metrics, MergeOrderIsWhatMakesExportsIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace recorder ring
+// Trace recorder: events reach the stream as they are recorded
 
 TEST(TraceRecorder, DisabledRecorderRecordsNothing) {
+  TraceCapture capture;
   TraceRecorder rec;
+  capture.attach(rec);
   rec.complete("span", "cat", 0, 10, 0);
   rec.instant("mark", "cat", 5, 0);
-  EXPECT_EQ(rec.size(), 0u);
+  rec.counter("depth", "cat", 5, 3);
+  rec.name_track(1, "vif1", 0);
   EXPECT_EQ(rec.recorded(), 0u);
-}
-
-TEST(TraceRecorder, RingKeepsTheMostRecentWindow) {
-  TraceRecorder rec;
-  rec.set_capacity(4);
-  rec.set_enabled(true);
-  for (int i = 0; i < 10; ++i) {
-    rec.instant("mark", "cat", i, 0);
-  }
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.recorded(), 10u);
-  EXPECT_EQ(rec.dropped(), 6u);
-  const auto events = rec.events_in_order();
-  ASSERT_EQ(events.size(), 4u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].ts_us, static_cast<std::int64_t>(6 + i));
-  }
-}
-
-TEST(TraceRecorder, JsonRoundTripsThroughTheReader) {
-  TraceRecorder rec;
-  rec.set_enabled(true);
-  rec.name_track(1, "vif0");
-  // Multi-digit tids once truncated the metadata record's snprintf buffer;
-  // keep one in the round trip.
-  rec.name_track(106, "ch6");
-  rec.complete("dhcp", "join", 1000, 250, 1, "attempts", 2);
-  rec.instant("frame_evicted", "framelog", 1500, 0, "bytes", 62);
-
-  JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(parse_json(rec.to_json(), doc, &error)) << error;
-  const JsonValue* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-  ASSERT_EQ(events->array.size(), 4u);
-  EXPECT_EQ(events->array[1].find("args")->string_or("name", ""), "ch6");
-
-  const JsonValue& span = events->array[2];
-  EXPECT_EQ(span.string_or("ph", ""), "X");
-  EXPECT_EQ(span.string_or("name", ""), "dhcp");
-  EXPECT_EQ(span.string_or("cat", ""), "join");
-  EXPECT_DOUBLE_EQ(span.number_or("ts", 0), 1000.0);
-  EXPECT_DOUBLE_EQ(span.number_or("dur", 0), 250.0);
-  EXPECT_DOUBLE_EQ(span.number_or("tid", -1), 1.0);
-  ASSERT_NE(span.find("args"), nullptr);
-  EXPECT_DOUBLE_EQ(span.find("args")->number_or("attempts", 0), 2.0);
-
-  const JsonValue& instant = events->array[3];
-  EXPECT_EQ(instant.string_or("ph", ""), "i");
-  EXPECT_EQ(instant.find("dur"), nullptr);
-
-  const JsonValue& meta = events->array[0];
-  EXPECT_EQ(meta.string_or("ph", ""), "M");
-  EXPECT_EQ(meta.string_or("name", ""), "thread_name");
-  ASSERT_NE(meta.find("args"), nullptr);
-  EXPECT_EQ(meta.find("args")->string_or("name", ""), "vif0");
-}
-
-TEST(TraceRecorder, CounterEventsRenderAsPerfettoCounterSeries) {
-  TraceRecorder rec;
-  rec.set_enabled(true);
-  rec.counter("sim.queue_depth", "sim", 1000, 42);
-  rec.counter("mac.ap.psm_buffered", "mac", 2000, 3, /*track=*/7);
-
-  JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(parse_json(rec.to_json(), doc, &error)) << error;
-  const JsonValue* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->array.size(), 2u);
-
-  const JsonValue& depth = events->array[0];
-  EXPECT_EQ(depth.string_or("ph", ""), "C");
-  EXPECT_EQ(depth.string_or("name", ""), "sim.queue_depth");
-  EXPECT_DOUBLE_EQ(depth.number_or("ts", 0), 1000.0);
-  EXPECT_EQ(depth.find("dur"), nullptr);
-  // Track 0 is the sole unkeyed series: no "id" field.
-  EXPECT_EQ(depth.find("id"), nullptr);
-  ASSERT_NE(depth.find("args"), nullptr);
-  EXPECT_DOUBLE_EQ(depth.find("args")->number_or("value", 0), 42.0);
-
-  const JsonValue& psm = events->array[1];
-  EXPECT_EQ(psm.string_or("ph", ""), "C");
-  // A nonzero track becomes the series id, so per-AP series stay separate.
-  EXPECT_EQ(psm.string_or("id", ""), "7");
-  ASSERT_NE(psm.find("args"), nullptr);
-  EXPECT_DOUBLE_EQ(psm.find("args")->number_or("value", 0), 3.0);
+  EXPECT_TRUE(capture.lines().empty());
 }
 
 TEST(TraceRecorder, SimulatorEmitsQueueDepthCounterSamples) {
+  TraceCapture capture;
   sim::Simulator sim;
+  capture.attach(sim.telemetry().trace());
   sim.telemetry().trace().set_enabled(true);
   for (int i = 1; i <= 4; ++i) {
     sim.post_at(sim::Time::millis(i), [] {});
@@ -265,10 +192,9 @@ TEST(TraceRecorder, SimulatorEmitsQueueDepthCounterSamples) {
   sim.run_all();
 
   std::vector<std::int64_t> samples;
-  for (const TraceEvent& ev : sim.telemetry().trace().events_in_order()) {
-    if (ev.phase != 'C') continue;
-    EXPECT_STREQ(ev.name, "sim.queue_depth");
-    samples.push_back(ev.arg_value);
+  for (const JsonValue& line : capture.lines("counter_sample")) {
+    EXPECT_EQ(line.string_or("name", ""), "sim.queue_depth");
+    samples.push_back(static_cast<std::int64_t>(line.number_or("value", -1)));
   }
   // One sample per instant boundary where the depth changed: the four
   // distinct-time events drain 2, 1, 0.
@@ -280,7 +206,9 @@ TEST(TraceRecorder, SimulatorEmitsQueueDepthCounterSamples) {
 }
 
 TEST(TraceRecorder, ApEmitsPsmOccupancyCounterSamples) {
+  TraceCapture capture;
   sim::Simulator sim;
+  capture.attach(sim.telemetry().trace());
   phy::MediumConfig medium_cfg;
   medium_cfg.base_loss = 0.0;
   medium_cfg.edge_degradation = false;
@@ -314,15 +242,13 @@ TEST(TraceRecorder, ApEmitsPsmOccupancyCounterSamples) {
   sim.run_for(sim::Time::millis(10));
 
   std::vector<std::int64_t> samples;
-  for (const TraceEvent& ev : sim.telemetry().trace().events_in_order()) {
-    if (ev.phase != 'C' || std::string(ev.name) != "mac.ap.psm_buffered") {
-      continue;
-    }
+  for (const JsonValue& line : capture.lines("counter_sample")) {
+    if (line.string_or("name", "") != "mac.ap.psm_buffered") continue;
     // Series id = the AP radio's attach order (1: the AP's radio is this
     // world's first attach), so multi-AP worlds render one occupancy graph
     // per AP.
-    EXPECT_EQ(ev.track, 1u);
-    samples.push_back(ev.arg_value);
+    EXPECT_DOUBLE_EQ(line.number_or("track", -1), 1.0);
+    samples.push_back(static_cast<std::int64_t>(line.number_or("value", -1)));
   }
   ASSERT_EQ(samples.size(), 3u);
   EXPECT_EQ(samples[0], 1);
@@ -358,51 +284,57 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(error.empty());
 }
 
-// Collects an exporter's lines.
-class StringSink : public StreamSink {
- public:
-  explicit StringSink(std::string* out) : out_(out) {}
-  bool write(std::string_view lines) override {
-    out_->append(lines);
-    return true;
-  }
-
- private:
-  std::string* out_;
-};
-
-// One artifact of each kind spider-trace reads, as the emitters write them:
-// a run-report line, a stream "metrics" line and a small Chrome trace.
+// One artifact of each shape spider-trace reads or writes, as the emitters
+// write them: a stream "metrics" line, a run_end line with its snapshot, the
+// exporter's closing line, a span line, and the --chrome document the real
+// spider-trace makes of that stream.
 std::vector<std::string> real_artifacts() {
-  Registry registry;
-  registry.counter("driver.joins").inc(3);
-  registry.gauge("sim.queue_depth").set(17);
-  registry.histogram("dhcp.acquisition_delay_sec").add(0.25);
-  std::vector<std::string> out = {
-      run_report_line("fig6", 2, 42, 0xabcdef, 9001, registry.snapshot())};
-
   std::string stream;
   {
+    auto sink = std::make_shared<CaptureSink>();
     sim::Simulator sim;
+    sim.telemetry().metrics().counter("driver.joins").inc(3);
+    sim.telemetry().metrics().gauge("sim.queue_depth").set(17);
     sim.telemetry().metrics().histogram("app.latency_s").add(0.5);
+    TraceRecorder& trace = sim.telemetry().trace();
+    trace.set_enabled(true);
     StreamExporter exporter;
-    exporter.set_sink(std::make_shared<StringSink>(&stream));
-    StreamSession session(exporter, sim.telemetry(), /*run_tag=*/3,
-                          /*cadence_us=*/100);
-    session.begin(0, /*seed=*/42);
-    session.finish(100, sim.digest(), sim.events_executed());
+    exporter.set_sink(sink);
+    {
+      StreamSession session(exporter, sim.telemetry(), /*run_tag=*/3,
+                            /*cadence_us=*/100);
+      session.begin(0, /*seed=*/42);
+      trace.name_track(106, "ch6", 0);
+      trace.complete("dhcp", "join", 1000, 250, 1, "attempts", 2);
+      trace.instant("frame_evicted", "framelog", 1500, 0, "bytes", 62);
+      trace.counter("mac.ap.psm_buffered", "mac", 2000, 42, /*track=*/7);
+      session.finish(2000, sim.digest(), sim.events_executed());
+    }
+    EXPECT_TRUE(exporter.close());
+    stream = sink->text();
   }
-  const std::size_t metrics = stream.find("\"kind\":\"metrics\"");
-  const std::size_t begin = stream.rfind('\n', metrics) + 1;  // npos + 1 = 0
-  out.push_back(stream.substr(begin, stream.find('\n', metrics) - begin));
+  const auto line_of = [&stream](const char* kind) {
+    const std::size_t at =
+        stream.find(std::string("\"kind\":\"") + kind + "\"");
+    const std::size_t begin = stream.rfind('\n', at) + 1;  // npos + 1 = 0
+    return stream.substr(begin, stream.find('\n', at) - begin);
+  };
+  std::vector<std::string> out = {line_of("metrics"), line_of("run_end"),
+                                  line_of("close"), line_of("span")};
 
-  TraceRecorder rec;
-  rec.set_enabled(true);
-  rec.name_track(106, "ch6");
-  rec.complete("dhcp", "join", 1000, 250, 1, "attempts", 2);
-  rec.instant("frame_evicted", "framelog", 1500, 0, "bytes", 62);
-  rec.counter("sim.queue_depth", "sim", 2000, 42);
-  out.push_back(rec.to_json());
+  const std::string base = ::testing::TempDir() + "artifacts_" +
+                           std::to_string(static_cast<long>(::getpid()));
+  std::ofstream(base + ".jsonl", std::ios::binary) << stream;
+  std::string summary;
+  EXPECT_EQ(testutil::run_command(std::string(SPIDER_TRACE_BIN) +
+                                      " --chrome " + base + ".json " + base +
+                                      ".jsonl 2>&1",
+                                  &summary),
+            0)
+      << summary;
+  out.push_back(testutil::read_file(base + ".json"));
+  std::remove((base + ".jsonl").c_str());
+  std::remove((base + ".json").c_str());
   return out;
 }
 
@@ -462,7 +394,22 @@ TEST(Json, SeededMutationsOfRealArtifactsParseOrFailCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Run-report schema round-trip
+// The run's report: the stream's run_end and closing lines
+
+// The run_end line of a one-run stream whose registry holds `registry`.
+std::string run_end_line(const Registry& registry) {
+  StreamExporter exporter;
+  auto sink = std::make_shared<CaptureSink>();
+  exporter.set_sink(sink);
+  StreamPublisher publisher(exporter, /*run_tag=*/2);
+  publisher.begin_run(0, /*seed=*/42);
+  publisher.end_run(100, /*digest=*/0xabcdef, /*events_executed=*/9001,
+                    registry.snapshot());
+  const std::string text = sink->text();
+  const std::size_t at = text.find("\"kind\":\"run_end\"");
+  const std::size_t begin = text.rfind('\n', at) + 1;
+  return text.substr(begin, text.find('\n', at) - begin);
+}
 
 TEST(RunReport, LineRoundTripsThroughTheReader) {
   Registry registry;
@@ -470,88 +417,113 @@ TEST(RunReport, LineRoundTripsThroughTheReader) {
   registry.gauge("sim.queue_depth").set(17);
   registry.histogram("dhcp.acquisition_delay_sec").add(0.25);
 
-  const std::string line = run_report_line("fig6", 2, 42, 0xabcdef, 9001,
-                                           registry.snapshot());
+  const std::string line = run_end_line(registry);
   JsonValue doc;
   std::string error;
   ASSERT_TRUE(parse_json(line, doc, &error)) << error;
-  EXPECT_EQ(doc.string_or("schema", ""), kRunReportSchema);
-  EXPECT_EQ(doc.string_or("kind", ""), "run");
-  EXPECT_EQ(doc.string_or("label", ""), "fig6");
+  EXPECT_EQ(doc.string_or("schema", ""), kStreamSchema);
+  EXPECT_EQ(doc.string_or("kind", ""), "run_end");
   EXPECT_DOUBLE_EQ(doc.number_or("run", -1), 2.0);
-  EXPECT_DOUBLE_EQ(doc.number_or("seed", -1), 42.0);
+  EXPECT_DOUBLE_EQ(doc.number_or("seq", -1), 1.0);
+  EXPECT_DOUBLE_EQ(doc.number_or("ts_us", -1), 100.0);
   EXPECT_EQ(doc.string_or("digest", ""), "0x0000000000abcdef");
   EXPECT_DOUBLE_EQ(doc.number_or("events", -1), 9001.0);
-  const JsonValue* counters = doc.find("counters");
+  const JsonValue* snapshot = doc.find("snapshot");
+  ASSERT_NE(snapshot, nullptr);
+  const JsonValue* counters = snapshot->find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_DOUBLE_EQ(counters->number_or("driver.joins", 0), 3.0);
-  const JsonValue* gauges = doc.find("gauges");
+  const JsonValue* gauges = snapshot->find("gauges");
   ASSERT_NE(gauges, nullptr);
   ASSERT_NE(gauges->find("sim.queue_depth"), nullptr);
   EXPECT_DOUBLE_EQ(gauges->find("sim.queue_depth")->number_or("value", 0),
                    17.0);
-  const JsonValue* histograms = doc.find("histograms");
+  const JsonValue* histograms = snapshot->find("histograms");
   ASSERT_NE(histograms, nullptr);
   const JsonValue* h = histograms->find("dhcp.acquisition_delay_sec");
   ASSERT_NE(h, nullptr);
   EXPECT_DOUBLE_EQ(h->number_or("count", 0), 1.0);
+  EXPECT_DOUBLE_EQ(h->number_or("min", 0), 0.25);
+  EXPECT_DOUBLE_EQ(h->number_or("max", 0), 0.25);
+  // Sparse buckets: the one sample's bucket, so quantiles stay exact.
+  const JsonValue* buckets = h->find("buckets");
+  ASSERT_NE(buckets, nullptr);
+  ASSERT_EQ(buckets->array.size(), 1u);
+  EXPECT_DOUBLE_EQ(buckets->array[0].array[0].number,
+                   static_cast<double>(Histogram::bucket_index(0.25)));
+  EXPECT_DOUBLE_EQ(buckets->array[0].array[1].number, 1.0);
 }
 
-// Forward compatibility both ways across the run-report (-v1) and stream
-// (-stream-v1) schemas: every line carries "schema" so a reader can
-// dispatch or skip, and the reader tolerates unknown keys — a v1 consumer
-// pointed at a mixed file reads the lines it knows and identifies the
-// rest, instead of erroring (spider-trace does exactly this).
+// Forward compatibility: every line carries "schema" so a reader can
+// dispatch or skip, and the reader tolerates unknown keys — a reader
+// pointed at a line from a newer writer, or at a line of another schema,
+// reads the fields it knows and identifies the rest, instead of erroring
+// (spider-trace does exactly this).
 TEST(RunReport, ReadersTolerateUnknownKeysAndForeignSchemas) {
   Registry registry;
   registry.counter("driver.joins").inc(3);
-  std::string line = run_report_line("fig6", 2, 42, 0xabcdef, 9001,
-                                     registry.snapshot());
+  std::string line = run_end_line(registry);
   // A future writer appends fields this reader has never heard of.
   ASSERT_EQ(line.back(), '}');
   line.pop_back();
   line += ",\"future_key\":{\"nested\":[1,2,3]},\"another\":\"x\"}";
   JsonValue doc;
   ASSERT_TRUE(parse_json(line, doc, nullptr));
-  EXPECT_EQ(doc.string_or("schema", ""), kRunReportSchema);
-  EXPECT_DOUBLE_EQ(doc.find("counters")->number_or("driver.joins", 0), 3.0);
+  EXPECT_EQ(doc.string_or("schema", ""), kStreamSchema);
+  EXPECT_DOUBLE_EQ(
+      doc.find("snapshot")->find("counters")->number_or("driver.joins", 0),
+      3.0);
 
-  // A stream-v1 line parses with the same reader, announces its schema,
-  // and its known shapes (run/seq/counters) read exactly like -v1 shapes.
-  const std::string stream_line =
-      "{\"schema\":\"spider-telemetry-stream-v1\",\"kind\":\"metrics\","
-      "\"run\":3,\"seq\":7,\"ts_us\":1500,\"counters\":{\"driver.joins\":4},"
+  // A line of another schema parses with the same reader and announces
+  // its schema, so the reader can tell it apart and skip it.
+  const std::string foreign =
+      "{\"schema\":\"some-other-tool-v2\",\"kind\":\"metrics\","
+      "\"run\":3,\"seq\":7,\"ts_us\":1500,\"counters\":{\"x\":4},"
       "\"unknown_section\":{\"v\":true}}";
-  JsonValue stream_doc;
-  ASSERT_TRUE(parse_json(stream_line, stream_doc, nullptr));
-  EXPECT_EQ(stream_doc.string_or("schema", ""), kStreamSchema);
-  EXPECT_DOUBLE_EQ(stream_doc.number_or("run", -1), 3.0);
-  EXPECT_DOUBLE_EQ(stream_doc.number_or("seq", -1), 7.0);
-  EXPECT_DOUBLE_EQ(stream_doc.find("counters")->number_or("driver.joins", 0),
-                   4.0);
+  JsonValue foreign_doc;
+  ASSERT_TRUE(parse_json(foreign, foreign_doc, nullptr));
+  EXPECT_NE(foreign_doc.string_or("schema", ""), kStreamSchema);
+  EXPECT_DOUBLE_EQ(foreign_doc.number_or("seq", -1), 7.0);
 }
 
-TEST(RunReport, SweepLineCarriesMergedAndProcessSections) {
-  Registry registry;
-  registry.counter("x").inc(1);
-  const std::string line =
-      sweep_report_line("lab", 4, 0x1234, registry.snapshot());
-  JsonValue doc;
-  ASSERT_TRUE(parse_json(line, doc, nullptr));
-  EXPECT_EQ(doc.string_or("kind", ""), "sweep");
-  EXPECT_DOUBLE_EQ(doc.number_or("runs", 0), 4.0);
-  EXPECT_EQ(doc.string_or("combined_digest", ""), "0x0000000000001234");
-  ASSERT_NE(doc.find("merged"), nullptr);
-  EXPECT_DOUBLE_EQ(doc.find("merged")->find("counters")->number_or("x", 0),
-                   1.0);
-  EXPECT_NE(doc.find("process"), nullptr);
+TEST(RunReport, ClosingLineCarriesTheProcessRegistry) {
+  check::ScopedPolicy scoped(check::Policy::kLogAndCount);
+  check::reset_counters();
+  SPIDER_CHECK(1 == 2) << "intentional failure for the closing-line test";
+  StreamExporter exporter;
+  auto sink = std::make_shared<CaptureSink>();
+  exporter.set_sink(sink);
+  exporter.write("{\"schema\":\"spider-telemetry-stream-v1\"}\n");
+  EXPECT_TRUE(exporter.close());
+  check::reset_counters();
+
+  const auto lines = parse_lines(sink->text(), "");
+  ASSERT_EQ(lines.size(), 2u);
+  const JsonValue& close = lines.back();
+  EXPECT_EQ(close.string_or("schema", ""), kStreamSchema);
+  EXPECT_EQ(close.string_or("kind", ""), "close");
+  const JsonValue* process = close.find("process");
+  ASSERT_NE(process, nullptr);
+  ASSERT_NE(process->find("counters"), nullptr);
+  EXPECT_DOUBLE_EQ(
+      process->find("counters")->number_or("check.failures.check", 0), 1.0);
+  EXPECT_NE(process->find("gauges"), nullptr);
+  EXPECT_NE(process->find("histograms"), nullptr);
+
+  // Closed means closed: later writes are discarded, a second close only
+  // repeats the verdict.
+  exporter.write("{}\n");
+  EXPECT_TRUE(exporter.close());
+  EXPECT_EQ(parse_lines(sink->text(), "").size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
 // FrameLog eviction streaming
 
 TEST(FrameLog, EvictionsStreamIntoTheTraceRecorder) {
+  TraceCapture capture;
   TraceRecorder rec;
+  capture.attach(rec);
   rec.set_enabled(true);
   trace::FrameLog log(/*capacity=*/2);
   log.stream_evictions_to(rec);
@@ -564,13 +536,17 @@ TEST(FrameLog, EvictionsStreamIntoTheTraceRecorder) {
   }
   EXPECT_EQ(log.entries().size(), 2u);
   EXPECT_EQ(log.dropped(), 3u);
-  ASSERT_EQ(rec.size(), 3u);
-  const auto events = rec.events_in_order();
+  EXPECT_EQ(rec.recorded(), 3u);
+  const auto events = capture.lines();
+  ASSERT_EQ(events.size(), 3u);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_STREQ(events[i].name, "frame_evicted");
-    EXPECT_EQ(events[i].phase, 'i');
-    EXPECT_EQ(events[i].ts_us, sim::Time::millis(i).us());
-    EXPECT_EQ(events[i].arg_value, 100 + static_cast<int>(i));
+    EXPECT_EQ(events[i].string_or("kind", ""), "instant");
+    EXPECT_EQ(events[i].string_or("name", ""), "frame_evicted");
+    EXPECT_DOUBLE_EQ(events[i].number_or("ts_us", -1),
+                     static_cast<double>(sim::Time::millis(i).us()));
+    ASSERT_NE(events[i].find("args"), nullptr);
+    EXPECT_DOUBLE_EQ(events[i].find("args")->number_or("bytes", 0),
+                     100.0 + static_cast<double>(i));
   }
 }
 

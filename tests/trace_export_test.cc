@@ -9,9 +9,10 @@
 #include <string>
 #include <string_view>
 
+#include "stream_capture.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
-#include "telemetry/run_report.h"
+#include "telemetry/stream_exporter.h"
 
 namespace spider::trace {
 namespace {
@@ -41,8 +42,8 @@ TEST(ExportCsv, EmptySeriesRendersZeros) {
   EXPECT_EQ(out.str(), "x,none\n0,0\n1,0\n");
 }
 
-// JSON output goes through the telemetry appenders (telemetry/run_report.h),
-// the one encoder shared by run reports, stream lines, trace files and tools.
+// JSON output goes through the telemetry appenders (telemetry/json.h), the
+// one encoder shared by stream lines, spider-trace's Chrome export and tools.
 TEST(Json, FlatObjectInInsertionOrder) {
   std::string out = "{\"throughput_kbps\":";
   telemetry::append_json_double(out, 123.5);
@@ -86,15 +87,24 @@ TEST(Json, RunReportLineStaysValidForNanSamplesAndControlCharacters) {
   registry.histogram("lat\rency").add(std::nan(""));
   registry.histogram("huge").add(1e308);
   registry.histogram("huge").add(1e308);  // the sum overflows to inf
-  const std::string line = telemetry::run_report_line(
-      "nan", 0, 1, 0x1, 10, registry.snapshot());
+  // The run's report is its stream's run_end line.
+  telemetry::StreamExporter exporter;
+  auto sink = std::make_shared<testutil::CaptureSink>();
+  exporter.set_sink(sink);
+  telemetry::StreamPublisher publisher(exporter, /*run_tag=*/0);
+  publisher.end_run(10, 0x1, 10, registry.snapshot());
+  std::string line = sink->text();
+  ASSERT_EQ(line.back(), '\n');
+  line.pop_back();
   std::string error;
   telemetry::JsonValue doc;
   EXPECT_TRUE(telemetry::parse_json(line, doc, &error)) << error << "\n"
                                                         << line;
   EXPECT_NE(line.find("null"), std::string::npos) << line;
   EXPECT_NE(line.find("\\u000d"), std::string::npos) << line;
-  const telemetry::JsonValue* histograms = doc.find("histograms");
+  ASSERT_NE(doc.find("snapshot"), nullptr) << line;
+  const telemetry::JsonValue* histograms =
+      doc.find("snapshot")->find("histograms");
   ASSERT_NE(histograms, nullptr);
   EXPECT_NE(histograms->find("lat\rency"), nullptr);
 }

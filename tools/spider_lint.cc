@@ -62,7 +62,7 @@
 #include <string_view>
 #include <vector>
 
-#include "telemetry/run_report.h"
+#include "telemetry/json.h"
 
 namespace {
 

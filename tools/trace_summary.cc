@@ -1,32 +1,36 @@
-// spider-trace — terminal summaries of the repo's telemetry artifacts.
+// spider-trace — terminal summary of a telemetry stream, and its Chrome
+// trace export.
 //
-// Accepts any artifact the benches emit:
-//   * a spider-telemetry-v1 JSONL file (from --telemetry): prints each
-//     sweep's top counters, gauge levels/peaks, histogram summaries with
-//     log-bucket quantiles, and a per-channel dwell/traffic table;
-//   * a spider-telemetry-stream-v1 JSONL file (from --stream): prints
-//     per-run stream statistics and the final streamed metric values;
-//     mixed files work — lines with an unknown schema or kind are skipped
-//     with a warning, so v1 consumers can skim stream files and vice versa;
-//   * a Chrome trace JSON file (from --trace, one document on one line):
-//     prints per-(category, name) span statistics, instant-event counts,
-//     counter-track statistics (samples / value range / final value, per
-//     series id), the named tracks, and the ring's dropped-event count.
+// Reads the spider-telemetry-stream-v1 JSONL a run writes with --stream
+// (DESIGN.md "Live telemetry plane") and prints
+//   * per run: its state, simulated-time window, line counts and the final
+//     streamed counters, gauges and histograms;
+//   * one merged summary over the file's finished runs: their run_end
+//     snapshots merged in run-tag order by MetricsSnapshot::merge_from (the
+//     rules of core::SweepReport::merged_telemetry), printed as the top
+//     counters, a per-channel dwell/traffic table, gauge levels/peaks,
+//     histogram quantiles from the log buckets, and the nonzero process
+//     counters (SPIDER_CHECK failures) of the exporter's closing line.
+// With --chrome OUT it also writes the span, instant and counter_sample
+// lines to OUT as one {"traceEvents":[…]} document that chrome://tracing and
+// Perfetto load: one process per run tag, one thread per track, and a
+// thread_name record for every track the run named.
 //
-// Usage: spider-trace <file> [--top N] [--strict]
+// Usage: spider-trace [--top N] [--chrome OUT] <stream.jsonl>
+//   --top N       rows in the counter tables, 1..1000 (default 12)
+//   --chrome OUT  also write the Chrome trace-event document to OUT
+// Both also accept --flag=value. A bad flag or value exits 2.
 //
-// JSONL files are read one line at a time, so memory is bounded by the
-// longest line, not the file. To watch a run live, stream it to a file
-// (--stream PATH) and read that file while the run writes it: a last line
-// without its newline that does not parse yet is skipped with a note. The
-// file may come from anywhere, so every number that becomes an integer is
-// range-checked first (Checked below): a line or trace event carrying a
+// The file is read one line at a time, so memory is bounded by the longest
+// line plus one snapshot per run. To watch a run live, read the file while
+// the run writes it: a last line without its newline that does not parse
+// yet is skipped with a note. Lines of another schema are skipped with a
+// warning. The file may come from anywhere, so every number that becomes an
+// integer is range-checked first (Checked below): a line carrying a
 // non-finite, negative-where-unsigned or out-of-range value is skipped with
-// a warning, like a line of unknown schema. --strict exits nonzero when the
-// trace recorder's ring overwrote events (a run_end's "trace_dropped" or a
-// Chrome trace's "droppedEvents") — the CI guard that trace windows were
-// big enough.
+// a warning, and the Chrome document stays valid JSON.
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -35,41 +39,37 @@
 #include <istream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
-#include "telemetry/run_report.h"
-#include "telemetry/trace_recorder.h"
+#include "telemetry/stream_exporter.h"
 
 namespace {
 
+using spider::telemetry::append_json_double;
+using spider::telemetry::append_json_i64;
+using spider::telemetry::append_json_quoted;
+using spider::telemetry::append_json_u64;
 using spider::telemetry::Histogram;
 using spider::telemetry::JsonValue;
-
-// ---------------------------------------------------------------------------
-// Shared helpers
+using spider::telemetry::MetricsSnapshot;
 
 // A file read one line at a time; memory is bounded by the longest line.
 class Lines {
  public:
   explicit Lines(std::istream& in) : in_(in) {}
 
-  // Moves to the next line (or, after hold(), stays on the current one).
   bool next() {
-    if (held_) {
-      held_ = false;
-      return true;
-    }
     if (!std::getline(in_, text_)) return false;
     ++number_;
     terminated_ = !in_.eof();
     return true;
   }
-  // Makes the next call to next() return the current line again.
-  void hold() { held_ = true; }
 
   const std::string& text() const { return text_; }
   std::size_t number() const { return number_; }
@@ -81,24 +81,29 @@ class Lines {
   std::string text_;
   std::size_t number_ = 0;
   bool terminated_ = false;
-  bool held_ = false;
 };
 
 // The one way a JSON number becomes an integer here. Casting NaN, an
 // infinity, a negative value to an unsigned type, or anything past the
 // type's range is undefined behaviour, so integer() refuses those, returns
 // 0, and remembers the first field that failed; the caller then skips the
-// whole line (or trace event) with warn().
+// whole line with warn().
 class Checked {
  public:
   template <typename T>
   T integer(double v, std::string_view field) {
-    constexpr double kLo = static_cast<double>(std::numeric_limits<T>::min());
     // 2^bits (2^(bits-1) if signed), built from a power of two so it is
     // exact in a double; every double below it truncates into range.
     constexpr double kEnd =
         2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
-    if (v >= kLo && v < kEnd) return static_cast<T>(v);  // NaN fails both
+    return below<T>(v, kEnd, field);
+  }
+
+  // An integer of T in [min(T), end).
+  template <typename T>
+  T below(double v, double end, std::string_view field) {
+    constexpr double kLo = static_cast<double>(std::numeric_limits<T>::min());
+    if (v >= kLo && v < end) return static_cast<T>(v);  // NaN fails both
     if (ok_) {
       ok_ = false;
       field_ = field;
@@ -109,9 +114,9 @@ class Checked {
 
   bool ok() const { return ok_; }
 
-  void warn(const char* where, std::size_t index) const {
-    std::fprintf(stderr, "%s %zu: skipping: \"%s\" = %g is out of range\n",
-                 where, index, field_.c_str(), value_);
+  void warn(std::size_t line_no) const {
+    std::fprintf(stderr, "line %zu: skipping: \"%s\" = %g is out of range\n",
+                 line_no, field_.c_str(), value_);
   }
 
  private:
@@ -120,63 +125,87 @@ class Checked {
   double value_ = 0.0;
 };
 
-// The sparse (bucket index, count) pairs a JSONL histogram carries.
-using Buckets = std::vector<std::pair<std::size_t, std::uint64_t>>;
+// ---------------------------------------------------------------------------
+// Snapshots: the run_end "snapshot" and the closing line's "process" object,
+// read back into the MetricsSnapshot that append_snapshot_json rendered.
 
-Buckets read_buckets(const JsonValue& buckets, Checked& in) {
-  Buckets out;
-  for (const JsonValue& pair : buckets.array) {
-    if (pair.array.size() != 2) continue;
-    const auto index =
-        in.integer<std::size_t>(pair.array[0].number, "bucket index");
-    const auto count =
-        in.integer<std::uint64_t>(pair.array[1].number, "bucket count");
-    out.emplace_back(index, count);
+MetricsSnapshot read_snapshot(const JsonValue& doc, Checked& in) {
+  MetricsSnapshot snap;
+  if (const JsonValue* counters = doc.find("counters")) {
+    for (const auto& [name, value] : counters->object) {
+      snap.counters.push_back(
+          {name, in.integer<std::uint64_t>(value.number, name)});
+    }
   }
-  return out;
+  if (const JsonValue* gauges = doc.find("gauges")) {
+    for (const auto& [name, g] : gauges->object) {
+      snap.gauges.push_back(
+          {name, in.integer<std::int64_t>(g.number_or("value", 0.0), name),
+           in.integer<std::int64_t>(g.number_or("high_water", 0.0), name)});
+    }
+  }
+  if (const JsonValue* histograms = doc.find("histograms")) {
+    for (const auto& [name, h] : histograms->object) {
+      spider::telemetry::HistogramSample sample;
+      sample.name = name;
+      sample.count = in.integer<std::uint64_t>(h.number_or("count", 0.0),
+                                               "histogram count");
+      sample.sum = h.number_or("sum", 0.0);
+      sample.min = h.number_or("min", 0.0);
+      sample.max = h.number_or("max", 0.0);
+      if (const JsonValue* buckets = h.find("buckets")) {
+        for (const JsonValue& pair : buckets->array) {
+          if (pair.array.size() != 2) continue;
+          sample.buckets.emplace_back(
+              in.below<std::uint32_t>(pair.array[0].number,
+                                      static_cast<double>(Histogram::kBuckets),
+                                      "bucket index"),
+              in.integer<std::uint64_t>(pair.array[1].number,
+                                        "bucket count"));
+        }
+        std::sort(sample.buckets.begin(), sample.buckets.end());
+      }
+      snap.histograms.push_back(std::move(sample));
+    }
+  }
+  // merge_from takes name-sorted vectors; the writer emits them so, a
+  // hand-edited file need not.
+  const auto by_name = [](const auto& a, const auto& b) {
+    return a.name < b.name;
+  };
+  std::stable_sort(snap.counters.begin(), snap.counters.end(), by_name);
+  std::stable_sort(snap.gauges.begin(), snap.gauges.end(), by_name);
+  std::stable_sort(snap.histograms.begin(), snap.histograms.end(), by_name);
+  return snap;
 }
 
-// Nearest-bucket quantile over an exported histogram; mirrors
-// Histogram::quantile but works on the export.
-double bucket_quantile(const Buckets& buckets, double q, double min_v,
-                       double max_v) {
+// Nearest-bucket quantile over an exported histogram: the bucket where the
+// cumulative count first passes q of the total.
+double bucket_quantile(const spider::telemetry::HistogramSample& h,
+                       double q) {
   std::uint64_t total = 0;
-  for (const auto& [index, count] : buckets) total += count;
+  for (const auto& [index, count] : h.buckets) total += count;
   if (total == 0) return 0.0;
   const auto target =
       static_cast<std::uint64_t>(q * static_cast<double>(total));
   std::uint64_t cum = 0;
-  for (const auto& [index, count] : buckets) {
+  for (const auto& [index, count] : h.buckets) {
     cum += count;
     if (cum > target) {
-      if (index == 0) return min_v;
-      if (index >= Histogram::kBuckets - 1) return max_v;
+      if (index == 0) return h.min;
+      if (index >= Histogram::kBuckets - 1) return h.max;
       return Histogram::bucket_upper_bound(index);
     }
   }
-  return max_v;
+  return h.max;
 }
 
-// ---------------------------------------------------------------------------
-// spider-telemetry-v1 JSONL mode
-//
-// A sweep line's numbers are read into rows before anything is printed, so
-// a line with a bad number prints nothing but its warning.
-
-using CounterRows = std::vector<std::pair<std::string, std::uint64_t>>;
-
-CounterRows counter_rows(const JsonValue& counters, Checked& in) {
-  CounterRows rows;
-  for (const auto& [name, value] : counters.object) {
-    rows.emplace_back(name, in.integer<std::uint64_t>(value.number, name));
-  }
+void print_counters(const MetricsSnapshot& snap, int top) {
+  std::vector<std::pair<std::string, std::uint64_t>> rows;
+  for (const auto& c : snap.counters) rows.emplace_back(c.name, c.value);
   std::stable_sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
     return a.second > b.second;
   });
-  return rows;
-}
-
-void print_counters(const CounterRows& rows, int top) {
   const std::size_t shown =
       std::min<std::size_t>(rows.size(), static_cast<std::size_t>(top));
   std::printf("  counters (top %zu of %zu):\n", shown, rows.size());
@@ -186,63 +215,13 @@ void print_counters(const CounterRows& rows, int top) {
   }
 }
 
-void print_gauges(const JsonValue& gauges) {
-  if (gauges.object.empty()) return;
-  std::printf("  gauges (level / high-water):\n");
-  for (const auto& [name, g] : gauges.object) {
-    std::printf("    %-40s %10.0f / %.0f\n", name.c_str(),
-                g.number_or("value", 0.0), g.number_or("high_water", 0.0));
-  }
-}
-
-struct HistogramRow {
-  std::string name;
-  double count = 0.0;
-  double sum = 0.0;
-  double max_v = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-};
-
-std::vector<HistogramRow> histogram_rows(const JsonValue& histograms,
-                                         Checked& in) {
-  std::vector<HistogramRow> rows;
-  for (const auto& [name, h] : histograms.object) {
-    HistogramRow row;
-    row.name = name;
-    row.count = h.number_or("count", 0.0);
-    row.sum = h.number_or("sum", 0.0);
-    row.max_v = h.number_or("max", 0.0);
-    if (const JsonValue* buckets = h.find("buckets")) {
-      const Buckets pairs = read_buckets(*buckets, in);
-      const double min_v = h.number_or("min", 0.0);
-      row.p50 = bucket_quantile(pairs, 0.5, min_v, row.max_v);
-      row.p90 = bucket_quantile(pairs, 0.9, min_v, row.max_v);
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-void print_histograms(const std::vector<HistogramRow>& rows) {
-  if (rows.empty()) return;
-  std::printf("  histograms:\n");
-  for (const HistogramRow& h : rows) {
-    std::printf(
-        "    %-32s n=%-7.0f mean=%-9.4g p50~%-9.4g p90~%-9.4g max=%.4g\n",
-        h.name.c_str(), h.count, h.count > 0 ? h.sum / h.count : 0.0, h.p50,
-        h.p90, h.max_v);
-  }
-}
-
 // The per-channel table: dwell time (driver.dwell_us.chN) against the frames
 // the medium carried there — the figure-level "where did airtime go" view.
-void print_channel_table(const JsonValue& counters) {
+void print_channel_table(const MetricsSnapshot& snap) {
   struct Row {
-    double dwell_us = 0.0;
-    double sent = 0.0;
-    double delivered = 0.0;
-    bool any = false;
+    std::uint64_t dwell_us = 0;
+    std::uint64_t sent = 0;
+    std::uint64_t delivered = 0;
   };
   std::map<int, Row> rows;
   // -1 unless `name` is `prefix` followed by a channel number that fits.
@@ -254,40 +233,170 @@ void print_channel_table(const JsonValue& counters) {
                     ch);
     return ch;
   };
-  for (const auto& [name, value] : counters.object) {
-    if (int ch = channel_of(name, "driver.dwell_us.ch"); ch >= 0) {
-      rows[ch].dwell_us = value.number;
-      rows[ch].any = true;
-    } else if (ch = channel_of(name, "phy.frames_sent.ch"); ch >= 0) {
-      rows[ch].sent = value.number;
-      rows[ch].any = true;
-    } else if (ch = channel_of(name, "phy.frames_delivered.ch"); ch >= 0) {
-      rows[ch].delivered = value.number;
-      rows[ch].any = true;
+  for (const auto& c : snap.counters) {
+    if (int ch = channel_of(c.name, "driver.dwell_us.ch"); ch >= 0) {
+      rows[ch].dwell_us = c.value;
+    } else if (ch = channel_of(c.name, "phy.frames_sent.ch"); ch >= 0) {
+      rows[ch].sent = c.value;
+    } else if (ch = channel_of(c.name, "phy.frames_delivered.ch"); ch >= 0) {
+      rows[ch].delivered = c.value;
     }
   }
   if (rows.empty()) return;
   double total_dwell = 0.0;
-  for (const auto& [ch, row] : rows) total_dwell += row.dwell_us;
+  for (const auto& [ch, row] : rows) {
+    total_dwell += static_cast<double>(row.dwell_us);
+  }
   std::printf("  per-channel (dwell from driver, frames from medium):\n");
   std::printf("    %3s %12s %7s %12s %12s\n", "ch", "dwell_s", "share",
               "sent", "delivered");
   for (const auto& [ch, row] : rows) {
-    if (!row.any) continue;
-    std::printf("    %3d %12.3f %6.1f%% %12.0f %12.0f\n", ch,
-                row.dwell_us / 1e6,
-                total_dwell > 0.0 ? 100.0 * row.dwell_us / total_dwell : 0.0,
-                row.sent, row.delivered);
+    const auto dwell = static_cast<double>(row.dwell_us);
+    std::printf("    %3d %12.3f %6.1f%% %12llu %12llu\n", ch, dwell / 1e6,
+                total_dwell > 0.0 ? 100.0 * dwell / total_dwell : 0.0,
+                static_cast<unsigned long long>(row.sent),
+                static_cast<unsigned long long>(row.delivered));
+  }
+}
+
+void print_snapshot(const MetricsSnapshot& snap, int top) {
+  print_counters(snap, top);
+  print_channel_table(snap);
+  if (!snap.gauges.empty()) {
+    std::printf("  gauges (level / high-water):\n");
+    for (const auto& g : snap.gauges) {
+      std::printf("    %-40s %10lld / %lld\n", g.name.c_str(),
+                  static_cast<long long>(g.value),
+                  static_cast<long long>(g.high_water));
+    }
+  }
+  if (!snap.histograms.empty()) {
+    std::printf("  histograms:\n");
+    for (const auto& h : snap.histograms) {
+      const auto n = static_cast<double>(h.count);
+      std::printf(
+          "    %-32s n=%-7llu mean=%-9.4g p50~%-9.4g p90~%-9.4g max=%.4g\n",
+          h.name.c_str(), static_cast<unsigned long long>(h.count),
+          h.count > 0 ? h.sum / n : 0.0, bucket_quantile(h, 0.5),
+          bucket_quantile(h, 0.9), h.max);
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
-// spider-telemetry-stream-v1 mode
+// --chrome: the trace lines as one Chrome trace-event document, written as
+// they are read.
 
-// Accumulates one run's stream. Metric values are cumulative on the wire, so
-// "latest value seen" IS the final total — which is what reconciles against
-// the end-of-run MetricsSnapshot.
-struct RunStreamState {
+class ChromeWriter {
+ public:
+  explicit ChromeWriter(const char* path)
+      : path_(path), file_(std::fopen(path, "w")) {
+    put("{\"traceEvents\":[");
+  }
+  ~ChromeWriter() {
+    if (file_ != nullptr) std::fclose(file_);
+  }
+
+  bool ok() const { return file_ != nullptr && !failed_; }
+  const char* path() const { return path_; }
+  std::size_t events() const { return events_; }
+
+  // One span, instant or counter_sample line, its integers already checked.
+  void event(const JsonValue& doc, const std::string& kind, std::uint32_t run,
+             std::int64_t ts, std::int64_t dur, std::uint32_t track) {
+    const char phase = kind == "span" ? 'X' : kind == "instant" ? 'i' : 'C';
+    std::string out = "{\"name\":";
+    append_json_quoted(out, doc.string_or("name", ""));
+    out += ",\"cat\":";
+    append_json_quoted(out, doc.string_or("cat", ""));
+    out += ",\"ph\":\"";
+    out += phase;
+    out += "\",\"ts\":";
+    append_json_i64(out, ts);
+    if (phase == 'X') {
+      out += ",\"dur\":";
+      append_json_i64(out, dur);
+    }
+    out += ",\"pid\":";
+    append_json_u64(out, run);
+    out += ",\"tid\":";
+    append_json_u64(out, track);
+    if (phase == 'C') {
+      // Counter series are keyed by (pid, name, id), not tid; a nonzero
+      // track becomes the "id" so several same-named series (one per AP,
+      // say) render as separate graphs.
+      if (track != 0) {
+        out += ",\"id\":\"";
+        append_json_u64(out, track);
+        out += '"';
+      }
+      out += ",\"args\":{\"value\":";
+      append_json_double(out, doc.number_or("value", 0.0));
+      out += '}';
+    } else if (const JsonValue* args = doc.find("args")) {
+      out += ",\"args\":{";
+      bool first = true;
+      for (const auto& [name, value] : args->object) {
+        if (!first) out += ',';
+        first = false;
+        append_json_quoted(out, name);
+        out += ':';
+        append_json_double(out, value.number);
+      }
+      out += '}';
+    }
+    out += '}';
+    record(out);
+    ++events_;
+  }
+
+  void track_name(std::uint32_t run, std::uint32_t track,
+                  const std::string& name) {
+    std::string out = "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
+    append_json_u64(out, run);
+    out += ",\"tid\":";
+    append_json_u64(out, track);
+    out += ",\"args\":{\"name\":";
+    append_json_quoted(out, name);
+    out += "}}";
+    record(out);
+  }
+
+  // Ends the document and closes the file; false if any write failed.
+  bool close() {
+    put("],\"displayTimeUnit\":\"ms\"}\n");
+    if (file_ != nullptr && std::fclose(file_) != 0) failed_ = true;
+    file_ = nullptr;
+    return !failed_;
+  }
+
+ private:
+  void record(const std::string& text) {
+    if (!first_) put(",");
+    first_ = false;
+    put(text);
+  }
+  void put(std::string_view text) {
+    if (file_ == nullptr ||
+        std::fwrite(text.data(), 1, text.size(), file_) != text.size()) {
+      failed_ = true;
+    }
+  }
+
+  const char* path_;
+  std::FILE* file_;
+  bool failed_ = false;
+  bool first_ = true;
+  std::size_t events_ = 0;
+};
+
+// ---------------------------------------------------------------------------
+// The stream reader.
+
+// One run's stream. Metric values are cumulative on the wire, so "latest
+// value seen" IS the final total — which is what reconciles against the
+// end-of-run MetricsSnapshot that run_end carries.
+struct RunState {
   double seed = 0.0;
   bool begun = false;
   bool ended = false;
@@ -298,30 +407,61 @@ struct RunStreamState {
   std::uint64_t instants = 0;
   std::uint64_t counter_samples = 0;
   double events = 0.0;
-  double trace_dropped = 0.0;
   std::string digest;
   std::map<std::string, double> counters;                      // latest
   std::map<std::string, std::pair<double, double>> gauges;     // value, hw
   std::map<std::string, std::pair<double, double>> histograms; // count, sum
+  MetricsSnapshot snapshot;  // run_end's
 };
 
 class StreamSummary {
  public:
-  // Folds one stream line in. Returns false, after a warning, when the
-  // line's run tag or timestamp is not a valid integer.
+  explicit StreamSummary(ChromeWriter* chrome) : chrome_(chrome) {}
+
+  // Folds one stream line in. Returns false, after a warning, when one of
+  // the line's integers is out of range.
   bool consume(const JsonValue& doc, std::size_t line_no) {
+    const std::string kind = doc.string_or("kind", "");
     Checked in;
+    if (kind == "close") {
+      MetricsSnapshot process;
+      if (const JsonValue* p = doc.find("process")) {
+        process = read_snapshot(*p, in);
+      }
+      if (!in.ok()) {
+        in.warn(line_no);
+        return false;
+      }
+      ++lines_;
+      process_ = std::move(process);
+      return true;
+    }
     const auto tag =
         in.integer<std::uint32_t>(doc.number_or("run", 0.0), "run");
     const auto ts =
         in.integer<std::int64_t>(doc.number_or("ts_us", 0.0), "ts_us");
+    const bool trace_line =
+        kind == "span" || kind == "instant" || kind == "counter_sample";
+    std::int64_t dur = 0;
+    std::uint32_t track = 0;
+    if (trace_line || kind == "track") {
+      track = in.integer<std::uint32_t>(doc.number_or("track", 0.0), "track");
+    }
+    if (kind == "span") {
+      dur = in.integer<std::int64_t>(doc.number_or("dur_us", 0.0), "dur_us");
+    }
+    MetricsSnapshot snapshot;
+    if (kind == "run_end") {
+      if (const JsonValue* s = doc.find("snapshot")) {
+        snapshot = read_snapshot(*s, in);
+      }
+    }
     if (!in.ok()) {
-      in.warn("line", line_no);
+      in.warn(line_no);
       return false;
     }
     ++lines_;
-    const std::string kind = doc.string_or("kind", "");
-    RunStreamState& run = runs_[tag];
+    RunState& run = runs_[tag];
     if (!run.begun || ts < run.first_ts_us) run.first_ts_us = ts;
     if (ts > run.last_ts_us) run.last_ts_us = ts;
     if (kind == "run_begin") {
@@ -330,79 +470,93 @@ class StreamSummary {
     } else if (kind == "metrics") {
       ++run.metrics_lines;
       merge_metrics(run, doc);
-    } else if (kind == "span") {
-      ++run.spans;
-    } else if (kind == "instant") {
-      ++run.instants;
-    } else if (kind == "counter_sample") {
-      ++run.counter_samples;
+    } else if (trace_line) {
+      ++(kind == "span"      ? run.spans
+         : kind == "instant" ? run.instants
+                             : run.counter_samples);
+      if (chrome_ != nullptr) chrome_->event(doc, kind, tag, ts, dur, track);
+    } else if (kind == "track") {
+      if (chrome_ != nullptr) {
+        chrome_->track_name(tag, track, doc.string_or("name", ""));
+      }
     } else if (kind == "run_end") {
       run.ended = true;
       run.events = doc.number_or("events", 0.0);
-      run.trace_dropped = doc.number_or("trace_dropped", 0.0);
       run.digest = doc.string_or("digest", "?");
+      run.snapshot = std::move(snapshot);
     }
-    // Unknown kinds within the stream schema are forward-compatible: the
-    // timestamps above were already folded in, nothing else to do.
+    // Unknown kinds are forward-compatible: the timestamps above were
+    // already folded in, nothing else to do.
     return true;
   }
 
   std::size_t lines_consumed() const { return lines_; }
 
-  double trace_dropped() const {
-    double total = 0.0;
-    for (const auto& [tag, run] : runs_) total += run.trace_dropped;
-    return total;
-  }
-
   void print(int top) const {
+    for (const auto& [tag, run] : runs_) print_run(tag, run, top);
+    // The merged summary: finished runs' snapshots in run-tag order.
+    MetricsSnapshot merged;
+    std::size_t finished = 0;
     for (const auto& [tag, run] : runs_) {
-      std::printf("stream run %-3u seed=%-6.0f %s window=%.3fs..%.3fs",
-                  static_cast<unsigned>(tag), run.seed,
-                  run.ended ? "finished" : (run.begun ? "running" : "partial"),
-                  static_cast<double>(run.first_ts_us) / 1e6,
-                  static_cast<double>(run.last_ts_us) / 1e6);
-      if (run.ended) {
-        std::printf(" events=%.0f digest=%s", run.events, run.digest.c_str());
-      }
-      std::printf("\n");
-      std::printf(
-          "  lines: %llu metrics, %llu spans, %llu instants, %llu samples; "
-          "trace events overwritten: %.0f\n",
-          static_cast<unsigned long long>(run.metrics_lines),
-          static_cast<unsigned long long>(run.spans),
-          static_cast<unsigned long long>(run.instants),
-          static_cast<unsigned long long>(run.counter_samples),
-          run.trace_dropped);
-      std::vector<std::pair<std::string, double>> rows(run.counters.begin(),
-                                                       run.counters.end());
-      std::stable_sort(rows.begin(), rows.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.second > b.second;
-                       });
-      const std::size_t shown =
-          std::min<std::size_t>(rows.size(), static_cast<std::size_t>(top));
-      if (shown > 0) {
-        std::printf("  final counters (top %zu of %zu):\n", shown,
-                    rows.size());
-        for (std::size_t i = 0; i < shown; ++i) {
-          std::printf("    %-40s %12.0f\n", rows[i].first.c_str(),
-                      rows[i].second);
-        }
-      }
-      for (const auto& [name, g] : run.gauges) {
-        std::printf("  gauge %-36s %10.0f / %.0f\n", name.c_str(), g.first,
-                    g.second);
-      }
-      for (const auto& [name, h] : run.histograms) {
-        std::printf("  histogram %-32s n=%-8.0f mean=%.4g\n", name.c_str(),
-                    h.first, h.first > 0 ? h.second / h.first : 0.0);
+      if (!run.ended) continue;
+      merged.merge_from(run.snapshot);
+      ++finished;
+    }
+    if (finished > 0) {
+      std::printf("merged over %zu finished run(s)\n", finished);
+      print_snapshot(merged, top);
+    }
+    for (const auto& c : process_.counters) {
+      if (c.value != 0) {
+        std::printf("  process %-30s %12llu\n", c.name.c_str(),
+                    static_cast<unsigned long long>(c.value));
       }
     }
   }
 
  private:
-  void merge_metrics(RunStreamState& run, const JsonValue& doc) {
+  static void print_run(std::uint32_t tag, const RunState& run, int top) {
+    std::printf("stream run %-3u seed=%-6.0f %s window=%.3fs..%.3fs",
+                static_cast<unsigned>(tag), run.seed,
+                run.ended ? "finished" : (run.begun ? "running" : "partial"),
+                static_cast<double>(run.first_ts_us) / 1e6,
+                static_cast<double>(run.last_ts_us) / 1e6);
+    if (run.ended) {
+      std::printf(" events=%.0f digest=%s", run.events, run.digest.c_str());
+    }
+    std::printf("\n");
+    std::printf("  lines: %llu metrics, %llu spans, %llu instants, "
+                "%llu samples\n",
+                static_cast<unsigned long long>(run.metrics_lines),
+                static_cast<unsigned long long>(run.spans),
+                static_cast<unsigned long long>(run.instants),
+                static_cast<unsigned long long>(run.counter_samples));
+    std::vector<std::pair<std::string, double>> rows(run.counters.begin(),
+                                                     run.counters.end());
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.second > b.second;
+                     });
+    const std::size_t shown =
+        std::min<std::size_t>(rows.size(), static_cast<std::size_t>(top));
+    if (shown > 0) {
+      std::printf("  final counters (top %zu of %zu):\n", shown, rows.size());
+      for (std::size_t i = 0; i < shown; ++i) {
+        std::printf("    %-40s %12.0f\n", rows[i].first.c_str(),
+                    rows[i].second);
+      }
+    }
+    for (const auto& [name, g] : run.gauges) {
+      std::printf("  gauge %-36s %10.0f / %.0f\n", name.c_str(), g.first,
+                  g.second);
+    }
+    for (const auto& [name, h] : run.histograms) {
+      std::printf("  histogram %-32s n=%-8.0f mean=%.4g\n", name.c_str(),
+                  h.first, h.first > 0 ? h.second / h.first : 0.0);
+    }
+  }
+
+  static void merge_metrics(RunState& run, const JsonValue& doc) {
     if (const JsonValue* counters = doc.find("counters")) {
       for (const auto& [name, value] : counters->object) {
         run.counters[name] = value.number;
@@ -422,15 +576,15 @@ class StreamSummary {
     }
   }
 
-  std::map<std::uint32_t, RunStreamState> runs_;
+  ChromeWriter* chrome_;
+  std::map<std::uint32_t, RunState> runs_;
+  MetricsSnapshot process_;
   std::size_t lines_ = 0;
 };
 
-int summarize_jsonl(Lines& lines, int top, bool strict) {
-  std::size_t runs_seen = 0;
-  std::size_t sweeps_seen = 0;
+int summarize(Lines& lines, int top, ChromeWriter* chrome) {
   std::size_t skipped = 0;
-  StreamSummary stream;
+  StreamSummary stream(chrome);
   while (lines.next()) {
     const std::string& line = lines.text();
     const std::size_t line_no = lines.number();
@@ -450,295 +604,97 @@ int summarize_jsonl(Lines& lines, int top, bool strict) {
       return 1;
     }
     const std::string schema = doc.string_or("schema", "");
-    if (schema == spider::telemetry::kStreamSchema) {
-      if (!stream.consume(doc, line_no)) ++skipped;
-      continue;
-    }
-    // Unknown schemas are skipped, not fatal: consumers of either schema
-    // must tolerate lines (and keys) they don't know.
-    if (schema != spider::telemetry::kRunReportSchema) {
+    if (schema != spider::telemetry::kStreamSchema) {
       std::fprintf(stderr, "line %zu: skipping unknown schema \"%s\"\n",
                    line_no, schema.c_str());
       ++skipped;
-      continue;
-    }
-    const std::string kind = doc.string_or("kind", "");
-    if (kind == "run") {
-      Checked in;
-      std::uint64_t joins = 0;
-      if (const JsonValue* counters = doc.find("counters")) {
-        joins = in.integer<std::uint64_t>(
-            counters->number_or("driver.joins", 0.0), "driver.joins");
-      }
-      if (!in.ok()) {
-        in.warn("line", line_no);
-        ++skipped;
-        continue;
-      }
-      ++runs_seen;
-      std::printf("run   %-20s #%-3.0f seed=%-6.0f events=%-9.0f "
-                  "joins=%llu digest=%s\n",
-                  doc.string_or("label", "?").c_str(),
-                  doc.number_or("run", 0.0), doc.number_or("seed", 0.0),
-                  doc.number_or("events", 0.0),
-                  static_cast<unsigned long long>(joins),
-                  doc.string_or("digest", "?").c_str());
-    } else if (kind == "sweep") {
-      const JsonValue* merged = doc.find("merged");
-      const auto section = [merged](const char* key) {
-        return merged != nullptr ? merged->find(key) : nullptr;
-      };
-      const JsonValue* counters = section("counters");
-      const JsonValue* histograms = section("histograms");
-      Checked in;
-      const CounterRows counter_table =
-          counters != nullptr ? counter_rows(*counters, in) : CounterRows{};
-      const std::vector<HistogramRow> histogram_table =
-          histograms != nullptr ? histogram_rows(*histograms, in)
-                                : std::vector<HistogramRow>{};
-      if (!in.ok()) {
-        in.warn("line", line_no);
-        ++skipped;
-        continue;
-      }
-      ++sweeps_seen;
-      std::printf("sweep %-20s runs=%-3.0f combined_digest=%s\n",
-                  doc.string_or("label", "?").c_str(),
-                  doc.number_or("runs", 0.0),
-                  doc.string_or("combined_digest", "?").c_str());
-      if (counters != nullptr) {
-        print_counters(counter_table, top);
-        print_channel_table(*counters);
-      }
-      if (const JsonValue* gauges = section("gauges")) print_gauges(*gauges);
-      print_histograms(histogram_table);
-      if (const JsonValue* process = doc.find("process")) {
-        if (const JsonValue* totals = process->find("counters")) {
-          for (const auto& [name, value] : totals->object) {
-            if (value.number != 0.0) {
-              std::printf("  process %-30s %12.0f\n", name.c_str(),
-                          value.number);
-            }
-          }
-        }
-      }
-    } else {
-      std::fprintf(stderr, "line %zu: skipping unknown kind \"%s\"\n",
-                   line_no, kind.c_str());
+    } else if (!stream.consume(doc, line_no)) {
       ++skipped;
     }
   }
-  if (runs_seen == 0 && sweeps_seen == 0 && stream.lines_consumed() == 0) {
-    std::fprintf(stderr, "no telemetry lines found\n");
+  if (stream.lines_consumed() == 0) {
+    std::fprintf(stderr, "no stream lines found\n");
     return 1;
   }
-  if (stream.lines_consumed() > 0) stream.print(top);
-  std::printf("%zu run line(s), %zu sweep block(s), %zu stream line(s)",
-              runs_seen, sweeps_seen, stream.lines_consumed());
+  stream.print(top);
+  std::printf("%zu stream line(s)", stream.lines_consumed());
   if (skipped > 0) std::printf(", %zu skipped", skipped);
   std::printf("\n");
-  if (strict && stream.trace_dropped() > 0.0) {
-    std::fprintf(stderr,
-                 "--strict: %.0f trace event(s) overwritten in the stream\n",
-                 stream.trace_dropped());
-    return 3;
+  if (chrome != nullptr) {
+    if (!chrome->close()) {
+      std::fprintf(stderr, "could not write %s\n", chrome->path());
+      return 1;
+    }
+    std::printf("wrote %zu trace event(s) to %s\n", chrome->events(),
+                chrome->path());
   }
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// Chrome trace mode
+constexpr const char* kUsage =
+    "usage: spider-trace [--top N] [--chrome OUT] <stream.jsonl>\n";
 
-int summarize_trace(const JsonValue& doc, int top, bool strict) {
-  const JsonValue* events = doc.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    std::fprintf(stderr, "no traceEvents array\n");
-    return 1;
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "spider-trace: %s\n%s", message.c_str(), kUsage);
+  std::exit(2);
+}
+
+// --top's value: all of it an integer in 1..1000.
+int parse_top(const char* v) {
+  char* end = nullptr;
+  errno = 0;
+  const long x = std::strtol(v, &end, 10);
+  if (*v == '\0' || *end != '\0' || errno == ERANGE || x < 1 || x > 1000) {
+    usage_error(std::string("bad value for --top: '") + v +
+                "' (want an integer in 1..1000)");
   }
-  struct SpanStats {
-    std::uint64_t count = 0;
-    double total_us = 0.0;
-    double min_us = 0.0;
-    double max_us = 0.0;
-  };
-  struct CounterStats {
-    std::uint64_t samples = 0;
-    double min_v = 0.0;
-    double max_v = 0.0;
-    double last_v = 0.0;
-  };
-  std::map<std::string, SpanStats> spans;    // "category/name"
-  std::map<std::string, std::uint64_t> instants;
-  std::map<std::string, CounterStats> counters;  // "category/name[id]"
-  std::map<std::uint32_t, std::string> tracks;
-  std::int64_t first_ts = 0;
-  std::int64_t last_ts = 0;
-  bool any_ts = false;
-  std::size_t skipped = 0;
-  for (std::size_t i = 0; i < events->array.size(); ++i) {
-    const JsonValue& ev = events->array[i];
-    const std::string ph = ev.string_or("ph", "");
-    Checked in;
-    if (ph == "M") {
-      const auto tid =
-          in.integer<std::uint32_t>(ev.number_or("tid", 0.0), "tid");
-      if (!in.ok()) {
-        in.warn("traceEvents", i);
-        ++skipped;
-      } else if (const JsonValue* args = ev.find("args")) {
-        tracks[tid] = args->string_or("name", "?");
-      }
-      continue;
-    }
-    const double ts = ev.number_or("ts", 0.0);
-    const double dur = ev.number_or("dur", 0.0);
-    const auto start = in.integer<std::int64_t>(ts, "ts");
-    const auto end = in.integer<std::int64_t>(ts + dur, "ts + dur");
-    if (!in.ok()) {
-      in.warn("traceEvents", i);
-      ++skipped;
-      continue;
-    }
-    if (!any_ts || start < first_ts) first_ts = start;
-    if (!any_ts || end > last_ts) last_ts = end;
-    any_ts = true;
-    const std::string key =
-        ev.string_or("cat", "?") + "/" + ev.string_or("name", "?");
-    if (ph == "X") {
-      SpanStats& s = spans[key];
-      if (s.count == 0 || dur < s.min_us) s.min_us = dur;
-      if (s.count == 0 || dur > s.max_us) s.max_us = dur;
-      ++s.count;
-      s.total_us += dur;
-    } else if (ph == "i") {
-      ++instants[key];
-    } else if (ph == "C") {
-      // Counter series are keyed per "id" (one series per AP, say); the
-      // sampled value is the single integer arg the recorder emits.
-      std::string ckey = key;
-      const std::string id = ev.string_or("id", "");
-      if (!id.empty()) ckey += "[" + id + "]";
-      double value = 0.0;
-      if (const JsonValue* args = ev.find("args")) {
-        value = args->number_or("value", 0.0);
-      }
-      CounterStats& c = counters[ckey];
-      if (c.samples == 0 || value < c.min_v) c.min_v = value;
-      if (c.samples == 0 || value > c.max_v) c.max_v = value;
-      ++c.samples;
-      c.last_v = value;
-    }
-  }
-  if (any_ts) {
-    std::printf("trace window: %.3f s .. %.3f s (%.3f s)\n",
-                static_cast<double>(first_ts) / 1e6,
-                static_cast<double>(last_ts) / 1e6,
-                (static_cast<double>(last_ts) -
-                 static_cast<double>(first_ts)) / 1e6);
-  }
-  if (!tracks.empty()) {
-    std::printf("tracks:");
-    for (const auto& [tid, name] : tracks) {
-      std::printf(" %u=%s", static_cast<unsigned>(tid), name.c_str());
-    }
-    std::printf("\n");
-  }
-  if (!spans.empty()) {
-    std::printf("spans (cat/name, durations in ms):\n");
-    std::printf("  %-28s %8s %10s %10s %10s %10s\n", "span", "count", "total",
-                "mean", "min", "max");
-    std::vector<std::pair<std::string, SpanStats>> rows(spans.begin(),
-                                                        spans.end());
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.second.total_us > b.second.total_us;
-                     });
-    const std::size_t shown =
-        std::min<std::size_t>(rows.size(), static_cast<std::size_t>(top));
-    for (std::size_t i = 0; i < shown; ++i) {
-      const SpanStats& s = rows[i].second;
-      std::printf("  %-28s %8llu %10.2f %10.2f %10.2f %10.2f\n",
-                  rows[i].first.c_str(),
-                  static_cast<unsigned long long>(s.count), s.total_us / 1e3,
-                  s.total_us / 1e3 / static_cast<double>(s.count),
-                  s.min_us / 1e3, s.max_us / 1e3);
-    }
-  }
-  if (!instants.empty()) {
-    std::printf("instants:\n");
-    for (const auto& [name, count] : instants) {
-      std::printf("  %-28s %8llu\n", name.c_str(),
-                  static_cast<unsigned long long>(count));
-    }
-  }
-  if (!counters.empty()) {
-    std::printf("counters (samples, value range, final):\n");
-    std::printf("  %-32s %8s %10s %10s %10s\n", "counter", "samples", "min",
-                "max", "last");
-    for (const auto& [name, c] : counters) {
-      std::printf("  %-32s %8llu %10.0f %10.0f %10.0f\n", name.c_str(),
-                  static_cast<unsigned long long>(c.samples), c.min_v,
-                  c.max_v, c.last_v);
-    }
-  }
-  if (skipped > 0) {
-    std::printf("skipped events (numbers out of range): %zu\n", skipped);
-  }
-  // Events overwritten by the recorder's bounded ring — the exported file
-  // holds only the most recent window when this is nonzero.
-  const double dropped = doc.number_or("droppedEvents", 0.0);
-  if (dropped > 0.0) {
-    std::printf("dropped events (ring overwrites): %.0f\n", dropped);
-  }
-  if (strict && dropped > 0.0) {
-    std::fprintf(stderr,
-                 "--strict: %.0f event(s) overwritten; the recorder keeps the "
-                 "newest %zu, so trace a shorter run\n",
-                 dropped, spider::telemetry::TraceRecorder::kDefaultCapacity);
-    return 3;
-  }
-  return 0;
+  return static_cast<int>(x);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const char* path = nullptr;
+  const char* chrome_path = nullptr;
   int top = 12;
-  bool strict = false;
+  // The value of `flag` at argv[i], spelled "--flag=V" or "--flag V";
+  // nullptr if argv[i] is not `flag`.
+  const auto value_of = [&](const char* flag, int& i) -> const char* {
+    const std::size_t len = std::strlen(flag);
+    if (std::strncmp(argv[i], flag, len) != 0) return nullptr;
+    if (argv[i][len] == '=') return argv[i] + len + 1;
+    if (argv[i][len] != '\0') return nullptr;
+    if (i + 1 >= argc) usage_error(std::string(flag) + " needs a value");
+    return argv[++i];
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      top = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--top=", 6) == 0) {
-      top = std::atoi(argv[i] + 6);
-    } else if (std::strcmp(argv[i], "--strict") == 0) {
-      strict = true;
+    if (const char* v = value_of("--top", i)) {
+      top = parse_top(v);
+    } else if (const char* v = value_of("--chrome", i)) {
+      if (*v == '\0') usage_error("--chrome needs a path");
+      chrome_path = v;
+    } else if (argv[i][0] == '-' && argv[i][1] != '\0') {
+      usage_error(std::string("unknown flag '") + argv[i] + "'");
     } else if (path == nullptr) {
       path = argv[i];
+    } else {
+      usage_error(std::string("unexpected argument '") + argv[i] + "'");
     }
   }
-  if (path == nullptr || top <= 0) {
-    std::fprintf(stderr,
-                 "usage: spider-trace <telemetry.jsonl | stream.jsonl | "
-                 "trace.json> [--top N] [--strict]\n");
-    return 2;
-  }
+  if (path == nullptr) usage_error("no stream file given");
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "cannot read %s\n", path);
     return 1;
   }
-  // A Chrome trace is one JSON object with "traceEvents" on one line;
-  // everything else is treated as JSONL (run-report or stream), starting
-  // with that same first line.
-  Lines lines(in);
-  if (lines.next()) {
-    JsonValue doc;
-    if (spider::telemetry::parse_json(lines.text(), doc, nullptr) &&
-        doc.find("traceEvents") != nullptr) {
-      return summarize_trace(doc, top, strict);
+  std::unique_ptr<ChromeWriter> chrome;
+  if (chrome_path != nullptr) {
+    chrome = std::make_unique<ChromeWriter>(chrome_path);
+    if (!chrome->ok()) {
+      std::fprintf(stderr, "cannot write %s\n", chrome_path);
+      return 1;
     }
-    lines.hold();
   }
-  return summarize_jsonl(lines, top, strict);
+  Lines lines(in);
+  return summarize(lines, top, chrome.get());
 }
