@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bench/common.h"
-#include "core/fleet.h"
 
 using namespace spider;
 
@@ -20,10 +19,9 @@ int main(int argc, char** argv) {
   for (int n : {1, 2, 4, 8}) {
     trace::OnlineStats agg, per, fair;
     for (std::uint64_t seed : {7ULL, 17ULL}) {
-      core::FleetConfig cfg = core::contention_fleet(seed, n);
+      core::ExperimentConfig cfg = core::contention_fleet(seed, n);
       bench::attach_stream(cfg);
-      core::FleetExperiment fleet(std::move(cfg));
-      const auto r = fleet.run();
+      const auto r = core::Experiment(std::move(cfg)).run();
       agg.add(r.aggregate_throughput_kBps());
       per.add(r.mean_client_throughput_kBps());
       fair.add(r.fairness());

@@ -103,7 +103,7 @@ inline void parse_common_flags(int argc, char** argv) {
 // built (sweeps build them serially in submission order, core/sweep.cc), so
 // tags are deterministic across worker counts and a multi-sweep bench never
 // reuses one.
-inline void attach_stream(core::WorldConfig& cfg) {
+inline void attach_stream(core::ExperimentConfig& cfg) {
   const TelemetryOptions& options = telemetry_options();
   if (options.stream == nullptr) return;
   static std::uint32_t next_tag = 1;

@@ -87,10 +87,9 @@ ExperimentConfig table2_row(int row, std::uint64_t seed, sim::Time duration) {
   return cfg;
 }
 
-FleetConfig contention_fleet(std::uint64_t seed, int clients,
-                             sim::Time duration) {
-  FleetConfig cfg;
-  static_cast<WorldConfig&>(cfg) = amherst_drive(seed, duration);
+ExperimentConfig contention_fleet(std::uint64_t seed, int clients,
+                                  sim::Time duration) {
+  ExperimentConfig cfg = amherst_drive(seed, duration);
   cfg.clients = clients;
   cfg.spider = single_channel_multi_ap(1);
   return cfg;

@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "core/experiment.h"
-#include "core/fleet.h"
 
 namespace spider::core {
 
@@ -35,8 +34,9 @@ ExperimentConfig table2_row(int row, std::uint64_t seed,
                             sim::Time duration = sim::Time::seconds(600));
 
 // Section 4.8's contention ablation: `clients` vehicles on the Amherst town
-// deployed from `seed`, every one running channel-1 multi-AP Spider.
-FleetConfig contention_fleet(std::uint64_t seed, int clients,
+// deployed from `seed`, every one running channel-1 multi-AP Spider. With one
+// client it is Table 2's row (1).
+ExperimentConfig contention_fleet(std::uint64_t seed, int clients,
                              sim::Time duration = sim::Time::seconds(600));
 
 }  // namespace spider::core

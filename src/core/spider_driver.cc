@@ -15,10 +15,9 @@ namespace {
 using phy::channel_slot;
 using phy::kChannelSlots;
 
-// Names for the driver's 100+channel dwell lanes; each interface's join
-// lane is named "vifN" when the interface is created.
+// Channel parts of the driver's dwell lane names ("<client mac> ch6"); an
+// interface's join lane is "<client mac> vif <bssid>".
 constexpr auto kChannelTrackNames = phy::make_slot_names<kChannelSlots>("ch");
-constexpr std::uint32_t kChannelTrackBase = 100;
 
 }  // namespace
 
@@ -104,12 +103,9 @@ void SpiderDriver::publish_metrics(telemetry::Registry& registry) {
 void SpiderDriver::start() {
   if (started_) return;
   started_ = true;
-  telemetry::TraceRecorder& trace = sim_.telemetry().trace();
-  if (trace.enabled()) {
+  if (sim_.telemetry().trace().enabled()) {
     for (const ChannelSlice& slice : config_.schedule) {
-      const std::size_t slot = channel_slot(slice.channel);
-      trace.name_track(kChannelTrackBase + static_cast<std::uint32_t>(slot),
-                       kChannelTrackNames[slot].text, sim_.now().us());
+      channel_lane(channel_slot(slice.channel), sim_.now());
     }
   }
   rotate_schedule(0);
@@ -215,13 +211,22 @@ void SpiderDriver::accumulate_airtime() {
     airtime_[dwell_channel_] += sim_.now() - dwell_since_;
     telemetry::TraceRecorder& trace = sim_.telemetry().trace();
     if (trace.enabled() && sim_.now() > dwell_since_) {
-      const std::size_t slot = channel_slot(dwell_channel_);
       trace.complete("dwell", "channel", dwell_since_.us(),
                      (sim_.now() - dwell_since_).us(),
-                     kChannelTrackBase + static_cast<std::uint32_t>(slot));
+                     channel_lane(channel_slot(dwell_channel_), dwell_since_));
     }
   }
   dwell_since_ = sim_.now();
+}
+
+std::uint32_t SpiderDriver::channel_lane(std::size_t slot, sim::Time since) {
+  std::uint32_t& lane = channel_lanes_[slot];
+  if (lane == 0) {
+    lane = sim_.telemetry().trace().open_lane(
+        device_.address().to_string() + " " + kChannelTrackNames[slot].text,
+        since.us());
+  }
+  return lane;
 }
 
 sim::Time SpiderDriver::channel_airtime(net::ChannelId channel) const {
@@ -325,15 +330,14 @@ void SpiderDriver::create_interface(const ScanEntry& entry) {
   auto vif = std::make_unique<VirtualInterface>();
   vif->bssid = bssid;
   vif->channel = entry.channel;
-  vif->trace_track = next_trace_track_++;
   vif->join_started = sim_.now();
   vif->airtime_at_last_heard = channel_airtime(entry.channel);
 
   telemetry::TraceRecorder& trace = sim_.telemetry().trace();
   if (trace.enabled()) {
-    trace.name_track(vif->trace_track,
-                     "vif" + std::to_string(vif->trace_track),
-                     sim_.now().us());
+    vif->trace_track = trace.open_lane(
+        device_.address().to_string() + " vif " + bssid.to_string(),
+        sim_.now().us());
     // Discovery span: last beacon/probe sighting of this AP up to the
     // decision to join it — the "scan" leg of the join pipeline.
     trace.complete("scan", "join", entry.last_seen.us(),
@@ -452,6 +456,7 @@ void SpiderDriver::destroy_interface(net::Bssid bssid, bool lost) {
   }
   device_.unregister_bssid(bssid);
   device_.forget_scan(bssid);
+  sim_.telemetry().trace().close_lane(it->second->trace_track);
   interfaces_.erase(it);
   if (lost && was_connected && on_disconnected_) on_disconnected_(bssid);
 }

@@ -96,7 +96,8 @@ struct VirtualInterface {
   State state = State::kAssociating;
   std::unique_ptr<mac::ClientSession> session;
   std::unique_ptr<dhcpd::DhcpClient> dhcp;
-  // Perfetto lane for this interface's scan/auth/assoc/dhcp/join spans.
+  // Trace lane for this interface's scan/auth/assoc/dhcp/join spans, open
+  // while the interface lives (0 while tracing is off).
   std::uint32_t trace_track = 0;
   sim::Time join_started = sim::Time::zero();
   sim::Time connected_at = sim::Time::zero();
@@ -170,6 +171,9 @@ class SpiderDriver {
   bool scheduled_channel(net::ChannelId channel) const;
   void note_heard(VirtualInterface& vif);
   void accumulate_airtime();
+  // This driver's dwell lane for channel `slot`, opened (named from `since`)
+  // on first use. Call only while tracing is on.
+  std::uint32_t channel_lane(std::size_t slot, sim::Time since);
   void publish_metrics(telemetry::Registry& registry);
 
   sim::Simulator& sim_;
@@ -201,8 +205,8 @@ class SpiderDriver {
   std::vector<net::ChannelId> excursion_remaining_;
 
   // Telemetry plumbing: deltas already folded into the shared driver.*
-  // metrics (several drivers may share one world), the next Perfetto lane to
-  // hand a new interface, and this driver's collector registration.
+  // metrics (several drivers may share one world), this driver's dwell lane
+  // per channel slot (0 = not open), and its collector registration.
   struct Published {
     std::uint64_t join_attempts = 0;
     std::uint64_t associations = 0;
@@ -214,7 +218,7 @@ class SpiderDriver {
     std::uint64_t schedule_switches = 0;
   } published_;
   std::array<std::uint64_t, phy::kChannelSlots> published_dwell_us_{};
-  std::uint32_t next_trace_track_ = 1;
+  std::array<std::uint32_t, phy::kChannelSlots> channel_lanes_{};
   telemetry::Hub::CollectorId collector_id_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "core/stock_driver.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 namespace spider::core {
@@ -43,6 +44,14 @@ void StockDriver::publish_metrics(telemetry::Registry& registry) {
 void StockDriver::start() {
   if (started_) return;
   started_ = true;
+  telemetry::TraceRecorder& trace = sim_.telemetry().trace();
+  if (trace.enabled()) {
+    // One lane for every join this driver makes, one join at a time.
+    trace_lane_ = trace.open_lane(device_.address().to_string() + " stock",
+                                  sim_.now().us());
+    config_.session.trace_track = trace_lane_;
+    config_.dhcp.trace_track = trace_lane_;
+  }
   scan_step(0);
 }
 
@@ -83,7 +92,7 @@ void StockDriver::begin_join(const ScanEntry& entry) {
   telemetry::TraceRecorder& trace = sim_.telemetry().trace();
   if (trace.enabled()) {
     trace.complete("scan", "join", entry.last_seen.us(),
-                   (sim_.now() - entry.last_seen).us(), /*track=*/0);
+                   (sim_.now() - entry.last_seen).us(), trace_lane_);
   }
 
   auto tx = [this](const net::Frame& frame) {
@@ -121,7 +130,7 @@ void StockDriver::begin_join(const ScanEntry& entry) {
       telemetry.metrics().histogram("driver.join_delay_sec").add(
           join_delay.sec());
       telemetry.trace().complete("join", "join", join_started_.us(),
-                                 join_delay.us(), /*track=*/0);
+                                 join_delay.us(), trace_lane_);
       state_ = State::kConnected;
       last_heard_ = sim_.now();
       if (on_connected_) on_connected_(Connection{bssid_, channel_});

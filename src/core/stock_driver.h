@@ -89,6 +89,7 @@ class StockDriver {
   int dhcp_failures_this_join_ = 0;
   sim::TimerHandle timer_;      // scan stepping / watchdog
   bool started_ = false;
+  std::uint32_t trace_lane_ = 0;  // this driver's join lane while tracing
 
   // Deltas already folded into the shared driver.* metrics; the stock
   // baseline reports under the same names as SpiderDriver so benches

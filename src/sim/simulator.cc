@@ -87,6 +87,10 @@ Simulator::Simulator() : tokens_(std::make_shared<detail::TokenSlab>()) {
     auto& depth = registry.gauge("sim.queue_depth");
     depth.set(static_cast<std::int64_t>(depth_high_water_));
     depth.set(static_cast<std::int64_t>(pending_events()));
+    // The trace's queue-depth graph samples at the same points: once per
+    // stream cadence publish and once per snapshot, not per instant.
+    telemetry_.trace().counter("sim.queue_depth", "sim", now_.us(),
+                               static_cast<std::int64_t>(pending_events()));
   });
 }
 
@@ -128,15 +132,6 @@ SPIDER_HOT void Simulator::post_after(Time delay, SmallFn&& fn) {
   post_at(now_ + delay, std::move(fn));
 }
 
-void Simulator::trace_queue_depth(std::int64_t ts_us) {
-  if (!telemetry_.trace().enabled()) return;
-  const std::size_t depth = pending_events();
-  if (depth == last_traced_depth_) return;
-  last_traced_depth_ = depth;
-  telemetry_.trace().counter("sim.queue_depth", "sim", ts_us,
-                             static_cast<std::int64_t>(depth));
-}
-
 SPIDER_HOT void Simulator::fold_instant() {
   digest_ = fold(digest_, instant_us_, instant_acc_, instant_count_);
   instant_acc_ = 0;
@@ -173,7 +168,6 @@ SPIDER_HOT void Simulator::drain(Time limit) {
         << "us behind clock " << now_.to_string();
     if (instant_count_ > 0 && ev.at_us != instant_us_) {
       fold_instant();
-      trace_queue_depth(ev.at_us);
       // Live-stream cadence hook, at instant boundaries only so a publish
       // can never observe (or interleave with) a half-executed instant. One
       // branch when no stream is attached; publishing reads metrics and

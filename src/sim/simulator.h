@@ -167,10 +167,6 @@ class Simulator {
  private:
   void drain(Time limit);
   void fold_instant();
-  // Samples pending_events() onto the sim.queue_depth counter track when
-  // tracing is on and the depth changed since the last sample (one sample
-  // per instant boundary at most, so the track stays readable).
-  void trace_queue_depth(std::int64_t ts_us);
 
   // Sentinel token for fire-and-forget events (post_at/post_after).
   static constexpr std::uint32_t kNoToken = 0xFFFFFFFFu;
@@ -192,8 +188,6 @@ class Simulator {
   std::uint64_t posted_ = 0;
   std::uint64_t cancelled_ = 0;
   std::size_t depth_high_water_ = 0;
-  // Last value emitted on the queue-depth counter track (-1 = none yet).
-  std::size_t last_traced_depth_ = static_cast<std::size_t>(-1);
   bool stopped_ = false;
   telemetry::Hub telemetry_;
   core::Arena arena_;

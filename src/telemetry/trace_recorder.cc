@@ -16,4 +16,20 @@ void TraceRecorder::name_track(std::uint32_t track, std::string_view name,
   }
 }
 
+std::uint32_t TraceRecorder::open_lane(std::string_view name,
+                                       std::int64_t ts_us) {
+  if (!enabled_) return 0;
+  std::size_t i = 0;
+  while (i < lane_open_.size() && lane_open_[i]) ++i;
+  if (i == lane_open_.size()) lane_open_.push_back(false);
+  lane_open_[i] = true;
+  const auto lane = static_cast<std::uint32_t>(i + 1);
+  name_track(lane, name, ts_us);
+  return lane;
+}
+
+void TraceRecorder::close_lane(std::uint32_t lane) {
+  if (lane > 0 && lane <= lane_open_.size()) lane_open_[lane - 1] = false;
+}
+
 }  // namespace spider::telemetry

@@ -9,7 +9,11 @@
 // chrome://tracing and Perfetto load). The recorder keeps nothing itself:
 // without a stream attached, recording only counts. Timestamps are
 // microseconds (sim::Time's native unit); tracks become Chrome "tid"s and
-// can be named with name_track().
+// can be named with name_track(). Track 0 is the world's shared lane; span
+// owners (a driver's channel dwells, one virtual interface's joins) take a
+// lane of their own with open_lane() and hand it back with close_lane(), so
+// no two owners' spans share a lane at once, and a long run reuses lanes
+// instead of growing them.
 //
 // Cost model: recording is OFF by default — every record call starts with an
 // inlined enabled() check, so the tracing-disabled hot path pays one
@@ -20,6 +24,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 namespace spider::telemetry {
 
@@ -76,6 +81,13 @@ class TraceRecorder {
   void name_track(std::uint32_t track, std::string_view name,
                   std::int64_t ts_us);
 
+  // Takes the lowest free lane >= 1 and names it `name` from `ts_us` on.
+  // Returns 0 (the shared lane) and keeps nothing while disabled, so the
+  // caller builds `name` only under enabled().
+  std::uint32_t open_lane(std::string_view name, std::int64_t ts_us);
+  // Hands `lane` back for reuse; 0 and lanes not open are ignored.
+  void close_lane(std::uint32_t lane);
+
   // Live-stream tee: while set, every recorded event is rendered as a line
   // by the stream publisher (see stream_exporter.h). Wired by
   // Hub::set_stream; nullptr detaches.
@@ -90,6 +102,7 @@ class TraceRecorder {
   bool enabled_ = false;
   StreamPublisher* stream_ = nullptr;
   std::uint64_t recorded_ = 0;
+  std::vector<bool> lane_open_;  // [i] is lane i + 1
 };
 
 }  // namespace spider::telemetry

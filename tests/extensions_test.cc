@@ -2,11 +2,19 @@
 // selection, multi-client fleets, and striped uploads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/configs.h"
 #include "core/experiment.h"
-#include "core/fleet.h"
+#include "net/addr.h"
 #include "phy/energy.h"
 #include "stream_capture.h"
 #include "telemetry/stream_exporter.h"
@@ -183,8 +191,8 @@ TEST_F(DynamicChannelTest, UtilityCountsFreshApsOnly) {
 
 // --- fleets ---------------------------------------------------------------------
 
-FleetConfig small_fleet(int clients) {
-  FleetConfig cfg;
+ExperimentConfig small_fleet(int clients) {
+  ExperimentConfig cfg;
   cfg.seed = 31;
   cfg.clients = clients;
   cfg.duration = sim::Time::seconds(120);
@@ -209,11 +217,11 @@ FleetConfig small_fleet(int clients) {
 TEST(Fleet, RejectsEmptyFleet) {
   auto cfg = small_fleet(1);
   cfg.clients = 0;
-  EXPECT_THROW(FleetExperiment{std::move(cfg)}, std::invalid_argument);
+  EXPECT_THROW(Experiment{std::move(cfg)}, std::invalid_argument);
 }
 
 TEST(Fleet, EveryClientConnectsAndTransfers) {
-  FleetExperiment fleet(small_fleet(3));
+  Experiment fleet(small_fleet(3));
   const auto r = fleet.run();
   ASSERT_EQ(r.clients.size(), 3u);
   for (const auto& c : r.clients) {
@@ -223,7 +231,7 @@ TEST(Fleet, EveryClientConnectsAndTransfers) {
 }
 
 TEST(Fleet, SharedBackhaulIsSplitRoughlyFairly) {
-  FleetExperiment fleet(small_fleet(3));
+  Experiment fleet(small_fleet(3));
   const auto r = fleet.run();
   // One 2 Mbps backhaul across three clients: aggregate bounded by it and
   // reasonably fair.
@@ -232,8 +240,8 @@ TEST(Fleet, SharedBackhaulIsSplitRoughlyFairly) {
 }
 
 TEST(Fleet, AggregateDoesNotScaleBeyondTheBottleneck) {
-  const auto one = FleetExperiment(small_fleet(1)).run();
-  const auto four = FleetExperiment(small_fleet(4)).run();
+  const auto one = Experiment(small_fleet(1)).run();
+  const auto four = Experiment(small_fleet(4)).run();
   // Adding clients cannot multiply a single AP's backhaul.
   EXPECT_LT(four.aggregate_throughput_kBps(),
             1.3 * one.aggregate_throughput_kBps());
@@ -248,7 +256,7 @@ TEST(Fleet, TraceEnabledRecordsJoinSpans) {
   auto cfg = small_fleet(2);
   cfg.trace_enabled = true;
   cfg.stream = &exporter;
-  FleetExperiment fleet(std::move(cfg));
+  Experiment fleet(std::move(cfg));
   fleet.run();
   std::size_t joins = 0;
   for (const telemetry::JsonValue& span :
@@ -257,6 +265,121 @@ TEST(Fleet, TraceEnabledRecordsJoinSpans) {
   }
   // Both clients join the shared AP at least once, so at least two spans.
   EXPECT_GE(joins, 2u);
+}
+
+TEST(Fleet, TopLevelRecordIsClientZeros) {
+  const auto r = Experiment(small_fleet(3)).run();
+  ASSERT_EQ(r.clients.size(), 3u);
+  const ClientResults& first = r.clients[0];
+  EXPECT_GT(r.traffic.total_bytes, 0);
+  EXPECT_EQ(r.traffic.total_bytes, first.traffic.total_bytes);
+  EXPECT_EQ(r.traffic.avg_throughput_bytes_per_sec,
+            first.traffic.avg_throughput_bytes_per_sec);
+  EXPECT_EQ(r.traffic.connectivity_fraction,
+            first.traffic.connectivity_fraction);
+  EXPECT_EQ(r.joins.joins, first.joins.joins);
+  EXPECT_EQ(r.joins.join_attempts, first.joins.join_attempts);
+  EXPECT_EQ(r.joins.associations, first.joins.associations);
+  EXPECT_EQ(r.flows_opened, first.flows_opened);
+  EXPECT_EQ(r.channel_switches, first.channel_switches);
+  EXPECT_EQ(r.client_joules, first.client_joules);
+}
+
+TEST(Fleet, StockClientsEachJoin) {
+  auto cfg = small_fleet(2);
+  cfg.driver = DriverKind::kStock;
+  Experiment fleet(std::move(cfg));
+  EXPECT_EQ(fleet.spider(), nullptr);
+  ASSERT_NE(fleet.stock(), nullptr);
+  const auto r = fleet.run();
+  ASSERT_EQ(r.clients.size(), 2u);
+  for (const auto& c : r.clients) {
+    EXPECT_GT(c.joins.joins, 0u);
+    EXPECT_GT(c.traffic.total_bytes, 0);
+  }
+}
+
+TEST(Fleet, TracedClientsNeverShareALane) {
+  // Every span owner (a driver's channel dwells, one interface's joins, a
+  // stock driver's joins) holds a lane of its own while it lives, so on one
+  // (run, track) spans either nest (a join around its auth/assoc/dhcp legs)
+  // or are disjoint. Two clients joining the one AP together would cross on
+  // a shared lane.
+  for (const DriverKind kind : {DriverKind::kSpider, DriverKind::kStock}) {
+    telemetry::StreamExporter exporter;
+    auto sink = std::make_shared<testutil::CaptureSink>();
+    exporter.set_sink(sink);
+    auto cfg = small_fleet(2);
+    cfg.driver = kind;
+    cfg.trace_enabled = true;
+    cfg.stream = &exporter;
+    cfg.stream_run_tag = 1;
+    const sim::Time duration = cfg.duration;
+    Experiment fleet(std::move(cfg));
+    fleet.run();
+    const std::string text = sink->text();
+
+    std::map<std::pair<std::uint64_t, std::uint64_t>,
+             std::vector<std::pair<std::int64_t, std::int64_t>>>
+        lanes;
+    for (const telemetry::JsonValue& span :
+         testutil::parse_lines(text, "span")) {
+      const auto start = static_cast<std::int64_t>(span.number_or("ts_us", 0));
+      const auto run = static_cast<std::uint64_t>(span.number_or("run", 0));
+      const auto track = static_cast<std::uint64_t>(span.number_or("track", 0));
+      EXPECT_GT(track, 0u) << "span on the shared lane";
+      const auto dur = static_cast<std::int64_t>(span.number_or("dur_us", 0));
+      lanes[{run, track}].emplace_back(start, start + dur);
+    }
+    ASSERT_FALSE(lanes.empty());
+    for (auto& [lane, spans] : lanes) {
+      // Outermost first among spans that start together, then a stack of
+      // the open spans' ends: a span that starts inside another must end
+      // inside it too.
+      std::sort(spans.begin(), spans.end(), [](const auto& a, const auto& b) {
+        return a.first != b.first ? a.first < b.first : a.second > b.second;
+      });
+      std::vector<std::int64_t> open_ends;
+      for (const auto& [start, end] : spans) {
+        while (!open_ends.empty() && open_ends.back() <= start) {
+          open_ends.pop_back();
+        }
+        if (!open_ends.empty()) {
+          EXPECT_LE(end, open_ends.back())
+              << "spans cross on track " << lane.second << " at " << start;
+        }
+        open_ends.push_back(end);
+      }
+    }
+
+    // Every lane is named after the client that holds it.
+    const std::string macs[] = {
+        net::MacAddress::from_index(0x00C00001u).to_string(),
+        net::MacAddress::from_index(0x00C00002u).to_string()};
+    std::size_t per_client[2] = {0, 0};
+    for (const telemetry::JsonValue& track :
+         testutil::parse_lines(text, "track")) {
+      const std::string name = track.string_or("name", "");
+      const bool first = name.find(macs[0]) != std::string::npos;
+      const bool second = name.find(macs[1]) != std::string::npos;
+      EXPECT_NE(first, second) << name;
+      per_client[0] += first;
+      per_client[1] += second;
+    }
+    EXPECT_GT(per_client[0], 0u);
+    EXPECT_GT(per_client[1], 0u);
+
+    // The queue-depth graph is sampled at the stream cadence, not per
+    // instant.
+    std::size_t depth_samples = 0;
+    for (const telemetry::JsonValue& sample :
+         testutil::parse_lines(text, "counter_sample")) {
+      depth_samples += sample.string_or("name", "") == "sim.queue_depth";
+    }
+    EXPECT_GT(depth_samples, 0u);
+    const double cadences = std::ceil(duration / kStreamCadence);
+    EXPECT_LE(depth_samples, static_cast<std::size_t>(cadences) + 1);
+  }
 }
 
 // --- uploads --------------------------------------------------------------------

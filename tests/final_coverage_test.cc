@@ -4,7 +4,6 @@
 
 #include "core/configs.h"
 #include "core/experiment.h"
-#include "core/fleet.h"
 #include "phy/medium.h"
 
 namespace spider::core {
@@ -35,7 +34,7 @@ TEST(OfferedBandwidthPolicy, StillJoinsAndTransfers) {
 }
 
 TEST(FleetMultiChannel, RunsWithRotatingSchedules) {
-  FleetConfig cfg;
+  ExperimentConfig cfg;
   cfg.seed = 5;
   cfg.clients = 2;
   cfg.duration = sim::Time::seconds(120);
@@ -56,7 +55,7 @@ TEST(FleetMultiChannel, RunsWithRotatingSchedules) {
     cfg.aps.push_back(ap);
   }
   cfg.spider = multi_channel_multi_ap(sim::Time::millis(400), {1, 6});
-  FleetExperiment fleet(std::move(cfg));
+  Experiment fleet(std::move(cfg));
   const auto r = fleet.run();
   ASSERT_EQ(r.clients.size(), 2u);
   for (const auto& c : r.clients) {

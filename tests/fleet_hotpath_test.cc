@@ -6,7 +6,7 @@
 // digests). Every beacon, probe response and auth/assoc grant must carry the
 // AP's one interned capability payload, and the position-update timer chain
 // must stop at the experiment horizon.
-#include "core/fleet.h"
+#include "core/experiment.h"
 
 #include <gtest/gtest.h>
 
@@ -166,24 +166,25 @@ TEST(FleetHotPath, BatchAndScalarMobilityConsumeIdenticalRngStreams) {
 // --- horizon: the position-update chain must not outlive the run -------------
 
 TEST(FleetHotPath, PositionUpdatesStopAtTheHorizon) {
-  FleetConfig cfg;
+  constexpr int kClients = 4;
+  ExperimentConfig cfg;
   cfg.seed = 7;
-  cfg.clients = 4;
+  cfg.clients = kClients;
   cfg.duration = sim::Time::seconds(2);
   sim::Rng rng(cfg.seed);
   auto deploy_rng = rng.fork("deploy");
   cfg.aps = mobility::area_deployment(700, 500, 10, deploy_rng);
-  FleetExperiment fleet(std::move(cfg));
+  Experiment fleet(std::move(cfg));
   fleet.run();
 
   // The last tick fires at 1.9 s (the chain stops once now + interval would
   // reach the horizon); nothing may move the fleet after the run.
   std::vector<phy::Vec2> at_horizon;
-  for (std::size_t i = 0; i < fleet.client_count(); ++i) {
+  for (std::size_t i = 0; i < kClients; ++i) {
     at_horizon.push_back(fleet.client_device(i).radio().position());
   }
   fleet.simulator().run_for(sim::Time::seconds(5));
-  for (std::size_t i = 0; i < fleet.client_count(); ++i) {
+  for (std::size_t i = 0; i < kClients; ++i) {
     EXPECT_EQ(fleet.client_device(i).radio().position(), at_horizon[i])
         << "client " << i << " moved after the experiment horizon";
   }

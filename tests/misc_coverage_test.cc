@@ -5,7 +5,6 @@
 
 #include "core/configs.h"
 #include "core/experiment.h"
-#include "core/fleet.h"
 #include "core/metrics.h"
 #include "phy/medium.h"
 #include "phy/radio.h"
@@ -89,33 +88,35 @@ TEST(ExperimentFrameLog, CapturesJoinHandshake) {
 }
 
 TEST(FleetStaggering, ClientsStartAtDistinctPositions) {
-  core::FleetConfig cfg;
+  core::ExperimentConfig cfg;
   cfg.seed = 3;
   cfg.clients = 3;
-  cfg.headway = sim::Time::seconds(15);
   cfg.duration = sim::Time::seconds(1);
   cfg.vehicle = mobility::Vehicle(mobility::Route::rectangle(600, 400), 10.0);
-  // Positions at phases 0 s / 15 s / 30 s differ by 150 m along the loop —
-  // verified via the vehicle function the fleet uses.
+  // Client i rides i headways ahead: phases 0 s / 20 s / 40 s are 200 m
+  // apart along the loop.
   const auto p0 = cfg.vehicle.position(sim::Time::zero());
-  const auto p1 = cfg.vehicle.position(sim::Time::seconds(15));
-  const auto p2 = cfg.vehicle.position(sim::Time::seconds(30));
+  const auto p1 = cfg.vehicle.position(core::kClientHeadway);
+  const auto p2 = cfg.vehicle.position(core::kClientHeadway * 2);
   EXPECT_GT(distance(p0, p1), 100.0);
   EXPECT_GT(distance(p1, p2), 100.0);
-  core::FleetExperiment fleet(std::move(cfg));
+  core::Experiment fleet(std::move(cfg));
+  EXPECT_EQ(fleet.client_device(0).radio().position(), p0);
+  EXPECT_EQ(fleet.client_device(1).radio().position(), p1);
+  EXPECT_EQ(fleet.client_device(2).radio().position(), p2);
   const auto r = fleet.run();
   EXPECT_EQ(r.clients.size(), 3u);
 }
 
 TEST(FleetResults, FairnessFormula) {
-  core::FleetResults r;
+  core::ExperimentResults r;
   r.clients.resize(2);
   r.clients[0].traffic.avg_throughput_bytes_per_sec = 100.0;
   r.clients[1].traffic.avg_throughput_bytes_per_sec = 100.0;
   EXPECT_DOUBLE_EQ(r.fairness(), 1.0);
   r.clients[1].traffic.avg_throughput_bytes_per_sec = 0.0;
   EXPECT_DOUBLE_EQ(r.fairness(), 0.5);  // Jain: all-to-one of n=2
-  core::FleetResults empty;
+  core::ExperimentResults empty;
   EXPECT_DOUBLE_EQ(empty.fairness(), 1.0);
 }
 

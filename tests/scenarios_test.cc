@@ -36,22 +36,18 @@ TEST(Scenarios, PaperWorldsArePinned) {
   EXPECT_EQ(lab.aps.size(), 2u);
   EXPECT_EQ(digest_of(lab), 0x604f40b1cd48c921ull) << "static lab";
 
-  FleetConfig fleet_cfg = contention_fleet(1, 4, kPinSpan);
-  EXPECT_EQ(fleet_cfg.aps.size(), 71u);
-  FleetExperiment fleet(std::move(fleet_cfg));
-  fleet.run();
-  EXPECT_EQ(fleet.simulator().digest(), 0x23ea6aa924965a24ull)
-      << "contention fleet";
+  const ExperimentConfig fleet = contention_fleet(1, 4, kPinSpan);
+  EXPECT_EQ(fleet.aps.size(), 71u);
+  EXPECT_EQ(digest_of(fleet), 0x23ea6aa924965a24ull) << "contention fleet";
 }
 
 TEST(Scenarios, OneClientContentionFleetIsTable2RowOne) {
-  // Both harnesses build the same World in the same order, so a fleet of
-  // one is exactly the single-client drive it generalizes.
+  // A fleet of one is exactly the single-client drive it generalizes.
   const sim::Time span = sim::Time::seconds(120);
   Experiment drive(table2_row(0, 7, span));
   const ExperimentResults d = drive.run();
-  FleetExperiment fleet(contention_fleet(7, 1, span));
-  const FleetResults f = fleet.run();
+  Experiment fleet(contention_fleet(7, 1, span));
+  const ExperimentResults f = fleet.run();
   ASSERT_EQ(f.clients.size(), 1u);
   EXPECT_EQ(fleet.simulator().digest(), drive.simulator().digest());
   EXPECT_EQ(f.clients[0].traffic.total_bytes, d.traffic.total_bytes);

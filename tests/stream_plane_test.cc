@@ -31,7 +31,6 @@
 #include "core/check.h"
 #include "core/configs.h"
 #include "core/experiment.h"
-#include "core/fleet.h"
 #include "core/sweep.h"
 #include "mobility/route.h"
 #include "net/addr.h"
@@ -273,22 +272,21 @@ TEST(StreamPlane, FinalStreamedTotalsReconcileWithSnapshot) {
   EXPECT_EQ(finals.events, sim.events_executed());
   expect_finals_match_snapshot(finals, snap);
 
-  // A fleet world streams through the same World path. Its trace switch
+  // A fleet world streams through the same Experiment path. Its trace switch
   // decides whether join spans reach the stream; either way the finals
   // reconcile with the fleet's own end-of-run snapshot.
   for (const bool trace : {true, false}) {
     telemetry::StreamExporter fleet_exporter;
     auto fleet_capture = std::make_shared<CaptureSink>();
     fleet_exporter.set_sink(fleet_capture);
-    core::FleetConfig cfg;
-    static_cast<core::WorldConfig&>(cfg) = stream_scenario(9, &fleet_exporter);
+    core::ExperimentConfig cfg = stream_scenario(9, &fleet_exporter);
     cfg.clients = 2;
     cfg.trace_enabled = trace;
     cfg.stream_run_tag = 4;
     telemetry::MetricsSnapshot fleet_snap;
     std::uint64_t fleet_events = 0;
     {
-      core::FleetExperiment fleet(cfg);
+      core::Experiment fleet(cfg);
       fleet.run();
       fleet_snap = fleet.simulator().telemetry().collect();
       fleet_events = fleet.simulator().events_executed();

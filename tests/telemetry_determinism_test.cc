@@ -13,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -235,8 +236,15 @@ TEST(TelemetryDeterminism, TracedRunEmitsTheJoinSpans) {
   EXPECT_TRUE(span_names.count("assoc"));
   EXPECT_TRUE(span_names.count("dhcp"));
   EXPECT_TRUE(span_names.count("join"));
-  // Track 0 is the main/stock lane; the first virtual interface gets lane 1.
-  EXPECT_TRUE(track_names.count("vif1"));
+  // Each virtual interface's lane is named after its client, as is the
+  // client's channel-1 dwell lane.
+  const std::string client =
+      net::MacAddress::from_index(0x00C00001u).to_string();
+  EXPECT_TRUE(std::any_of(track_names.begin(), track_names.end(),
+                          [&client](const std::string& name) {
+                            return name.starts_with(client + " vif ");
+                          }));
+  EXPECT_TRUE(track_names.count(client + " ch1"));
 
   // Re-running the identical traced scenario streams the identical lines.
   EXPECT_EQ(text, traced_stream(7));
