@@ -184,6 +184,7 @@ SPIDER_HOT sim::Time Medium::transmit(Radio& sender, net::Frame frame) {
   tx->sender_id = sender.id_;
   tx->pos = pos;
   tx->channel = channel;
+  tx->airtime = airtime;
   tx->frame = std::move(frame);
   sim_.post_at(done, [this, tx] {
     deliver(*tx);
@@ -305,7 +306,7 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
     ++frames_delivered_;
     ++per_channel_[channel_slot(channel)].delivered;
     if (is_addressee) addressed_delivery = true;
-    hot_.radio[id]->handle_delivery(frame, RxInfo{channel, d});
+    hot_.radio[id]->handle_delivery(frame, RxInfo{channel, d, tx.airtime});
   }
 
   if (arq_eligible && sender != nullptr) {

@@ -84,6 +84,9 @@ struct RadioMove {
 struct RxInfo {
   net::ChannelId channel = 0;
   double distance_m = 0.0;
+  // The transmission's airtime, as Medium::transmit computed it: what a
+  // metered receiver charges for the reception.
+  sim::Time airtime{};
 
   // Log-distance RSSI proxy for AP-selection policies: -40 dBm at 1 m,
   // path-loss exponent 3. Computed on demand, since most receivers (APs
@@ -208,6 +211,7 @@ class Medium {
     RadioId sender_id = 0;
     Vec2 pos{};
     net::ChannelId channel = 0;
+    sim::Time airtime{};
     net::Frame frame{};
   };
   PendingTx* acquire_pending_tx();

@@ -57,10 +57,7 @@ SPIDER_HOT bool Radio::send(net::Frame frame) {
 SPIDER_HOT void Radio::handle_delivery(const net::Frame& frame,
                                        const RxInfo& info) {
   ++frames_rx_;
-  if (energy_) {
-    energy_->charge_burst(RadioState::kReceive,
-                          frame_airtime(frame.size_bytes));
-  }
+  if (energy_) energy_->charge_burst(RadioState::kReceive, info.airtime);
   if (receive_handler_) receive_handler_(frame, info);
 }
 

@@ -8,12 +8,12 @@
 // `spider-trace --chrome` turns those into a Chrome trace-event file that
 // chrome://tracing and Perfetto load). The recorder keeps nothing itself:
 // without a stream attached, recording only counts. Timestamps are
-// microseconds (sim::Time's native unit); tracks become Chrome "tid"s and
-// can be named with name_track(). Track 0 is the world's shared lane; span
-// owners (a driver's channel dwells, one virtual interface's joins) take a
-// lane of their own with open_lane() and hand it back with close_lane(), so
-// no two owners' spans share a lane at once, and a long run reuses lanes
-// instead of growing them.
+// microseconds (sim::Time's native unit); tracks become Chrome threads
+// (one per owner of a reused lane) and can be named with name_track().
+// Track 0 is the world's shared lane; span owners (a driver's channel
+// dwells, one virtual interface's joins) take a lane of their own with
+// open_lane() and hand it back with close_lane(), so no two owners' spans
+// share a lane at once, and a long run reuses lanes instead of growing them.
 //
 // Cost model: recording is OFF by default — every record call starts with an
 // inlined enabled() check, so the tracing-disabled hot path pays one

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <future>
 #include <vector>
+
+#include "sim/thread_pool.h"
 
 namespace spider::model {
 namespace {
@@ -69,6 +76,165 @@ TEST(ChannelCap, FeasibleSetIsNotAnInterval) {
   }
   EXPECT_GT(changes.size(), 1u)
       << "f - cap(f) changes sign at " << ::testing::PrintToString(changes);
+}
+
+// The solver without the join-time memo: every probe of Eq. 9 goes through
+// channel_cap_fraction, which evaluates Eq. 7 afresh. The library memoizes
+// g_T(f) per call and must return these fractions bit for bit.
+namespace unmemoized {
+
+double max_feasible_fraction(const OptimizerParams& params,
+                             const ChannelOffer& offer, double budget) {
+  budget = std::clamp(budget, 0.0, 1.0);
+  if (budget <= 0.0) return 0.0;
+  if (budget <= channel_cap_fraction(params, offer, budget)) return budget;
+  double lo = 0.0, hi = budget;
+  for (int i = 0; i < 40; ++i) {
+    const double mid = (lo + hi) / 2.0;
+    if (mid <= channel_cap_fraction(params, offer, mid)) lo = mid; else hi = mid;
+  }
+  return lo;
+}
+
+double switch_tax(const OptimizerParams& params, double fraction) {
+  return fraction > 0.0 ? params.join.switch_delay / params.join.period : 0.0;
+}
+
+std::vector<double> optimize_two_channels(const OptimizerParams& params,
+                                          ChannelOffer ch1, ChannelOffer ch2) {
+  double best_obj = -1.0;
+  double best_f1 = 0.0, best_f2 = 0.0;
+  const int steps = static_cast<int>(std::round(1.0 / params.grid_step));
+  for (int i = 0; i <= steps; ++i) {
+    const double f2_try = static_cast<double>(i) / steps;
+    const double f2 = std::min(
+        f2_try, max_feasible_fraction(params, ch2, f2_try));
+    const double budget1 =
+        1.0 - f2 - switch_tax(params, f2) - switch_tax(params, 1.0);
+    const double f1 = max_feasible_fraction(params, ch1, budget1);
+    const double obj = f1 + f2;
+    if (obj > best_obj) {
+      best_obj = obj;
+      best_f1 = f1;
+      best_f2 = f2;
+    }
+  }
+  return {best_f1, best_f2};
+}
+
+// optimize_channels for one offer or k >= 3 (coordinate ascent).
+std::vector<double> optimize_channels(const OptimizerParams& params,
+                                      const std::vector<ChannelOffer>& offers) {
+  if (offers.size() == 1) {
+    const double tax = params.join.switch_delay / params.join.period;
+    return {max_feasible_fraction(params, offers[0], 1.0 - tax)};
+  }
+  const std::size_t k = offers.size();
+  std::vector<double> best(k, 0.0);
+  double best_obj = -1.0;
+  for (std::size_t start = 0; start <= k; ++start) {
+    std::vector<double> f(k, 0.0);
+    if (start < k) {
+      f[start] = 0.5;
+    } else {
+      std::fill(f.begin(), f.end(), 1.0 / static_cast<double>(k));
+    }
+    for (int sweep = 0; sweep < 8; ++sweep) {
+      for (std::size_t i = 0; i < k; ++i) {
+        double used = 0.0;
+        for (std::size_t j = 0; j < k; ++j) {
+          if (j == i) continue;
+          used += f[j] + switch_tax(params, f[j]);
+        }
+        const double budget = 1.0 - used - switch_tax(params, 1.0);
+        f[i] = max_feasible_fraction(params, offers[i], budget);
+      }
+    }
+    double obj = 0.0;
+    for (double v : f) obj += v;
+    if (obj > best_obj) {
+      best_obj = obj;
+      best = f;
+    }
+  }
+  return best;
+}
+
+}  // namespace unmemoized
+
+// Fig. 4's inputs (25/50/75 % of Bw joined on channel 1, the rest pending on
+// channel 2, 100 m and 50 m ranges) at every speed from 0.5 to 60 m/s in
+// 0.25 m/s steps, then, at 1 m/s steps, two offer pairs that both have
+// bandwidth pending, so a cache that mixed up offers or horizons would show.
+TEST(JoinTimeMemo, TwoChannelSolvesAreBitIdentical) {
+  const double Bw = paper_optimizer().wireless_bps;
+  struct Sweep {
+    ChannelOffer ch1, ch2;
+    int quarters_per_step;  // speed step in units of 0.25 m/s
+  };
+  std::vector<Sweep> sweeps;
+  for (const double joined : {0.25, 0.50, 0.75}) {
+    sweeps.push_back({{joined * Bw, 0}, {0, (1.0 - joined) * Bw}, 1});
+  }
+  sweeps.push_back({{0.25 * Bw, 0.25 * Bw}, {0, 0.5 * Bw}, 4});
+  sweeps.push_back({{0, 0.3 * Bw}, {0.1 * Bw, 0.6 * Bw}, 4});
+  std::size_t solves = 0;
+  for (const Sweep& sweep : sweeps) {
+    for (const double range_m : {100.0, 50.0}) {
+      for (int q = 2; q <= 240; q += sweep.quarters_per_step) {
+        const double speed = q * 0.25;
+        const OptimizerParams p =
+            paper_optimizer(time_in_range_for_speed(speed, range_m));
+        const auto want =
+            unmemoized::optimize_two_channels(p, sweep.ch1, sweep.ch2);
+        const auto got = optimize_two_channels(p, sweep.ch1, sweep.ch2);
+        ASSERT_EQ(got.fractions.size(), 2u);
+        EXPECT_EQ(got.fractions[0], want[0])
+            << "ch1 at " << speed << " m/s, range " << range_m;
+        EXPECT_EQ(got.fractions[1], want[1])
+            << "ch2 at " << speed << " m/s, range " << range_m;
+        ++solves;
+      }
+    }
+  }
+  EXPECT_EQ(solves, 3u * 2u * 239u + 2u * 2u * 60u);
+}
+
+// The one-offer and coordinate-ascent paths on the KChannel cases, over a
+// range of horizons, plus three distinct pending offers.
+TEST(JoinTimeMemo, KChannelSolvesAreBitIdentical) {
+  const double Bw = paper_optimizer().wireless_bps;
+  const std::vector<std::vector<ChannelOffer>> cases = {
+      {{Bw, 0}},
+      {{0, 0.8 * Bw}},
+      {{0.3 * Bw, 0}, {0, 0.4 * Bw}, {0, 0.4 * Bw}},
+      {{0.2 * Bw, 0.1 * Bw}, {0, 0.4 * Bw}, {0.1 * Bw, 0.3 * Bw}},
+  };
+  for (const auto& offers : cases) {
+    for (const double T : {2.0, 5.0, 10.0, 20.0, 40.0, 80.0}) {
+      const OptimizerParams p = paper_optimizer(T);
+      const auto want = unmemoized::optimize_channels(p, offers);
+      const auto got = optimize_channels(p, offers);
+      ASSERT_EQ(got.fractions.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got.fractions[i], want[i])
+            << offers.size() << " offers, T " << T << ", channel " << i;
+      }
+    }
+  }
+}
+
+// The memo marks an empty slot with one NaN bit pattern. A fraction with
+// those bits can only come from parameters carrying that NaN, which Eq. 7
+// rejects; the memo must evaluate it (and throw) rather than read the empty
+// slot as a stored g. Channel 1 is the only one with bandwidth pending, so
+// every Eq. 7 probe it makes has the NaN budget's bits.
+TEST(JoinTimeMemo, NaNFractionIsEvaluatedNotLookedUp) {
+  OptimizerParams p = paper_optimizer();
+  p.join.switch_delay = std::bit_cast<double>(~std::uint64_t{0});
+  const double Bw = p.wireless_bps;
+  EXPECT_THROW(optimize_two_channels(p, {0, 0.5 * Bw}, {0.5 * Bw, 0}),
+               std::invalid_argument);
 }
 
 TEST(TwoChannel, RespectsPeriodBudget) {
@@ -173,6 +339,31 @@ TEST(DividingSpeed, MatchesFig4Table) {
                              0.5, 60.0, 0.05, 0.05),
               r.speed)
         << "joined " << r.joined_share << " range " << r.range_m;
+  }
+}
+
+// Sweeps solve concurrently, so each solve's memo must be its own: the six
+// Fig. 4 solves on four threads equal the serial ones bit for bit.
+TEST(DividingSpeed, ConcurrentSolvesMatchSerial) {
+  const OptimizerParams p = paper_optimizer();
+  const double Bw = p.wireless_bps;
+  const auto solve = [&](int row) {
+    const double joined = 0.25 * (1 + row / 2);
+    const double range_m = row % 2 == 0 ? 100.0 : 50.0;
+    return dividing_speed(p, {joined * Bw, 0}, {0, (1.0 - joined) * Bw},
+                          range_m, 0.5, 60.0, 0.05, 0.05);
+  };
+  std::vector<double> serial;
+  for (int row = 0; row < 6; ++row) serial.push_back(solve(row));
+  sim::ThreadPool pool(4);
+  std::vector<std::future<double>> concurrent;
+  for (int row = 0; row < 6; ++row) {
+    concurrent.push_back(pool.submit([&solve, row] { return solve(row); }));
+  }
+  for (int row = 0; row < 6; ++row) {
+    EXPECT_EQ(concurrent[static_cast<std::size_t>(row)].get(),
+              serial[static_cast<std::size_t>(row)])
+        << "row " << row;
   }
 }
 

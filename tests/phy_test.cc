@@ -1,4 +1,5 @@
 #include "phy/channel.h"
+#include "phy/energy.h"
 #include "phy/geom.h"
 #include "phy/medium.h"
 #include "phy/radio.h"
@@ -257,6 +258,44 @@ TEST_F(PhyTest, DetachedRadioGetsNothing) {
   tx.send(net::make_probe_request(tx.address()));
   sim_.run_all();
   EXPECT_EQ(received, 1);
+}
+
+// A metered receiver charges each reception the airtime the medium computed
+// for the transmission: its receive time is the sum of the delivered frames'
+// airtimes, and its joules sum receive power times each airtime in delivery
+// order, exactly as when the radio recomputed the airtime from the frame.
+TEST_F(PhyTest, MeteredReceptionChargesTheTransmissionsAirtime) {
+  MediumConfig cfg;
+  cfg.base_loss = 0.3;
+  cfg.edge_degradation = false;
+  Medium medium(sim_, sim::Rng(3), cfg);
+  Radio tx(medium, net::MacAddress::from_index(1));
+  Radio rx(medium, net::MacAddress::from_index(2));
+  rx.set_position({20, 0});
+  EnergyMeter meter(sim_);
+  rx.attach_energy_meter(&meter);
+  const double receive_w = EnergyModel{}.receive_w;
+  int received = 0;
+  sim::Time airtime_sum = sim::Time::zero();
+  double joules = 0.0;
+  rx.set_receive_handler([&](const net::Frame& frame, const RxInfo& info) {
+    const sim::Time airtime =
+        cfg.preamble + sim::transmission_time(frame.size_bytes, cfg.bitrate_bps);
+    EXPECT_EQ(info.airtime, airtime);
+    ++received;
+    airtime_sum += airtime;
+    joules += receive_w * airtime.sec();
+  });
+  for (int i = 0; i < 200; ++i) {
+    net::Frame frame = net::make_probe_request(tx.address());
+    frame.size_bytes = 40 + 37 * (i % 41);
+    tx.send(std::move(frame));
+  }
+  sim_.run_all();
+  EXPECT_GT(received, 100);
+  EXPECT_LT(received, 200);
+  EXPECT_EQ(meter.time_in(RadioState::kReceive), airtime_sum);
+  EXPECT_EQ(meter.joules_in(RadioState::kReceive), joules);
 }
 
 }  // namespace

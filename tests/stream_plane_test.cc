@@ -24,6 +24,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -606,6 +607,76 @@ TEST(TraceRecorder, CounterEventsRenderAsPerfettoCounterSeries) {
   EXPECT_EQ(psm.string_or("id", ""), "7");
   ASSERT_NE(psm.find("args"), nullptr);
   EXPECT_DOUBLE_EQ(psm.find("args")->number_or("value", 0), 3.0);
+}
+
+// The recorder hands a lane to successive owners, and each owner's "track"
+// line names it. Chrome keeps one name per thread, so --chrome gives every
+// owner a tid of its own: in a traced two-client drive that reuses lanes,
+// no tid is named twice, and every span line is exactly one span event.
+TEST(StreamPlane, ChromeGivesEachLaneOwnerItsOwnTid) {
+  telemetry::StreamExporter exporter;
+  auto capture = std::make_shared<CaptureSink>();
+  exporter.set_sink(capture);
+  core::ExperimentConfig cfg = stream_scenario(9, &exporter);
+  cfg.clients = 2;
+  cfg.trace_enabled = true;
+  // Six APs 150 m apart along the road: each client joins one after another
+  // and drops each as it falls behind, so interface lanes change hands.
+  cfg.duration = sim::Time::seconds(90);
+  cfg.vehicle = mobility::Vehicle(mobility::Route::straight(1000.0), 12.0);
+  const mobility::ApDescriptor first = cfg.aps.front();
+  cfg.aps.clear();
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    mobility::ApDescriptor ap = first;
+    ap.ssid = "road-" + std::to_string(i);
+    ap.mac = net::MacAddress::from_index(0xB0 + i);
+    ap.subnet = net::Ipv4Address{(10u << 24) | ((0xB0u + i) << 8)};
+    ap.position = {100.0 + 150.0 * i, 10.0};
+    cfg.aps.push_back(ap);
+  }
+  core::Experiment(cfg).run();
+
+  using Span = std::tuple<std::string, double, double>;  // name, ts, dur
+  std::multiset<Span> spans;
+  std::map<double, int> owners;  // track lines per lane
+  for (const telemetry::JsonValue& line :
+       testutil::parse_lines(capture->text(), "")) {
+    const std::string kind = line.string_or("kind", "");
+    if (kind == "span") {
+      spans.emplace(line.string_or("name", ""), line.number_or("ts_us", -1),
+                    line.number_or("dur_us", -1));
+    } else if (kind == "track") {
+      ++owners[line.number_or("track", -1)];
+    }
+  }
+  ASSERT_FALSE(spans.empty());
+  int reused = 0;
+  for (const auto& [lane, count] : owners) reused += count > 1 ? 1 : 0;
+  ASSERT_GT(reused, 0) << "the drive must hand some lane to a second owner";
+
+  const telemetry::JsonValue doc = chrome_of(capture->text(), "owners");
+  const telemetry::JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::set<std::pair<double, double>> named;
+  std::multiset<Span> exported;
+  for (const telemetry::JsonValue& ev : events->array) {
+    const std::string ph = ev.string_or("ph", "");
+    if (ph == "M") {
+      EXPECT_TRUE(
+          named.emplace(ev.number_or("pid", -1), ev.number_or("tid", -1))
+              .second)
+          << "tid " << ev.number_or("tid", -1) << " named twice";
+    } else if (ph == "X") {
+      exported.emplace(ev.string_or("name", ""), ev.number_or("ts", -1),
+                       ev.number_or("dur", -1));
+    }
+  }
+  std::size_t track_lines = 0;
+  for (const auto& [lane, count] : owners) {
+    track_lines += static_cast<std::size_t>(count);
+  }
+  EXPECT_EQ(named.size(), track_lines);
+  EXPECT_EQ(exported, spans);
 }
 
 TEST(StreamPlane, SpiderTraceSkipsNumbersOutOfRange) {

@@ -13,8 +13,8 @@
 //     counters (SPIDER_CHECK failures) of the exporter's closing line.
 // With --chrome OUT it also writes the span, instant and counter_sample
 // lines to OUT as one {"traceEvents":[…]} document that chrome://tracing and
-// Perfetto load: one process per run tag, one thread per track, and a
-// thread_name record for every track the run named.
+// Perfetto load: one process per run tag, one thread per lane owner, and a
+// thread_name record for every owner the run named.
 //
 // Usage: spider-trace [--top N] [--chrome OUT] <stream.jsonl>
 //   --top N       rows in the counter tables, 1..1000 (default 12)
@@ -304,6 +304,7 @@ class ChromeWriter {
   // One span, instant or counter_sample line, its integers already checked.
   void event(const JsonValue& doc, const std::string& kind, std::uint32_t run,
              std::int64_t ts, std::int64_t dur, std::uint32_t track) {
+    const std::uint64_t tid = current_tid(run, track);
     const char phase = kind == "span" ? 'X' : kind == "instant" ? 'i' : 'C';
     std::string out = "{\"name\":";
     append_json_quoted(out, doc.string_or("name", ""));
@@ -320,14 +321,14 @@ class ChromeWriter {
     out += ",\"pid\":";
     append_json_u64(out, run);
     out += ",\"tid\":";
-    append_json_u64(out, track);
+    append_json_u64(out, tid);
     if (phase == 'C') {
       // Counter series are keyed by (pid, name, id), not tid; a nonzero
-      // track becomes the "id" so several same-named series (one per AP,
+      // tid becomes the "id" so several same-named series (one per AP,
       // say) render as separate graphs.
-      if (track != 0) {
+      if (tid != 0) {
         out += ",\"id\":\"";
-        append_json_u64(out, track);
+        append_json_u64(out, tid);
         out += '"';
       }
       out += ",\"args\":{\"value\":";
@@ -350,12 +351,13 @@ class ChromeWriter {
     ++events_;
   }
 
+  // A "track" line: `track`'s next owner, named `name`.
   void track_name(std::uint32_t run, std::uint32_t track,
                   const std::string& name) {
     std::string out = "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
     append_json_u64(out, run);
     out += ",\"tid\":";
-    append_json_u64(out, track);
+    append_json_u64(out, new_owner(run, track));
     out += ",\"args\":{\"name\":";
     append_json_quoted(out, name);
     out += "}}";
@@ -383,11 +385,33 @@ class ChromeWriter {
     }
   }
 
+  // The recorder hands a lane to successive owners (one virtual interface,
+  // then another), and each owner's "track" line names it afresh; giving the
+  // owners one tid would give that tid several names. So each owner gets a
+  // tid of its own: a lane's first owner keeps the lane number, and every
+  // later one adds 2^32 to its predecessor's tid, past any 32-bit lane.
+  // Lines on a lane go to its current owner; lane 0, the world's shared
+  // lane, is always tid 0.
+  static constexpr std::uint64_t kOwnerStride = std::uint64_t{1} << 32;
+  using Lane = std::pair<std::uint32_t, std::uint32_t>;  // (run, track)
+
+  std::uint64_t current_tid(std::uint32_t run, std::uint32_t track) const {
+    const auto it = owners_.find(Lane{run, track});
+    return it == owners_.end() ? track : it->second;
+  }
+  std::uint64_t new_owner(std::uint32_t run, std::uint32_t track) {
+    if (track == 0) return 0;
+    const auto [it, first] = owners_.try_emplace(Lane{run, track}, track);
+    if (!first) it->second += kOwnerStride;
+    return it->second;
+  }
+
   const char* path_;
   std::FILE* file_;
   bool failed_ = false;
   bool first_ = true;
   std::size_t events_ = 0;
+  std::map<Lane, std::uint64_t> owners_;  // current tid of each named lane
 };
 
 // ---------------------------------------------------------------------------
