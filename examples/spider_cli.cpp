@@ -1,10 +1,9 @@
 // spider_cli — run an arbitrary Spider experiment from the command line and
-// emit machine-readable results (JSON summary, optional CSV CDFs, optional
-// frame-level trace). The tool a downstream user scripts parameter sweeps
-// with.
+// emit machine-readable results (JSON summary, optional CSV CDFs). The tool
+// a downstream user scripts parameter sweeps with.
 //
 //   $ ./spider_cli --config=multi --channel=1 --speed=10 --duration=300
-//                  --seed=7 --sites=30 --csv=cdfs.csv --frames=20
+//                  --seed=7 --sites=30 --csv=cdfs.csv
 //
 // Flags (all optional; a value outside its range, or not a number, exits 2):
 //   --config=multi|single|3ch|3ch-single|dynamic|stock   driver preset
@@ -17,8 +16,6 @@
 //                      (default 30)
 //   --dud=F            fraction of never-leasing APs, 0..1 (default 0.2)
 //   --csv=PATH         write connection/disruption/bandwidth CDFs as CSV
-//   --frames=N         print the first N management frames of the trace,
-//                      0..100000
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -33,7 +30,6 @@
 #include "phy/channel.h"
 #include "telemetry/json.h"
 #include "trace/export.h"
-#include "trace/frame_log.h"
 
 using namespace spider;
 
@@ -48,7 +44,6 @@ struct Options {
   int sites = 30;
   double dud = 0.2;
   std::string csv_path;
-  int frames = 0;
 };
 
 bool parse_flag(const char* arg, const char* name, std::string& out) {
@@ -119,7 +114,6 @@ Options parse(int argc, char** argv) {
     else if (parse_flag(argv[i], "--sites", v)) o.sites = integer("--sites", v, 0, 1000);
     else if (parse_flag(argv[i], "--dud", v)) o.dud = number("--dud", v, 0.0, 1.0);
     else if (parse_flag(argv[i], "--csv", v)) o.csv_path = v;
-    else if (parse_flag(argv[i], "--frames", v)) o.frames = integer("--frames", v, 0, 100000);
     else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       std::exit(2);
@@ -163,14 +157,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  trace::FrameLog log(static_cast<std::size_t>(std::max(o.frames, 1)));
-  log.set_filter([](const trace::FrameRecord& r) {
-    return r.kind != net::FrameKind::kData &&
-           r.kind != net::FrameKind::kBeacon;
-  });
-
   core::Experiment exp(std::move(cfg));
-  if (o.frames > 0) exp.attach_frame_log(log);
   const auto r = exp.run();
 
   // Integers print as integers, doubles as %.17g (null when not finite).
@@ -215,16 +202,6 @@ int main(int argc, char** argv) {
          {"disruption_s", &r.traffic.disruption_durations_sec}},
         25, 0.0, 120.0);
     std::fprintf(stderr, "wrote %s\n", o.csv_path.c_str());
-  }
-  if (o.frames > 0) {
-    std::fprintf(stderr, "last %zu management frames (of %llu total):\n",
-                 log.entries().size(),
-                 static_cast<unsigned long long>(log.management_frames()));
-    for (const auto& rec : log.entries()) {
-      std::fprintf(stderr, "  %s\n", rec.to_string().c_str());
-    }
-    std::fprintf(stderr, "management overhead: %.2f%% of bytes on air\n",
-                 100.0 * log.management_byte_fraction());
   }
   return 0;
 }

@@ -122,7 +122,7 @@ std::vector<ScanEntry> ClientDevice::scan_results(net::ChannelId channel) const 
   const sim::Time now = sim_.now();
   for (const auto& [bssid, entry] : scan_table_) {
     if (channel != 0 && entry.channel != channel) continue;
-    if (now - entry.last_seen > config_.scan_expiry) continue;
+    if (now - entry.last_seen > kScanExpiry) continue;
     out.push_back(entry);
   }
   return out;

@@ -35,13 +35,14 @@ struct ScanEntry {
   sim::Time last_seen = sim::Time::zero();
 };
 
+// Scan entries older than this are ignored by selection.
+inline constexpr sim::Time kScanExpiry = sim::Time::seconds(3);
+
 struct ClientDeviceConfig {
   phy::RadioConfig radio;
   std::size_t max_queue_frames = 256;
   // Active probe on each channel arrival and at this interval while parked.
   sim::Time probe_interval = sim::Time::millis(500);
-  // Scan entries older than this are ignored by selection.
-  sim::Time scan_expiry = sim::Time::seconds(3);
 };
 
 class ClientDevice {
@@ -84,7 +85,7 @@ class ClientDevice {
   sim::Time switch_channel(net::ChannelId channel,
                            std::function<void()> done = nullptr);
 
-  // Fresh scan results (age <= scan_expiry) in bssid order, optionally
+  // Fresh scan results (age <= kScanExpiry) in bssid order, optionally
   // filtered by channel (0 = all channels).
   std::vector<ScanEntry> scan_results(net::ChannelId channel = 0) const;
   void forget_scan(net::Bssid bssid) { scan_table_.erase(bssid); }

@@ -44,12 +44,11 @@ Experiment::Experiment(ExperimentConfig config)
   if (config_.trace_enabled) sim_.telemetry().trace().set_enabled(true);
   medium_ = std::make_unique<phy::Medium>(sim_, rng_.fork("medium"),
                                           config_.medium);
-  server_ = std::make_unique<tcp::ContentServer>(sim_, config_.tcp);
+  server_ = std::make_unique<tcp::ContentServer>(sim_);
 
   std::size_t index = 0;
   for (const auto& desc : config_.aps) {
     backhaul::ApHostConfig host_cfg;
-    host_cfg.ap = config_.ap_mac;
     host_cfg.ap.ssid = desc.ssid;
     host_cfg.ap.channel = desc.channel;
     host_cfg.dhcp.offer_delay_min = desc.dhcp_offer_min;
@@ -81,8 +80,7 @@ void Experiment::add_client(std::uint32_t index) {
       config_.vehicle.position(client->phase));
   client->device->radio().attach_energy_meter(&client->energy);
 
-  client->flows =
-      std::make_unique<FlowManager>(sim_, *client->device, config_.tcp);
+  client->flows = std::make_unique<FlowManager>(sim_, *client->device);
   client->flows->install_tap();
   client->flows->set_delivery_handler([this, raw](std::int64_t bytes) {
     raw->tracker.record(sim_.now(), bytes);
@@ -113,17 +111,6 @@ void Experiment::add_client(std::uint32_t index) {
       break;
   }
   clients_.push_back(std::move(client));
-}
-
-void Experiment::attach_frame_log(trace::FrameLog& log) {
-  // Ring overflow streams into the trace recorder (instant events) instead
-  // of vanishing; a no-op while tracing is off.
-  log.stream_evictions_to(sim_.telemetry().trace());
-  medium_->set_sniffer(
-      [&log](const net::Frame& f, net::ChannelId ch, sim::Time at) {
-        log.record(trace::FrameRecord{at, ch, f.kind, f.src, f.dst,
-                                      f.size_bytes});
-      });
 }
 
 // Hot per mobility tick: the move batch is carved from the drain arena

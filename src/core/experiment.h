@@ -32,7 +32,6 @@
 #include "sim/simulator.h"
 #include "tcp/tcp.h"
 #include "trace/connectivity.h"
-#include "trace/frame_log.h"
 
 namespace spider::telemetry {
 class StreamExporter;
@@ -60,16 +59,12 @@ struct ExperimentConfig {
   // One-way wired latency AP <-> content server. The paper's D = 400 ms is
   // "equal to two typical RTTs", i.e. end-to-end RTT ~200 ms.
   sim::Time backhaul_latency = sim::Time::millis(100);
-  tcp::TcpConfig tcp;
   // Every client runs this driver, with the config of its kind.
   DriverKind driver = DriverKind::kSpider;
   SpiderConfig spider;
   StockDriverConfig stock;
   // Vehicles on the route, each with its own device, flows and meters.
   int clients = 1;
-  // MAC-layer knobs applied to every AP (ssid/channel still come from each
-  // ApDescriptor) — e.g. the beacon interval, world-wide.
-  mac::AccessPointConfig ap_mac;
   // Turns on the world's trace recorder for this run (spans for joins,
   // channel dwells, DHCP). Off by default: recording costs one stream line
   // per span, and sweeps only want it on a chosen run.
@@ -130,10 +125,6 @@ class Experiment {
 
   // Runs to completion and returns the report. Call once.
   ExperimentResults run();
-
-  // Attaches a tcpdump-style tap recording every frame on the medium.
-  // Call before run(); the log must outlive the experiment's run.
-  void attach_frame_log(trace::FrameLog& log);
 
   // Exposed for tests and custom benches that want to poke the world. The
   // driver and flow accessors are client 0's; spider() is null for a stock

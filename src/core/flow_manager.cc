@@ -5,9 +5,8 @@
 
 namespace spider::core {
 
-FlowManager::FlowManager(sim::Simulator& simulator, ClientDevice& device,
-                         tcp::TcpConfig config)
-    : sim_(simulator), device_(device), config_(config) {
+FlowManager::FlowManager(sim::Simulator& simulator, ClientDevice& device)
+    : sim_(simulator), device_(device) {
   // Flow ids are namespaced by the client MAC so several clients can share
   // one content server without collisions.
   next_flow_id_ = (device.address().value() << 16) | 1u;
@@ -28,7 +27,7 @@ void FlowManager::open_flow(net::Bssid bssid, net::ChannelId channel) {
                                                  bssid, seg));
   };
   Flow flow{id, bssid, channel,
-            std::make_unique<tcp::TcpReceiver>(sim_, id, send, config_),
+            std::make_unique<tcp::TcpReceiver>(sim_, id, send),
             sim_.now()};
   rates_[bssid] = RateRecord{0, sim_.now(), rates_[bssid].last_rate_bps};
   flow.receiver->set_delivery_handler([this, bssid](std::int64_t bytes) {
@@ -98,7 +97,7 @@ std::vector<std::uint64_t> FlowManager::start_striped_upload(
                                                    bssid, seg));
     };
     Upload up{id, s.bssid,
-              std::make_unique<tcp::TcpSender>(sim_, id, send, bytes, config_)};
+              std::make_unique<tcp::TcpSender>(sim_, id, send, bytes)};
     auto* raw = up.sender.get();
     uploads_.emplace(id, std::move(up));
     ids.push_back(id);

@@ -35,8 +35,7 @@ class FlowManager {
   // server-side sender.
   using FlowClosedFn = std::function<void(std::uint64_t flow_id)>;
 
-  FlowManager(sim::Simulator& simulator, ClientDevice& device,
-              tcp::TcpConfig config = {});
+  FlowManager(sim::Simulator& simulator, ClientDevice& device);
 
   FlowManager(const FlowManager&) = delete;
   FlowManager& operator=(const FlowManager&) = delete;
@@ -99,7 +98,6 @@ class FlowManager {
 
   sim::Simulator& sim_;
   ClientDevice& device_;
-  tcp::TcpConfig config_;
   DeliveryFn on_delivered_;
   FlowClosedFn on_closed_;
   std::unordered_map<std::uint64_t, Flow> flows_;         // by flow id

@@ -19,6 +19,16 @@ using phy::kChannelSlots;
 // interface's join lane is "<client mac> vif <bssid>".
 constexpr auto kChannelTrackNames = phy::make_slot_names<kChannelSlots>("ch");
 
+// AP selection (reaping, then joining) runs at this period.
+constexpr sim::Time kSelectionInterval = sim::Time::millis(200);
+// Dynamic channel selection: a scan excursion starts every
+// kChannelEvalInterval and dwells kScanExcursion on each rival channel.
+constexpr sim::Time kChannelEvalInterval = sim::Time::seconds(4);
+constexpr sim::Time kScanExcursion = sim::Time::millis(80);
+// A rival channel must beat the current one by this factor to trigger a
+// re-camp (hysteresis against flapping).
+constexpr double kChannelSwitchHysteresis = 1.3;
+
 }  // namespace
 
 SpiderDriver::SpiderDriver(sim::Simulator& simulator, ClientDevice& device,
@@ -110,9 +120,9 @@ void SpiderDriver::start() {
   }
   rotate_schedule(0);
   selection_timer_ =
-      sim_.schedule_after(config_.selection_interval, [this] { selection_tick(); });
+      sim_.schedule_after(kSelectionInterval, [this] { selection_tick(); });
   if (config_.dynamic_channel) {
-    eval_timer_ = sim_.schedule_after(config_.channel_eval_interval,
+    eval_timer_ = sim_.schedule_after(kChannelEvalInterval,
                                       [this] { channel_eval_tick(); });
   }
 }
@@ -130,7 +140,7 @@ double SpiderDriver::channel_utility(net::ChannelId channel) const {
 }
 
 void SpiderDriver::channel_eval_tick() {
-  eval_timer_ = sim_.schedule_after(config_.channel_eval_interval,
+  eval_timer_ = sim_.schedule_after(kChannelEvalInterval,
                                     [this] { channel_eval_tick(); });
   if (excursion_active_) return;
   excursion_active_ = true;
@@ -161,7 +171,7 @@ void SpiderDriver::scan_excursion_step() {
     accumulate_airtime();
     dwell_channel_ = target;
   });
-  sim_.post_after(config_.scan_excursion, [this] { scan_excursion_step(); });
+  sim_.post_after(kScanExcursion, [this] { scan_excursion_step(); });
 }
 
 template <typename Pred>
@@ -189,7 +199,7 @@ void SpiderDriver::finish_channel_eval() {
   }
   if (best == home_channel()) return;
   // Hysteresis, plus never abandon live connections for speculative gain.
-  if (best_utility < home_utility * config_.channel_switch_hysteresis) return;
+  if (best_utility < home_utility * kChannelSwitchHysteresis) return;
   if (connected_count() > 0) return;
   ++recamps_;
   config_.schedule.front().channel = best;
@@ -365,10 +375,8 @@ void SpiderDriver::create_interface(const ScanEntry& entry) {
       sim_, device_.address(), bssid, join_tx, dhcp_config);
 
   VirtualInterface* raw = vif.get();
-  vif->session->set_event_handler(
-      [this, raw](mac::ClientSession&, mac::SessionEvent ev) {
-        on_session_event(*raw, ev);
-      });
+  vif->session->set_associated_handler(
+      [this, raw](mac::ClientSession&) { on_associated(*raw); });
   vif->dhcp->set_event_handler([this, raw](dhcpd::DhcpClient&, dhcpd::DhcpEvent ev) {
     on_dhcp_event(*raw, ev);
   });
@@ -388,7 +396,7 @@ void SpiderDriver::create_interface(const ScanEntry& entry) {
 
 void SpiderDriver::selection_tick() {
   selection_timer_ =
-      sim_.schedule_after(config_.selection_interval, [this] { selection_tick(); });
+      sim_.schedule_after(kSelectionInterval, [this] { selection_tick(); });
 
   // 1. Reap interfaces whose AP has been silent for link_loss_timeout of
   //    on-channel time (silence while parked elsewhere doesn't count), or
@@ -474,41 +482,26 @@ const VirtualInterface* SpiderDriver::find_interface(net::Bssid bssid) const {
   return it == interfaces_.end() ? nullptr : it->second.get();
 }
 
-void SpiderDriver::on_session_event(VirtualInterface& vif,
-                                    mac::SessionEvent event) {
-  switch (event) {
-    case mac::SessionEvent::kAssociated: {
-      // Join pipeline ordering: association completes exactly once, from the
-      // associating stage; DHCP only starts on top of it.
-      SPIDER_CHECK(vif.state == VirtualInterface::State::kAssociating)
-          << "kAssociated for " << vif.bssid.to_string()
-          << " in driver state " << static_cast<int>(vif.state);
-      ++metrics_.associations;
-      metrics_.association_delay_sec.add(vif.session->association_delay().sec());
-      sim_.telemetry()
-          .metrics()
-          .histogram("driver.assoc_delay_sec")
-          .add(vif.session->association_delay().sec());
-      vif.state = VirtualInterface::State::kDhcp;
-      const auto cached = config_.cache_leases
-                              ? lease_cache_.find(vif.bssid)
-                              : lease_cache_.end();
-      if (cached != lease_cache_.end() &&
-          cached->second.acquired_at + cached->second.duration > sim_.now()) {
-        vif.dhcp->start_with_cached(cached->second);
-      } else {
-        vif.dhcp->start();
-      }
-      break;
-    }
-    case mac::SessionEvent::kFailed: {
-      // Deferred: we are inside the session's own call stack.
-      const net::Bssid bssid = vif.bssid;
-      sim_.post_after(sim::Time::zero(), [this, bssid] {
-        destroy_interface(bssid, /*lost=*/false);
-      });
-      break;
-    }
+void SpiderDriver::on_associated(VirtualInterface& vif) {
+  // Join pipeline ordering: association completes exactly once, from the
+  // associating stage; DHCP only starts on top of it.
+  SPIDER_CHECK(vif.state == VirtualInterface::State::kAssociating)
+      << "association for " << vif.bssid.to_string()
+      << " in driver state " << static_cast<int>(vif.state);
+  ++metrics_.associations;
+  metrics_.association_delay_sec.add(vif.session->association_delay().sec());
+  sim_.telemetry()
+      .metrics()
+      .histogram("driver.assoc_delay_sec")
+      .add(vif.session->association_delay().sec());
+  vif.state = VirtualInterface::State::kDhcp;
+  const auto cached = config_.cache_leases ? lease_cache_.find(vif.bssid)
+                                           : lease_cache_.end();
+  if (cached != lease_cache_.end() &&
+      cached->second.acquired_at + cached->second.duration > sim_.now()) {
+    vif.dhcp->start_with_cached(cached->second);
+  } else {
+    vif.dhcp->start();
   }
 }
 

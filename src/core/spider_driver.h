@@ -57,7 +57,6 @@ struct SpiderConfig {
   ApSelectionPolicy policy = ApSelectionPolicy::kJoinHistory;
   mac::ClientSessionConfig session{.link_timeout = sim::Time::millis(100)};
   dhcpd::DhcpClientConfig dhcp = dhcpd::reduced_dhcp_timers(sim::Time::millis(200));
-  sim::Time selection_interval = sim::Time::millis(200);
   // Give up on an AP after this much *on-channel* silence.
   sim::Time link_loss_timeout = sim::Time::millis(1500);
   // Abandon a join that has not produced a lease within this budget (dud or
@@ -74,11 +73,6 @@ struct SpiderConfig {
   // (join-history-weighted) AP supply is best. Requires a single-slice
   // schedule; the slice's channel is just the starting point.
   bool dynamic_channel = false;
-  sim::Time channel_eval_interval = sim::Time::seconds(4);
-  sim::Time scan_excursion = sim::Time::millis(80);
-  // A rival channel must beat the current one by this factor to trigger a
-  // re-camp (hysteresis against flapping).
-  double channel_switch_hysteresis = 1.3;
 
   // Lease caching (Section 2.1.2: "techniques such as caching dhcp leases
   // ... are essential for multi-AP systems"): on re-encountering an AP we
@@ -166,7 +160,7 @@ class SpiderDriver {
   // Destroys, in bssid order, every interface `doomed` selects.
   template <typename Pred>
   void destroy_interfaces_if(Pred doomed, bool lost);
-  void on_session_event(VirtualInterface& vif, mac::SessionEvent event);
+  void on_associated(VirtualInterface& vif);
   void on_dhcp_event(VirtualInterface& vif, dhcpd::DhcpEvent event);
   bool scheduled_channel(net::ChannelId channel) const;
   void note_heard(VirtualInterface& vif);

@@ -5,6 +5,20 @@
 #include <utility>
 
 namespace spider::core {
+namespace {
+
+// Time on each channel of a sweep scan.
+constexpr sim::Time kScanDwell = sim::Time::millis(150);
+// DHCP attempt windows tolerated before abandoning the AP. The value
+// mirrors dhclient's behaviour: after the 3 s window fails it idles 60 s
+// while the Wi-Fi layer stays associated — so a dud AP effectively holds
+// the client until link loss ends the encounter.
+constexpr int kDhcpWindowsBeforeRescan = 99;
+// Settle time before the stack rescans after a failed or lost
+// connection (supplicant/dhclient restart churn on 2011 stacks).
+constexpr sim::Time kRejoinDelay = sim::Time::seconds(2);
+
+}  // namespace
 
 StockDriver::StockDriver(sim::Simulator& simulator, ClientDevice& device,
                          StockDriverConfig config)
@@ -64,7 +78,7 @@ void StockDriver::scan_step(std::size_t index) {
   }
   device_.switch_channel(config_.scan_channels[index],
                          [this] { device_.probe_now(); });
-  timer_ = sim_.schedule_after(config_.scan_dwell,
+  timer_ = sim_.schedule_after(kScanDwell,
                                [this, index] { scan_step(index + 1); });
 }
 
@@ -107,18 +121,14 @@ void StockDriver::begin_join(const ScanEntry& entry) {
   dhcp_ = std::make_unique<dhcpd::DhcpClient>(sim_, device_.address(), bssid_,
                                               tx, config_.dhcp);
 
-  session_->set_event_handler([this](mac::ClientSession& s, mac::SessionEvent ev) {
-    if (ev == mac::SessionEvent::kAssociated) {
-      ++metrics_.associations;
-      metrics_.association_delay_sec.add(s.association_delay().sec());
-      sim_.telemetry()
-          .metrics()
-          .histogram("driver.assoc_delay_sec")
-          .add(s.association_delay().sec());
-      dhcp_->start();
-    } else {
-      sim_.post_after(sim::Time::zero(), [this] { teardown(false); });
-    }
+  session_->set_associated_handler([this](mac::ClientSession& s) {
+    ++metrics_.associations;
+    metrics_.association_delay_sec.add(s.association_delay().sec());
+    sim_.telemetry()
+        .metrics()
+        .histogram("driver.assoc_delay_sec")
+        .add(s.association_delay().sec());
+    dhcp_->start();
   });
   dhcp_->set_event_handler([this](dhcpd::DhcpClient&, dhcpd::DhcpEvent ev) {
     if (ev == dhcpd::DhcpEvent::kBound) {
@@ -137,7 +147,7 @@ void StockDriver::begin_join(const ScanEntry& entry) {
     } else {
       ++metrics_.dhcp_attempts;
       ++metrics_.dhcp_attempt_failures;
-      if (++dhcp_failures_this_join_ >= config_.dhcp_windows_before_rescan) {
+      if (++dhcp_failures_this_join_ >= kDhcpWindowsBeforeRescan) {
         sim_.post_after(sim::Time::zero(), [this] { teardown(false); });
       }
     }
@@ -183,7 +193,7 @@ void StockDriver::teardown(bool lost) {
   bssid_ = net::Bssid{};
   state_ = State::kScanning;
   if (lost && on_disconnected_) on_disconnected_(old);
-  timer_ = sim_.schedule_after(config_.rejoin_delay, [this] { scan_step(0); });
+  timer_ = sim_.schedule_after(kRejoinDelay, [this] { scan_step(0); });
 }
 
 }  // namespace spider::core

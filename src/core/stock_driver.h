@@ -21,18 +21,9 @@ namespace spider::core {
 
 struct StockDriverConfig {
   std::vector<net::ChannelId> scan_channels{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
-  sim::Time scan_dwell = sim::Time::millis(150);
   mac::ClientSessionConfig session{};  // defaults: 1 s link-layer timeout
   dhcpd::DhcpClientConfig dhcp = dhcpd::default_dhcp_timers();
   sim::Time link_loss_timeout = sim::Time::seconds(3);
-  // DHCP attempt windows tolerated before abandoning the AP. The default
-  // mirrors dhclient's behaviour: after the 3 s window fails it idles 60 s
-  // while the Wi-Fi layer stays associated — so a dud AP effectively holds
-  // the client until link loss ends the encounter.
-  int dhcp_windows_before_rescan = 99;
-  // Settle time before the stack rescans after a failed or lost
-  // connection (supplicant/dhclient restart churn on 2011 stacks).
-  sim::Time rejoin_delay = sim::Time::seconds(2);
 };
 
 class StockDriver {

@@ -76,7 +76,6 @@ void DhcpClient::start() {
   abandon();
   started_ = sim_.now();
   failed_attempts_ = 0;
-  attempt_windows_ = 0;
   messages_sent_ = 0;
   begin_attempt();
 }
@@ -85,7 +84,6 @@ void DhcpClient::start_with_cached(const Lease& cached) {
   abandon();
   started_ = sim_.now();
   failed_attempts_ = 0;
-  attempt_windows_ = 1;
   messages_sent_ = 0;
   transaction_id_ = static_cast<std::uint32_t>(
       (self_.value() << 8) ^ static_cast<std::uint64_t>(sim_.now().us()) ^
@@ -119,7 +117,6 @@ void DhcpClient::abandon() {
 }
 
 void DhcpClient::begin_attempt() {
-  ++attempt_windows_;
   // Fresh transaction per attempt window, as dhclient restarts do. An OFFER
   // answering a previous window's DISCOVER is stale and will be ignored —
   // one of the reasons fractional channel schedules are so hostile to DHCP.
@@ -182,11 +179,6 @@ void DhcpClient::on_attempt_expired() {
   enter(DhcpState::kBackoff);
   if (event_handler_) event_handler_(*this, DhcpEvent::kAttemptFailed);
   if (state_ != DhcpState::kBackoff) return;  // handler may have abandoned us
-  if (config_.max_attempt_windows > 0 &&
-      attempt_windows_ >= config_.max_attempt_windows) {
-    enter(DhcpState::kIdle);
-    return;
-  }
   attempt_timer_.cancel();
   attempt_timer_ = sim_.schedule_after(config_.idle_after_failure,
                                        [this] { begin_attempt(); });

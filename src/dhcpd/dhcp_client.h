@@ -41,8 +41,6 @@ struct DhcpClientConfig {
   sim::Time message_timeout = sim::Time::millis(1000);
   sim::Time attempt_duration = sim::Time::seconds(3);
   sim::Time idle_after_failure = sim::Time::seconds(60);
-  // 0 = keep attempting while alive.
-  int max_attempt_windows = 0;
   // Telemetry track for the "dhcp" span emitted when a lease binds while the
   // world's trace recorder is enabled (same lane as the owning interface's
   // auth/assoc spans).
@@ -126,7 +124,6 @@ class DhcpClient {
   sim::Time started_ = sim::Time::zero();
   sim::Time acquisition_delay_ = sim::Time::zero();
   int failed_attempts_ = 0;
-  int attempt_windows_ = 0;
   int messages_sent_ = 0;
 };
 

@@ -6,6 +6,12 @@
 #include "core/check.h"
 
 namespace spider::dhcpd {
+namespace {
+
+// Lease length granted in every OFFER and ACK.
+constexpr sim::Time kLeaseDuration = sim::Time::seconds(3600);
+
+}  // namespace
 
 DhcpServer::DhcpServer(sim::Simulator& simulator, mac::AccessPoint& ap,
                        net::Ipv4Address server_ip, sim::Rng rng,
@@ -74,7 +80,7 @@ void DhcpServer::handle_frame(const net::Frame& frame) {
       offer.client_mac = frame.src;
       offer.offered_ip = ip;
       offer.server_ip = server_ip_;
-      offer.lease_duration = config_.lease_duration;
+      offer.lease_duration = kLeaseDuration;
       ++offers_sent_;
       send_later(frame.src, offer, config_.offer_delay_min,
                  config_.offer_delay_max);
@@ -92,7 +98,7 @@ void DhcpServer::handle_frame(const net::Frame& frame) {
       } else {
         reply.kind = net::DhcpMessage::Kind::kAck;
         reply.offered_ip = it->second;
-        reply.lease_duration = config_.lease_duration;
+        reply.lease_duration = kLeaseDuration;
         ++acks_sent_;
       }
       send_later(frame.src, reply, config_.ack_delay_min,

@@ -31,7 +31,6 @@ struct DhcpServerConfig {
   // ACK latency (usually quick once the lease is staged).
   sim::Time ack_delay_min = sim::Time::millis(20);
   sim::Time ack_delay_max = sim::Time::millis(200);
-  sim::Time lease_duration = sim::Time::seconds(3600);
   std::uint32_t pool_size = 253;  // addresses .2 .. .254
   // When false the server silently ignores all DHCP traffic — the "dud" AP
   // that associates clients but never yields a usable lease.

@@ -7,10 +7,13 @@
 namespace spider::mac {
 namespace {
 
+// Consecutive association-stage retries before restarting from auth (the AP
+// may have evicted our auth state).
+constexpr int kAssocRetriesBeforeReauth = 3;
+
 // Legal association-machine transitions. Any state may restart (start_join
 // -> Authenticating) or be torn down (abandon -> Idle); forward progress is
-// strictly Auth -> Assoc -> Associated, and only an in-flight exchange may
-// exhaust its attempts into Failed.
+// strictly Auth -> Assoc -> Associated.
 bool transition_legal(SessionState from, SessionState to) {
   switch (to) {
     case SessionState::kIdle:
@@ -20,9 +23,6 @@ bool transition_legal(SessionState from, SessionState to) {
       return from == SessionState::kAuthenticating;
     case SessionState::kAssociated:
       return from == SessionState::kAssociating;
-    case SessionState::kFailed:
-      return from == SessionState::kAuthenticating ||
-             from == SessionState::kAssociating;
   }
   return false;
 }
@@ -35,7 +35,6 @@ const char* to_string(SessionState s) {
     case SessionState::kAuthenticating: return "Authenticating";
     case SessionState::kAssociating: return "Associating";
     case SessionState::kAssociated: return "Associated";
-    case SessionState::kFailed: return "Failed";
   }
   SPIDER_UNREACHABLE() << "SessionState " << static_cast<int>(s);
   return "?";
@@ -69,9 +68,6 @@ void ClientSession::enter(SessionState next) {
       break;
     case SessionState::kAssociated:
       metrics.counter("mac.session.associations").inc();
-      break;
-    case SessionState::kFailed:
-      metrics.counter("mac.session.failures").inc();
       break;
     case SessionState::kIdle:
       break;
@@ -108,11 +104,6 @@ void ClientSession::transmit_current() {
   }
   ++attempts_;
   tx_(frame);  // false (off-channel) is fine: the retry timer keeps running
-  if (config_.max_attempts > 0 && attempts_ >= config_.max_attempts) {
-    retry_timer_.cancel();
-    enter(SessionState::kFailed);
-    if (event_handler_) event_handler_(*this, SessionEvent::kFailed);
-  }
 }
 
 void ClientSession::arm_retry_timer() {
@@ -129,15 +120,12 @@ void ClientSession::on_retry_timeout() {
   ++stage_retries_;
   sim_.telemetry().metrics().counter("mac.session.retries").inc();
   if (state_ == SessionState::kAssociating &&
-      stage_retries_ > config_.assoc_retries_before_reauth) {
+      stage_retries_ > kAssocRetriesBeforeReauth) {
     // The AP may have dropped our auth state; start over.
     enter(SessionState::kAuthenticating);
   }
   transmit_current();
-  if (state_ == SessionState::kAuthenticating ||
-      state_ == SessionState::kAssociating) {
-    arm_retry_timer();
-  }
+  arm_retry_timer();
 }
 
 void ClientSession::handle_frame(const net::Frame& frame) {
@@ -171,7 +159,7 @@ void ClientSession::handle_frame(const net::Frame& frame) {
           trace.complete("assoc", "join", auth_done_.us(),
                          (sim_.now() - auth_done_).us(), config_.trace_track);
         }
-        if (event_handler_) event_handler_(*this, SessionEvent::kAssociated);
+        if (on_associated_) on_associated_(*this);
       }
       break;
 
@@ -190,10 +178,7 @@ void ClientSession::radio_on_channel() {
   if (state_ == SessionState::kAuthenticating ||
       state_ == SessionState::kAssociating) {
     transmit_current();
-    if (state_ == SessionState::kAuthenticating ||
-        state_ == SessionState::kAssociating) {
-      arm_retry_timer();
-    }
+    arm_retry_timer();
   }
 }
 

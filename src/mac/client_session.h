@@ -24,25 +24,13 @@ enum class SessionState : std::uint8_t {
   kAuthenticating,
   kAssociating,
   kAssociated,
-  kFailed,  // gave up after max_attempts
 };
 
 const char* to_string(SessionState s);
 
-enum class SessionEvent : std::uint8_t {
-  kAssociated,  // four-way exchange completed
-  kFailed,      // max_attempts exhausted
-};
-
 struct ClientSessionConfig {
   // Per-message retry interval (NOT a whole-join timeout).
   sim::Time link_timeout = sim::Time::millis(1000);
-  // Total message transmissions allowed before declaring kFailed; 0 means
-  // retry for as long as the driver keeps the session alive.
-  int max_attempts = 0;
-  // Consecutive association-stage retries before restarting from auth (the
-  // AP may have evicted our auth state).
-  int assoc_retries_before_reauth = 3;
   // Telemetry track (Chrome tid) for the auth/assoc spans this session emits
   // when the world's trace recorder is enabled. Drivers assign one track per
   // virtual interface so joins render as parallel lanes in Perfetto.
@@ -52,7 +40,8 @@ struct ClientSessionConfig {
 class ClientSession {
  public:
   using TxFn = std::function<bool(const net::Frame&)>;
-  using EventFn = std::function<void(ClientSession&, SessionEvent)>;
+  // Called when the four-way exchange completes.
+  using AssociatedFn = std::function<void(ClientSession&)>;
 
   ClientSession(sim::Simulator& simulator, net::MacAddress self,
                 net::Bssid bssid, net::ChannelId channel, TxFn tx,
@@ -67,7 +56,9 @@ class ClientSession {
   SessionState state() const { return state_; }
   bool associated() const { return state_ == SessionState::kAssociated; }
 
-  void set_event_handler(EventFn handler) { event_handler_ = std::move(handler); }
+  void set_associated_handler(AssociatedFn handler) {
+    on_associated_ = std::move(handler);
+  }
 
   // Begins (or restarts) the join. Valid from any state.
   void start_join();
@@ -101,7 +92,7 @@ class ClientSession {
   net::ChannelId channel_;
   TxFn tx_;
   ClientSessionConfig config_;
-  EventFn event_handler_;
+  AssociatedFn on_associated_;
 
   SessionState state_ = SessionState::kIdle;
   sim::TimerHandle retry_timer_;

@@ -40,8 +40,6 @@ namespace {
 // per bisection step.
 constexpr int kBisectionSteps = 40;
 constexpr std::size_t kProbesPerBudget = kBisectionSteps + 1;
-// Coordinate-ascent sweeps per start in optimize_channels.
-constexpr int kSweeps = 8;
 
 // g_T(f) for one optimizer call, evaluated at most once per distinct f.
 // The grid's budgets i/steps and 2i/steps bisect through the same midpoints,
@@ -195,41 +193,7 @@ Allocation optimize_channels(const OptimizerParams& params,
   if (offers.size() == 2) {
     return optimize_two_channels(params, offers[0], offers[1]);
   }
-
-  // Coordinate ascent with a handful of deterministic starts.
-  const std::size_t k = offers.size();
-  JoinTimeMemo join_time(
-      params, probe_bound(static_cast<std::size_t>(std::count_if(
-                              offers.begin(), offers.end(), pending)),
-                          (k + 1) * kSweeps));
-  std::vector<double> best(k, 0.0);
-  double best_obj = -1.0;
-  for (std::size_t start = 0; start <= k; ++start) {
-    std::vector<double> f(k, 0.0);
-    if (start < k) {
-      f[start] = 0.5;  // seed biased toward one channel
-    } else {
-      std::fill(f.begin(), f.end(), 1.0 / static_cast<double>(k));
-    }
-    for (int sweep = 0; sweep < kSweeps; ++sweep) {
-      for (std::size_t i = 0; i < k; ++i) {
-        double used = 0.0;
-        for (std::size_t j = 0; j < k; ++j) {
-          if (j == i) continue;
-          used += f[j] + switch_tax(params, f[j]);
-        }
-        const double budget = 1.0 - used - switch_tax(params, 1.0);
-        f[i] = max_feasible_fraction(join_time, offers[i], budget);
-      }
-    }
-    double obj = 0.0;
-    for (double v : f) obj += v;
-    if (obj > best_obj) {
-      best_obj = obj;
-      best = f;
-    }
-  }
-  return finish(params, best);
+  throw std::invalid_argument("optimize_channels: more than two channels");
 }
 
 double time_in_range_for_speed(double speed_mps, double range_m) {

@@ -44,9 +44,10 @@ double channel_cap_fraction(const OptimizerParams& params,
 Allocation optimize_two_channels(const OptimizerParams& params,
                                  ChannelOffer ch1, ChannelOffer ch2);
 
-// General k-channel solve by coordinate ascent from several starts; exact
-// for k <= 2, good-quality heuristic beyond (the selection problem is
-// NP-hard per the paper's technical report).
+// Solve for k <= 2 channels: none, one (a feasible fraction of what the
+// switch tax leaves), or two (optimize_two_channels). The paper solves
+// Eqs. 8-10 for at most two channels; throws std::invalid_argument for
+// k >= 3.
 Allocation optimize_channels(const OptimizerParams& params,
                              const std::vector<ChannelOffer>& offers);
 

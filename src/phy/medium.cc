@@ -156,7 +156,6 @@ SPIDER_HOT sim::Time Medium::transmit(Radio& sender, net::Frame frame) {
   const net::ChannelId channel = channel_of(sender.id_);
   const std::size_t slot = channel_slot(channel);
   ++per_channel_[slot].sent;
-  if (sniffer_) sniffer_(frame, channel, sim_.now());
   const sim::Time airtime =
       config_.preamble +
       sim::transmission_time(frame.size_bytes, config_.bitrate_bps);

@@ -33,7 +33,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -98,11 +97,6 @@ struct RxInfo {
 
 class Medium {
  public:
-  // Tap invoked for every frame handed to the medium (before loss/range
-  // filtering) — the hook frame logs and debuggers attach to.
-  using SnifferFn =
-      std::function<void(const net::Frame&, net::ChannelId, sim::Time)>;
-
   Medium(sim::Simulator& simulator, sim::Rng rng, MediumConfig config = {});
   ~Medium();
 
@@ -137,8 +131,6 @@ class Medium {
   // fleet tick and N radio->set_position calls leave identical state. Most
   // moves cross no cell boundary and touch only the position array.
   void move_radios(std::span<const RadioMove> moves);
-
-  void set_sniffer(SnifferFn sniffer) { sniffer_ = std::move(sniffer); }
 
   // Called by Radio::send(): schedules serialization and delivery. Returns
   // the time at which the transmission will complete.
@@ -225,7 +217,6 @@ class Medium {
   sim::Simulator& sim_;
   sim::Rng rng_;
   MediumConfig config_;
-  SnifferFn sniffer_;
   // Dense per-radio hot state, indexed by attach id (see spatial_grid.h).
   // hot_.radio is the liveness map: a detached id maps to nullptr, so a
   // recycled heap address can never impersonate a detached sender.

@@ -5,6 +5,16 @@
 #include <utility>
 
 namespace spider::tcp {
+namespace {
+
+constexpr double kInitialCwndSegments = 3.0;
+// RFC 6298 timer: the first RTO before any RTT sample, and the clamp on
+// every later one.
+constexpr sim::Time kInitialRto = sim::Time::seconds(1);
+constexpr sim::Time kMinRto = sim::Time::millis(200);
+constexpr sim::Time kMaxRto = sim::Time::seconds(60);
+
+}  // namespace
 
 // --- Sender ------------------------------------------------------------------
 
@@ -16,8 +26,8 @@ TcpSender::TcpSender(sim::Simulator& simulator, std::uint64_t flow_id,
       total_bytes_(total_bytes < 0 ? std::numeric_limits<std::int64_t>::max()
                                    : total_bytes),
       config_(config),
-      cwnd_(config.initial_cwnd_segments),
-      rto_(config.initial_rto) {}
+      cwnd_(kInitialCwndSegments),
+      rto_(kInitialRto) {}
 
 TcpSender::~TcpSender() { rto_timer_.cancel(); }
 
@@ -26,11 +36,11 @@ bool TcpSender::finished() const { return snd_una_ >= total_bytes_; }
 std::int64_t TcpSender::window_bytes() const {
   const double win_segments =
       std::min(cwnd_, static_cast<double>(config_.receive_window_segments));
-  return static_cast<std::int64_t>(win_segments) * config_.mss_bytes;
+  return static_cast<std::int64_t>(win_segments) * net::kTcpMssBytes;
 }
 
 std::int64_t TcpSender::segment_len(std::int64_t seq) const {
-  return std::min<std::int64_t>(config_.mss_bytes, total_bytes_ - seq);
+  return std::min<std::int64_t>(net::kTcpMssBytes, total_bytes_ - seq);
 }
 
 void TcpSender::start() { try_send(); }
@@ -69,7 +79,7 @@ void TcpSender::sample_rtt(sim::Time rtt) {
     rttvar_ = rttvar_ * 0.75 + err * 0.25;
     srtt_ = srtt_ * 0.875 + rtt * 0.125;
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, config_.min_rto, config_.max_rto);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, kMaxRto);
 }
 
 void TcpSender::on_ack(const net::TcpSegment& ack) {
@@ -82,7 +92,7 @@ void TcpSender::on_ack(const net::TcpSegment& ack) {
     snd_una_ = ack.ack;
     dupacks_ = 0;
     const double acked_segments =
-        static_cast<double>(acked) / config_.mss_bytes;
+        static_cast<double>(acked) / net::kTcpMssBytes;
     if (cwnd_ < ssthresh_) {
       cwnd_ += acked_segments;  // slow start
     } else {
@@ -112,7 +122,7 @@ void TcpSender::on_rto() {
   ssthresh_ = std::max(cwnd_ / 2.0, 2.0);
   cwnd_ = 1.0;
   dupacks_ = 0;
-  rto_ = std::min(rto_ * 2, config_.max_rto);  // Karn backoff
+  rto_ = std::min(rto_ * 2, kMaxRto);  // Karn backoff
   // Go-back-N from the loss point: retransmit the first unacked segment and
   // let acks clock out the rest.
   snd_nxt_ = snd_una_ + segment_len(snd_una_);

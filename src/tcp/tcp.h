@@ -25,12 +25,7 @@
 namespace spider::tcp {
 
 struct TcpConfig {
-  int mss_bytes = net::kTcpMssBytes;
-  double initial_cwnd_segments = 3.0;
   int receive_window_segments = 512;  // ~750 KB (autotuned receive windows)
-  sim::Time initial_rto = sim::Time::seconds(1);
-  sim::Time min_rto = sim::Time::millis(200);
-  sim::Time max_rto = sim::Time::seconds(60);
 };
 
 // --- Sender ------------------------------------------------------------------

@@ -21,12 +21,6 @@ namespace spider::trace {
 struct MeshUserConfig {
   int users = 161;
   int flows_per_user = 800;  // ~129k flows total, matching the dataset scale
-  // Connection durations: lognormal. exp(mu) is the median in seconds.
-  double duration_mu = 2.0;     // median ~7.4 s
-  double duration_sigma = 1.3;
-  // Inter-connection gaps: lognormal, heavier tail.
-  double gap_mu = 2.7;          // median ~15 s
-  double gap_sigma = 1.5;
 };
 
 struct MeshUserDemand {

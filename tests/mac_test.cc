@@ -161,24 +161,6 @@ TEST_F(MacTest, RadioOnChannelTriggersImmediateRetry) {
   EXPECT_TRUE(session.associated());
 }
 
-TEST_F(MacTest, SessionFailsAfterMaxAttempts) {
-  auto client = make_client();  // no AP at all
-  std::vector<SessionEvent> events;
-  ClientSession session(
-      sim_, client->address(), net::MacAddress::from_index(0xEE), 6,
-      [&](const net::Frame& f) { return client->send(f); },
-      ClientSessionConfig{.link_timeout = sim::Time::millis(50),
-                          .max_attempts = 3});
-  session.set_event_handler(
-      [&](ClientSession&, SessionEvent ev) { events.push_back(ev); });
-  session.start_join();
-  sim_.run_until(sim::Time::seconds(2));
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0], SessionEvent::kFailed);
-  EXPECT_EQ(session.state(), SessionState::kFailed);
-  EXPECT_EQ(session.attempts(), 3);
-}
-
 TEST_F(MacTest, AbandonStopsRetries) {
   auto client = make_client();
   ClientSession session(
@@ -338,7 +320,6 @@ TEST_F(MacTest, DisassocFrameClearsApState) {
 TEST_F(MacTest, SessionStateNames) {
   EXPECT_STREQ(to_string(SessionState::kIdle), "Idle");
   EXPECT_STREQ(to_string(SessionState::kAssociated), "Associated");
-  EXPECT_STREQ(to_string(SessionState::kFailed), "Failed");
 }
 
 }  // namespace

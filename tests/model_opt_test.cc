@@ -122,42 +122,11 @@ std::vector<double> optimize_two_channels(const OptimizerParams& params,
   return {best_f1, best_f2};
 }
 
-// optimize_channels for one offer or k >= 3 (coordinate ascent).
-std::vector<double> optimize_channels(const OptimizerParams& params,
-                                      const std::vector<ChannelOffer>& offers) {
-  if (offers.size() == 1) {
-    const double tax = params.join.switch_delay / params.join.period;
-    return {max_feasible_fraction(params, offers[0], 1.0 - tax)};
-  }
-  const std::size_t k = offers.size();
-  std::vector<double> best(k, 0.0);
-  double best_obj = -1.0;
-  for (std::size_t start = 0; start <= k; ++start) {
-    std::vector<double> f(k, 0.0);
-    if (start < k) {
-      f[start] = 0.5;
-    } else {
-      std::fill(f.begin(), f.end(), 1.0 / static_cast<double>(k));
-    }
-    for (int sweep = 0; sweep < 8; ++sweep) {
-      for (std::size_t i = 0; i < k; ++i) {
-        double used = 0.0;
-        for (std::size_t j = 0; j < k; ++j) {
-          if (j == i) continue;
-          used += f[j] + switch_tax(params, f[j]);
-        }
-        const double budget = 1.0 - used - switch_tax(params, 1.0);
-        f[i] = max_feasible_fraction(params, offers[i], budget);
-      }
-    }
-    double obj = 0.0;
-    for (double v : f) obj += v;
-    if (obj > best_obj) {
-      best_obj = obj;
-      best = f;
-    }
-  }
-  return best;
+// optimize_channels for one offer.
+double optimize_one_channel(const OptimizerParams& params,
+                            const ChannelOffer& offer) {
+  const double tax = params.join.switch_delay / params.join.period;
+  return max_feasible_fraction(params, offer, 1.0 - tax);
 }
 
 }  // namespace unmemoized
@@ -200,26 +169,17 @@ TEST(JoinTimeMemo, TwoChannelSolvesAreBitIdentical) {
   EXPECT_EQ(solves, 3u * 2u * 239u + 2u * 2u * 60u);
 }
 
-// The one-offer and coordinate-ascent paths on the KChannel cases, over a
-// range of horizons, plus three distinct pending offers.
+// The one-offer path on the KChannel cases, over a range of horizons.
 TEST(JoinTimeMemo, KChannelSolvesAreBitIdentical) {
   const double Bw = paper_optimizer().wireless_bps;
-  const std::vector<std::vector<ChannelOffer>> cases = {
-      {{Bw, 0}},
-      {{0, 0.8 * Bw}},
-      {{0.3 * Bw, 0}, {0, 0.4 * Bw}, {0, 0.4 * Bw}},
-      {{0.2 * Bw, 0.1 * Bw}, {0, 0.4 * Bw}, {0.1 * Bw, 0.3 * Bw}},
-  };
-  for (const auto& offers : cases) {
+  for (const ChannelOffer offer : {ChannelOffer{Bw, 0}, ChannelOffer{0, 0.8 * Bw}}) {
     for (const double T : {2.0, 5.0, 10.0, 20.0, 40.0, 80.0}) {
       const OptimizerParams p = paper_optimizer(T);
-      const auto want = unmemoized::optimize_channels(p, offers);
-      const auto got = optimize_channels(p, offers);
-      ASSERT_EQ(got.fractions.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got.fractions[i], want[i])
-            << offers.size() << " offers, T " << T << ", channel " << i;
-      }
+      const auto got = optimize_channels(p, {offer});
+      ASSERT_EQ(got.fractions.size(), 1u);
+      EXPECT_EQ(got.fractions[0], unmemoized::optimize_one_channel(p, offer))
+          << "joined " << offer.joined_bps << ", pending "
+          << offer.available_bps << ", T " << T;
     }
   }
 }
@@ -383,18 +343,12 @@ TEST(KChannel, TwoChannelPathMatchesDedicatedSolver) {
   EXPECT_NEAR(a.total_bps, b.total_bps, 1e-6);
 }
 
-TEST(KChannel, ThreeChannelsDoNotExceedBudget) {
+TEST(KChannel, ThreeChannelsAreRejected) {
   const OptimizerParams p = paper_optimizer();
   const double Bw = p.wireless_bps;
-  const auto a = optimize_channels(
-      p, {{0.3 * Bw, 0}, {0, 0.4 * Bw}, {0, 0.4 * Bw}});
-  ASSERT_EQ(a.fractions.size(), 3u);
-  double total = 0.0;
-  for (double f : a.fractions) {
-    EXPECT_GE(f, 0.0);
-    total += f;
-  }
-  EXPECT_LE(total, 1.0 + 1e-6);
+  EXPECT_THROW(optimize_channels(
+                   p, {{0.3 * Bw, 0}, {0, 0.4 * Bw}, {0, 0.4 * Bw}}),
+               std::invalid_argument);
 }
 
 TEST(KChannel, EmptyOffersYieldEmptyAllocation) {

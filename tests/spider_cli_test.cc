@@ -36,11 +36,21 @@ TEST(SpiderCli, OutOfRangeFlagsExitTwo) {
        {"--channel=0", "--channel=99", "--channel=1x", "--duration=-5",
         "--duration=0", "--duration=nan", "--duration=inf", "--duration=1e300",
         "--speed=-1", "--speed=inf", "--seed=abc", "--seed=-1", "--seed=",
-        "--sites=-3", "--sites=1e9", "--dud=5", "--dud=-0.1",
-        "--frames=-1"}) {
+        "--sites=-3", "--sites=1e9", "--dud=5", "--dud=-0.1"}) {
     const RunResult r = run_cli(flag, /*with_stderr=*/true);
     EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.out;
     EXPECT_NE(r.out.find("bad value for"), std::string::npos)
+        << flag << "\n" << r.out;
+  }
+}
+
+// A flag the tool does not define fails as unknown, whatever its value, so a
+// script still passing --frames stops instead of running without it.
+TEST(SpiderCli, UnknownFlagsExitTwo) {
+  for (const char* flag : {"--frames=5", "--frames=-1", "--bogus"}) {
+    const RunResult r = run_cli(flag, /*with_stderr=*/true);
+    EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.out;
+    EXPECT_NE(r.out.find("unknown flag"), std::string::npos)
         << flag << "\n" << r.out;
   }
 }

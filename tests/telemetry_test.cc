@@ -29,7 +29,6 @@
 #include "telemetry/metrics.h"
 #include "telemetry/stream_exporter.h"
 #include "telemetry/trace_recorder.h"
-#include "trace/frame_log.h"
 #include "stream_capture.h"
 
 namespace spider::telemetry {
@@ -530,51 +529,6 @@ TEST(RunReport, ClosingLineCarriesTheProcessRegistry) {
   exporter.write("{}\n");
   EXPECT_TRUE(exporter.close());
   EXPECT_EQ(parse_lines(sink->text(), "").size(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// FrameLog eviction streaming
-
-TEST(FrameLog, EvictionsStreamIntoTheTraceRecorder) {
-  TraceCapture capture;
-  TraceRecorder rec;
-  capture.attach(rec);
-  rec.set_enabled(true);
-  trace::FrameLog log(/*capacity=*/2);
-  log.stream_evictions_to(rec);
-
-  for (int i = 0; i < 5; ++i) {
-    trace::FrameRecord r;
-    r.at = sim::Time::millis(i);
-    r.size_bytes = 100 + i;
-    log.record(r);
-  }
-  EXPECT_EQ(log.entries().size(), 2u);
-  EXPECT_EQ(log.dropped(), 3u);
-  EXPECT_EQ(rec.recorded(), 3u);
-  const auto events = capture.lines();
-  ASSERT_EQ(events.size(), 3u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].string_or("kind", ""), "instant");
-    EXPECT_EQ(events[i].string_or("name", ""), "frame_evicted");
-    EXPECT_DOUBLE_EQ(events[i].number_or("ts_us", -1),
-                     static_cast<double>(sim::Time::millis(i).us()));
-    ASSERT_NE(events[i].find("args"), nullptr);
-    EXPECT_DOUBLE_EQ(events[i].find("args")->number_or("bytes", 0),
-                     100.0 + static_cast<double>(i));
-  }
-}
-
-TEST(FrameLog, DroppedCounterAdvancesEvenWithoutARecorder) {
-  trace::FrameLog log(/*capacity=*/1);
-  trace::FrameRecord r;
-  log.record(r);
-  log.record(r);
-  log.record(r);
-  EXPECT_EQ(log.entries().size(), 1u);
-  EXPECT_EQ(log.dropped(), 2u);
-  log.clear();
-  EXPECT_EQ(log.dropped(), 0u);
 }
 
 // ---------------------------------------------------------------------------

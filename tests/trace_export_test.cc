@@ -1,5 +1,4 @@
 #include "trace/export.h"
-#include "trace/frame_log.h"
 
 #include <gtest/gtest.h>
 
@@ -107,69 +106,6 @@ TEST(Json, RunReportLineStaysValidForNanSamplesAndControlCharacters) {
       doc.find("snapshot")->find("histograms");
   ASSERT_NE(histograms, nullptr);
   EXPECT_NE(histograms->find("lat\rency"), nullptr);
-}
-
-TEST(FrameLog, CountsAndClassifies) {
-  FrameLog log;
-  const auto a = net::MacAddress::from_index(1);
-  const auto b = net::MacAddress::from_index(2);
-  log.record({sim::Time::millis(1), 6, net::FrameKind::kAssocRequest, a, b,
-              62});
-  log.record({sim::Time::millis(2), 6, net::FrameKind::kData, a, b, 1500});
-  EXPECT_EQ(log.total_frames(), 2u);
-  EXPECT_EQ(log.total_bytes(), 1562u);
-  EXPECT_EQ(log.management_frames(), 1u);
-  EXPECT_EQ(log.data_frames(), 1u);
-  EXPECT_NEAR(log.management_byte_fraction(), 62.0 / 1562.0, 1e-12);
-}
-
-TEST(FrameLog, RingCapacityBounds) {
-  FrameLog log(3);
-  for (int i = 0; i < 10; ++i) {
-    log.record({sim::Time::millis(i), 1, net::FrameKind::kBeacon,
-                net::MacAddress::from_index(1), net::MacAddress::broadcast(),
-                105});
-  }
-  EXPECT_EQ(log.entries().size(), 3u);
-  EXPECT_EQ(log.total_frames(), 10u);  // counters see everything
-  EXPECT_EQ(log.entries().front().at, sim::Time::millis(7));
-}
-
-TEST(FrameLog, FilterKeepsCountersIntact) {
-  FrameLog log;
-  log.set_filter([](const FrameRecord& r) {
-    return r.kind != net::FrameKind::kBeacon;
-  });
-  log.record({sim::Time::millis(1), 1, net::FrameKind::kBeacon,
-              net::MacAddress::from_index(1), net::MacAddress::broadcast(),
-              105});
-  log.record({sim::Time::millis(2), 1, net::FrameKind::kData,
-              net::MacAddress::from_index(1), net::MacAddress::from_index(2),
-              1500});
-  EXPECT_EQ(log.entries().size(), 1u);
-  EXPECT_EQ(log.total_frames(), 2u);
-}
-
-TEST(FrameLog, RecordFormatting) {
-  const FrameRecord r{sim::Time::seconds(2.0), 6,
-                      net::FrameKind::kAssocRequest,
-                      net::MacAddress::from_index(1),
-                      net::MacAddress::from_index(2), 62};
-  const std::string s = r.to_string();
-  EXPECT_NE(s.find("ch6"), std::string::npos);
-  EXPECT_NE(s.find("AssocRequest"), std::string::npos);
-  EXPECT_NE(s.find("62B"), std::string::npos);
-}
-
-TEST(FrameLog, ClearResetsEverything) {
-  FrameLog log;
-  log.record({sim::Time::millis(1), 1, net::FrameKind::kData,
-              net::MacAddress::from_index(1), net::MacAddress::from_index(2),
-              100});
-  log.clear();
-  EXPECT_EQ(log.total_frames(), 0u);
-  EXPECT_TRUE(log.entries().empty());
-  EXPECT_DOUBLE_EQ(log.management_byte_fraction(), 0.0);
 }
 
 }  // namespace

@@ -5,11 +5,12 @@
 #   tools/bench_stdout.sh BUILD_DIR OUT_DIR
 #
 # Runs every executable in BUILD_DIR/bench, examples/ap_survey,
-# examples/commute_comparison and `examples/spider_cli --duration=60`, each
-# with SPIDER_BENCH_THREADS=1 (one sweep worker, so output order is fixed),
-# three binaries at a time. OUT_DIR gets <binary>.txt per binary. Exits 1 if
-# any binary fails, naming it on stderr. Compare two trees built with the
-# same build type:
+# examples/commute_comparison, examples/offload_planner (the optimizer's
+# one-channel path), examples/quickstart and
+# `examples/spider_cli --duration=60`, each with SPIDER_BENCH_THREADS=1 (one
+# sweep worker, so output order is fixed), three binaries at a time. OUT_DIR
+# gets <binary>.txt per binary. Exits 1 if any binary fails, naming it on
+# stderr. Compare two trees built with the same build type:
 #
 #   tools/bench_stdout.sh ../parent/build /tmp/out-parent
 #   tools/bench_stdout.sh build /tmp/out-change
@@ -27,7 +28,9 @@ out=$(cd "$out" && pwd)
 
 binaries=()
 for b in "$build"/bench/* "$build/examples/ap_survey" \
-         "$build/examples/commute_comparison" "$build/examples/spider_cli"; do
+         "$build/examples/commute_comparison" \
+         "$build/examples/offload_planner" "$build/examples/quickstart" \
+         "$build/examples/spider_cli"; do
   [[ -f "$b" && -x "$b" ]] && binaries+=("$b")
 done
 if [[ ${#binaries[@]} -eq 0 ]]; then
