@@ -110,8 +110,7 @@ sim::Time ClientDevice::switch_channel(net::ChannelId channel,
   if (connected_) {
     const std::size_t old_aps = connected_(radio_.channel()).size();
     const std::size_t new_aps = connected_(channel).size();
-    const sim::Time frame_cost = sim::Time::micros(192) +  // preamble
-                                 sim::transmission_time(net::kNullDataBytes, 11e6);
+    const sim::Time frame_cost = medium_.airtime(net::kNullDataBytes);
     latency += static_cast<std::int64_t>(old_aps + new_aps) * frame_cost;
   }
   return latency;

@@ -64,8 +64,6 @@ SpiderConfig multi_channel_single_ap(sim::Time period,
   return c;
 }
 
-StockDriverConfig stock_defaults() { return StockDriverConfig{}; }
-
 SpiderConfig dynamic_channel_multi_ap(net::ChannelId initial_channel) {
   SpiderConfig c = single_channel_multi_ap(initial_channel);
   c.dynamic_channel = true;

@@ -1,5 +1,6 @@
 // The four Spider configurations evaluated in Section 4.1, as config
-// factories (plus the stock-driver baseline defaults).
+// factories. The stock-driver baseline (Table 2's "MadWiFi driver" row) is
+// StockDriverConfig{}.
 //
 //   (1) Single-channel, Single-AP — "Spider mimics off-the-shelf Wi-Fi on a
 //       single channel": one interface, strongest-signal selection, default
@@ -40,9 +41,6 @@ SpiderConfig multi_channel_multi_ap(
 SpiderConfig multi_channel_single_ap(
     sim::Time period = sim::Time::millis(600),
     const std::vector<net::ChannelId>& channels = {1, 6, 11});
-
-// Unmodified-stack baseline (Table 2's "MadWiFi driver" row).
-StockDriverConfig stock_defaults();
 
 // Section 4.8 extension: single-channel multi-AP with dynamic channel
 // selection — periodic scan excursions re-camp the radio on the channel

@@ -88,26 +88,22 @@ void Experiment::add_client(std::uint32_t index) {
   client->flows->set_flow_closed_handler(
       [this](std::uint64_t flow_id) { server_->remove_flow(flow_id); });
 
+  const auto connected = [raw](net::Bssid bssid, net::ChannelId channel) {
+    raw->flows->open_flow(bssid, channel);
+  };
+  const auto lost = [raw](net::Bssid bssid) { raw->flows->close_flow(bssid); };
   switch (config_.driver) {
     case DriverKind::kSpider:
       client->spider =
           std::make_unique<SpiderDriver>(sim_, *client->device, config_.spider);
-      client->spider->set_connection_handler(
-          [raw](const VirtualInterface& vif) {
-            raw->flows->open_flow(vif.bssid, vif.channel);
-          });
-      client->spider->set_disconnection_handler(
-          [raw](net::Bssid bssid) { raw->flows->close_flow(bssid); });
+      client->spider->set_connection_handler(connected);
+      client->spider->set_disconnection_handler(lost);
       break;
     case DriverKind::kStock:
       client->stock =
           std::make_unique<StockDriver>(sim_, *client->device, config_.stock);
-      client->stock->set_connection_handler(
-          [raw](const StockDriver::Connection& c) {
-            raw->flows->open_flow(c.bssid, c.channel);
-          });
-      client->stock->set_disconnection_handler(
-          [raw](net::Bssid bssid) { raw->flows->close_flow(bssid); });
+      client->stock->set_connection_handler(connected);
+      client->stock->set_disconnection_handler(lost);
       break;
   }
   clients_.push_back(std::move(client));

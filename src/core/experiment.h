@@ -165,7 +165,7 @@ class Experiment {
   std::vector<std::unique_ptr<Client>> clients_;
   bool ran_ = false;
   // Last member: destroyed first, so the session disarms the Hub while the
-  // simulator and the clients' collectors are still alive.
+  // simulator and the world's collectors are still alive.
   std::unique_ptr<telemetry::StreamSession> stream_;
 };
 

@@ -18,6 +18,10 @@ using phy::kChannelSlots;
 // Channel parts of the driver's dwell lane names ("<client mac> ch6"); an
 // interface's join lane is "<client mac> vif <bssid>".
 constexpr auto kChannelTrackNames = phy::make_slot_names<kChannelSlots>("ch");
+// The world's per-channel dwell counters, registered when a channel first
+// accrues dwell.
+constexpr auto kDwellNames =
+    phy::make_slot_names<kChannelSlots>("driver.dwell_us.ch");
 
 // AP selection (reaping, then joining) runs at this period.
 constexpr sim::Time kSelectionInterval = sim::Time::millis(200);
@@ -33,7 +37,13 @@ constexpr double kChannelSwitchHysteresis = 1.3;
 
 SpiderDriver::SpiderDriver(sim::Simulator& simulator, ClientDevice& device,
                            SpiderConfig config)
-    : sim_(simulator), device_(device), config_(std::move(config)) {
+    : sim_(simulator),
+      device_(device),
+      config_(std::move(config)),
+      ledger_(simulator.telemetry().metrics()),
+      recamps_counter_(simulator.telemetry().metrics().counter("driver.recamps")),
+      schedule_switches_counter_(
+          simulator.telemetry().metrics().counter("driver.schedule_switches")) {
   if (config_.schedule.empty())
     throw std::invalid_argument("SpiderConfig: empty schedule");
   if (config_.dynamic_channel && config_.schedule.size() != 1)
@@ -53,61 +63,19 @@ SpiderDriver::SpiderDriver(sim::Simulator& simulator, ClientDevice& device,
 
   device_.set_connected_lookup([this](net::ChannelId ch) {
     std::vector<net::Bssid> out;
-    for (const auto& [bssid, vif] : interfaces_) {
-      if (vif->channel == ch && vif->state == VirtualInterface::State::kConnected)
+    for (const auto& [bssid, iface] : interfaces_) {
+      if (iface.join->channel() == ch &&
+          iface.join->state() == VirtualInterface::State::kConnected)
         out.push_back(bssid);
     }
     return out;
   });
-  collector_id_ = sim_.telemetry().add_collector(
-      [this](telemetry::Registry& registry) { publish_metrics(registry); });
 }
 
 SpiderDriver::~SpiderDriver() {
-  sim_.telemetry().remove_collector(collector_id_);
   schedule_timer_.cancel();
   selection_timer_.cancel();
   eval_timer_.cancel();
-  // Unregister in bssid order: teardown must be as reproducible as the run
-  // (unregister_bssid is observable through the device's frame filter).
-  for (const auto& [bssid, vif] : interfaces_) device_.unregister_bssid(bssid);
-}
-
-void SpiderDriver::publish_metrics(telemetry::Registry& registry) {
-  const auto publish = [&registry](const char* name, std::uint64_t total,
-                                   std::uint64_t& published) {
-    registry.counter(name).inc(total - published);
-    published = total;
-  };
-  publish("driver.join_attempts", metrics_.join_attempts,
-          published_.join_attempts);
-  publish("driver.associations", metrics_.associations,
-          published_.associations);
-  publish("driver.joins", metrics_.joins, published_.joins);
-  publish("driver.dhcp_attempts", metrics_.dhcp_attempts,
-          published_.dhcp_attempts);
-  publish("driver.dhcp_attempt_failures", metrics_.dhcp_attempt_failures,
-          published_.dhcp_attempt_failures);
-  publish("driver.dhcp_failed_joins", metrics_.dhcp_failed_joins,
-          published_.dhcp_failed_joins);
-  publish("driver.recamps", recamps_, published_.recamps);
-  publish("driver.schedule_switches", schedule_switches_,
-          published_.schedule_switches);
-  static constexpr auto kDwellNames =
-      phy::make_slot_names<kChannelSlots>("driver.dwell_us.ch");
-  // Probe the channel plan in slot order instead of walking the unordered
-  // dwell map: same totals, and the publish order no longer depends on
-  // hashing internals. (Slot N is channel N for the 1..14 plan; channel 0
-  // never accrues dwell, and out-of-plan channels cannot be scheduled.)
-  // The name is read through data(): gcc 12 flags `kDwellNames[slot].text`
-  // here with a false -Wstringop-overread.
-  for (std::size_t slot = 1; slot < kChannelSlots; ++slot) {
-    const auto it = airtime_.find(static_cast<net::ChannelId>(slot));
-    if (it == airtime_.end()) continue;
-    publish((kDwellNames.data() + slot)->text,
-            static_cast<std::uint64_t>(it->second.us()),
-            published_dwell_us_[slot]);
-  }
 }
 
 void SpiderDriver::start() {
@@ -180,7 +148,7 @@ void SpiderDriver::destroy_interfaces_if(Pred doomed, bool lost) {
   // disconnect callback. Stepping by upper_bound survives the erase.
   for (auto it = interfaces_.begin(); it != interfaces_.end();) {
     const net::Bssid bssid = it->first;
-    if (doomed(*it->second)) destroy_interface(bssid, lost);
+    if (doomed(it->second)) destroy_interface(bssid, lost);
     it = interfaces_.upper_bound(bssid);
   }
 }
@@ -202,11 +170,12 @@ void SpiderDriver::finish_channel_eval() {
   if (best_utility < home_utility * kChannelSwitchHysteresis) return;
   if (connected_count() > 0) return;
   ++recamps_;
+  recamps_counter_.inc();
   config_.schedule.front().channel = best;
   // Drop joining interfaces stranded on the old home channel, in bssid
   // order so failure-history updates replay identically.
   destroy_interfaces_if(
-      [best](const VirtualInterface& vif) { return vif.channel != best; },
+      [best](const Interface& iface) { return iface.join->channel() != best; },
       /*lost=*/false);
   rotate_schedule(0);
 }
@@ -218,7 +187,14 @@ void SpiderDriver::accumulate_airtime() {
       << "dwell interval ends " << sim_.now().to_string()
       << " before it started " << dwell_since_.to_string();
   if (dwell_channel_ != 0) {
-    airtime_[dwell_channel_] += sim_.now() - dwell_since_;
+    const sim::Time dwell = sim_.now() - dwell_since_;
+    airtime_[dwell_channel_] += dwell;
+    // The name is read through data(): gcc 12 flags `kDwellNames[slot].text`
+    // here with a false -Wstringop-overread.
+    sim_.telemetry()
+        .metrics()
+        .counter((kDwellNames.data() + channel_slot(dwell_channel_))->text)
+        .inc(static_cast<std::uint64_t>(dwell.us()));
     telemetry::TraceRecorder& trace = sim_.telemetry().trace();
     if (trace.enabled() && sim_.now() > dwell_since_) {
       trace.complete("dwell", "channel", dwell_since_.us(),
@@ -255,15 +231,15 @@ void SpiderDriver::rotate_schedule(std::size_t slice_index) {
     // Camp on the lowest-bssid live connection (the first in key order), so
     // the camped channel is well defined when two connections are live.
     const VirtualInterface* camp = nullptr;
-    for (const auto& [bssid, vif] : interfaces_) {
-      if (vif->state == VirtualInterface::State::kConnected) {
-        camp = vif.get();
+    for (const auto& [bssid, iface] : interfaces_) {
+      if (iface.join->state() == VirtualInterface::State::kConnected) {
+        camp = iface.join.get();
         break;
       }
     }
     if (camp != nullptr) {
       // Stay with the live connection; re-evaluate after a full period.
-      slice = ChannelSlice{camp->channel, 1.0};
+      slice = ChannelSlice{camp->channel(), 1.0};
       dwell = config_.period;
       next = slice_index;  // resume the rotation where it left off
     }
@@ -284,7 +260,7 @@ void SpiderDriver::rotate_schedule(std::size_t slice_index) {
     return;
   }
 
-  ++schedule_switches_;
+  schedule_switches_counter_.inc();
   last_switch_latency_ =
       device_.switch_channel(slice.channel, [this, slice] {
         accumulate_airtime();
@@ -306,12 +282,8 @@ void SpiderDriver::on_arrival(net::ChannelId channel) {
   // destroys an interface.
   for (auto it = interfaces_.begin(); it != interfaces_.end();) {
     const net::Bssid bssid = it->first;
-    VirtualInterface& vif = *it->second;
-    if (vif.channel == channel) {
-      if (vif.session) vif.session->radio_on_channel();
-      if (vif.dhcp && vif.state == VirtualInterface::State::kDhcp)
-        vif.dhcp->radio_on_channel();
-    }
+    VirtualInterface& join = *it->second.join;
+    if (join.channel() == channel) join.radio_on_channel();
     it = interfaces_.upper_bound(bssid);
   }
 }
@@ -321,10 +293,6 @@ bool SpiderDriver::scheduled_channel(net::ChannelId channel) const {
                      [channel](const ChannelSlice& s) {
                        return s.channel == channel;
                      });
-}
-
-void SpiderDriver::note_heard(VirtualInterface& vif) {
-  vif.airtime_at_last_heard = channel_airtime(vif.channel);
 }
 
 void SpiderDriver::create_interface(const ScanEntry& entry) {
@@ -337,61 +305,41 @@ void SpiderDriver::create_interface(const ScanEntry& entry) {
   SPIDER_DCHECK(scheduled_channel(entry.channel))
       << "interface for " << bssid.to_string() << " on unscheduled channel "
       << entry.channel;
-  auto vif = std::make_unique<VirtualInterface>();
-  vif->bssid = bssid;
-  vif->channel = entry.channel;
-  vif->join_started = sim_.now();
-  vif->airtime_at_last_heard = channel_airtime(entry.channel);
-
+  Interface& iface = interfaces_[bssid];
+  iface.airtime_at_last_heard = channel_airtime(entry.channel);
+  std::uint32_t lane = 0;  // its join spans' lane while it lives
   telemetry::TraceRecorder& trace = sim_.telemetry().trace();
   if (trace.enabled()) {
-    vif->trace_track = trace.open_lane(
+    lane = trace.open_lane(
         device_.address().to_string() + " vif " + bssid.to_string(),
         sim_.now().us());
-    // Discovery span: last beacon/probe sighting of this AP up to the
-    // decision to join it — the "scan" leg of the join pipeline.
-    trace.complete("scan", "join", entry.last_seen.us(),
-                   (sim_.now() - entry.last_seen).us(), vif->trace_track);
   }
 
-  // Join traffic is sent only when the radio is live on the AP's channel;
-  // it is never queued (a deferred DHCP request would arrive stale anyway,
-  // and the paper's whole point is that joins cannot be parked with PSM).
   const net::ChannelId channel = entry.channel;
-  auto join_tx = [this, channel](const net::Frame& frame) {
-    if (device_.channel() == channel && !device_.switching()) {
-      return device_.radio().send(frame);
-    }
-    return false;
+  JoinHooks hooks;
+  hooks.heard = [this, &iface, channel] {
+    iface.airtime_at_last_heard = channel_airtime(channel);
   };
-
-  mac::ClientSessionConfig session_config = config_.session;
-  session_config.trace_track = vif->trace_track;
-  dhcpd::DhcpClientConfig dhcp_config = config_.dhcp;
-  dhcp_config.trace_track = vif->trace_track;
-  vif->session = std::make_unique<mac::ClientSession>(
-      sim_, device_.address(), bssid, channel, join_tx, session_config);
-  vif->dhcp = std::make_unique<dhcpd::DhcpClient>(
-      sim_, device_.address(), bssid, join_tx, dhcp_config);
-
-  VirtualInterface* raw = vif.get();
-  vif->session->set_associated_handler(
-      [this, raw](mac::ClientSession&) { on_associated(*raw); });
-  vif->dhcp->set_event_handler([this, raw](dhcpd::DhcpClient&, dhcpd::DhcpEvent ev) {
-    on_dhcp_event(*raw, ev);
-  });
-
-  device_.register_bssid(bssid, [this, raw](const net::Frame& frame,
-                                            const phy::RxInfo&) {
-    note_heard(*raw);
-    if (raw->session) raw->session->handle_frame(frame);
-    if (raw->dhcp) raw->dhcp->handle_frame(frame);
-  });
-
-  interfaces_.emplace(bssid, std::move(vif));
-  ++metrics_.join_attempts;
+  hooks.bound = [this](const VirtualInterface& join) {
+    history_.record_success(join.bssid(), sim_.now() - join.join_started(),
+                            sim_.now());
+    if (config_.cache_leases) lease_cache_[join.bssid()] = join.lease();
+    if (on_connected_) on_connected_(join.bssid(), join.channel());
+  };
+  if (config_.cache_leases) {
+    hooks.cached_lease = [this, bssid]() -> const dhcpd::Lease* {
+      const auto cached = lease_cache_.find(bssid);
+      if (cached == lease_cache_.end() ||
+          cached->second.acquired_at + cached->second.duration <= sim_.now())
+        return nullptr;
+      return &cached->second;
+    };
+  }
+  iface.join = std::make_unique<VirtualInterface>(
+      sim_, device_, ledger_, entry, config_.session, config_.dhcp,
+      lane, std::move(hooks));
   history_.record_attempt(bssid);
-  raw->session->start_join();
+  iface.join->start();
 }
 
 void SpiderDriver::selection_tick() {
@@ -402,12 +350,13 @@ void SpiderDriver::selection_tick() {
   //    on-channel time (silence while parked elsewhere doesn't count), or
   //    whose join outlived its budget.
   destroy_interfaces_if(
-      [this](const VirtualInterface& vif) {
+      [this](const Interface& iface) {
+        const VirtualInterface& join = *iface.join;
         const sim::Time on_air_silence =
-            channel_airtime(vif.channel) - vif.airtime_at_last_heard;
+            channel_airtime(join.channel()) - iface.airtime_at_last_heard;
         return on_air_silence > config_.link_loss_timeout ||
-               (vif.state != VirtualInterface::State::kConnected &&
-                sim_.now() - vif.join_started > config_.join_give_up);
+               (join.state() != VirtualInterface::State::kConnected &&
+                sim_.now() - join.join_started() > config_.join_give_up);
       },
       /*lost=*/true);
 
@@ -457,86 +406,25 @@ void SpiderDriver::destroy_interface(net::Bssid bssid, bool lost) {
   auto it = interfaces_.find(bssid);
   if (it == interfaces_.end()) return;
   const bool was_connected =
-      it->second->state == VirtualInterface::State::kConnected;
+      it->second.join->state() == VirtualInterface::State::kConnected;
   if (!was_connected) history_.record_failure(bssid);
-  if (it->second->state == VirtualInterface::State::kDhcp) {
-    ++metrics_.dhcp_failed_joins;  // associated but never got a lease
-  }
-  device_.unregister_bssid(bssid);
-  device_.forget_scan(bssid);
-  sim_.telemetry().trace().close_lane(it->second->trace_track);
+  it->second.join->end();
+  sim_.telemetry().trace().close_lane(it->second.join->trace_lane());
   interfaces_.erase(it);
   if (lost && was_connected && on_disconnected_) on_disconnected_(bssid);
 }
 
 std::size_t SpiderDriver::connected_count() const {
   std::size_t n = 0;
-  for (const auto& [bssid, vif] : interfaces_) {
-    if (vif->state == VirtualInterface::State::kConnected) ++n;
+  for (const auto& [bssid, iface] : interfaces_) {
+    if (iface.join->state() == VirtualInterface::State::kConnected) ++n;
   }
   return n;
 }
 
 const VirtualInterface* SpiderDriver::find_interface(net::Bssid bssid) const {
   auto it = interfaces_.find(bssid);
-  return it == interfaces_.end() ? nullptr : it->second.get();
-}
-
-void SpiderDriver::on_associated(VirtualInterface& vif) {
-  // Join pipeline ordering: association completes exactly once, from the
-  // associating stage; DHCP only starts on top of it.
-  SPIDER_CHECK(vif.state == VirtualInterface::State::kAssociating)
-      << "association for " << vif.bssid.to_string()
-      << " in driver state " << static_cast<int>(vif.state);
-  ++metrics_.associations;
-  metrics_.association_delay_sec.add(vif.session->association_delay().sec());
-  sim_.telemetry()
-      .metrics()
-      .histogram("driver.assoc_delay_sec")
-      .add(vif.session->association_delay().sec());
-  vif.state = VirtualInterface::State::kDhcp;
-  const auto cached = config_.cache_leases ? lease_cache_.find(vif.bssid)
-                                           : lease_cache_.end();
-  if (cached != lease_cache_.end() &&
-      cached->second.acquired_at + cached->second.duration > sim_.now()) {
-    vif.dhcp->start_with_cached(cached->second);
-  } else {
-    vif.dhcp->start();
-  }
-}
-
-void SpiderDriver::on_dhcp_event(VirtualInterface& vif, dhcpd::DhcpEvent event) {
-  switch (event) {
-    case dhcpd::DhcpEvent::kBound: {
-      SPIDER_CHECK(vif.state == VirtualInterface::State::kDhcp)
-          << "kBound for " << vif.bssid.to_string() << " in driver state "
-          << static_cast<int>(vif.state);
-      SPIDER_CHECK(!vif.dhcp->lease().ip.is_null())
-          << "bound with a null lease on " << vif.bssid.to_string();
-      const sim::Time join_delay = sim_.now() - vif.join_started;
-      ++metrics_.joins;
-      ++metrics_.dhcp_attempts;
-      metrics_.join_delay_sec.add(join_delay.sec());
-      telemetry::Hub& telemetry = sim_.telemetry();
-      telemetry.metrics().histogram("driver.join_delay_sec").add(
-          join_delay.sec());
-      // Envelope span over the whole pipeline; the auth/assoc/dhcp sub-spans
-      // nest inside it on the same per-interface lane.
-      telemetry.trace().complete("join", "join", vif.join_started.us(),
-                                 join_delay.us(), vif.trace_track);
-      history_.record_success(vif.bssid, join_delay, sim_.now());
-      if (config_.cache_leases) lease_cache_[vif.bssid] = vif.dhcp->lease();
-      vif.state = VirtualInterface::State::kConnected;
-      vif.connected_at = sim_.now();
-      if (on_connected_) on_connected_(vif);
-      break;
-    }
-    case dhcpd::DhcpEvent::kAttemptFailed:
-      // Every attempt window counts once: here on failure, above on bind.
-      ++metrics_.dhcp_attempt_failures;
-      ++metrics_.dhcp_attempts;
-      break;
-  }
+  return it == interfaces_.end() ? nullptr : it->second.join.get();
 }
 
 }  // namespace spider::core

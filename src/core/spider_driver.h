@@ -28,12 +28,12 @@
 
 #include "core/ap_history.h"
 #include "core/client_device.h"
+#include "core/join.h"
 #include "core/metrics.h"
 #include "dhcpd/dhcp_client.h"
 #include "mac/client_session.h"
 #include "phy/channel.h"
 #include "sim/simulator.h"
-#include "trace/stats.h"
 
 namespace spider::core {
 
@@ -81,28 +81,9 @@ struct SpiderConfig {
   bool cache_leases = false;
 };
 
-// One virtual interface = one AP relationship.
-struct VirtualInterface {
-  enum class State : std::uint8_t { kAssociating, kDhcp, kConnected };
-
-  net::Bssid bssid;
-  net::ChannelId channel = 0;
-  State state = State::kAssociating;
-  std::unique_ptr<mac::ClientSession> session;
-  std::unique_ptr<dhcpd::DhcpClient> dhcp;
-  // Trace lane for this interface's scan/auth/assoc/dhcp/join spans, open
-  // while the interface lives (0 while tracing is off).
-  std::uint32_t trace_track = 0;
-  sim::Time join_started = sim::Time::zero();
-  sim::Time connected_at = sim::Time::zero();
-  // Cumulative on-channel dwell of this iface's channel when the AP was
-  // last heard (drives on-air link-loss detection).
-  sim::Time airtime_at_last_heard = sim::Time::zero();
-};
-
 class SpiderDriver {
  public:
-  using ConnectionHandler = std::function<void(const VirtualInterface&)>;
+  using ConnectionHandler = std::function<void(net::Bssid, net::ChannelId)>;
   using DisconnectionHandler = std::function<void(net::Bssid)>;
 
   SpiderDriver(sim::Simulator& simulator, ClientDevice& device,
@@ -120,7 +101,7 @@ class SpiderDriver {
   }
 
   const SpiderConfig& config() const { return config_; }
-  const JoinMetrics& metrics() const { return metrics_; }
+  const JoinMetrics& metrics() const { return ledger_.metrics; }
   const ApHistoryDb& history() const { return history_; }
   ClientDevice& device() { return device_; }
 
@@ -140,10 +121,6 @@ class SpiderDriver {
   net::ChannelId home_channel() const;
   std::uint64_t recamps() const { return recamps_; }
 
-  // Physical channel switches the scheduler has requested so far (published
-  // as driver.schedule_switches).
-  std::uint64_t schedule_switches() const { return schedule_switches_; }
-
   // History-weighted AP supply on a channel, from fresh scan results
   // (exposed for tests and the dynamic-channel ablation).
   double channel_utility(net::ChannelId channel) const;
@@ -155,32 +132,36 @@ class SpiderDriver {
   void channel_eval_tick();
   void scan_excursion_step();
   void finish_channel_eval();
+  // One virtual interface = one AP relationship: the join, and the
+  // cumulative on-channel dwell of its channel when the AP was last heard
+  // (drives on-air link-loss detection).
+  struct Interface {
+    std::unique_ptr<VirtualInterface> join;
+    sim::Time airtime_at_last_heard = sim::Time::zero();
+  };
+
   void create_interface(const ScanEntry& entry);
   void destroy_interface(net::Bssid bssid, bool lost);
   // Destroys, in bssid order, every interface `doomed` selects.
   template <typename Pred>
   void destroy_interfaces_if(Pred doomed, bool lost);
-  void on_associated(VirtualInterface& vif);
-  void on_dhcp_event(VirtualInterface& vif, dhcpd::DhcpEvent event);
   bool scheduled_channel(net::ChannelId channel) const;
-  void note_heard(VirtualInterface& vif);
   void accumulate_airtime();
   // This driver's dwell lane for channel `slot`, opened (named from `since`)
   // on first use. Call only while tracing is on.
   std::uint32_t channel_lane(std::size_t slot, sim::Time since);
-  void publish_metrics(telemetry::Registry& registry);
 
   sim::Simulator& sim_;
   ClientDevice& device_;
   SpiderConfig config_;
-  JoinMetrics metrics_;
+  JoinLedger ledger_;
   ApHistoryDb history_;
   ConnectionHandler on_connected_;
   DisconnectionHandler on_disconnected_;
 
   // Keyed by bssid and walked in key order: reaps, PSM wake-ups, camping
   // and teardown all replay in bssid order with no sort at the walk.
-  std::map<net::Bssid, std::unique_ptr<VirtualInterface>> interfaces_;
+  std::map<net::Bssid, Interface> interfaces_;
   std::unordered_map<net::Bssid, dhcpd::Lease> lease_cache_;
   std::unordered_map<net::ChannelId, sim::Time> airtime_;
   net::ChannelId dwell_channel_ = 0;      // channel being accounted for
@@ -190,7 +171,10 @@ class SpiderDriver {
   sim::TimerHandle eval_timer_;
   sim::Time last_switch_latency_ = sim::Time::zero();
   std::uint64_t recamps_ = 0;
-  std::uint64_t schedule_switches_ = 0;
+  // The world's driver.recamps and driver.schedule_switches, registered at
+  // zero when the driver is built.
+  telemetry::Counter& recamps_counter_;
+  telemetry::Counter& schedule_switches_counter_;
   bool excursion_active_ = false;
   bool started_ = false;
   // Scratch buffer reused across eval ticks (excursions never overlap, so
@@ -198,22 +182,8 @@ class SpiderDriver {
   // allocate.
   std::vector<net::ChannelId> excursion_remaining_;
 
-  // Telemetry plumbing: deltas already folded into the shared driver.*
-  // metrics (several drivers may share one world), this driver's dwell lane
-  // per channel slot (0 = not open), and its collector registration.
-  struct Published {
-    std::uint64_t join_attempts = 0;
-    std::uint64_t associations = 0;
-    std::uint64_t joins = 0;
-    std::uint64_t dhcp_attempts = 0;
-    std::uint64_t dhcp_attempt_failures = 0;
-    std::uint64_t dhcp_failed_joins = 0;
-    std::uint64_t recamps = 0;
-    std::uint64_t schedule_switches = 0;
-  } published_;
-  std::array<std::uint64_t, phy::kChannelSlots> published_dwell_us_{};
+  // This driver's dwell lane per channel slot (0 = not open).
   std::array<std::uint32_t, phy::kChannelSlots> channel_lanes_{};
-  telemetry::Hub::CollectorId collector_id_ = 0;
 };
 
 }  // namespace spider::core

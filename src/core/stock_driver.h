@@ -3,7 +3,8 @@
 // Classic client behaviour: sweep-scan all channels, camp on the
 // best-RSSI open AP, join with default link-layer (1 s) and DHCP
 // (1 s / 3 s / 60 s) timers, and stay until the link dies; then scan again.
-// No virtualization, no PSM tricks, no history, one AP at a time.
+// No virtualization, no PSM tricks, no history, one AP at a time. The join
+// itself is the same VirtualInterface Spider runs (core/join.h).
 #pragma once
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/client_device.h"
+#include "core/join.h"
 #include "core/metrics.h"
 #include "dhcpd/dhcp_client.h"
 #include "mac/client_session.h"
@@ -21,18 +23,19 @@ namespace spider::core {
 
 struct StockDriverConfig {
   std::vector<net::ChannelId> scan_channels{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
-  mac::ClientSessionConfig session{};  // defaults: 1 s link-layer timeout
-  dhcpd::DhcpClientConfig dhcp = dhcpd::default_dhcp_timers();
-  sim::Time link_loss_timeout = sim::Time::seconds(3);
 };
+
+// A stock join's link-layer timers: the 1 s default.
+inline constexpr mac::ClientSessionConfig kStockSession{};
+// A stock join's DHCP timers: dhclient's 1 s / 3 s / 60 s defaults (the
+// "default" rows of Table 3 / Fig. 11).
+inline constexpr dhcpd::DhcpClientConfig kStockDhcp{};
+// Silence from the AP after which the stock stack declares the link dead.
+inline constexpr sim::Time kStockLinkLossTimeout = sim::Time::seconds(3);
 
 class StockDriver {
  public:
-  struct Connection {
-    net::Bssid bssid;
-    net::ChannelId channel;
-  };
-  using ConnectionHandler = std::function<void(const Connection&)>;
+  using ConnectionHandler = std::function<void(net::Bssid, net::ChannelId)>;
   using DisconnectionHandler = std::function<void(net::Bssid)>;
 
   StockDriver(sim::Simulator& simulator, ClientDevice& device,
@@ -49,51 +52,32 @@ class StockDriver {
     on_disconnected_ = std::move(fn);
   }
 
-  const JoinMetrics& metrics() const { return metrics_; }
-  bool connected() const { return state_ == State::kConnected; }
-  net::Bssid current_ap() const { return bssid_; }
+  const JoinMetrics& metrics() const { return ledger_.metrics; }
+  bool connected() const {
+    return join_ && join_->state() == VirtualInterface::State::kConnected;
+  }
+  net::Bssid current_ap() const { return join_ ? join_->bssid() : net::Bssid{}; }
 
  private:
-  enum class State : std::uint8_t { kScanning, kJoining, kConnected };
-
   void scan_step(std::size_t index);
+  // Joins the strongest AP the sweep heard, or sweeps again.
   void finish_scan();
-  void begin_join(const ScanEntry& entry);
   void teardown(bool lost);
   void watchdog();
-  void publish_metrics(telemetry::Registry& registry);
 
   sim::Simulator& sim_;
   ClientDevice& device_;
   StockDriverConfig config_;
-  JoinMetrics metrics_;
+  JoinLedger ledger_;
   ConnectionHandler on_connected_;
   DisconnectionHandler on_disconnected_;
 
-  State state_ = State::kScanning;
-  net::Bssid bssid_;
-  net::ChannelId channel_ = 0;
-  std::unique_ptr<mac::ClientSession> session_;
-  std::unique_ptr<dhcpd::DhcpClient> dhcp_;
-  sim::Time join_started_ = sim::Time::zero();
+  // The one join, from the scan's pick until teardown; null while scanning.
+  std::unique_ptr<VirtualInterface> join_;
   sim::Time last_heard_ = sim::Time::zero();
-  int dhcp_failures_this_join_ = 0;
   sim::TimerHandle timer_;      // scan stepping / watchdog
   bool started_ = false;
   std::uint32_t trace_lane_ = 0;  // this driver's join lane while tracing
-
-  // Deltas already folded into the shared driver.* metrics; the stock
-  // baseline reports under the same names as SpiderDriver so benches
-  // compare the two like-for-like.
-  struct Published {
-    std::uint64_t join_attempts = 0;
-    std::uint64_t associations = 0;
-    std::uint64_t joins = 0;
-    std::uint64_t dhcp_attempts = 0;
-    std::uint64_t dhcp_attempt_failures = 0;
-    std::uint64_t dhcp_failed_joins = 0;
-  } published_;
-  telemetry::Hub::CollectorId collector_id_ = 0;
 };
 
 }  // namespace spider::core

@@ -156,9 +156,7 @@ SPIDER_HOT sim::Time Medium::transmit(Radio& sender, net::Frame frame) {
   const net::ChannelId channel = channel_of(sender.id_);
   const std::size_t slot = channel_slot(channel);
   ++per_channel_[slot].sent;
-  const sim::Time airtime =
-      config_.preamble +
-      sim::transmission_time(frame.size_bytes, config_.bitrate_bps);
+  const sim::Time airtime = this->airtime(frame.size_bytes);
   const Vec2 pos = hot_.position[sender.id_];
 
   // Carrier sense is channel-global: every sender on the channel defers to

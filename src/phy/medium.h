@@ -106,6 +106,13 @@ class Medium {
   const MediumConfig& config() const { return config_; }
   sim::Simulator& simulator() { return sim_; }
 
+  // How long one frame of `size_bytes` holds the channel: the preamble plus
+  // serialization at the medium's bitrate.
+  sim::Time airtime(int size_bytes) const {
+    return config_.preamble +
+           sim::transmission_time(size_bytes, config_.bitrate_bps);
+  }
+
   // Called by Radio's constructor/destructor.
   void attach(Radio& radio, net::ChannelId initial_channel);
   void detach(Radio& radio);

@@ -20,11 +20,6 @@ Radio::~Radio() {
   medium_.detach(*this);
 }
 
-sim::Time Radio::frame_airtime(int size_bytes) const {
-  return medium_.config().preamble +
-         sim::transmission_time(size_bytes, medium_.config().bitrate_bps);
-}
-
 void Radio::tune(net::ChannelId channel, std::function<void()> done) {
   if (!valid_channel(channel))
     throw std::invalid_argument("Radio::tune: invalid channel");
@@ -48,7 +43,7 @@ SPIDER_HOT bool Radio::send(net::Frame frame) {
   ++frames_tx_;
   if (energy_) {
     energy_->charge_burst(RadioState::kTransmit,
-                          frame_airtime(frame.size_bytes));
+                          medium_.airtime(frame.size_bytes));
   }
   medium_.transmit(*this, std::move(frame));
   return true;

@@ -110,8 +110,6 @@ class Radio {
   std::uint64_t frames_rx_ = 0;
   std::uint64_t tx_dropped_switching_ = 0;
   EnergyMeter* energy_ = nullptr;
-
-  sim::Time frame_airtime(int size_bytes) const;
 };
 
 }  // namespace spider::phy

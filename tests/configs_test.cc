@@ -71,10 +71,11 @@ TEST(Configs, DynamicChannelVariant) {
 }
 
 TEST(Configs, StockDefaultsSweepAllChannels) {
-  const StockDriverConfig c = stock_defaults();
+  const StockDriverConfig c{};
   EXPECT_EQ(c.scan_channels.size(), 11u);
-  EXPECT_EQ(c.dhcp.idle_after_failure, sim::Time::seconds(60));
-  EXPECT_EQ(c.session.link_timeout, sim::Time::millis(1000));
+  EXPECT_EQ(kStockDhcp.idle_after_failure, sim::Time::seconds(60));
+  EXPECT_EQ(kStockSession.link_timeout, sim::Time::millis(1000));
+  EXPECT_EQ(kStockLinkLossTimeout, sim::Time::seconds(3));
 }
 
 }  // namespace

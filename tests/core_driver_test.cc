@@ -80,9 +80,11 @@ TEST_F(DriverTest, JoinsApAndReportsConnection) {
   add_ap(1, 0xA0);
   auto& driver = make_driver(single_channel_multi_ap(1));
   int connections = 0;
-  driver.set_connection_handler([&](const VirtualInterface& vif) {
-    EXPECT_EQ(vif.channel, 1);
-    EXPECT_EQ(vif.state, VirtualInterface::State::kConnected);
+  driver.set_connection_handler([&](net::Bssid bssid, net::ChannelId channel) {
+    EXPECT_EQ(channel, 1);
+    const VirtualInterface* vif = driver.find_interface(bssid);
+    ASSERT_NE(vif, nullptr);
+    EXPECT_EQ(vif->state(), VirtualInterface::State::kConnected);
     ++connections;
   });
   driver.start();
@@ -183,7 +185,7 @@ TEST_F(DriverTest, HistoryPolicyPrefersProvenAp) {
   const VirtualInterface* vif =
       driver.find_interface(net::MacAddress::from_index(0xA1));
   ASSERT_NE(vif, nullptr);
-  EXPECT_EQ(vif->state, VirtualInterface::State::kConnected);
+  EXPECT_EQ(vif->state(), VirtualInterface::State::kConnected);
 }
 
 TEST_F(DriverTest, LinkLossReapsDeadAp) {
@@ -240,8 +242,9 @@ TEST_F(DriverTest, StockDriverScansJoinsAndCamps) {
   add_ap(6, 0xA6);
   StockDriver stock(sim_, *device_, StockDriverConfig{});
   int connections = 0;
-  stock.set_connection_handler([&](const StockDriver::Connection& c) {
-    EXPECT_EQ(c.channel, 6);
+  stock.set_connection_handler([&](net::Bssid bssid, net::ChannelId channel) {
+    EXPECT_EQ(bssid, net::MacAddress::from_index(0xA6));
+    EXPECT_EQ(channel, 6);
     ++connections;
   });
   stock.start();

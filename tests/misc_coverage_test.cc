@@ -33,6 +33,25 @@ TEST(MediumIdle, TracksSerializationQueue) {
   EXPECT_EQ(medium.channel_idle_at(11), sim::Time::zero());
 }
 
+// Table 1's switch latency prices each PSM frame at the medium's own
+// airtime: with one connected AP on each side, two null-data frames.
+TEST(MediumIdle, SwitchLatencyPricesPsmFramesAtTheMediumsAirtime) {
+  sim::Simulator sim;
+  phy::MediumConfig cfg;
+  cfg.preamble = sim::Time::micros(0);
+  cfg.bitrate_bps = 8e6;  // 1 byte = 1 us
+  phy::Medium medium(sim, sim::Rng(1), cfg);
+  core::ClientDevice device(medium, net::MacAddress::from_index(0xC0),
+                            {.radio = {.initial_channel = 6}});
+  device.set_connected_lookup([](net::ChannelId channel) {
+    return std::vector<net::Bssid>{net::MacAddress::from_index(channel)};
+  });
+  EXPECT_EQ(medium.airtime(net::kNullDataBytes), sim::Time::micros(28));
+  EXPECT_EQ(device.switch_channel(11),
+            phy::kHardwareResetTime +
+                medium.airtime(net::kNullDataBytes) * std::int64_t{2});
+}
+
 TEST(Experiment, CompletesJoinHandshake) {
   core::ExperimentConfig cfg;
   cfg.seed = 42;
@@ -154,14 +173,6 @@ TEST(ClientDeviceConfig, ProbeIntervalRespected) {
   // ~10 periodic probes (plus none from switches).
   EXPECT_GE(device.radio().frames_tx(), 9u);
   EXPECT_LE(device.radio().frames_tx(), 11u);
-}
-
-TEST(StockConnection, ReportsChannelAndBssid) {
-  // Compile-time/API contract: Connection aggregates both fields the flow
-  // manager needs.
-  core::StockDriver::Connection c{net::MacAddress::from_index(7), 11};
-  EXPECT_EQ(c.bssid, net::MacAddress::from_index(7));
-  EXPECT_EQ(c.channel, 11);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <tuple>
 #include <vector>
 
 #include "sim/thread_pool.h"
@@ -135,7 +136,11 @@ double optimize_one_channel(const OptimizerParams& params,
 // channel 2, 100 m and 50 m ranges) at every speed from 0.5 to 60 m/s in
 // 0.25 m/s steps, then, at 1 m/s steps, two offer pairs that both have
 // bandwidth pending, so a cache that mixed up offers or horizons would show.
-TEST(JoinTimeMemo, TwoChannelSolvesAreBitIdentical) {
+// One shard per (sweep, range), so ctest -j spreads the 1,674 solves.
+class JoinTimeMemoTwoChannel
+    : public ::testing::TestWithParam<std::tuple<int, double>> {};
+
+TEST_P(JoinTimeMemoTwoChannel, SolvesAreBitIdentical) {
   const double Bw = paper_optimizer().wireless_bps;
   struct Sweep {
     ChannelOffer ch1, ch2;
@@ -147,27 +152,30 @@ TEST(JoinTimeMemo, TwoChannelSolvesAreBitIdentical) {
   }
   sweeps.push_back({{0.25 * Bw, 0.25 * Bw}, {0, 0.5 * Bw}, 4});
   sweeps.push_back({{0, 0.3 * Bw}, {0.1 * Bw, 0.6 * Bw}, 4});
+  const auto [index, range_m] = GetParam();
+  const Sweep& sweep = sweeps.at(static_cast<std::size_t>(index));
   std::size_t solves = 0;
-  for (const Sweep& sweep : sweeps) {
-    for (const double range_m : {100.0, 50.0}) {
-      for (int q = 2; q <= 240; q += sweep.quarters_per_step) {
-        const double speed = q * 0.25;
-        const OptimizerParams p =
-            paper_optimizer(time_in_range_for_speed(speed, range_m));
-        const auto want =
-            unmemoized::optimize_two_channels(p, sweep.ch1, sweep.ch2);
-        const auto got = optimize_two_channels(p, sweep.ch1, sweep.ch2);
-        ASSERT_EQ(got.fractions.size(), 2u);
-        EXPECT_EQ(got.fractions[0], want[0])
-            << "ch1 at " << speed << " m/s, range " << range_m;
-        EXPECT_EQ(got.fractions[1], want[1])
-            << "ch2 at " << speed << " m/s, range " << range_m;
-        ++solves;
-      }
-    }
+  for (int q = 2; q <= 240; q += sweep.quarters_per_step) {
+    const double speed = q * 0.25;
+    const OptimizerParams p =
+        paper_optimizer(time_in_range_for_speed(speed, range_m));
+    const auto want = unmemoized::optimize_two_channels(p, sweep.ch1, sweep.ch2);
+    const auto got = optimize_two_channels(p, sweep.ch1, sweep.ch2);
+    ASSERT_EQ(got.fractions.size(), 2u);
+    EXPECT_EQ(got.fractions[0], want[0])
+        << "ch1 at " << speed << " m/s, range " << range_m;
+    EXPECT_EQ(got.fractions[1], want[1])
+        << "ch2 at " << speed << " m/s, range " << range_m;
+    ++solves;
   }
-  EXPECT_EQ(solves, 3u * 2u * 239u + 2u * 2u * 60u);
+  // 239 speeds at 0.25 m/s steps, 60 at 1 m/s: 3 × 2 × 239 + 2 × 2 × 60 =
+  // 1,674 solves over the ten shards.
+  EXPECT_EQ(solves, sweep.quarters_per_step == 1 ? 239u : 60u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Fig4Sweeps, JoinTimeMemoTwoChannel,
+                         ::testing::Combine(::testing::Range(0, 5),
+                                            ::testing::Values(100.0, 50.0)));
 
 // The one-offer path on the KChannel cases, over a range of horizons.
 TEST(JoinTimeMemo, KChannelSolvesAreBitIdentical) {

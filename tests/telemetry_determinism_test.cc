@@ -202,6 +202,54 @@ TEST(TelemetryDeterminism, TelemetryAgreesWithTheResultsItDescribes) {
     EXPECT_EQ(run.telemetry.counter_value("phy.frames_sent.ch1"),
               run.results.frames_sent);
   }
+
+  // Both drivers, and several drivers sharing one registry: every driver.*
+  // join counter equals the JoinMetrics summed over the world's clients,
+  // and each delay histogram holds one sample per CDF sample.
+  ExperimentConfig stock = scenario(43);
+  stock.driver = DriverKind::kStock;
+  ExperimentConfig fleet = scenario(44);
+  fleet.clients = 3;
+  for (ExperimentConfig cfg : {stock, fleet}) {
+    const int clients = cfg.clients;
+    const bool is_stock = cfg.driver == DriverKind::kStock;
+    Experiment experiment(std::move(cfg));
+    const ExperimentResults results = experiment.run();
+    const telemetry::MetricsSnapshot snap =
+        experiment.simulator().telemetry().collect();
+    ASSERT_EQ(results.clients.size(), static_cast<std::size_t>(clients));
+    JoinMetrics sum;
+    std::uint64_t assoc_samples = 0;
+    std::uint64_t join_samples = 0;
+    for (const ClientResults& c : results.clients) {
+      sum.join_attempts += c.joins.join_attempts;
+      sum.associations += c.joins.associations;
+      sum.joins += c.joins.joins;
+      sum.dhcp_attempts += c.joins.dhcp_attempts;
+      sum.dhcp_attempt_failures += c.joins.dhcp_attempt_failures;
+      sum.dhcp_failed_joins += c.joins.dhcp_failed_joins;
+      assoc_samples += c.joins.association_delay_sec.count();
+      join_samples += c.joins.join_delay_sec.count();
+    }
+    SCOPED_TRACE(is_stock ? "stock world" : "3-client Spider world");
+    EXPECT_GT(sum.joins, 0u);
+    EXPECT_EQ(snap.counter_value("driver.join_attempts"), sum.join_attempts);
+    EXPECT_EQ(snap.counter_value("driver.associations"), sum.associations);
+    EXPECT_EQ(snap.counter_value("driver.joins"), sum.joins);
+    EXPECT_EQ(snap.counter_value("driver.dhcp_attempts"), sum.dhcp_attempts);
+    EXPECT_EQ(snap.counter_value("driver.dhcp_attempt_failures"),
+              sum.dhcp_attempt_failures);
+    EXPECT_EQ(snap.counter_value("driver.dhcp_failed_joins"),
+              sum.dhcp_failed_joins);
+    const telemetry::HistogramSample* assoc =
+        snap.find_histogram("driver.assoc_delay_sec");
+    const telemetry::HistogramSample* join =
+        snap.find_histogram("driver.join_delay_sec");
+    ASSERT_NE(assoc, nullptr);
+    ASSERT_NE(join, nullptr);
+    EXPECT_EQ(assoc->count, assoc_samples);
+    EXPECT_EQ(join->count, join_samples);
+  }
 }
 
 // The traced run's stream text.

@@ -9,8 +9,12 @@
 # one-channel path), examples/quickstart and
 # `examples/spider_cli --duration=60`, each with SPIDER_BENCH_THREADS=1 (one
 # sweep worker, so output order is fixed), three binaries at a time. OUT_DIR
-# gets <binary>.txt per binary. Exits 1 if any binary fails, naming it on
-# stderr. Compare two trees built with the same build type:
+# gets <binary>.txt per binary. fig9_microbench (stock world traced first,
+# Spider worlds after) and table1_switch_latency (Spider traced first) run
+# a second time with `--stream OUT_DIR/<binary>.stream.jsonl --trace`, so the
+# comparison also covers every driver.* counter, histogram and join span.
+# Exits 1 if any binary fails, naming it on stderr. Compare two trees built
+# with the same build type:
 #
 #   tools/bench_stdout.sh ../parent/build /tmp/out-parent
 #   tools/bench_stdout.sh build /tmp/out-change
@@ -41,10 +45,21 @@ fi
 run_one() {
   local b=$1 out=$2 args=()
   [[ $(basename "$b") == spider_cli ]] && args=(--duration=60)
-  if ! SPIDER_BENCH_THREADS=1 "$b" "${args[@]}" > "$out/$(basename "$b").txt"; then
+  local name
+  name=$(basename "$b")
+  if ! SPIDER_BENCH_THREADS=1 "$b" "${args[@]}" > "$out/$name.txt"; then
     echo "failed: $b" >&2
     return 1
   fi
+  case $name in
+    fig9_microbench | table1_switch_latency)
+      if ! SPIDER_BENCH_THREADS=1 "$b" --stream "$out/$name.stream.jsonl" \
+             --trace > /dev/null; then
+        echo "failed: $b --stream --trace" >&2
+        return 1
+      fi
+      ;;
+  esac
 }
 export -f run_one
 
