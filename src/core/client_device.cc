@@ -104,14 +104,19 @@ sim::Time ClientDevice::switch_channel(net::ChannelId channel,
     sim_.post_after(drain, std::move(tune));
   }
 
-  // Modeled switch latency: hardware reset plus the airtime of the PSM and
-  // PS-Poll frames (Table 1: ~4.94 ms base, growing with associated APs).
+  // Modeled switch latency: hardware reset plus the airtime of the frames
+  // step 1 and 4 send: one PM=1 null-data frame per AP on the outgoing
+  // channel, one PS-Poll per AP on the incoming one (Table 1: ~4.94 ms base,
+  // growing with associated APs). The drain wait of step 2 (up to 3 ms) is
+  // left out.
   sim::Time latency = config_.radio.hardware_reset;
   if (connected_) {
     const std::size_t old_aps = connected_(radio_.channel()).size();
     const std::size_t new_aps = connected_(channel).size();
-    const sim::Time frame_cost = medium_.airtime(net::kNullDataBytes);
-    latency += static_cast<std::int64_t>(old_aps + new_aps) * frame_cost;
+    latency += static_cast<std::int64_t>(old_aps) *
+                   medium_.airtime(net::kNullDataBytes) +
+               static_cast<std::int64_t>(new_aps) *
+                   medium_.airtime(net::kPsPollBytes);
   }
   return latency;
 }

@@ -11,7 +11,9 @@ AccessPoint::AccessPoint(phy::Medium& medium, net::MacAddress address,
                          AccessPointConfig config)
     : medium_(medium),
       radio_(medium, address,
-             phy::RadioConfig{.initial_channel = config.channel}),
+             phy::RadioConfig{.initial_channel = config.channel,
+                              .position = position,
+                              .stationary = true}),
       rng_(std::move(rng)),
       config_(std::move(config)),
       beacon_payload_(
@@ -25,9 +27,9 @@ AccessPoint::AccessPoint(phy::Medium& medium, net::MacAddress address,
       << config_.response_delay_max.to_string();
   SPIDER_CHECK(config_.max_buffered_frames > 0)
       << "AP power-save buffer capacity must be positive";
-  radio_.set_position(position);
   radio_.set_receive_handler(
-      [this](const net::Frame& f, const phy::RxInfo& i) { on_receive(f, i); });
+      [this](const net::Frame& f, const phy::RxInfo& i) { on_receive(f, i); },
+      kRxInterest);
   // Link-layer retry failure: an associated client that went absent (e.g.
   // parked on another channel before our PM=1 bookkeeping caught up) gets
   // its frames re-queued into the power-save buffer instead of dropped —
@@ -160,10 +162,11 @@ SPIDER_HOT void AccessPoint::respond_after_delay(net::Frame response) {
       });
 }
 
+// Sees only the frames kRxInterest consumes.
 void AccessPoint::on_receive(const net::Frame& frame, const phy::RxInfo&) {
-  const bool for_us = frame.dst == address() || frame.dst.is_broadcast();
-  if (!for_us) return;
-
+  SPIDER_DCHECK(frame.dst == address() || frame.dst.is_broadcast())
+      << "AP " << address().to_string() << " handed a frame for "
+      << frame.dst.to_string();
   switch (frame.kind) {
     case net::FrameKind::kProbeRequest:
       respond_after_delay(
@@ -253,7 +256,9 @@ void AccessPoint::on_receive(const net::Frame& frame, const phy::RxInfo&) {
     case net::FrameKind::kProbeResponse:
     case net::FrameKind::kAuthResponse:
     case net::FrameKind::kAssocResponse:
-      break;  // AP ignores other APs' management traffic
+      SPIDER_UNREACHABLE() << "AP handed a " << net::to_string(frame.kind)
+                           << ", which kRxInterest excludes";
+      break;
   }
 }
 

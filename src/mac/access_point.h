@@ -45,6 +45,17 @@ class AccessPoint {
  public:
   using DataSink = std::function<void(const net::Frame&)>;
 
+  // The frames an AP consumes: those addressed to it or broadcast, except
+  // the four kinds it sends and never answers (other APs' beacons and
+  // their probe/auth/assoc responses). The rest are drawn and counted at
+  // its radio, but on_receive never runs for them.
+  static constexpr phy::RxInterest kRxInterest{
+      .addressed_only = true,
+      .kinds = ~(phy::RxInterest::bit(net::FrameKind::kBeacon) |
+                 phy::RxInterest::bit(net::FrameKind::kProbeResponse) |
+                 phy::RxInterest::bit(net::FrameKind::kAuthResponse) |
+                 phy::RxInterest::bit(net::FrameKind::kAssocResponse))};
+
   AccessPoint(phy::Medium& medium, net::MacAddress address, phy::Vec2 position,
               sim::Rng rng, AccessPointConfig config = {});
   ~AccessPoint();

@@ -46,6 +46,8 @@ void Medium::publish_metrics(telemetry::Registry& registry) const {
   publish("phy.frames_lost", frames_lost_);
   publish("phy.deliveries.grid", deliveries_grid_);
   publish("phy.deliveries.scan", deliveries_scan_);
+  publish("phy.deliveries.cached", deliveries_cached_);
+  publish("phy.rx_unconsumed", rx_unconsumed_);
   static constexpr auto kSent =
       make_slot_names<kChannelSlots>("phy.frames_sent.ch");
   static constexpr auto kDelivered =
@@ -62,7 +64,8 @@ void Medium::publish_metrics(telemetry::Registry& registry) const {
   }
 }
 
-void Medium::attach(Radio& radio, net::ChannelId initial_channel) {
+void Medium::attach(Radio& radio, net::ChannelId initial_channel,
+                    Vec2 position, bool stationary) {
   SPIDER_CHECK(next_attach_id_ < std::numeric_limits<RadioId>::max())
       << "attach-id space exhausted";
   const RadioId id = next_attach_id_++;
@@ -72,8 +75,8 @@ void Medium::attach(Radio& radio, net::ChannelId initial_channel) {
   hot_.address[id] = radio.address();
   hot_.channel[id] = initial_channel;
   hot_.switching[id] = 0;
-  hot_.position[id] = Vec2{};
-  insert_into_partition(id);
+  hot_.position[id] = position;
+  insert_into_partition(id, stationary);
 }
 
 void Medium::detach(Radio& radio) {
@@ -96,13 +99,17 @@ void Medium::complete_retune(Radio& radio, net::ChannelId channel) {
   if (channel != previous) {
     remove_from_partition(id, previous);
     hot_.channel[id] = channel;
-    insert_into_partition(id);
+    insert_into_partition(id, false);
   }
 }
 
 SPIDER_HOT void Medium::set_position(Radio& radio, Vec2 position) {
   const RadioId id = radio.id_;
   if (position == hot_.position[id]) return;
+  // Cached neighbour lists hold a stationary radio's distances.
+  SPIDER_CHECK(!is_stationary(id))
+      << "stationary radio " << radio.address().to_string() << " moved";
+  if (is_stationary(id)) return;
   hot_.position[id] = position;
   partitions_[channel_slot(channel_of(id))].grid.update(id, position);
 }
@@ -113,21 +120,45 @@ SPIDER_HOT void Medium::move_radios(std::span<const RadioMove> moves) {
 
 // Members stay ascending by attach id: a fresh attach appends (ids are
 // monotone); a radio retuning back onto a channel it left goes in ahead of
-// every higher id.
-void Medium::insert_into_partition(RadioId id) {
+// every higher id. Only attach files a stationary radio, so it appends.
+void Medium::insert_into_partition(RadioId id, bool stationary) {
   ChannelPartition& partition = partitions_[channel_slot(channel_of(id))];
-  std::vector<RadioId>& members = partition.members;
-  members.insert(std::upper_bound(members.begin(), members.end(), id), id);
+  const auto insert_ascending = [id](std::vector<RadioId>& ids) {
+    ids.insert(std::upper_bound(ids.begin(), ids.end(), id), id);
+  };
+  insert_ascending(partition.members);
+  if (stationary) {
+    hot_.stationary_index[id] =
+        static_cast<std::uint32_t>(partition.stationary.size());
+    partition.stationary.push_back(StationaryRadio{id, 0, {}});
+    ++partition.epoch;
+  } else {
+    insert_ascending(partition.mobile);
+  }
   partition.grid.insert(id, hot_.position[id]);
 }
 
 void Medium::remove_from_partition(RadioId id, net::ChannelId channel) {
   ChannelPartition& partition = partitions_[channel_slot(channel)];
-  std::vector<RadioId>& members = partition.members;
-  const auto it = std::lower_bound(members.begin(), members.end(), id);
-  SPIDER_CHECK(it != members.end() && *it == id)
-      << "radio not filed under channel " << channel;
-  members.erase(it);
+  const auto erase_ascending = [id, channel](std::vector<RadioId>& ids) {
+    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    SPIDER_CHECK(it != ids.end() && *it == id)
+        << "radio not filed under channel " << channel;
+    if (it != ids.end() && *it == id) ids.erase(it);
+  };
+  erase_ascending(partition.members);
+  const std::uint32_t slot = hot_.stationary_index[id];
+  if (slot == kMobileRadio) {
+    erase_ascending(partition.mobile);
+  } else {
+    std::vector<StationaryRadio>& stationary = partition.stationary;
+    stationary.erase(stationary.begin() + slot);
+    for (std::size_t i = slot; i < stationary.size(); ++i) {
+      hot_.stationary_index[stationary[i].id] = static_cast<std::uint32_t>(i);
+    }
+    hot_.stationary_index[id] = kMobileRadio;
+    ++partition.epoch;
+  }
   partition.grid.remove(id);
 }
 
@@ -212,9 +243,92 @@ SPIDER_HOT void Medium::release_pending_tx(PendingTx* node) {
   tx_free_.push_back(node);
 }
 
+// The range test compares squared distances: one sqrt per survivor, none
+// per reject. Inline: it runs per candidate.
+SPIDER_HOT inline bool Medium::in_range(Vec2 from, RadioId id,
+                                        Hit& out) const {
+  const Vec2 rx_pos = hot_.position[id];
+  const double dx = rx_pos.x - from.x;
+  const double dy = rx_pos.y - from.y;
+  const double dist_sq = dx * dx + dy * dy;
+  if (dist_sq > config_.range_m * config_.range_m) return false;
+  const double d = std::sqrt(dist_sq);
+  out = Hit{id, d, loss_probability(d)};
+  return true;
+}
+
+// Hot: once per delivery (over the mobile list only, for a stationary
+// sender).
+SPIDER_HOT inline std::span<const Medium::Hit> Medium::find_receivers(
+    const ChannelPartition& partition, const std::vector<RadioId>& listed,
+    bool mobile_only, RadioId sender_id, Vec2 from, net::ChannelId channel) {
+  // Candidate set: a span of ids whose RNG draws must be consumed in
+  // ascending (= attach) order, so grid and bucket internals never influence
+  // the stream. Partition lists are already in that order; grid gathers are
+  // sorted below. Scratch is carved from the drain arena (rewound when
+  // deliver returns).
+  const RadioId* candidates = listed.data();
+  std::size_t count = listed.size();
+  // Short lists scan in place: the grid's hash probes cost more than
+  // touching every listed radio, and the scan is a strict superset of the
+  // gather, so after the shared filters both arms draw identical RNG. The
+  // list is stable while the filter loop below runs (callbacks only fire
+  // from deliver's draw loop after it), so no copy is needed.
+  const bool used_grid = count > config_.indexed_scan_threshold;
+  if (used_grid) {
+    RadioId* buf = sim_.arena().alloc_array<RadioId>(partition.grid.size());
+    count = partition.grid.gather(from, config_.range_m, buf);
+    candidates = buf;
+    ++deliveries_grid_;
+  } else {
+    ++deliveries_scan_;
+  }
+
+  // Filter before sorting: the cheap rejections (sender, stationary when
+  // only mobile radios are wanted, channel, mid-reset, out of range) consume
+  // no RNG, so applying them on the unsorted gather superset and ordering
+  // only the survivors (~the in-range neighborhood, a handful of radios) is
+  // stream-identical to sorting everything first — and skips a per-delivery
+  // sort of the whole 3x3 superset.
+  Hit* hits = sim_.arena().alloc_array<Hit>(count);
+  std::size_t n_hits = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const RadioId id = candidates[i];
+    if (id == sender_id) continue;
+    if (mobile_only && is_stationary(id)) continue;
+    if (hot_.channel[id] != channel || hot_.switching[id] != 0) continue;
+    if (in_range(from, id, hits[n_hits])) ++n_hits;
+  }
+  if (used_grid) {
+    std::sort(hits, hits + n_hits,
+              [](const Hit& a, const Hit& b) { return a.id < b.id; });
+  }
+  return {hits, n_hits};
+}
+
+// The same in_range as find_receivers, from the sender's filed position
+// (which its snapshot always equals), so a cached hit is bit-identical to
+// the one a scan would compute. Cold: once per stationary radio, and again
+// after a stationary radio on its channel attaches or detaches. clear()
+// keeps the list's capacity.
+void Medium::rebuild_neighbours(const ChannelPartition& partition,
+                                StationaryRadio& entry) {
+  entry.epoch = partition.epoch;
+  entry.neighbours.clear();
+  const Vec2 from = hot_.position[entry.id];
+  for (const StationaryRadio& other : partition.stationary) {
+    Hit hit;
+    if (other.id == entry.id ||
+        hot_.channel[other.id] != hot_.channel[entry.id] ||
+        !in_range(from, other.id, hit)) {
+      continue;
+    }
+    entry.neighbours.push_back(hit);
+  }
+}
+
 SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
   const RadioId sender_id = tx.sender_id;
-  const Vec2 sender_pos = tx.pos;
   const net::ChannelId channel = tx.channel;
   const net::Frame& frame = tx.frame;
   // Unicast data-plane frames get link-layer ARQ at the addressed receiver
@@ -226,84 +340,65 @@ SPIDER_HOT void Medium::deliver(const PendingTx& tx) {
                              frame.kind == net::FrameKind::kPsPoll);
   bool addressed_delivery = false;
 
-  // Candidate set: a span of ids whose RNG draws below must be consumed in
-  // ascending (= attach) order, so grid and bucket internals never influence
-  // the stream. Partition members are already in that order; grid gathers
-  // are sorted below. Grid scratch is carved from the drain arena (rewound
-  // on return).
   core::Arena::Scope scope(sim_.arena());
   ChannelPartition& partition = partitions_[channel_slot(channel)];
-  const std::size_t members = partition.members.size();
-  const RadioId* candidates = partition.members.data();
-  std::size_t count = members;
-  // Tiny partitions scan in place: the grid's hash probes cost more than
-  // touching every co-channel radio, and the scan is a strict superset of
-  // the gather, so after the shared channel/range filters both arms draw
-  // identical RNG. The member vector is stable while the filter loop below
-  // runs (callbacks only fire from the delivery loop after it), so no copy
-  // is needed.
-  const bool used_grid = members > config_.indexed_scan_threshold;
-  if (used_grid) {
-    RadioId* buf = sim_.arena().alloc_array<RadioId>(members);
-    count = partition.grid.gather(sender_pos, config_.range_m, buf);
-    candidates = buf;
-    ++deliveries_grid_;
-  } else {
-    ++deliveries_scan_;
+  // A filed stationary sender's stationary receivers come from its cached
+  // list, so only the mobile ones are searched for.
+  const bool from_stationary = is_stationary(sender_id);
+  std::span<const Hit> hits = find_receivers(
+      partition, from_stationary ? partition.mobile : partition.members,
+      from_stationary, sender_id, tx.pos, channel);
+  if (from_stationary) {
+    // Cached and mobile receivers merged by id: the order a scan of every
+    // member gives. The merge lands in scratch, so a handler that attaches
+    // or detaches a stationary radio cannot pull the list out from under
+    // the draw loop.
+    ++deliveries_cached_;
+    StationaryRadio& entry =
+        partition.stationary[hot_.stationary_index[sender_id]];
+    if (entry.epoch != partition.epoch) rebuild_neighbours(partition, entry);
+    const std::vector<Hit>& cached = entry.neighbours;
+    const std::span<const Hit> mobile = hits;
+    Hit* merged =
+        sim_.arena().alloc_array<Hit>(cached.size() + mobile.size());
+    std::size_t n = 0;
+    std::size_t m = 0;
+    for (const Hit& c : cached) {
+      while (m < mobile.size() && mobile[m].id < c.id) {
+        merged[n++] = mobile[m++];
+      }
+      if (hot_.radio[c.id] == nullptr || hot_.switching[c.id] != 0) continue;
+      merged[n++] = c;
+    }
+    while (m < mobile.size()) merged[n++] = mobile[m++];
+    hits = {merged, n};
   }
 
   // Sender liveness, resolved once through the store (the attach-id hash
   // this replaced only existed to find this pointer).
   Radio* const sender = hot_.radio[sender_id];
+  ChannelCounters& on_channel = per_channel_[channel_slot(channel)];
 
-  // Filter before sorting: the cheap rejections (sender, channel, mid-reset,
-  // out of range) consume no RNG, so applying them on the unsorted gather
-  // superset and ordering only the survivors (~the in-range neighborhood,
-  // a handful of radios) is stream-identical to sorting everything first —
-  // and skips a per-delivery sort of the whole 3x3 superset. The range test
-  // compares squared distances; one sqrt per survivor, none per reject.
-  struct Hit {
-    RadioId id;
-    double distance_m;
-  };
-  Hit* hits = sim_.arena().alloc_array<Hit>(count);
-  std::size_t n_hits = 0;
-  const double max_dist_sq = config_.range_m * config_.range_m;
-  for (std::size_t i = 0; i < count; ++i) {
-    const RadioId id = candidates[i];
-    if (id == sender_id) continue;
-    if (hot_.channel[id] != channel || hot_.switching[id] != 0) continue;
-    const Vec2 rx_pos = hot_.position[id];
-    const double dx = rx_pos.x - sender_pos.x;
-    const double dy = rx_pos.y - sender_pos.y;
-    const double dist_sq = dx * dx + dy * dy;
-    if (dist_sq > max_dist_sq) continue;
-    hits[n_hits++] = Hit{id, std::sqrt(dist_sq)};
-  }
-  if (used_grid) {
-    std::sort(hits, hits + n_hits,
-              [](const Hit& a, const Hit& b) { return a.id < b.id; });
-  }
-
-  for (std::size_t i = 0; i < n_hits; ++i) {
-    const RadioId id = hits[i].id;
-    const double d = hits[i].distance_m;
+  for (const Hit& hit : hits) {
+    const RadioId id = hit.id;
     const bool is_addressee = arq_eligible && hot_.address[id] == frame.dst;
-    const double p = loss_probability(d);
     bool lost = true;
     const int attempts = is_addressee ? config_.data_retry_limit + 1 : 1;
     for (int a = 0; a < attempts && lost; ++a) {
-      lost = rng_.bernoulli(p);
+      lost = rng_.bernoulli(hit.loss);
     }
     if (lost) {
       ++frames_lost_;
-      ++per_channel_[channel_slot(channel)].lost;
+      ++on_channel.lost;
       continue;
     }
     ++frames_delivered_;
-    ++per_channel_[channel_slot(channel)].delivered;
+    ++on_channel.delivered;
     if (is_addressee) addressed_delivery = true;
-    hot_.radio[id]->handle_delivery(frame, RxInfo{channel, d, tx.airtime});
+    if (!hot_.radio[id]->handle_delivery(
+            frame, RxInfo{channel, hit.distance_m, tx.airtime})) {
+      ++rx_unconsumed_;
+    }
   }
 
   if (arq_eligible && sender != nullptr) {
@@ -320,8 +415,13 @@ std::size_t Medium::hot_state_bytes() const {
       tx_pool_.size() * sizeof(PendingTx) +
       tx_free_.capacity() * sizeof(PendingTx*);
   for (const ChannelPartition& partition : partitions_) {
-    total += partition.members.capacity() * sizeof(RadioId) +
+    total += (partition.members.capacity() + partition.mobile.capacity()) *
+                 sizeof(RadioId) +
+             partition.stationary.capacity() * sizeof(StationaryRadio) +
              partition.grid.memory_bytes();
+    for (const StationaryRadio& radio : partition.stationary) {
+      total += radio.neighbours.capacity() * sizeof(Hit);
+    }
   }
   return total;
 }

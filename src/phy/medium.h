@@ -27,6 +27,25 @@
 // independent of grid/bucket internals (tests check receive sets and
 // callback order against an O(n) scan of raw positions, and grid against
 // partition-scan digests).
+//
+// Stationary radios (APs; RadioConfig::stationary) are attached at their
+// position and never move or retune — a SPIDER_CHECK enforces it. Each one
+// keeps a cached list of the stationary radios on its channel within range:
+// (id, distance, loss probability), ascending by id. A frame from a
+// stationary sender takes that list and finds only the mobile receivers
+// the usual way (the mobile list when it is at or below
+// indexed_scan_threshold, else the grid with stationary ids skipped), then
+// merges the two by id, so the draws run in exactly the order a scan of
+// every member would give. Attaching or detaching a stationary radio bumps
+// its partition's epoch; a list whose epoch is behind is rebuilt, in place,
+// at its sender's next delivery. A frame from a mobile sender, or from a
+// stationary one detached since it transmitted, scans or gathers every
+// member as above.
+//
+// Receiver interest: a reception is drawn and counted (frames_delivered,
+// the receiver's frames_rx and energy, ARQ) whether or not the receiver's
+// owner consumes the frame (Radio::RxInterest); the handler is called only
+// for consumed frames, and the rest are counted as rx_unconsumed.
 #pragma once
 
 #include <algorithm>
@@ -113,8 +132,10 @@ class Medium {
            sim::transmission_time(size_bytes, config_.bitrate_bps);
   }
 
-  // Called by Radio's constructor/destructor.
-  void attach(Radio& radio, net::ChannelId initial_channel);
+  // Called by Radio's constructor/destructor. A stationary radio is filed
+  // once, at `position`, and may not move or retune afterwards.
+  void attach(Radio& radio, net::ChannelId initial_channel, Vec2 position,
+              bool stationary);
   void detach(Radio& radio);
 
   // Hot-store accessors for the radio's handle-based reads (inline: these
@@ -124,6 +145,9 @@ class Medium {
   }
   Vec2 position_of(RadioId id) const { return hot_.position[id]; }
   bool is_switching(RadioId id) const { return hot_.switching[id] != 0; }
+  bool is_stationary(RadioId id) const {
+    return hot_.stationary_index[id] != kMobileRadio;
+  }
 
   // Called by Radio when a hardware reset starts/aborts.
   void set_switching(Radio& radio, bool switching);
@@ -131,7 +155,8 @@ class Medium {
   // clears the switching flag and moves the radio between partitions.
   void complete_retune(Radio& radio, net::ChannelId channel);
   // Moves one radio (position write + lazy grid re-bucket); a no-move
-  // update is free.
+  // update is free. Moving a stationary radio fails a SPIDER_CHECK (and,
+  // under kLogAndCount, leaves it where it is).
   void set_position(Radio& radio, Vec2 position);
 
   // Mobility tick: applies every move in order through set_position, so a
@@ -156,18 +181,24 @@ class Medium {
   std::uint64_t frames_sent() const { return frames_sent_; }
   std::uint64_t frames_delivered() const { return frames_delivered_; }
   std::uint64_t frames_lost() const { return frames_lost_; }
-  // Delivery observability: deliveries served from the 3x3 grid
-  // neighborhood vs. a scan of a partition at or below
-  // indexed_scan_threshold.
+  // Delivery observability: deliveries whose mobile candidates (every
+  // candidate, for a mobile sender) came from the 3x3 grid neighborhood
+  // vs. a scan of a list at or below indexed_scan_threshold; the
+  // deliveries whose stationary receivers came from the sender's cached
+  // list; and receptions drawn and counted but not handed to a handler
+  // (the receiver does not consume that frame).
   std::uint64_t deliveries_grid() const { return deliveries_grid_; }
   std::uint64_t deliveries_scan() const { return deliveries_scan_; }
+  std::uint64_t deliveries_cached() const { return deliveries_cached_; }
+  std::uint64_t rx_unconsumed() const { return rx_unconsumed_; }
   // Radios currently attached on `channel` (tests; O(1)).
   std::size_t radios_on(net::ChannelId channel) const {
     return partitions_[channel_slot(channel)].members.size();
   }
 
   // Resident bytes of the hot per-radio state: the SoA store, the id lists
-  // (partitions + grid buckets) and the in-flight tx pool.
+  // (partitions + grid buckets), the stationary radios' cached neighbour
+  // lists and the in-flight tx pool.
   // FastPath.TenThousandRadioFootprintStaysUnderCeiling divides this by
   // the world size to gate bytes/radio.
   std::size_t hot_state_bytes() const;
@@ -192,11 +223,32 @@ class Medium {
     std::uint64_t lost = 0;
   };
 
+  // One receiver of a delivery: what its loss draw needs.
+  struct Hit {
+    RadioId id;
+    double distance_m;
+    double loss;
+  };
+
+  // A stationary radio of a partition and its cached in-range stationary
+  // co-channel receivers, ascending by id; stale while `epoch` is behind
+  // the partition's.
+  struct StationaryRadio {
+    RadioId id = 0;
+    std::uint64_t epoch = 0;
+    std::vector<Hit> neighbours;
+  };
+
   // Radios tuned to one channel slot: the member ids (into hot_), kept
-  // ascending by attach id through ordered insert/erase, plus the spatial
-  // grid over their positions.
+  // ascending by attach id through ordered insert/erase, split into mobile
+  // and stationary lists in the same order, plus the spatial grid over every
+  // member's position. `epoch` advances whenever a stationary radio joins
+  // or leaves.
   struct ChannelPartition {
     std::vector<RadioId> members;
+    std::vector<RadioId> mobile;
+    std::vector<StationaryRadio> stationary;
+    std::uint64_t epoch = 0;
     RadioGrid grid;
   };
 
@@ -216,8 +268,22 @@ class Medium {
   PendingTx* acquire_pending_tx();
   void release_pending_tx(PendingTx* node);
 
-  void insert_into_partition(RadioId id);
+  void insert_into_partition(RadioId id, bool stationary);
   void remove_from_partition(RadioId id, net::ChannelId channel);
+  // The receivers among `listed` (or, when the list is longer than
+  // indexed_scan_threshold, among the partition's grid gather, stationary
+  // radios skipped if `mobile_only`) of a frame from `sender_id` at `from`:
+  // ascending by id, carved from the drain arena.
+  std::span<const Hit> find_receivers(const ChannelPartition& partition,
+                                      const std::vector<RadioId>& listed,
+                                      bool mobile_only, RadioId sender_id,
+                                      Vec2 from, net::ChannelId channel);
+  // Writes the hit for radio `id` hearing a frame sent from `from`; false
+  // when it is out of range.
+  bool in_range(Vec2 from, RadioId id, Hit& out) const;
+  // Refills a stale stationary radio's neighbour list.
+  void rebuild_neighbours(const ChannelPartition& partition,
+                          StationaryRadio& entry);
   void deliver(const PendingTx& tx);
   void publish_metrics(telemetry::Registry& registry) const;
 
@@ -242,6 +308,8 @@ class Medium {
   std::uint64_t frames_lost_ = 0;
   std::uint64_t deliveries_grid_ = 0;
   std::uint64_t deliveries_scan_ = 0;
+  std::uint64_t deliveries_cached_ = 0;
+  std::uint64_t rx_unconsumed_ = 0;
   std::array<ChannelCounters, kChannelSlots> per_channel_{};
   telemetry::Hub::CollectorId collector_id_ = 0;
 };

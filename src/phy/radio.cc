@@ -12,7 +12,8 @@ Radio::Radio(Medium& medium, net::MacAddress address, RadioConfig config)
     : medium_(medium), address_(address), config_(config) {
   if (!valid_channel(config.initial_channel))
     throw std::invalid_argument("Radio: invalid initial channel");
-  medium_.attach(*this, config.initial_channel);
+  medium_.attach(*this, config.initial_channel, config.position,
+                 config.stationary);
 }
 
 Radio::~Radio() {
@@ -23,6 +24,10 @@ Radio::~Radio() {
 void Radio::tune(net::ChannelId channel, std::function<void()> done) {
   if (!valid_channel(channel))
     throw std::invalid_argument("Radio::tune: invalid channel");
+  const bool stationary = medium_.is_stationary(id_);
+  SPIDER_CHECK(!stationary)
+      << "stationary radio " << address_.to_string() << " retuned";
+  if (stationary) return;
   switch_timer_.cancel();  // a new retune supersedes any in-flight one
   medium_.set_switching(*this, true);
   if (energy_) energy_->set_state(RadioState::kReset);
@@ -47,13 +52,6 @@ SPIDER_HOT bool Radio::send(net::Frame frame) {
   }
   medium_.transmit(*this, std::move(frame));
   return true;
-}
-
-SPIDER_HOT void Radio::handle_delivery(const net::Frame& frame,
-                                       const RxInfo& info) {
-  ++frames_rx_;
-  if (energy_) energy_->charge_burst(RadioState::kReceive, info.airtime);
-  if (receive_handler_) receive_handler_(frame, info);
 }
 
 void Radio::handle_tx_failure(const net::Frame& frame) {

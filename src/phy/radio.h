@@ -36,6 +36,30 @@ struct RadioConfig {
   // Hardware-reset time applied on every retune; override per radio to
   // model a different part.
   sim::Time hardware_reset = kHardwareResetTime;
+  // Where the radio is attached.
+  Vec2 position{};
+  // A stationary radio (an AP) stays at `position` on `initial_channel` for
+  // its whole life: the medium caches its in-range stationary neighbours
+  // (see medium.h). Moving or retuning it fails a SPIDER_CHECK.
+  bool stationary = false;
+};
+
+// Which received frames a radio's owner consumes. A reception the owner
+// does not consume is still drawn and counted (frames_rx, energy, ARQ), but
+// the receive handler never sees it. The default consumes everything.
+struct RxInterest {
+  // Only frames addressed to this radio or broadcast.
+  bool addressed_only = false;
+  // Bit (1 << kind) set for every net::FrameKind consumed.
+  std::uint32_t kinds = ~std::uint32_t{0};
+
+  static constexpr std::uint32_t bit(net::FrameKind kind) {
+    return std::uint32_t{1} << static_cast<unsigned>(kind);
+  }
+  bool consumes(const net::Frame& frame, net::MacAddress self) const {
+    if ((kinds & bit(frame.kind)) == 0) return false;
+    return !addressed_only || frame.dst == self || frame.dst.is_broadcast();
+  }
 };
 
 class Radio {
@@ -64,8 +88,10 @@ class Radio {
   // crossed a cell boundary; a no-move update is free (parked vehicles get
   // position ticks too).
   void set_position(Vec2 p) { medium_.set_position(*this, p); }
-  void set_receive_handler(ReceiveHandler handler) {
+  // Installs the handler and declares, once, which frames it consumes.
+  void set_receive_handler(ReceiveHandler handler, RxInterest interest = {}) {
     receive_handler_ = std::move(handler);
+    interest_ = interest;
   }
   void set_tx_failure_handler(TxFailureHandler handler) {
     tx_failure_handler_ = std::move(handler);
@@ -76,6 +102,8 @@ class Radio {
 
   // Retunes to `channel`. Invokes `done` (if any) once the reset completes.
   // Tuning to the current channel still incurs the reset (matches hardware).
+  // A stationary radio may not retune (SPIDER_CHECK; under kLogAndCount it
+  // stays on its channel and `done` never runs).
   void tune(net::ChannelId channel, std::function<void()> done = nullptr);
 
   // Hands the frame to the medium. Returns false (dropping the frame) while
@@ -94,8 +122,17 @@ class Radio {
 
  private:
   friend class Medium;
-  // Medium-side delivery entry point.
-  void handle_delivery(const net::Frame& frame, const RxInfo& info);
+  // Medium-side delivery entry point, inline in Medium::deliver's draw
+  // loop. Returns whether the handler consumed the frame.
+  bool handle_delivery(const net::Frame& frame, const RxInfo& info) {
+    ++frames_rx_;
+    if (energy_) energy_->charge_burst(RadioState::kReceive, info.airtime);
+    if (!receive_handler_ || !interest_.consumes(frame, address_)) {
+      return false;
+    }
+    receive_handler_(frame, info);
+    return true;
+  }
   void handle_tx_failure(const net::Frame& frame);
 
   Medium& medium_;
@@ -105,6 +142,7 @@ class Radio {
   RadioId id_ = 0;
   sim::TimerHandle switch_timer_;
   ReceiveHandler receive_handler_;
+  RxInterest interest_;
   TxFailureHandler tx_failure_handler_;
   std::uint64_t frames_tx_ = 0;
   std::uint64_t frames_rx_ = 0;

@@ -6,9 +6,9 @@
 //
 //  - RadioHotStore holds the fields Medium::deliver, Medium::move_radios and
 //    the grid scans actually touch — position, address, channel, switching,
-//    grid cell — as parallel arrays indexed by attach id
+//    grid cell, stationary slot — as parallel arrays indexed by attach id
 //    (monotone, never reused), so candidate loops stream contiguous memory
-//    and a 100k-radio world costs ~48 hot bytes per radio instead of a
+//    and a 100k-radio world costs ~52 hot bytes per radio instead of a
 //    pointer chase into a ~200-byte Radio.
 //  - RadioGrid buckets ids into square cells of side cell_m (chosen by the
 //    Medium as the frame range, so a delivery disc covers a 3x3
@@ -41,6 +41,9 @@ class Radio;
 // on. 0 means "never attached".
 using RadioId = std::uint32_t;
 
+// RadioHotStore::stationary_index of a radio that may move or retune.
+inline constexpr std::uint32_t kMobileRadio = UINT32_MAX;
+
 // Parallel arrays of the per-radio state the hot paths read, indexed by
 // RadioId. Owned by the Medium; the grid holds a pointer. `radio` doubles as
 // the liveness map (nullptr after detach), replacing the old attach-id hash.
@@ -52,6 +55,10 @@ struct RadioHotStore {
   std::vector<std::int32_t> cell_x;
   std::vector<std::int32_t> cell_y;
   std::vector<std::uint32_t> cell_index;  // index within the grid bucket
+  // A stationary radio's index in its channel partition's list of
+  // stationary radios; kMobileRadio for every other radio (and for a
+  // detached one).
+  std::vector<std::uint32_t> stationary_index;
   std::vector<Radio*> radio;
 
   // Grows every array to cover `id` (amortized O(1) per attach).
@@ -65,6 +72,7 @@ struct RadioHotStore {
     cell_x.resize(n);
     cell_y.resize(n);
     cell_index.resize(n);
+    stationary_index.resize(n, kMobileRadio);
     radio.resize(n);
   }
 
@@ -76,6 +84,7 @@ struct RadioHotStore {
            cell_x.capacity() * sizeof(std::int32_t) +
            cell_y.capacity() * sizeof(std::int32_t) +
            cell_index.capacity() * sizeof(std::uint32_t) +
+           stationary_index.capacity() * sizeof(std::uint32_t) +
            radio.capacity() * sizeof(Radio*);
   }
 };

@@ -4,7 +4,8 @@
 // global operator new/delete family is replaced with counting forwarders.
 // The tests first pin down the guard's own mechanics (counting windows,
 // meter mode, the tripping check), then wrap the steady-state loops — PHY
-// frame delivery, batched mobility, interned beacon ticks, management
+// frame delivery, cached-list delivery from stationary radios, batched
+// mobility, interned beacon ticks, management
 // exchanges, the backhaul TCP exchange, a client device's frame dispatch —
 // in an armed guard and assert they allocate nothing once warm.
 #include "core/alloc_guard.h"
@@ -186,6 +187,46 @@ TEST(AllocGuardHotPaths, InternedBeaconTicksAreAllocationFree) {
   }
   EXPECT_GE(station.frames_rx(), rx_before + 8)
       << "the guarded second must contain ~10 beacon deliveries";
+}
+
+TEST(AllocGuardHotPaths, StationaryDeliveryIsAllocationFreeOnceWarm) {
+  // Twelve beaconing APs on one channel, 40 m apart, so every beacon is
+  // served from its sender's cached neighbour list; two stations among
+  // them are the mobile part. Each AP's first beacon builds its list; after
+  // that a delivery only reads it, and the receptions APs draw but do not
+  // consume allocate nothing either.
+  sim::Simulator sim;
+  phy::MediumConfig medium_cfg;
+  medium_cfg.base_loss = 0.1;
+  phy::Medium medium(sim, sim::Rng(21), medium_cfg);
+  mac::AccessPointConfig cfg;
+  cfg.channel = 1;
+  std::vector<std::unique_ptr<mac::AccessPoint>> aps;
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    aps.push_back(std::make_unique<mac::AccessPoint>(
+        medium, net::MacAddress::from_index(0xA50 + i),
+        phy::Vec2{40.0 * (i % 4), 40.0 * (i / 4)}, sim::Rng(30 + i), cfg));
+    aps.back()->start();
+  }
+  phy::Radio near(medium, net::MacAddress::from_index(0x51B),
+                  phy::RadioConfig{.initial_channel = 1});
+  phy::Radio far(medium, net::MacAddress::from_index(0x51C),
+                 phy::RadioConfig{.initial_channel = 1});
+  near.set_position({60.0, 40.0});
+  far.set_position({150.0, 90.0});
+
+  sim.run_until(sim::Time::millis(500));  // warm-up: every list is built
+  const std::uint64_t cached_before = medium.deliveries_cached();
+  const std::uint64_t unconsumed_before = medium.rx_unconsumed();
+  {
+    ScopedAllocGuard guard("stationary delivery steady state");
+    sim.run_until(sim::Time::millis(1500));
+    EXPECT_EQ(guard.allocations(), 0u)
+        << "a warm cached-list delivery allocated";
+  }
+  // ~10 beacons per AP, each reaching most of the other eleven.
+  EXPECT_GE(medium.deliveries_cached(), cached_before + 100);
+  EXPECT_GE(medium.rx_unconsumed(), unconsumed_before + 500);
 }
 
 TEST(AllocGuardHotPaths, InternedMgmtExchangeIsAllocationFreeOnceWarm) {

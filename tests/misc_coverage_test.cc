@@ -34,7 +34,8 @@ TEST(MediumIdle, TracksSerializationQueue) {
 }
 
 // Table 1's switch latency prices each PSM frame at the medium's own
-// airtime: with one connected AP on each side, two null-data frames.
+// airtime: with one connected AP on each side, a null-data frame on the
+// outgoing channel and a PS-Poll on the incoming one.
 TEST(MediumIdle, SwitchLatencyPricesPsmFramesAtTheMediumsAirtime) {
   sim::Simulator sim;
   phy::MediumConfig cfg;
@@ -47,9 +48,11 @@ TEST(MediumIdle, SwitchLatencyPricesPsmFramesAtTheMediumsAirtime) {
     return std::vector<net::Bssid>{net::MacAddress::from_index(channel)};
   });
   EXPECT_EQ(medium.airtime(net::kNullDataBytes), sim::Time::micros(28));
+  EXPECT_EQ(medium.airtime(net::kPsPollBytes), sim::Time::micros(20));
+  // One null-data frame leaves on channel 6, one PS-Poll wakes channel 11.
   EXPECT_EQ(device.switch_channel(11),
-            phy::kHardwareResetTime +
-                medium.airtime(net::kNullDataBytes) * std::int64_t{2});
+            phy::kHardwareResetTime + medium.airtime(net::kNullDataBytes) +
+                medium.airtime(net::kPsPollBytes));
 }
 
 TEST(Experiment, CompletesJoinHandshake) {

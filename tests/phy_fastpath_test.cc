@@ -19,8 +19,11 @@
 #include <memory>
 #include <vector>
 
+#include "core/check.h"
 #include "core/configs.h"
 #include "core/experiment.h"
+#include "core/scenarios.h"
+#include "mac/access_point.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 
@@ -307,7 +310,7 @@ TEST(FastPath, TenThousandRadioFootprintStaysUnderCeiling) {
   // density (500 radios/km^2), after one batched drift wave and one
   // all-radio probe volley have grown every pool to its working size.
   // Bytes do not depend on the machine, so this is a plain ceiling: the
-  // 240 B/radio budget plus 5 % (it measures 214).
+  // 240 B/radio budget plus 5 % (it measures 232).
   constexpr int kRadios = 10'000;
   sim::Simulator sim;
   MediumConfig cfg;
@@ -489,6 +492,334 @@ TEST(FastPath, GridChurnLeavesOutcomesUntouched) {
                                                    medium.frames_delivered()};
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+// --- stationary radios: cached neighbour lists -------------------------------
+
+// A world of stationary radios (APs) and mobile ones on channels 1, 6 and
+// 11. Radio i is the (i+1)-th attach, so ascending index is attach order.
+// With `declare` false every radio is attached mobile and moved into place:
+// the path every delivery took before stationary radios existed, which is
+// the oracle the declared world must match.
+class MixedWorld {
+ public:
+  MixedWorld(std::uint64_t seed, double base_loss, std::size_t threshold,
+             bool declare)
+      : medium_(sim_, sim::Rng(seed), config(base_loss, threshold)),
+        layout_(seed ^ 0x5EEDu),
+        declare_(declare) {
+    // Interleaved, so stationary and mobile receivers alternate in id.
+    for (int i = 0; i < 36; ++i) add(i % 3 != 1);
+  }
+
+  static MediumConfig config(double base_loss, std::size_t threshold) {
+    MediumConfig cfg;
+    cfg.base_loss = base_loss;
+    cfg.edge_degradation = base_loss > 0.0;
+    cfg.indexed_scan_threshold = threshold;
+    return cfg;
+  }
+
+  sim::Simulator& sim() { return sim_; }
+  Medium& medium() { return medium_; }
+  sim::Rng& rng() { return layout_; }
+  std::size_t size() const { return radios_.size(); }
+  Radio* radio(std::size_t i) { return radios_[i].get(); }
+  bool stationary(std::size_t i) const { return stationary_[i]; }
+  // (sender index, receiver index) per handler call, in call order.
+  const std::vector<std::pair<int, int>>& log() const { return log_; }
+  std::uint64_t handled() const { return log_.size(); }
+
+  // Attaches the next radio. Every odd-indexed stationary radio consumes
+  // only frames to it or broadcast, and no beacons, so the receptions its
+  // handler never sees show up as rx_unconsumed.
+  int add(bool is_stationary) {
+    const int idx = static_cast<int>(radios_.size());
+    static constexpr net::ChannelId kChannels[] = {1, 6, 11};
+    RadioConfig rc{.initial_channel = kChannels[layout_.uniform_int(0, 2)]};
+    const Vec2 at{layout_.uniform(-220.0, 220.0),
+                  layout_.uniform(-220.0, 220.0)};
+    if (is_stationary && declare_) {
+      rc.position = at;
+      rc.stationary = true;
+    }
+    radios_.push_back(std::make_unique<Radio>(
+        medium_,
+        net::MacAddress::from_index(static_cast<std::uint32_t>(idx + 1)), rc));
+    stationary_.push_back(is_stationary);
+    if (!rc.stationary) radios_.back()->set_position(at);
+    RxInterest interest;
+    if (is_stationary && idx % 2 == 1) {
+      interest.addressed_only = true;
+      interest.kinds = ~RxInterest::bit(net::FrameKind::kBeacon);
+    }
+    radios_.back()->set_receive_handler(
+        [this, idx](const net::Frame& f, const RxInfo&) {
+          log_.emplace_back(static_cast<int>(f.src.value() & 0xFFFF) - 1, idx);
+        },
+        interest);
+    return idx;
+  }
+
+  void remove(std::size_t i) { radios_[i].reset(); }
+
+  // A live radio of the wanted kind, chosen by the world's RNG.
+  int pick(bool want_stationary) {
+    std::vector<int> live;
+    for (std::size_t i = 0; i < radios_.size(); ++i) {
+      if (radios_[i] && stationary_[i] == want_stationary) {
+        live.push_back(static_cast<int>(i));
+      }
+    }
+    return live[static_cast<std::size_t>(
+        layout_.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
+  }
+
+ private:
+  sim::Simulator sim_;
+  Medium medium_;
+  sim::Rng layout_;
+  bool declare_;
+  std::vector<std::unique_ptr<Radio>> radios_;
+  std::vector<bool> stationary_;
+  std::vector<std::pair<int, int>> log_;
+};
+
+// One round of churn: mobile radios walk across cells and one retunes, and
+// (on alternate rounds) a stationary radio leaves or a new one joins.
+void churn(MixedWorld& w, int round) {
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    Radio* r = w.radio(i);
+    if (r == nullptr || w.stationary(i)) continue;
+    r->set_position(r->position() + Vec2{w.rng().uniform(-150.0, 150.0),
+                                         w.rng().uniform(-150.0, 150.0)});
+  }
+  Radio& flip = *w.radio(static_cast<std::size_t>(w.pick(false)));
+  flip.tune(flip.channel() == 11 ? 1 : flip.channel() + 5);
+  w.sim().run_all();
+  if (round % 2 == 0) {
+    w.remove(static_cast<std::size_t>(w.pick(true)));
+  } else {
+    w.add(true);
+  }
+}
+
+TEST(StationaryCache, MixedWorldsMatchBruteForceScan) {
+  // Lossless: each round, a broadcast from a random live radio must reach
+  // exactly the radios an O(n) scan of raw positions picks, in ascending
+  // attach id; stationary senders are served from their cached lists.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const std::size_t threshold :
+         {std::size_t{0}, MediumConfig{}.indexed_scan_threshold}) {
+      MixedWorld w(seed, 0.0, threshold, true);
+      const double range = w.medium().config().range_m;
+      for (int round = 0; round < 40; ++round) {
+        churn(w, round);
+        const std::size_t from = static_cast<std::size_t>(
+            w.pick(round % 3 != 0));
+        Radio& sender = *w.radio(from);
+        std::vector<std::pair<int, int>> expected;
+        for (std::size_t i = 0; i < w.size(); ++i) {
+          const Radio* rx = w.radio(i);
+          if (rx == nullptr || i == from) continue;
+          if (rx->channel() != sender.channel()) continue;
+          if (distance(sender.position(), rx->position()) > range) continue;
+          // A probe request is broadcast and no beacon, so every declared
+          // interest consumes it.
+          expected.emplace_back(static_cast<int>(from), static_cast<int>(i));
+        }
+        const std::size_t before = w.log().size();
+        sender.send(net::make_probe_request(sender.address()));
+        w.sim().run_all();
+        const std::vector<std::pair<int, int>> got(
+            w.log().begin() + static_cast<std::ptrdiff_t>(before),
+            w.log().end());
+        ASSERT_EQ(got, expected) << "seed " << seed << " threshold "
+                                 << threshold << " round " << round;
+      }
+      EXPECT_GT(w.medium().deliveries_cached(), 0u);
+      if (threshold == 0) {
+        EXPECT_GT(w.medium().deliveries_grid(), 0u);
+      }
+    }
+  }
+}
+
+struct MixedOutcome {
+  std::uint64_t digest = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t lost = 0;
+  std::uint64_t cached = 0;
+  std::vector<std::pair<int, int>> log;
+
+  bool operator==(const MixedOutcome& o) const {
+    return digest == o.digest && delivered == o.delivered && lost == o.lost &&
+           log == o.log;
+  }
+};
+
+// Lossy, with churn during airtime: every live radio broadcasts (beacons
+// from stationary radios, probes from mobile ones) and sends one unicast
+// data frame (ARQ and tx-failure paths), while a stationary radio is
+// destroyed or attached, and a mobile one retunes, with frames on the air.
+MixedOutcome run_mixed_lossy(std::uint64_t seed, std::size_t threshold,
+                             bool declare) {
+  MixedWorld w(seed, 0.3, threshold, declare);
+  const net::SharedPayload beacon(net::BeaconInfo{"mixed", 1, true});
+  for (int round = 0; round < 16; ++round) {
+    churn(w, round);
+    const sim::Time t0 = w.sim().now();
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      Radio* r = w.radio(i);
+      if (r == nullptr) continue;
+      r->send(w.stationary(i) ? net::make_beacon(r->address(), beacon)
+                              : net::make_probe_request(r->address()));
+      const std::size_t to = static_cast<std::size_t>(
+          w.pick(!w.stationary(i)));
+      net::TcpSegment seg;
+      seg.payload_bytes = 100;
+      r->send(net::make_tcp_frame(r->address(), w.radio(to)->address(),
+                                  net::Bssid{}, seg));
+    }
+    const std::size_t doomed = static_cast<std::size_t>(w.pick(true));
+    const std::size_t flip = static_cast<std::size_t>(w.pick(false));
+    w.sim().schedule_at(t0 + sim::Time::micros(700), [&w, doomed, round] {
+      if (round % 2 == 0) {
+        w.remove(doomed);
+      } else {
+        w.add(true);
+      }
+    });
+    w.sim().schedule_at(t0 + sim::Time::micros(1500), [&w, flip] {
+      if (Radio* r = w.radio(flip)) r->tune(r->channel() == 1 ? 6 : 1);
+    });
+    w.sim().run_all();
+  }
+  // Every drawn-and-delivered reception was either handed to a handler or
+  // counted as unconsumed, in the getters and in the published metrics.
+  const telemetry::MetricsSnapshot snap = w.sim().telemetry().collect();
+  EXPECT_EQ(w.handled() + w.medium().rx_unconsumed(),
+            w.medium().frames_delivered());
+  EXPECT_EQ(snap.counter_value("phy.rx_unconsumed"),
+            w.medium().rx_unconsumed());
+  EXPECT_EQ(snap.counter_value("phy.deliveries.cached"),
+            w.medium().deliveries_cached());
+  EXPECT_GT(w.medium().rx_unconsumed(), 0u);
+  return {w.sim().digest(), w.medium().frames_delivered(),
+          w.medium().frames_lost(), w.medium().deliveries_cached(), w.log()};
+}
+
+TEST(StationaryCache, MixedWorldsDrawTheOracleRngStream) {
+  // The declared world, at threshold 0 (the mobile part gathers from the
+  // grid, skipping stationary ids) and at the default (it scans the mobile
+  // list), must hand the same frames to the same radios in the same order
+  // off the same RNG stream as the all-mobile world scanning every
+  // partition member.
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    const MixedOutcome oracle = run_mixed_lossy(seed, kAlwaysScan, false);
+    EXPECT_EQ(oracle.cached, 0u);
+    for (const std::size_t threshold :
+         {std::size_t{0}, MediumConfig{}.indexed_scan_threshold}) {
+      const MixedOutcome declared = run_mixed_lossy(seed, threshold, true);
+      EXPECT_GT(declared.cached, 0u);
+      EXPECT_TRUE(declared == oracle)
+          << "seed " << seed << " threshold " << threshold << ": digest "
+          << declared.digest << " vs " << oracle.digest << ", delivered "
+          << declared.delivered << " vs " << oracle.delivered << ", lost "
+          << declared.lost << " vs " << oracle.lost;
+    }
+  }
+}
+
+TEST(StationaryCache, MovingOrRetuningAStationaryRadioFailsACheck) {
+  check::ScopedPolicy log_and_count(check::Policy::kLogAndCount);
+  check::reset_counters();
+  sim::Simulator sim;
+  Medium medium(sim, sim::Rng(1), lossless());
+  Radio ap(medium, net::MacAddress::from_index(1),
+           {.initial_channel = 6, .position = {10, 0}, .stationary = true});
+  EXPECT_TRUE(medium.is_stationary(static_cast<RadioId>(ap.attach_order())));
+  ap.set_position({10, 0});  // a no-move update is fine
+  EXPECT_EQ(check::check_failures(), 0u);
+  ap.set_position({20, 0});
+  EXPECT_EQ(check::check_failures(), 1u);
+  EXPECT_EQ(ap.position(), (Vec2{10, 0}));
+  bool retuned = false;
+  ap.tune(11, [&retuned] { retuned = true; });
+  sim.run_all();
+  EXPECT_EQ(check::check_failures(), 2u);
+  EXPECT_FALSE(retuned);
+  EXPECT_EQ(ap.channel(), 6);
+  EXPECT_FALSE(ap.switching());
+  EXPECT_NE(check::last_failure_message().find("retuned"), std::string::npos);
+  check::reset_counters();
+}
+
+TEST(StationaryCache, AccessPointInterestSkipsTheFourIgnoredKinds) {
+  // A radio declaring an AP's interest hears every kind addressed to it
+  // and every kind addressed elsewhere; its handler sees only the seven
+  // kinds an AP answers, addressed to it or broadcast. Every reception is
+  // still drawn and counted.
+  sim::Simulator sim;
+  Medium medium(sim, sim::Rng(1), lossless());
+  const net::MacAddress self = net::MacAddress::from_index(1);
+  const net::MacAddress other = net::MacAddress::from_index(9);
+  Radio ap(medium, self, {.initial_channel = 6, .stationary = true});
+  Radio peer(medium, net::MacAddress::from_index(2), {.initial_channel = 6});
+  peer.set_position({10, 0});
+  std::vector<net::FrameKind> handled;
+  ap.set_receive_handler(
+      [&handled](const net::Frame& f, const RxInfo&) {
+        handled.push_back(f.kind);
+      },
+      mac::AccessPoint::kRxInterest);
+  const net::MacAddress x = peer.address();
+  const net::SharedPayload info(net::BeaconInfo{"peer", 6, true});
+  net::TcpSegment seg;
+  seg.payload_bytes = 100;
+  std::vector<net::Frame> frames = {net::make_beacon(x, info),
+                                    net::make_probe_request(x)};
+  for (const net::MacAddress to : {self, other}) {
+    frames.push_back(net::make_probe_response(x, to, info));
+    frames.push_back(net::make_auth_request(x, to));
+    frames.push_back(net::make_auth_response(x, to, info));
+    frames.push_back(net::make_assoc_request(x, to));
+    frames.push_back(net::make_assoc_response(x, to, info));
+    frames.push_back(net::make_disassoc(x, to, to));
+    frames.push_back(net::make_null_data(x, to, true));
+    frames.push_back(net::make_ps_poll(x, to));
+    frames.push_back(net::make_tcp_frame(x, to, to, seg));
+  }
+  for (net::Frame& f : frames) peer.send(std::move(f));
+  sim.run_all();
+  using K = net::FrameKind;
+  const std::vector<K> expected = {K::kProbeRequest, K::kAuthRequest,
+                                   K::kAssocRequest, K::kDisassoc,
+                                   K::kNullData,     K::kPsPoll,
+                                   K::kData};
+  EXPECT_EQ(handled, expected);
+  EXPECT_EQ(ap.frames_rx(), 20u);
+  EXPECT_EQ(medium.frames_delivered(), 20u);
+  EXPECT_EQ(medium.rx_unconsumed(), 13u);
+}
+
+TEST(StationaryCache, AccessPointsCountWhatTheirHandlersNoLongerSee) {
+  // An Amherst drive, 30 s: its APs' receive handlers never see one of the
+  // four ignored kinds (each is a SPIDER_UNREACHABLE arm in on_receive),
+  // and the receptions the medium counts equal the values from before APs
+  // declared an interest: frames delivered and lost, and the client radio's
+  // frames_rx (the rest were the APs'). Most AP receptions are now
+  // unconsumed.
+  check::ScopedPolicy log_and_count(check::Policy::kLogAndCount);
+  check::reset_counters();
+  core::Experiment exp(core::amherst_drive(3, sim::Time::seconds(30)));
+  exp.run();
+  EXPECT_EQ(check::failures(), 0u) << check::last_failure_message();
+  const Medium& medium = exp.medium();
+  EXPECT_EQ(medium.frames_delivered(), 41469u);
+  EXPECT_EQ(medium.frames_lost(), 8242u);
+  EXPECT_EQ(exp.device().radio().frames_rx(), 6835u);
+  EXPECT_EQ(medium.rx_unconsumed(), 28136u);
 }
 
 }  // namespace
